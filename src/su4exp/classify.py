@@ -84,29 +84,6 @@ def charpoly_canonical(a, b, c) -> tuple[float, complex]:
     return mu, nu
 
 
-def canonical_quartic_coeff_closed_form(a, b, c) -> float:
-    """Closed-form candidate for the quartic coefficient pi in canonical form.
-
-    Known to disagree with Newton's identities even on simple fixtures (it
-    yields -1/2 where the true value is 1 for the sigma_z (x) sigma_z
-    generator), so ``charpoly`` never uses it; it is retained only as a
-    documented cross-check.  See the matching expected-failure test.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    s = float((a * a + b * b + c * c).sum())
-    term_ab = 4.0 * float(np.outer(a * a, b * b).sum())
-    term_ac = 4.0 * float((a * a * c * c + b * b * c * c).sum())
-    term_cc = 2.0 * sum(c[i] ** 2 * c[j] ** 2
-                        for i in range(3) for j in range(3) if i != j)
-    term_abc = 4.0 * sum(a[i] * b[i] * c[j] * c[k]
-                         for i in range(3) for j in range(3) for k in range(3)
-                         if len({i, j, k}) == 3)
-    return 0.25 * (2.0 * s ** 2 - 4.0 * (s ** 2 + term_ab + term_ac
-                                         + term_cc - term_abc))
-
-
 def cofactor_matrix(C: np.ndarray) -> np.ndarray:
     """Matrix of cofactors Co(C)_ij = (-1)^(i+j) minor(i, j) (no transpose).
 

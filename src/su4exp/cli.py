@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -20,16 +18,8 @@ from . import demos
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
-from .expm import (
-    exp_auto,
-    is_bisymmetric,
-    is_imaginary_symmetric,
-    is_normal_element,
-    is_perskew,
-    is_skew_hamiltonian,
-    is_tridiagonal_type,
-)
-from .families import FAMILIES
+from .expm import FAMILY_TABLE, exp_auto, passes_gate
+from .families import FAMILIES, time_family
 from .matio import load_matrix, save_matrix
 from .model import Su4Element
 from .oracle import expm_reference
@@ -100,16 +90,9 @@ def _fmt_matrix(U: np.ndarray) -> str:
 def cmd_classify(args) -> int:
     X = _load_element(args.file)
     tol = args.tolerance
-    flags = {
-        "symmetric-tridiagonal": is_tridiagonal_type(X, tol),
-        "perskewsymmetric": is_perskew(X, tol),
-        "skew-Hamiltonian": is_skew_hamiltonian(X, tol),
-        "imaginary-symmetric": is_imaginary_symmetric(X, tol),
-        "bisymmetric-type": is_bisymmetric(X, tol),
-        "normal-type": is_normal_element(X, tol),
-    }
-    for name, val in flags.items():
-        print(f"{name}: {'yes' if val else 'no'}")
+    for fam in FAMILY_TABLE:
+        if fam.gate:
+            print(f"{fam.label}: {'yes' if passes_gate(fam, X, tol) else 'no'}")
     cp = _charpoly(X)
     print(f"charpoly: mu={cp.mu:.12g} nu={cp.nu.imag:.12g}i pi={cp.pi:.12g}")
     mc = _classify(X)
@@ -201,14 +184,6 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _full_unitary(X: Su4Element, res) -> np.ndarray:
-    """e^X from a family result; the minimal-polynomial formulas act on the
-    traceless part, so the scalar phase is restored here."""
-    if res.method in ("quad-I", "quad-II", "cubic-I"):
-        return np.exp(1j * X.scalar) * res.U
-    return res.U
-
-
 def cmd_bench(args) -> int:
     names = [n.strip() for n in args.families.split(",") if n.strip()]
     unknown = [n for n in names if n not in FAMILIES]
@@ -221,24 +196,13 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
-        sampler, closed = FAMILIES[name]
-        xs = [sampler(rng) for _ in range(args.trials)]
-        t_closed, t_oracle, max_err = [], [], 0.0
-        for X in xs:
-            t0 = time.perf_counter_ns()
-            res = closed(X)
-            t_closed.append(time.perf_counter_ns() - t0)
-            t0 = time.perf_counter_ns()
-            Uo = expm_reference(X.entries)
-            t_oracle.append(time.perf_counter_ns() - t0)
-            err = float(np.linalg.norm(_full_unitary(X, res) - Uo))
-            max_err = max(max_err, err)
+        t_closed, t_oracle, max_err = time_family(name, rng, args.trials)
         rows.append({
             "family": name,
             "trials": args.trials,
-            "t_closed_ns": int(statistics.median(t_closed)),
-            "t_oracle_ns": int(statistics.median(t_oracle)),
-            "speedup": statistics.median(t_oracle) / max(statistics.median(t_closed), 1),
+            "t_closed_ns": int(t_closed),
+            "t_oracle_ns": int(t_oracle),
+            "speedup": t_oracle / max(t_closed, 1),
             "max_err": max_err,
         })
     fields = ["family", "trials", "t_closed_ns", "t_oracle_ns", "speedup", "max_err"]
@@ -257,13 +221,8 @@ def cmd_bench(args) -> int:
 def cmd_selftest(args) -> int:
     rng = np.random.default_rng(12345)
     ok = True
-    for name, (sampler, closed) in FAMILIES.items():
-        worst = 0.0
-        for _ in range(20):
-            X = sampler(rng)
-            res = closed(X)
-            worst = max(worst, float(np.linalg.norm(
-                _full_unitary(X, res) - expm_reference(X.entries))))
+    for name in FAMILIES:
+        worst = time_family(name, rng, 20)[2]
         status = "ok" if worst <= 1e-9 else "FAIL"
         ok = ok and worst <= 1e-9
         print(f"{name:>12}: max deviation {worst:.2e} [{status}]")

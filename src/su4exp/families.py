@@ -1,30 +1,23 @@
 """Random instance generators for the structured matrix families.
 
-Used by the oracle-equivalence tests and the benchmark: each family pairs a
-sampler (coefficients uniform in [-5, 5]) with the closed-form exponential
-that family is supposed to exercise.
+Used by the oracle-equivalence tests and the benchmark: each row of
+``FAMILY_TABLE`` pairs a sampler (coefficients uniform in [-5, 5]) with the
+row's closed form, and ``time_family`` times that closed form against the
+reference exponential.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
+from functools import partial
+
 import numpy as np
 
-from .classify import classify, construct_quadratic_II_example
-from .expm import (
-    ExpResult,
-    SymTriDiag,
-    exp_bisymmetric_fast,
-    exp_cubic_I,
-    exp_imaginary_symmetric,
-    exp_normal_split,
-    exp_perskew,
-    exp_quadratic_I,
-    exp_quadratic_II,
-    exp_skewham,
-    exp_tridiag,
-    _unitarity,
-)
+from .classify import construct_quadratic_II_example
+from .expm import FAMILY_TABLE, SymTriDiag, closed_form
 from .model import Su4Element
+from .oracle import expm_reference
 from .quaternion import PureQuaternion
 
 COEFF_RANGE = 5.0
@@ -102,34 +95,36 @@ def sample_cubic_I(rng) -> Su4Element:
     return Su4Element(0.5 * (A - A.conj().T))
 
 
-def _exp_via_classify(X: Su4Element) -> ExpResult:
-    cls = classify(X)
-    if cls.tag == "quadratic-I":
-        U = exp_quadratic_I(X.traceless, cls.c2)
-    elif cls.tag == "quadratic-II":
-        U = exp_quadratic_II(X.traceless, cls.beta, cls.gamma)
-    elif cls.tag == "cubic-I":
-        U = exp_cubic_I(X.traceless, cls.c2)
-    else:
-        raise ValueError(f"unexpected class {cls.tag}")
-    return ExpResult(U=U, method=cls.tag.replace("quadratic", "quad"),
-                     residual=_unitarity(U))
-
-
-def _exp_tridiag_element(X: Su4Element) -> ExpResult:
-    T = X.traceless.imag
-    return exp_tridiag(SymTriDiag(float(T[0, 1]), float(T[1, 2]), float(T[2, 3])))
-
-
-# family name -> (sampler(rng) -> Su4Element, closed_form(Su4Element) -> ExpResult)
-FAMILIES = {
-    "tridiag": (sample_tridiag, _exp_tridiag_element),
-    "perskew": (sample_perskew, exp_perskew),
-    "skewham": (sample_skewham, exp_skewham),
-    "imsym": (sample_imsym, exp_imaginary_symmetric),
-    "bisym": (sample_bisym, exp_bisymmetric_fast),
-    "normal-split": (sample_normal_split, exp_normal_split),
-    "quad-I": (sample_quad_I, _exp_via_classify),
-    "quad-II": (sample_quad_II, _exp_via_classify),
-    "cubic-I": (sample_cubic_I, _exp_via_classify),
+_SAMPLERS = {
+    "tridiag": sample_tridiag,
+    "perskew": sample_perskew,
+    "skewham": sample_skewham,
+    "imsym": sample_imsym,
+    "bisym": sample_bisym,
+    "normal-split": sample_normal_split,
+    "quad-I": sample_quad_I,
+    "quad-II": sample_quad_II,
+    "cubic-I": sample_cubic_I,
 }
+
+# family method -> (sampler(rng) -> Su4Element, closed_form(Su4Element) -> ExpResult)
+FAMILIES = {fam.method: (_SAMPLERS[fam.method], partial(closed_form, fam.method))
+            for fam in FAMILY_TABLE}
+
+
+def time_family(name: str, rng: np.random.Generator,
+                trials: int) -> tuple[float, float, float]:
+    """Median closed-form ns, median reference ns, and the largest
+    ||U - U_reference||_F over ``trials`` samples of family ``name``."""
+    sampler, closed = FAMILIES[name]
+    t_closed, t_oracle, max_err = [], [], 0.0
+    for X in [sampler(rng) for _ in range(trials)]:
+        t0 = time.perf_counter_ns()
+        U = closed(X).U
+        t1 = time.perf_counter_ns()
+        Uo = expm_reference(X.entries)
+        t2 = time.perf_counter_ns()
+        t_closed.append(t1 - t0)
+        t_oracle.append(t2 - t1)
+        max_err = max(max_err, float(np.linalg.norm(U - Uo)))
+    return statistics.median(t_closed), statistics.median(t_oracle), max_err

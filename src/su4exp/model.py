@@ -21,13 +21,7 @@ import numpy as np
 
 from .eig3 import svd3
 from .errors import InputError, StructureError
-from .qtensor import (
-    BASIS_LABELS,
-    PAULI,
-    expand,
-    pauli_kron,
-    qt_basis_matrix,
-)
+from .qtensor import PAULI, expand, qt_basis_matrix
 from .quaternion import PureQuaternion
 
 ANTIHERM_TOL = 1e-12
@@ -110,11 +104,6 @@ def _mat_1_pure(q: PureQuaternion) -> np.ndarray:
     return (q.as_vector() @ _1PURE_FLAT).reshape(4, 4)
 
 
-def _mat_pure_basis(u: PureQuaternion, label: str) -> np.ndarray:
-    return (u.x * qt_basis_matrix("i", label) + u.y * qt_basis_matrix("j", label)
-            + u.z * qt_basis_matrix("k", label))
-
-
 # (3, 3, 4, 4) stack: _PURE_STACK[a, b] = M_{e_a (x) e_b} over pure labels.
 _PURE_STACK = np.array([[qt_basis_matrix(x, y) for y in ("i", "j", "k")]
                         for x in ("i", "j", "k")])
@@ -143,6 +132,9 @@ class Su4Element:
         entries = np.asarray(entries, dtype=complex)
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
+        # Before the anti-Hermitian test: every comparison with NaN is false.
+        if not np.isfinite(entries).all():
+            raise InputError("matrix has non-finite entries")
         scale = max(1.0, np.abs(entries).max())
         herm_resid = np.abs(entries + entries.conj().T).max()
         if herm_resid > tol * scale:

@@ -5,9 +5,7 @@ Eight gating criteria, one test each.  Every test prints a single
 pytest's capture) so the run log always shows the per-criterion outcome.
 """
 
-import cmath
 import math
-import statistics
 import time
 from contextlib import contextmanager
 
@@ -35,7 +33,7 @@ from su4exp.demos import (
     scalar_coupling_propagator,
 )
 from su4exp.expm import exp_auto, exp_cubic_I, exp_quadratic_I, exp_quadratic_II
-from su4exp.families import FAMILIES
+from su4exp.families import FAMILIES, time_family
 from su4exp.model import Su4Element, quintuple
 from su4exp.oracle import eigvals_hermitian, expm_reference
 from su4exp.qtensor import (
@@ -258,22 +256,8 @@ def test_acceptance_8_benchmark_sanity(capsys):
     with _report(capsys, 8, "benchmark sanity (informational)"):
         rng = np.random.default_rng(106)
         lines = []
-        for name, (sampler, closed) in FAMILIES.items():
-            xs = [sampler(rng) for _ in range(100)]
-            t_closed, t_oracle, max_err = [], [], 0.0
-            for X in xs:
-                t0 = time.perf_counter_ns()
-                res = closed(X)
-                t_closed.append(time.perf_counter_ns() - t0)
-                t0 = time.perf_counter_ns()
-                Uo = expm_reference(X.entries)
-                t_oracle.append(time.perf_counter_ns() - t0)
-                U = res.U
-                if res.method in ("quad-I", "quad-II", "cubic-I"):
-                    U = cmath.exp(1j * X.scalar) * U
-                max_err = max(max_err, float(np.linalg.norm(U - Uo)))
-            mc = statistics.median(t_closed)
-            mo = statistics.median(t_oracle)
+        for name in FAMILIES:
+            mc, mo, max_err = time_family(name, rng, 100)
             lines.append(f"    {name:>12}: closed {mc:>8.0f} ns | "
                          f"oracle {mo:>8.0f} ns | max_err {max_err:.2e}")
             assert max_err <= 1e-9, name

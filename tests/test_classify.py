@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from su4exp.classify import (
-    canonical_quartic_coeff_closed_form,
     charpoly,
     charpoly_canonical,
     check_quadratic_II_conditions,
@@ -77,14 +76,6 @@ def test_charpoly_canonical_cross_check():
         mu, nu = charpoly_canonical(a, b, c)
         assert abs(cp.mu - mu) < 1e-10
         assert abs(cp.nu - nu) < 1e-10
-
-
-@pytest.mark.xfail(reason="closed-form quartic coefficient is inconsistent "
-                          "with Newton's identities", strict=True)
-def test_canonical_quartic_closed_form():
-    # sigma_z (x) sigma_z: true pi is 1.
-    assert abs(canonical_quartic_coeff_closed_form([0, 0, 0], [0, 0, 0],
-                                                   [0, 0, 1]) - 1.0) < 1e-12
 
 
 def test_cofactor_matrix():

@@ -63,6 +63,15 @@ def test_non_antihermitian_is_parse_error(tmp_path, capsys):
     assert main(["classify", str(path)]) == 2
 
 
+def test_non_finite_is_parse_error(tmp_path, capsys):
+    A = np.zeros((4, 4), dtype=complex)
+    A[1, 2] = np.nan
+    path = tmp_path / "nan.json"
+    save_matrix(A, path)
+    assert main(["expm", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_classify_output(zz_file, capsys):
     assert main(["classify", zz_file]) == 0
     out = capsys.readouterr().out

@@ -366,6 +366,44 @@ def test_exp_auto_determinant_phase():
         assert abs(np.linalg.det(U) - cmath.exp(4j * b)) < 1e-9
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_closed_form_includes_scalar_phase(name):
+    sampler, closed = FAMILIES[name]
+    rng = np.random.default_rng(75)
+    for _ in range(5):
+        X = Su4Element(sampler(rng).entries + 0.7j * np.eye(4))
+        assert np.linalg.norm(closed(X).U - expm_reference(X.entries)) <= 1e-9
+
+
+# Structured family -> (its predicate, its public closed form).  exp_tridiag
+# takes SymTriDiag parameters, so the tridiagonal row is reached via FAMILIES.
+_GATED = {
+    "tridiag": (is_tridiagonal_type, FAMILIES["tridiag"][1]),
+    "perskew": (is_perskew, exp_perskew),
+    "skewham": (is_skew_hamiltonian, exp_skewham),
+    "imsym": (is_imaginary_symmetric, exp_imaginary_symmetric),
+    "bisym": (is_bisymmetric, exp_bisymmetric_fast),
+    "normal-split": (is_normal_element, exp_normal_split),
+}
+
+
+@pytest.mark.parametrize("name", _GATED)
+def test_closed_form_raises_exactly_off_its_predicate(name):
+    predicate, closed = _GATED[name]
+    rng = np.random.default_rng(76)
+    verdicts = set()
+    for sampler, _ in FAMILIES.values():
+        for _ in range(3):
+            X = sampler(rng)
+            verdicts.add(predicate(X))
+            if predicate(X):
+                assert closed(X).method == name
+            else:
+                with pytest.raises(StructureError):
+                    closed(X)
+    assert verdicts == {True, False}
+
+
 def test_time_scaling_families():
     rng = np.random.default_rng(74)
     for name, (sampler, _) in FAMILIES.items():

@@ -31,6 +31,14 @@ def test_rejects_non_antihermitian():
         Su4Element(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_rejects_non_finite(bad):
+    A = np.zeros((4, 4), dtype=complex)
+    A[0, 1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Su4Element(A)
+
+
 def test_scalar_split():
     rng = np.random.default_rng(40)
     X = _random_element(rng)
