@@ -509,7 +509,9 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     Order: the structured rows of FAMILY_TABLE (bisymmetric before the
     imaginary-symmetric row it refines), the minimal-polynomial row
     ``classify`` names, magic-basis conjugation into a structured row, and
-    finally the series reference exponential.
+    finally the series reference exponential.  Never raises StructureError:
+    near a minimal-polynomial boundary ``classify`` can name a row whose
+    formula's residual gate then rejects X, and dispatch moves on.
     """
     fam = _structured_row(X, tol)
     if fam is not None:
@@ -517,7 +519,10 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     cls = classify(X)
     fam = _BY_TAG.get(cls.tag)
     if fam is not None:
-        return _exp_result(_unitary(fam, X, cls), fam.method)
+        try:
+            return _exp_result(_unitary(fam, X, cls), fam.method)
+        except StructureError:
+            pass
     for W in (MAGIC_BASIS, MAGIC_BASIS.conj().T):
         Y = Su4Element(W @ X.entries @ W.conj().T)
         fam = _structured_row(Y, tol)

@@ -8,8 +8,12 @@ have canonical quaternion-tensor expansions:
     B = M_{p (x) 1} + M_{1 (x) q}
     C = M_{r (x) i} + M_{s (x) j} + M_{t (x) k}
 
-with p, q, r, s, t pure quaternions.  The decompositions are computed eagerly
-at construction, so instances are immutable values safe to share.
+with p, q, r, s, t pure quaternions.  Both decompositions come from one
+linear map, fixed at import: a constant 15x32 real matrix takes the real and
+imaginary entries of X0 to v = (p, q, vec Cmat), and the Pauli coefficients
+are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.  They are
+computed eagerly at construction, so instances are immutable values safe to
+share.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ import numpy as np
 
 from .eig3 import svd3
 from .errors import InputError, StructureError
-from .qtensor import PAULI, expand, qt_basis_matrix
+from .qtensor import (
+    _BASIS_STACK_INV,
+    BASIS_LABELS,
+    PAULI,
+    PAULI_TO_QT_TABLE,
+    pauli_kron,
+    qt_basis_matrix,
+)
 from .quaternion import PureQuaternion
 
 ANTIHERM_TOL = 1e-12
@@ -34,7 +45,64 @@ MAGIC_BASIS = np.array([
     [1, 0, 0, -1j],
 ], dtype=complex) / math.sqrt(2.0)
 
-_PAULI_VEC = [PAULI["x"], PAULI["y"], PAULI["z"]]
+# -- the coefficient map ----------------------------------------------------
+#
+# Slot k of v = (p, q, vec Cmat) is the coefficient of M_{e_x (x) e_y},
+# (x, y) = _QT_SLOTS[k], in B for the six p, q slots and in C for the nine
+# Cmat slots (row-major, Cmat[a, b] on M_{e_a (x) e_b}).  _QT_FLAT holds the
+# flattened basis matrices of the slots; _QT_STACK weights the C slots by i,
+# so that X0 = v @ _QT_STACK.
+
+_PURE = ("i", "j", "k")
+_QT_SLOTS = ([(x, "1") for x in _PURE] + [("1", y) for y in _PURE]
+             + [(x, y) for x in _PURE for y in _PURE])
+_QT_FLAT = np.array([qt_basis_matrix(x, y).ravel() for x, y in _QT_SLOTS])
+_QT_STACK = _QT_FLAT * np.array([1.0] * 6 + [1j] * 9)[:, None]
+_PURE1_FLAT, _1PURE_FLAT, _PURE_FLAT = _QT_FLAT[:3], _QT_FLAT[3:6], _QT_FLAT[6:]
+
+
+def _coeff_map() -> np.ndarray:
+    """(15, 32) real matrix taking X0.view(float).ravel() to v.
+
+    The view interleaves (Re, Im) of each entry; the p, q rows read the real
+    parts and the Cmat rows the imaginary parts, each through its row of the
+    quaternion-tensor basis inverse.
+    """
+    rows = _BASIS_STACK_INV[[4 * BASIS_LABELS.index(x) + BASIS_LABELS.index(y)
+                             for x, y in _QT_SLOTS]]
+    L = np.zeros((15, 16, 2))
+    L[:6, :, 0], L[6:, :, 1] = rows[:6], rows[6:]
+    return L.reshape(15, 32)
+
+
+_COEFF_MAP = _coeff_map()
+
+# Pauli coefficient order: alpha (I (x) sigma_i), beta (sigma_i (x) I), then
+# gamma row-major (sigma_j (x) sigma_k).  H = c @ _PAULI_STACK.
+_PAULI_SLOTS = ([("0", s) for s in "xyz"] + [(s, "0") for s in "xyz"]
+                + [(s, t) for s in "xyz" for t in "xyz"])
+_PAULI_STACK = np.array([pauli_kron(s, t).ravel() for s, t in _PAULI_SLOTS])
+
+
+def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
+    """Slot of v and sign of each Pauli coefficient: c = sign * v[slot].
+
+    With sigma_s (x) sigma_t = scale M_{e_x (x) e_y}, the term i c
+    sigma_s (x) sigma_t of X0 = iH is (i scale c) M_{e_x (x) e_y}.  Its
+    slot of v holds i scale c (a B slot, where scale is +-i) or scale c (a
+    C slot, where scale is +-1); either weight is +-1, its own inverse.
+    """
+    slots, signs = [], []
+    for st in _PAULI_SLOTS:
+        scale, x, y = PAULI_TO_QT_TABLE[st]
+        k = _QT_SLOTS.index((x, y))
+        slots.append(k)
+        signs.append(complex(1j * scale if k < 6 else scale).real)
+    return np.array(slots), np.array(signs)
+
+
+_PAULI_SLOT, _PAULI_SIGN = _pauli_permutation()
+_IEYE4 = 1j * np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -58,7 +126,9 @@ class QuintupleDecomp:
         return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
 
     def reconstruct(self) -> np.ndarray:
-        return self.B() + 1j * self.C()
+        v = np.concatenate((self.p.as_vector(), self.q.as_vector(),
+                            self.Cmat.reshape(9)))
+        return (v @ _QT_STACK).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -70,13 +140,8 @@ class PauliCoeffs:
     gamma: np.ndarray  # gamma[j, k] multiplies sigma_j (x) sigma_k
 
     def reconstruct(self) -> np.ndarray:
-        H = np.zeros((4, 4), dtype=complex)
-        for i in range(3):
-            H += self.alpha[i] * np.kron(np.eye(2), _PAULI_VEC[i])
-            H += self.beta[i] * np.kron(_PAULI_VEC[i], np.eye(2))
-            for j in range(3):
-                H += self.gamma[i, j] * np.kron(_PAULI_VEC[i], _PAULI_VEC[j])
-        return H
+        c = np.concatenate((self.alpha, self.beta, self.gamma.reshape(9)))
+        return (c @ _PAULI_STACK).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -104,14 +169,6 @@ def _mat_1_pure(q: PureQuaternion) -> np.ndarray:
     return (q.as_vector() @ _1PURE_FLAT).reshape(4, 4)
 
 
-# (3, 3, 4, 4) stack: _PURE_STACK[a, b] = M_{e_a (x) e_b} over pure labels.
-_PURE_STACK = np.array([[qt_basis_matrix(x, y) for y in ("i", "j", "k")]
-                        for x in ("i", "j", "k")])
-_PURE_FLAT = _PURE_STACK.reshape(9, 16)
-_PURE1_FLAT = np.array([qt_basis_matrix(x, "1").ravel() for x in ("i", "j", "k")])
-_1PURE_FLAT = np.array([qt_basis_matrix("1", y).ravel() for y in ("i", "j", "k")])
-
-
 def mat_pure_pure(u: PureQuaternion, v: PureQuaternion) -> np.ndarray:
     """M_{u (x) v} for pure quaternions u, v."""
     uv = np.outer(u.as_vector() if isinstance(u, PureQuaternion) else u,
@@ -132,22 +189,34 @@ class Su4Element:
         entries = np.asarray(entries, dtype=complex)
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
+        amax = np.abs(entries).max()
         # Before the anti-Hermitian test: every comparison with NaN is false.
-        if not np.isfinite(entries).all():
+        # A NaN entry makes amax NaN, an infinite one makes it inf.
+        if not math.isfinite(amax):
             raise InputError("matrix has non-finite entries")
-        scale = max(1.0, np.abs(entries).max())
+        scale = max(1.0, amax)
         herm_resid = np.abs(entries + entries.conj().T).max()
         if herm_resid > tol * scale:
             raise InputError(
                 f"matrix is not anti-Hermitian (residual {herm_resid:.3e})")
         entries = 0.5 * (entries - entries.conj().T)
-        tr = np.trace(entries)
-        b = tr.imag / 4.0
+        b = entries.trace().imag / 4.0
         self.entries = entries
         self.scalar = float(b)
-        self.traceless = entries - 1j * b * np.eye(4)
-        self._pauli = self._compute_pauli()
-        self._quintuple = self._compute_quintuple()
+        self.traceless = X0 = entries - b * _IEYE4
+        v = _COEFF_MAP @ X0.view(float).reshape(32)
+        resid = np.abs(v @ _QT_STACK - X0.reshape(16)).max()
+        if resid > 1e-10 * max(1.0, np.abs(X0).max()):
+            raise StructureError("su4-expansion", resid,
+                                 "matrix is not in su(4) + scalar")
+        c = _PAULI_SIGN * v[_PAULI_SLOT]
+        self._pauli = PauliCoeffs(alpha=c[:3], beta=c[3:6],
+                                  gamma=c[6:].reshape(3, 3))
+        w = v.tolist()
+        self._quintuple = QuintupleDecomp(
+            p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
+            r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
+            t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
 
     # -- constructors ----------------------------------------------------
 
@@ -173,39 +242,6 @@ class Su4Element:
 
     # -- cached decompositions -------------------------------------------
 
-    def _compute_pauli(self) -> PauliCoeffs:
-        H = -1j * self.traceless
-        alpha = np.zeros(3)
-        beta = np.zeros(3)
-        gamma = np.zeros((3, 3))
-        for i in range(3):
-            alpha[i] = np.trace(np.kron(np.eye(2), _PAULI_VEC[i]) @ H).real / 4.0
-            beta[i] = np.trace(np.kron(_PAULI_VEC[i], np.eye(2)) @ H).real / 4.0
-            for j in range(3):
-                gamma[i, j] = np.trace(
-                    np.kron(_PAULI_VEC[i], _PAULI_VEC[j]) @ H).real / 4.0
-        return PauliCoeffs(alpha=alpha, beta=beta, gamma=gamma)
-
-    def _compute_quintuple(self) -> QuintupleDecomp:
-        B = self.traceless.real
-        C = self.traceless.imag
-        eb = expand(B)
-        ec = expand(C)
-        p = PureQuaternion(eb.coeff_of("i", "1"), eb.coeff_of("j", "1"),
-                           eb.coeff_of("k", "1"))
-        q = PureQuaternion(eb.coeff_of("1", "i"), eb.coeff_of("1", "j"),
-                           eb.coeff_of("1", "k"))
-        pure = ("i", "j", "k")
-        Cmat = np.array([[ec.coeff_of(x, y) for y in pure] for x in pure])
-        r, s, t = (PureQuaternion.from_vector(Cmat[:, k]) for k in range(3))
-        d = QuintupleDecomp(p=p, q=q, r=r, s=s, t=t, Cmat=Cmat)
-        resid = np.abs(d.reconstruct() - self.traceless).max()
-        scale = max(1.0, np.abs(self.traceless).max())
-        if resid > 1e-10 * scale:
-            raise StructureError("su4-expansion", resid,
-                                 "matrix is not in su(4) + scalar")
-        return d
-
     @property
     def pauli(self) -> PauliCoeffs:
         return self._pauli
@@ -219,7 +255,8 @@ class Su4Element:
 
 
 def pauli_coeffs(X: Su4Element) -> PauliCoeffs:
-    """Pauli basis coefficients of the traceless part, by trace inner products."""
+    """Pauli basis coefficients of the traceless part (a signed permutation
+    of the quintuple coefficients, computed at construction)."""
     return X.pauli
 
 

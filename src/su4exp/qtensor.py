@@ -96,7 +96,10 @@ def _basis_stack() -> np.ndarray:
 
 
 _BASIS_STACK = _basis_stack()
-_BASIS_STACK_INV = np.linalg.inv(_BASIS_STACK)
+# The basis matrices are signed permutation matrices, pairwise orthogonal in
+# the trace inner product with squared norm 4, so the inverse is exactly the
+# transpose over 4 (no LAPACK call at import).
+_BASIS_STACK_INV = _BASIS_STACK.T / 4.0
 
 
 @dataclass(frozen=True)

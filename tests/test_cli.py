@@ -107,6 +107,21 @@ def test_expm_closed_fails_on_generic_matrix(dense_file, capsys):
     assert main(["expm", dense_file, "--method", "closed"]) == 3
 
 
+def test_expm_auto_near_min_poly_boundary_succeeds(tmp_path, capsys):
+    # A quadratic-I matrix plus a 1e-8 relative perturbation: classify still
+    # names quadratic-I, whose formula rejects it; auto falls through.
+    rng = np.random.default_rng(91)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    S = 2.0 * Q @ np.diag([1j, 1j, -1j, -1j]) @ Q.conj().T
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = H + H.conj().T
+    path = tmp_path / "near.json"
+    save_matrix(S + 1j * H * (1e-8 * np.linalg.norm(S) / np.linalg.norm(H)), path)
+    out_path = tmp_path / "u.json"
+    assert main(["expm", str(path), "--method", "auto", "--out", str(out_path)]) == 0
+    assert np.abs(load_matrix(out_path) - expm_reference(load_matrix(path))).max() < 1e-9
+
+
 def test_expm_prints_matrix_without_out(zz_file, capsys):
     assert main(["expm", zz_file]) == 0
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from su4exp.classify import classify
 from su4exp.errors import StructureError
 from su4exp.expm import (
     SymTriDiag,
@@ -354,6 +355,28 @@ def test_exp_auto_oracle_fallback():
     res = exp_auto(X)
     assert res.method == "oracle"
     _check(res.U, X.entries, tol=1e-12)
+
+
+def _near_quad_I(rng, eps=1e-8):
+    """A quadratic-I sample plus anti-Hermitian noise of relative size eps."""
+    S = FAMILIES["quad-I"][0](rng).entries
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = H + H.conj().T
+    return Su4Element(S + 1j * H * (eps * np.linalg.norm(S) / np.linalg.norm(H)))
+
+
+def test_exp_auto_falls_through_a_rejected_min_poly_row():
+    # classify's test is second order in the distance to the boundary, so it
+    # still names quadratic-I, whose formula rejects the input.
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        X = _near_quad_I(rng)
+        assert classify(X).tag == "quadratic-I"
+        with pytest.raises(StructureError):
+            FAMILIES["quad-I"][1](X)
+        res = exp_auto(X)
+        assert res.method in ("magic", "oracle")
+        assert np.linalg.norm(res.U - expm_reference(X.entries)) <= 1e-9
 
 
 def test_exp_auto_determinant_phase():

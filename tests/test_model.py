@@ -16,7 +16,7 @@ from su4exp.model import (
     su2_from_so3,
 )
 from su4exp.oracle import expm_reference
-from su4exp.qtensor import PAULI
+from su4exp.qtensor import PAULI, expand
 
 
 def _random_element(rng, scale=1.0):
@@ -78,6 +78,72 @@ def test_from_constructors_agree():
     d = X.quintuple
     Z = Su4Element.from_quintuple(d.p, d.q, d.r, d.s, d.t, scalar=X.scalar)
     assert np.abs(X.entries - Z.entries).max() < 1e-12
+
+
+def _u4_inputs(seed=48, n=200):
+    """Seeded u(4) matrices (scalar part included), ||X|| from 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for norm in 10.0 ** np.linspace(-6.0, 6.0, n):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        A = 0.5 * (A - A.conj().T)
+        out.append(norm / np.linalg.norm(A) * A)
+    return out
+
+
+def _close(got, want, X):
+    """Entrywise agreement to 1e-12 relative to the size of X."""
+    scale = np.abs(X.traceless).max()
+    return np.abs(np.asarray(got) - np.asarray(want)).max() <= 1e-12 * scale
+
+
+def test_pauli_map_matches_trace_definition():
+    def coeff(s, t, H):
+        return np.trace(np.kron(PAULI[s], PAULI[t]) @ H).real / 4.0
+
+    for A in _u4_inputs():
+        X = Su4Element(A)
+        H = -1j * X.traceless
+        pc = X.pauli
+        assert _close(pc.alpha, [coeff("0", s, H) for s in "xyz"], X)
+        assert _close(pc.beta, [coeff(s, "0", H) for s in "xyz"], X)
+        assert _close(pc.gamma, [[coeff(s, t, H) for t in "xyz"] for s in "xyz"], X)
+
+
+def test_quintuple_map_matches_expand():
+    for A in _u4_inputs():
+        X = Su4Element(A)
+        eb = expand(X.traceless.real).coeff
+        ec = expand(X.traceless.imag).coeff
+        d = X.quintuple
+        assert _close(d.p.as_vector(), eb[1:, 0], X)
+        assert _close(d.q.as_vector(), eb[0, 1:], X)
+        assert _close(d.Cmat, ec[1:, 1:], X)
+        assert _close(np.column_stack([d.r.as_vector(), d.s.as_vector(),
+                                       d.t.as_vector()]), d.Cmat, X)
+
+
+def test_coefficient_constructors_round_trip():
+    for A in _u4_inputs():
+        X = Su4Element(A)
+        pc = X.pauli
+        Y = Su4Element.from_pauli_coeffs(pc.alpha, pc.beta, pc.gamma, scalar=X.scalar)
+        assert _close(Y.entries, X.entries, X)
+        assert _close(np.concatenate([Y.pauli.alpha, Y.pauli.beta, Y.pauli.gamma.ravel()]),
+                      np.concatenate([pc.alpha, pc.beta, pc.gamma.ravel()]), X)
+        d = X.quintuple
+        Z = Su4Element.from_quintuple(d.p, d.q, d.r, d.s, d.t, scalar=X.scalar)
+        assert _close(Z.entries, X.entries, X)
+        assert _close(Z.quintuple.Cmat, d.Cmat, X)
+        assert _close(np.concatenate([Z.quintuple.p.as_vector(), Z.quintuple.q.as_vector()]),
+                      np.concatenate([d.p.as_vector(), d.q.as_vector()]), X)
+
+
+def test_no_spurious_expansion_error_at_large_norm():
+    # The su4-expansion residual is relative, so rounding at ||X|| up to
+    # 1e12 stays far below it; a spurious residual raises StructureError.
+    for A in _u4_inputs(seed=49, n=50):
+        Su4Element(1e6 * A)
 
 
 def test_su2_lift_covers_rotation():

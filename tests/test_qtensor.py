@@ -50,6 +50,8 @@ def test_basis_matrices_linearly_independent():
     cols = np.column_stack([qt_basis_matrix(x, y).ravel()
                             for x in BASIS_LABELS for y in BASIS_LABELS])
     assert np.linalg.matrix_rank(cols) == 16
+    # Orthogonal with squared norm 4: expand's inverse is the transpose / 4.
+    assert np.array_equal(cols.T @ cols, 4.0 * np.eye(16))
 
 
 def test_expand_round_trip():
