@@ -18,7 +18,7 @@ from . import demos
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
-from .expm import FAMILY_TABLE, exp_auto, passes_gate
+from .expm import FAMILY_TABLE, STRUCTURE_TOL, _exp_result, exp_auto, passes_gate
 from .families import FAMILIES, time_family
 from .matio import load_matrix, save_matrix
 from .model import Su4Element
@@ -39,6 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_TOL_HELP = ("structure gate tolerance; on the perskewsymmetric, skew-Hamiltonian "
+             "and imaginary-symmetric gates it bounds the error ||U - e^X||_F "
+             "of the closed form (default %(default)g)")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="su4exp",
                 description="Closed-form exponentials of structured 4x4 "
@@ -47,14 +52,13 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("classify", help="structure flags and minimal-polynomial type")
     pc.add_argument("file")
-    pc.add_argument("--tolerance", type=float, default=1e-10,
-                    help="structure predicate tolerance (default 1e-10)")
+    pc.add_argument("--tolerance", type=float, default=STRUCTURE_TOL, help=_TOL_HELP)
 
     pe = sub.add_parser("expm", help="exponentiate a matrix from JSON")
     pe.add_argument("file")
     pe.add_argument("--method", choices=["auto", "closed", "oracle"], default="auto")
     pe.add_argument("--out", help="write the resulting unitary as JSON")
-    pe.add_argument("--tolerance", type=float, default=1e-10)
+    pe.add_argument("--tolerance", type=float, default=STRUCTURE_TOL, help=_TOL_HELP)
 
     pp = sub.add_parser("charpoly", help="characteristic polynomial coefficients")
     pp.add_argument("file")
@@ -109,21 +113,18 @@ def cmd_classify(args) -> int:
 def cmd_expm(args) -> int:
     X = _load_element(args.file)
     if args.method == "oracle":
-        U = expm_reference(X.entries)
-        method = "oracle"
-        residual = float(np.linalg.norm(U.conj().T @ U - np.eye(4)))
+        res = _exp_result(expm_reference(X.entries), "oracle")
     else:
         res = exp_auto(X, args.tolerance)
         if args.method == "closed" and res.method == "oracle":
             raise StructureError("closed-form dispatch", float("nan"),
                                  "no closed form matched this matrix")
-        U, method, residual = res.U, res.method, res.residual
     if args.out:
-        save_matrix(U, args.out)
-    print(f"method: {method}")
-    print(f"residual: {residual:.3e}")
+        save_matrix(res.U, args.out)
+    print(f"method: {res.method}")
+    print(f"residual: {res.residual:.3e}")
     if not args.out:
-        print(_fmt_matrix(U))
+        print(_fmt_matrix(res.U))
     return EXIT_OK
 
 

@@ -1,20 +1,25 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Every formula here reduces e^X to products of at most three commuting factors
-of the form cos(lam) I + sinc(lam) Y with Y^2 = -lam^2 I, or to the low-degree
-minimal-polynomial evaluations
+Every structured formula is one call of ``_rotations``, the only place a
+rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
+the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
+group of anticommuting Pauli terms of X0, declared as data in the family
+table and read off v by a slot mask, or vec(u v^T) for a right singular
+direction v of the interaction matrix.  The other formulas are low-degree
+minimal-polynomial evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
     cubic type I        e^X = I + sinc(c) X + (1-cos c)/c^2 X^2
 
-Each family is one row of ``FAMILY_TABLE``: its method tag, its gate and its
-formula.  ``exp_auto``, the public ``exp_*`` wrappers, ``FAMILIES`` and the
-CLI are all read off that table.  ``exp_auto`` tries the structured rows in
-table order, then the minimal-polynomial row ``classify`` names, then a
-magic-basis conjugation whose image passes a structured gate, and finally
-the Taylor-series reference exponential.  All results carry a method tag and
-a unitarity residual, and every U is e^X with the scalar phase included.
+Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
+factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
+``FAMILIES`` and the CLI are all read off that table.  ``exp_auto`` tries
+the structured rows in table order, then the minimal-polynomial row
+``classify`` names, then a magic-basis conjugation whose image passes a
+structured gate, and finally the Taylor-series reference exponential.  All
+results carry a method tag and a unitarity residual, and every U is e^X
+with the scalar phase included.
 """
 
 from __future__ import annotations
@@ -22,35 +27,30 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import MinPolyClass, classify
 from .errors import StructureError
 from .model import (
-    _PURE_FLAT,
+    _COEFF_MAP,
+    _PAULI_SLOT,
+    _PAULI_SLOTS,
+    _QT_STACK,
     MAGIC_BASIS,
     Su4Element,
-    _mat_1_pure,
-    _mat_pure_1,
-    mat_pure_pure,
 )
 from .oracle import expm_reference
 from .eig3 import eigh3
-from .qtensor import pauli_kron
-from .quaternion import PureQuaternion
 
+# Tolerance policy: a gate's tol bounds the error ||U - e^X||_F of the
+# formula it admits.  The perskew, skew-Hamiltonian and imaginary-symmetric
+# gates test ||X0 - X0_on||_F, the part their formula drops, which bounds
+# that error (Duhamel); the minimal-polynomial gates divide their residual
+# by max(1, ||X||_F)^(d-1), about the eigenvalue displacement.  Not yet
+# covered: the tridiagonal, split and normal gates (tol * max(1, scale)).
 STRUCTURE_TOL = 1e-10
-
-# sigma_x (x) sigma_x: the anti-identity ("exchange") matrix.
-R4 = np.fliplr(np.eye(4))
-# Symplectic form [[0, I2], [-I2, 0]].
-J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-
-_EX = PureQuaternion(1.0, 0.0, 0.0)
-_EY = PureQuaternion(0.0, 1.0, 0.0)
-_EZ = PureQuaternion(0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,31 @@ def _principal_root(c2: complex) -> complex:
     return math.sqrt(r) * cmath.exp(0.5j * theta)
 
 
-_EYE4 = np.eye(4, dtype=complex)
-_EYE4.setflags(write=False)
+def _rotations(W: np.ndarray) -> np.ndarray:
+    """prod_k (cos l_k I + sinc l_k Y_k), Y_k = w_k @ _QT_STACK, l_k = ||w_k||.
+
+    The rows of W (k, 15) must give commuting Y_k with Y_k^2 = -l_k^2 I.
+    """
+    lam = np.sqrt(np.einsum("ij,ij->i", W, W))
+    F = (W * np.array([sinc(l) for l in lam.tolist()])[:, None]) @ _QT_STACK
+    F[:, ::5] += np.cos(lam)[:, None]  # the diagonal of each flattened 4x4
+    U = F[0].reshape(4, 4)
+    for f in F[1:]:
+        U = U @ f.reshape(4, 4)
+    return U
 
 
-def _rotation_factor(lam: float, Y: np.ndarray) -> np.ndarray:
-    """cos(lam) I + sinc(lam) Y for Y with Y^2 = -lam^2 I."""
-    return math.cos(lam) * _EYE4 + sinc(lam) * Y
+def _slot_masks(groups: tuple[str, ...]) -> np.ndarray:
+    """0/1 rows of the v slots of each group's Pauli labels ("xz", "0y", ...).
+
+    masks * v is the sub-sum of X0's own expansion over a group's terms, so
+    no signs are needed.
+    """
+    M = np.zeros((len(groups), 15))
+    for k, group in enumerate(groups):
+        for st in group.split():
+            M[k, _PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))]] = 1.0
+    return M
 
 
 def _unitarity(U: np.ndarray) -> float:
@@ -137,25 +155,25 @@ def is_tridiagonal_type(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     return max(off, diag) <= tol * scale
 
 
+def _within_support(X: Su4Element, method: str, tol: float) -> bool:
+    """2 ||v_off|| = ||X0 - X0_on||_F <= tol over the row's off-support slots."""
+    w = X.coeffs[_OFF_SUPPORT[method]]
+    return 2.0 * math.sqrt(float(w @ w)) <= tol
+
+
 def is_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """X0^T R4 + R4 X0 = 0 (perskewsymmetric about the anti-diagonal)."""
-    A = X.traceless
-    scale = max(1.0, np.abs(A).max())
-    return np.abs(A.T @ R4 + R4 @ A).max() <= tol * scale
+    """X0^T R + R X0 = 0, R = sigma_x (x) sigma_x: the span of the row's groups."""
+    return _within_support(X, "perskew", tol)
 
 
 def is_skew_hamiltonian(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """X^T J4 = J4 X (the scalar part satisfies this automatically)."""
-    A = X.entries
-    scale = max(1.0, np.abs(A).max())
-    return np.abs(A.T @ J4 - J4 @ A).max() <= tol * scale
+    """X^T J = J X, J = [[0, I2], [-I2, 0]]: the span of the row's group."""
+    return _within_support(X, "skewham", tol)
 
 
 def is_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Traceless part is iC with C real symmetric (p = q = 0)."""
-    A = X.traceless
-    scale = max(1.0, np.abs(A).max())
-    return np.abs(A.real).max() <= tol * scale
+    return _within_support(X, "imsym", tol)
 
 
 def _bisym_split(C: np.ndarray) -> tuple[float, int, int]:
@@ -196,14 +214,17 @@ def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
 
 # -- minimal-polynomial formulas ------------------------------------------
 
+def _min_poly_gate(name: str, resid: float, X: np.ndarray, degree: int) -> None:
+    """StructureError unless resid <= STRUCTURE_TOL max(1, ||X||_F)^(degree-1)."""
+    if resid > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(X))) ** (degree - 1):
+        raise StructureError(f"{name} minimal polynomial", float(resid))
+
+
 def exp_quadratic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     """e^X = cos(c) I + sinc(c) X for X with X^2 = -c^2 I, c != 0."""
     X = np.asarray(X, dtype=complex)
     n = X.shape[0]
-    resid = np.linalg.norm(X @ X + c2 * np.eye(n))
-    scale = max(float(np.linalg.norm(X)) ** 2, abs(c2), 1e-300)
-    if resid > 1e-9 * scale:
-        raise StructureError("quadratic-I minimal polynomial", float(resid))
+    _min_poly_gate("quadratic-I", np.linalg.norm(X @ X + c2 * np.eye(n)), X, 2)
     c = _principal_root(c2)
     return cmath.cos(c) * np.eye(n, dtype=complex) + sinc(c) * X
 
@@ -218,10 +239,8 @@ def exp_quadratic_II(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray
     """
     X = np.asarray(X, dtype=complex)
     n = X.shape[0]
-    resid = np.linalg.norm(X @ X + 2.0 * beta * X + gamma * np.eye(n))
-    scale = max(float(np.linalg.norm(X)) ** 2, abs(gamma), 1e-300)
-    if resid > 1e-9 * scale:
-        raise StructureError("quadratic-II minimal polynomial", float(resid))
+    _min_poly_gate("quadratic-II",
+                   np.linalg.norm(X @ X + 2.0 * beta * X + gamma * np.eye(n)), X, 2)
     if beta == 0:
         raise ValueError("beta = 0 is the quadratic type I case")
     # (X + beta I)^2 = -c^2 I is already certified by the residual above, so
@@ -236,109 +255,39 @@ def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     n = X.shape[0]
     X2 = X @ X
-    resid = np.linalg.norm(X2 @ X + c2 * X)
-    scale = max(float(np.linalg.norm(X)) ** 3, 1e-300)
-    if resid > 1e-9 * scale:
-        raise StructureError("cubic-I minimal polynomial", float(resid))
+    _min_poly_gate("cubic-I", np.linalg.norm(X2 @ X + c2 * X), X, 3)
     c = _principal_root(c2)
     return (np.eye(n, dtype=complex) + sinc(c) * X + cosm1_over_c2(c) * X2)
 
 
-# -- family formulas: e^{X0} for the traceless part X0 ----------------------
+# -- family formulas: e^{X0} from X and W = masks * v, its groups' rows -----
 
-def _tridiag_factors(a: float, b: float, g: float) -> np.ndarray:
-    """Two commuting rotation factors for i x tridiagonal symmetric input.
+def _grouped(X: Su4Element, W: np.ndarray) -> np.ndarray:
+    return _rotations(W)
 
-    With r = (0, beta/2, 0), t = (0, (gamma-alpha)/2, 0) and
-    s = (beta/2, 0, (alpha+gamma)/2):
 
-        e^S = [cos(l1) I + i sinc(l1)(M_{r(x)i} + M_{t(x)k})]
-              [cos(l2) I + i sinc(l2) M_{s(x)j}]
+def _interaction_rows(Cmat: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows vec(u_i v_i^T), u_i = Cmat v_i, for orthonormal columns v_i of V.
 
-    l1 = sqrt(beta^2 + (gamma-alpha)^2)/2, l2 = sqrt(beta^2 + (gamma+alpha)^2)/2.
+    They sum to vec Cmat, and commute when the u_i are pairwise orthogonal.
     """
-    r = PureQuaternion(0.0, b / 2.0, 0.0)
-    t = PureQuaternion(0.0, (g - a) / 2.0, 0.0)
-    s = PureQuaternion(b / 2.0, 0.0, (a + g) / 2.0)
-    l1 = 0.5 * math.hypot(b, g - a)
-    l2 = 0.5 * math.hypot(b, g + a)
-    F1 = _rotation_factor(l1, 1j * (mat_pure_pure(r, _EX) + mat_pure_pure(t, _EZ)))
-    F2 = _rotation_factor(l2, 1j * mat_pure_pure(s, _EY))
-    return F1 @ F2
+    W = np.zeros((3, 15))
+    W[:, 6:] = ((Cmat @ V).T[:, :, None] * V.T[:, None, :]).reshape(3, 9)
+    return W
 
 
-def _tridiag(X: Su4Element) -> np.ndarray:
-    T = X.traceless.imag
-    return _tridiag_factors(float(T[0, 1]), float(T[1, 2]), float(T[2, 3]))
+def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
+    """e^X0 = e^B e^{iC} when the real/imaginary parts commute.
 
-
-def _perskew(X: Su4Element) -> np.ndarray:
-    """Two-factor exponential for perskewsymmetric X (X0^T R4 = -R4 X0).
-
-    The traceless part lives in the span of i{sigma_z(x)I, sigma_x(x)sigma_z,
-    sigma_y(x)sigma_z} (an anticommuting triple) and i{I(x)sigma_z,
-    sigma_z(x)sigma_x, sigma_z(x)sigma_y} (another), and the two triples
-    commute; each bracket exponentiates as a rotation factor with
-    l1 = sqrt(p1^2 + p2^2 + a^2), l2 = sqrt(q1^2 + q2^2 + b^2).
-    """
-    pc = X.pauli
-    p1, p2, a = pc.beta[2], pc.gamma[0, 2], pc.gamma[1, 2]
-    q1, q2, b = pc.alpha[2], pc.gamma[2, 0], pc.gamma[2, 1]
-    Y1 = 1j * (p1 * pauli_kron("z", "0") + p2 * pauli_kron("x", "z")
-               + a * pauli_kron("y", "z"))
-    Y2 = 1j * (q1 * pauli_kron("0", "z") + q2 * pauli_kron("z", "x")
-               + b * pauli_kron("z", "y"))
-    l1 = math.sqrt(p1 ** 2 + p2 ** 2 + a ** 2)
-    l2 = math.sqrt(q1 ** 2 + q2 ** 2 + b ** 2)
-    return _rotation_factor(l1, Y1) @ _rotation_factor(l2, Y2)
-
-
-def _skewham(X: Su4Element) -> np.ndarray:
-    """Single-rotation exponential for skew-Hamiltonian X (X^T J4 = J4 X).
-
-    e^X0 = cos(l) I + i sinc(l)(p1 sigma_y(x)sigma_y + p2 I(x)sigma_z
-    + p3 I(x)sigma_x + c sigma_z(x)sigma_y + d sigma_x(x)sigma_y) with
-    l = sqrt(||p||^2 + c^2 + d^2): the five basis terms mutually anticommute.
-    """
-    pc = X.pauli
-    p1, p2, p3 = pc.gamma[1, 1], pc.alpha[2], pc.alpha[0]
-    c, d = pc.gamma[2, 1], pc.gamma[0, 1]
-    Y = 1j * (p1 * pauli_kron("y", "y") + p2 * pauli_kron("0", "z")
-              + p3 * pauli_kron("0", "x") + c * pauli_kron("z", "y")
-              + d * pauli_kron("x", "y"))
-    lam = math.sqrt(p1 ** 2 + p2 ** 2 + p3 ** 2 + c ** 2 + d ** 2)
-    return _rotation_factor(lam, Y)
-
-
-def _imsym_factors(Cmat: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Product of rotation factors from right singular directions V of Cmat."""
-    Us = Cmat @ V
-    # row i of Ms is the flattened M_{u_i (x) v_i}; one stacked product
-    # replaces three separate basis contractions.
-    outer = Us[:, None, :] * V[None, :, :]
-    Ms = (outer.reshape(9, 3).T @ _PURE_FLAT)
-    U = None
-    for i in range(3):
-        u = Us[:, i]
-        s = math.sqrt(float(u @ u))
-        F = _rotation_factor(s, 1j * Ms[i].reshape(4, 4))
-        U = F if U is None else U @ F
-    return U
-
-
-def _imsym(X: Su4Element) -> np.ndarray:
-    """Three commuting rotation factors for X0 = iC, C real symmetric.
-
-    The right singular directions v_i of the interaction matrix give
-    iC = sum_i i M_{u_i (x) v_i} with u_i = Cmat v_i pairwise orthogonal, so
-    e^X0 = prod_i (cos(s_i) I + i sinc(s_i) M_{u_i (x) v_i}), s_i = ||u_i||.
+    W holds e^B's rows p and q; the right singular directions of the
+    interaction matrix give e^{iC}'s.  Imaginary symmetry is the case B = 0.
     """
     Cmat = X.quintuple.Cmat
     _, V = eigh3(Cmat.T @ Cmat)
-    return _imsym_factors(Cmat, V)
+    return _rotations(np.concatenate((W, _interaction_rows(Cmat, V))))
 
 
-def _bisym(X: Su4Element) -> np.ndarray:
+def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
     """Imaginary-symmetric exponential via a closed-form 2x2 rotation angle.
 
     The interaction matrix splits as a 2x2 block plus a 1x1 block (in any
@@ -358,20 +307,7 @@ def _bisym(X: Su4Element) -> np.ndarray:
     V[cols[0], 0], V[cols[1], 0] = ct, -st
     V[cols[0], 1], V[cols[1], 1] = st, ct
     V[j0, 2] = 1.0
-    return _imsym_factors(Cmat, V)
-
-
-def _normal_split(X: Su4Element) -> np.ndarray:
-    """e^X0 = e^B e^{iC} when the real/imaginary parts commute.
-
-    e^B is itself a product of the two commuting quaternion rotations
-    M_{p(x)1} and M_{1(x)q} (each squares to a negative scalar).
-    """
-    d = X.quintuple
-    EB = (_rotation_factor(d.p.norm(), _mat_pure_1(d.p).astype(complex))
-          @ _rotation_factor(d.q.norm(), _mat_1_pure(d.q).astype(complex)))
-    _, V = eigh3(d.Cmat.T @ d.Cmat)
-    return EB @ _imsym_factors(d.Cmat, V)
+    return _rotations(_interaction_rows(Cmat, V))
 
 
 # -- the family table -------------------------------------------------------
@@ -385,8 +321,9 @@ class Family:
     ``label`` in ``su4exp classify``; a row that ``refines`` another is
     tried right after that row's gate passes, and wins over it.  A row
     without a gate applies when ``classify`` returns the tag ``label``, and
-    its formula also takes that classification.  ``formula`` gives e^{X0}
-    for the traceless part X0; ``_unitary`` adds the scalar phase.
+    its formula also takes that classification.  ``groups`` holds the
+    Pauli labels of each rotation factor read off v, ``masks`` their slots.
+    ``formula`` gives e^{X0}; ``_unitary`` adds the scalar phase.
     """
 
     method: str
@@ -394,15 +331,25 @@ class Family:
     formula: Callable[..., np.ndarray]
     gate: str | None = None
     refines: str | None = None
+    groups: tuple[str, ...] = ()
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "masks", _slot_masks(self.groups))
 
 
 FAMILY_TABLE = (
-    Family("tridiag", "symmetric-tridiagonal", _tridiag, "is_tridiagonal_type"),
-    Family("perskew", "perskewsymmetric", _perskew, "is_perskew"),
-    Family("skewham", "skew-Hamiltonian", _skewham, "is_skew_hamiltonian"),
-    Family("imsym", "imaginary-symmetric", _imsym, "is_imaginary_symmetric"),
+    Family("tridiag", "symmetric-tridiagonal", _grouped, "is_tridiagonal_type",
+           groups=("xx zx", "yy 0x")),
+    Family("perskew", "perskewsymmetric", _grouped, "is_perskew",
+           groups=("z0 xz yz", "0z zx zy")),
+    Family("skewham", "skew-Hamiltonian", _grouped, "is_skew_hamiltonian",
+           groups=("yy 0z 0x zy xy",)),
+    Family("imsym", "imaginary-symmetric", _normal_split, "is_imaginary_symmetric"),
     Family("bisym", "bisymmetric-type", _bisym, "is_split_interaction", refines="imsym"),
-    Family("normal-split", "normal-type", _normal_split, "is_normal_element"),
+    # e^B: the p slots, then the q slots of v.
+    Family("normal-split", "normal-type", _normal_split, "is_normal_element",
+           groups=("0y yx yz", "y0 xy zy")),
     Family("quad-I", "quadratic-I",
            lambda X, m: exp_quadratic_I(X.traceless, m.c2)),
     Family("quad-II", "quadratic-II",
@@ -412,6 +359,15 @@ FAMILY_TABLE = (
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _STRUCTURED = tuple(fam for fam in FAMILY_TABLE if fam.gate)
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
+
+# Slots off the families that are coordinate subspaces of v: those outside
+# the row's groups, and p, q for imaginary symmetry.
+_OFF_SUPPORT = {m: np.flatnonzero(_ROWS[m].masks.sum(axis=0) == 0)
+                for m in ("perskew", "skewham")} | {"imsym": np.arange(6)}
+
+# v of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_MAP @ (alpha, beta, gamma).
+_TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float).ravel()
+                                for e in np.eye(3)])
 
 
 def _gate(fam: Family) -> Callable[[Su4Element, float], bool]:
@@ -436,9 +392,14 @@ def _structured_row(X: Su4Element, tol: float) -> Family | None:
     return None
 
 
-def _unitary(fam: Family, X: Su4Element, *cls: MinPolyClass) -> np.ndarray:
-    """e^X by the row's formula, scalar phase e^{ib} included."""
-    return cmath.exp(1j * X.scalar) * fam.formula(X, *cls)
+def _unitary(fam: Family, X: Su4Element, cls: MinPolyClass | None = None) -> np.ndarray:
+    """e^X by the row's formula, scalar phase e^{ib} included.
+
+    A structured formula takes its groups' rows, a minimal-polynomial one
+    the classification.
+    """
+    arg = fam.masks * X.coeffs if cls is None else cls
+    return cmath.exp(1j * X.scalar) * fam.formula(X, arg)
 
 
 def _exp_result(U: np.ndarray, method: str) -> ExpResult:
@@ -472,23 +433,24 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     """e^S for i x (real symmetric tridiagonal, zero diagonal) parameters.
 
     Takes the three parameters rather than an element, so the demo
-    propagators skip element construction; see ``_tridiag_factors``.
+    propagators skip element construction: v is a constant map of them.
     """
-    return _exp_result(_tridiag_factors(S.alpha, S.beta, S.gamma), "tridiag")
+    v = _TRIDIAG_MAP @ (S.alpha, S.beta, S.gamma)
+    return _exp_result(_rotations(_ROWS["tridiag"].masks * v), "tridiag")
 
 
 def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
-    """e^X for perskewsymmetric X (see ``_perskew``); StructureError otherwise."""
+    """e^X for perskewsymmetric X (two factors, its groups); StructureError otherwise."""
     return closed_form("perskew", X, tol)
 
 
 def exp_skewham(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
-    """e^X for skew-Hamiltonian X (see ``_skewham``); StructureError otherwise."""
+    """e^X for skew-Hamiltonian X (one factor, its group); StructureError otherwise."""
     return closed_form("skewham", X, tol)
 
 
 def exp_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
-    """e^X for imaginary-symmetric X (see ``_imsym``); StructureError otherwise."""
+    """e^X for imaginary-symmetric X (see ``_normal_split``); StructureError otherwise."""
     return closed_form("imsym", X, tol)
 
 

@@ -58,7 +58,7 @@ _QT_SLOTS = ([(x, "1") for x in _PURE] + [("1", y) for y in _PURE]
              + [(x, y) for x in _PURE for y in _PURE])
 _QT_FLAT = np.array([qt_basis_matrix(x, y).ravel() for x, y in _QT_SLOTS])
 _QT_STACK = _QT_FLAT * np.array([1.0] * 6 + [1j] * 9)[:, None]
-_PURE1_FLAT, _1PURE_FLAT, _PURE_FLAT = _QT_FLAT[:3], _QT_FLAT[3:6], _QT_FLAT[6:]
+_PURE_FLAT = _QT_FLAT[6:]
 
 
 def _coeff_map() -> np.ndarray:
@@ -120,7 +120,8 @@ class QuintupleDecomp:
     Cmat: np.ndarray
 
     def B(self) -> np.ndarray:
-        return _mat_pure_1(self.p) + _mat_1_pure(self.q)
+        pq = np.concatenate((self.p.as_vector(), self.q.as_vector()))
+        return (pq @ _QT_FLAT[:6]).reshape(4, 4)
 
     def C(self) -> np.ndarray:
         return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
@@ -161,14 +162,6 @@ class CanonicalForm:
     u2: np.ndarray
 
 
-def _mat_pure_1(p: PureQuaternion) -> np.ndarray:
-    return (p.as_vector() @ _PURE1_FLAT).reshape(4, 4)
-
-
-def _mat_1_pure(q: PureQuaternion) -> np.ndarray:
-    return (q.as_vector() @ _1PURE_FLAT).reshape(4, 4)
-
-
 def mat_pure_pure(u: PureQuaternion, v: PureQuaternion) -> np.ndarray:
     """M_{u (x) v} for pure quaternions u, v."""
     uv = np.outer(u.as_vector() if isinstance(u, PureQuaternion) else u,
@@ -180,10 +173,11 @@ class Su4Element:
     """Anti-Hermitian 4x4 matrix with its cached decompositions.
 
     ``entries`` is the full matrix (scalar part included); ``scalar`` is the
-    real b with trace(entries) = 4ib; ``traceless`` is entries - i b I.
+    real b with trace(entries) = 4ib; ``traceless`` is entries - i b I;
+    ``coeffs`` is v = (p, q, vec Cmat), so that X0 = v @ _QT_STACK.
     """
 
-    __slots__ = ("entries", "scalar", "traceless", "_pauli", "_quintuple")
+    __slots__ = ("entries", "scalar", "traceless", "coeffs", "_pauli", "_quintuple")
 
     def __init__(self, entries: np.ndarray, tol: float = ANTIHERM_TOL):
         entries = np.asarray(entries, dtype=complex)
@@ -209,6 +203,8 @@ class Su4Element:
         if resid > 1e-10 * max(1.0, np.abs(X0).max()):
             raise StructureError("su4-expansion", resid,
                                  "matrix is not in su(4) + scalar")
+        v.setflags(write=False)
+        self.coeffs = v
         c = _PAULI_SIGN * v[_PAULI_SLOT]
         self._pauli = PauliCoeffs(alpha=c[:3], beta=c[3:6],
                                   gamma=c[6:].reshape(3, 3))

@@ -12,6 +12,8 @@ import pytest
 from su4exp.classify import classify
 from su4exp.errors import StructureError
 from su4exp.expm import (
+    _OFF_SUPPORT,
+    FAMILY_TABLE,
     SymTriDiag,
     cosm1_over_c2,
     exp_auto,
@@ -33,7 +35,7 @@ from su4exp.expm import (
     sinc,
 )
 from su4exp.families import FAMILIES
-from su4exp.model import MAGIC_BASIS, Su4Element
+from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element
 from su4exp.oracle import expm_reference
 from su4exp.qtensor import pauli_kron
 
@@ -176,17 +178,6 @@ def test_perskew_rejects_generic():
         exp_perskew(X)
 
 
-def test_perskew_triples_anticommute_and_commute():
-    tr1 = [pauli_kron("z", "0"), pauli_kron("x", "z"), pauli_kron("y", "z")]
-    tr2 = [pauli_kron("0", "z"), pauli_kron("z", "x"), pauli_kron("z", "y")]
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert np.abs(tr1[i] @ tr1[j] + tr1[j] @ tr1[i]).max() < 1e-14
-                assert np.abs(tr2[i] @ tr2[j] + tr2[j] @ tr2[i]).max() < 1e-14
-            assert np.abs(tr1[i] @ tr2[j] - tr2[j] @ tr1[i]).max() < 1e-14
-
-
 # -- skew-Hamiltonian ------------------------------------------------------
 
 def _skewham_element(rng):
@@ -213,17 +204,68 @@ def test_skewham_single_term():
     assert np.abs(U - expected).max() < 1e-14
 
 
+# -- factor groups and coordinate-subspace gates ---------------------------
+
+def _group_terms(fam):
+    return [[pauli_kron(*st) for st in g.split()] for g in fam.groups]
+
+
+def test_perskew_triples_anticommute_and_commute():
+    # Read off the table: in every row with factor groups (the perskew
+    # triples, tridiag's pairs, normal-split's e^B triples, skewham's
+    # quintuple) the terms anticommute within a group and commute across.
+    grouped = [fam for fam in FAMILY_TABLE if fam.groups]
+    assert {fam.method for fam in grouped} == {"tridiag", "perskew", "skewham",
+                                              "normal-split"}
+    for fam in grouped:
+        groups = _group_terms(fam)
+        for k, terms in enumerate(groups):
+            for i, A in enumerate(terms):
+                for B in terms[i + 1:]:
+                    assert np.abs(A @ B + B @ A).max() < 1e-14, fam.method
+                for other in groups[k + 1:]:
+                    for B in other:
+                        assert np.abs(A @ B - B @ A).max() < 1e-14, fam.method
+
+
 def test_skewham_terms_anticommute():
-    terms = [pauli_kron("y", "y"), pauli_kron("0", "z"), pauli_kron("0", "x"),
-             pauli_kron("z", "y"), pauli_kron("x", "y")]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert np.abs(terms[i] @ terms[j] + terms[j] @ terms[i]).max() < 1e-14
-    # The anticommutation makes any linear combination square to a scalar.
+    # The anticommutation makes any linear combination of one group's terms
+    # square to a scalar, so each group is one exact rotation factor.
     rng = np.random.default_rng(65)
-    c = rng.normal(size=5)
-    Y = sum(ci * ti for ci, ti in zip(c, terms))
-    assert np.abs(Y @ Y - float(c @ c) * np.eye(4)).max() < 1e-12
+    for fam in FAMILY_TABLE:
+        for terms in _group_terms(fam):
+            c = rng.normal(size=len(terms))
+            Y = sum(ci * ti for ci, ti in zip(c, terms))
+            assert np.abs(Y @ Y - float(c @ c) * np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["perskew", "skewham", "imsym"])
+def test_linear_gates_are_coordinate_subspaces(name):
+    """The slots a gate tests (its off-support) complement exactly the null
+    space of the family's defining map on su(4): the map vanishes on every
+    other slot and is injective on the span of the off-support slots."""
+    R4 = np.fliplr(np.eye(4))  # sigma_x (x) sigma_x, the exchange matrix
+    J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    predicate, L, family_dim = {
+        "perskew": (is_perskew, lambda A: A.T @ R4 + R4 @ A, 6),
+        "skewham": (is_skew_hamiltonian, lambda A: A.T @ J4 - J4 @ A, 5),
+        "imsym": (is_imaginary_symmetric, lambda A: A.real, 9),
+    }[name]
+    off = _OFF_SUPPORT[name]
+    images = np.array([L((e @ _QT_STACK).reshape(4, 4)).ravel() for e in np.eye(15)])
+    images = np.concatenate((images.real, images.imag), axis=1)
+    on = np.setdiff1d(np.arange(15), off)
+    assert np.abs(images[on]).max() == 0.0
+    assert np.linalg.matrix_rank(images[off]) == len(off) == 15 - family_dim
+    # The gate is the Frobenius norm of the dropped part.
+    rng = np.random.default_rng(78)
+    v = rng.normal(size=15)
+    v_on = np.where(np.isin(np.arange(15), off), 0.0, v)
+    X = Su4Element((v_on @ _QT_STACK).reshape(4, 4))
+    assert predicate(X)
+    dist = np.linalg.norm(((v - v_on) @ _QT_STACK))
+    Y = Su4Element((v @ _QT_STACK).reshape(4, 4))
+    assert predicate(Y, tol=dist * (1 + 1e-12)) and not predicate(Y, tol=dist * (1 - 1e-12))
 
 
 # -- imaginary symmetric / bisymmetric -------------------------------------
@@ -247,7 +289,7 @@ def test_imsym_matches_oracle():
 
 def test_imsym_factors_commute():
     from su4exp.eig3 import eigh3
-    from su4exp.expm import _imsym_factors
+    from su4exp.expm import _interaction_rows, _rotations
     from su4exp.model import mat_pure_pure
     rng = np.random.default_rng(67)
     for _ in range(50):
@@ -264,7 +306,7 @@ def test_imsym_factors_commute():
             for j in range(i + 1, 3):
                 assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
         prod = Fs[0] @ Fs[1] @ Fs[2]
-        assert np.abs(prod - _imsym_factors(Cmat, V)).max() < 1e-12
+        assert np.abs(prod - _rotations(_interaction_rows(Cmat, V))).max() < 1e-12
 
 
 def test_bisym_matches_oracle_all_block_positions():
@@ -357,12 +399,17 @@ def test_exp_auto_oracle_fallback():
     _check(res.U, X.entries, tol=1e-12)
 
 
-def _near_quad_I(rng, eps=1e-8):
-    """A quadratic-I sample plus anti-Hermitian noise of relative size eps."""
-    S = FAMILIES["quad-I"][0](rng).entries
+def _perturbed(X, rng, eps):
+    """X plus anti-Hermitian noise of relative size eps."""
+    S = X.entries
     H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     H = H + H.conj().T
     return Su4Element(S + 1j * H * (eps * np.linalg.norm(S) / np.linalg.norm(H)))
+
+
+def _near_quad_I(rng, eps=1e-8):
+    """A quadratic-I sample plus anti-Hermitian noise of relative size eps."""
+    return _perturbed(FAMILIES["quad-I"][0](rng), rng, eps)
 
 
 def test_exp_auto_falls_through_a_rejected_min_poly_row():
@@ -377,6 +424,20 @@ def test_exp_auto_falls_through_a_rejected_min_poly_row():
         res = exp_auto(X)
         assert res.method in ("magic", "oracle")
         assert np.linalg.norm(res.U - expm_reference(X.entries)) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6])
+def test_exp_auto_near_family_boundaries(eps):
+    # Every gate admits only inputs whose formula error stays within its
+    # tolerance, so a perturbed sample either passes a gate and is still
+    # accurate or falls through to a later stage; it never raises.
+    rng = np.random.default_rng(79)
+    for name, (sampler, _) in FAMILIES.items():
+        for _ in range(10):
+            X = _perturbed(sampler(rng), rng, eps)
+            res = exp_auto(X)
+            err = np.linalg.norm(res.U - expm_reference(X.entries))
+            assert err <= 1e-9, (name, res.method, err)
 
 
 def test_exp_auto_determinant_phase():
