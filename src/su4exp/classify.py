@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuintupleDecomp, Su4Element, mat_pure_pure
-from .quaternion import PureQuaternion, cross
+from .model import _PURE_FLAT, QuintupleDecomp, Su4Element
+from .quaternion import PureQuaternion
 
 DEFAULT_RTOL = 1e-9
 
@@ -180,21 +180,15 @@ def is_normal_type(d: QuintupleDecomp,
     The commutator is computed both directly and through the cross-product
     identity
 
-        [B, C] = 2[ M_{(p x r)(x)i} + M_{(p x s)(x)j} + M_{(p x t)(x)k}
-                    + M_{r(x)(q x i)} + M_{s(x)(q x j)} + M_{t(x)(q x k)} ]
+        [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b},  K = [p]x Cmat - Cmat [q]x
 
-    and the two must agree to near machine precision.
+    (``QuintupleDecomp.K``), and the two must agree to near machine
+    precision.
     """
     B = d.B()
     C = d.C()
     direct = B @ C - C @ B
-    ex, ey, ez = (PureQuaternion(1, 0, 0), PureQuaternion(0, 1, 0),
-                  PureQuaternion(0, 0, 1))
-    via = np.zeros((4, 4))
-    for vec, axis in ((d.r, ex), (d.s, ey), (d.t, ez)):
-        via += mat_pure_pure(cross(d.p, vec), axis)
-        via += mat_pure_pure(vec, cross(d.q, axis))
-    via *= 2.0
+    via = 2.0 * (d.K().reshape(9) @ _PURE_FLAT).reshape(4, 4)
     agreement = np.abs(direct - via).max()
     scale = max(1.0, np.linalg.norm(B) * np.linalg.norm(C))
     if agreement > 1e-12 * scale:

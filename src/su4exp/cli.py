@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -39,9 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_TOL_HELP = ("structure gate tolerance; on the perskewsymmetric, skew-Hamiltonian "
-             "and imaginary-symmetric gates it bounds the error ||U - e^X||_F "
-             "of the closed form (default %(default)g)")
+_TOL_HELP = ("structure gate tolerance; on every structured gate it bounds the "
+             "error ||U - e^X||_F of the closed form (default %(default)g)")
 
 
 def _build_parser() -> _Parser:
@@ -147,9 +147,12 @@ def _parse_kv(tokens, allowed) -> dict:
             raise InputError(f"unknown parameter '{key}' "
                              f"(allowed: {', '.join(allowed)})")
         try:
-            out[key] = [float(v) for v in val.split(",")] if "," in val else float(val)
+            vals = [float(v) for v in val.split(",")]
         except ValueError as exc:
             raise InputError(f"bad value for '{key}': {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise InputError(f"non-finite value for '{key}'")
+        out[key] = vals if "," in val else vals[0]
     return out
 
 

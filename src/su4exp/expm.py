@@ -5,8 +5,11 @@ rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
 the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
 group of anticommuting Pauli terms of X0, declared as data in the family
 table and read off v by a slot mask, or vec(u v^T) for a right singular
-direction v of the interaction matrix.  The other formulas are low-degree
-minimal-polynomial evaluations:
+direction v of the interaction matrix.  Every structured gate is a distance
+on v that bounds the error ||U - e^X||_F of its formula: the distance to
+the family for the linear families, and the first-order Trotter bound for
+the normal split.  The other formulas are low-degree minimal-polynomial
+evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
@@ -14,8 +17,8 @@ minimal-polynomial evaluations:
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
-``FAMILIES`` and the CLI are all read off that table.  ``exp_auto`` tries
-the structured rows in table order, then the minimal-polynomial row
+``FAMILIES`` and the CLI are all read off that table.  ``exp_auto`` takes
+the first structured row whose gate passes, then the minimal-polynomial row
 ``classify`` names, then a magic-basis conjugation whose image passes a
 structured gate, and finally the Taylor-series reference exponential.  All
 results carry a method tag and a unitarity residual, and every U is e^X
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import MinPolyClass, classify
-from .errors import StructureError
+from .errors import InputError, StructureError
 from .model import (
     _COEFF_MAP,
     _PAULI_SLOT,
@@ -45,11 +48,12 @@ from .oracle import expm_reference
 from .eig3 import eigh3
 
 # Tolerance policy: a gate's tol bounds the error ||U - e^X||_F of the
-# formula it admits.  The perskew, skew-Hamiltonian and imaginary-symmetric
-# gates test ||X0 - X0_on||_F, the part their formula drops, which bounds
-# that error (Duhamel); the minimal-polynomial gates divide their residual
-# by max(1, ||X||_F)^(d-1), about the eigenvalue displacement.  Not yet
-# covered: the tridiagonal, split and normal gates (tol * max(1, scale)).
+# formula it admits.  The tridiagonal, perskew, skew-Hamiltonian,
+# bisymmetric and imaginary-symmetric gates test ||X0 - X0_on||_F, the part
+# their formula drops, which bounds that error (Duhamel); the normal gate
+# tests 1/2 ||[B, C]||_F, which bounds ||e^{B+iC} - e^B e^{iC}||_F
+# (first-order Trotter); the minimal-polynomial gates divide their residual
+# by max(1, ||X||_F)^(d-1), about the eigenvalue displacement.
 STRUCTURE_TOL = 1e-10
 
 
@@ -140,76 +144,58 @@ def _unitarity(U: np.ndarray) -> float:
     return float(np.linalg.norm(U.conj().T @ U - np.eye(4)))
 
 
-# -- structure predicates -------------------------------------------------
+# -- structure gates --------------------------------------------------------
+#
+# Each gate compares a distance on v with tol, with no scale factor.  The
+# basis matrices of v are orthogonal with squared norm 4, so ||X0||_F = 2||v||.
+
+def _linear_distance(method: str, v: np.ndarray) -> float:
+    """||X0 - X0_on||_F = 2||v - P v|| for the projector P onto the row's family."""
+    r = v - _PROJECTOR[method] @ v
+    return 2.0 * math.sqrt(float(r @ r))
+
+
+def _split(v: np.ndarray) -> tuple[float, int]:
+    """(||X0 - X0_on||_F, k) for the nearest bisymmetric split, row k of
+    ``_SPLIT_OFF``; ties go to the first position."""
+    r = _SPLIT_OFF @ (v * v)
+    k = int(r.argmin())
+    return 2.0 * math.sqrt(float(r[k])), k
+
 
 def is_tridiagonal_type(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Traceless part equals i x (real symmetric tridiagonal, zero diagonal)."""
-    A = X.traceless
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A.real).max() > tol * scale:
-        return False
-    T = A.imag
-    mask = np.eye(4, dtype=bool) | np.eye(4, k=1, dtype=bool) | np.eye(4, k=-1, dtype=bool)
-    off = np.abs(np.where(mask, 0.0, T)).max()
-    diag = np.abs(np.diagonal(T)).max()
-    return max(off, diag) <= tol * scale
-
-
-def _within_support(X: Su4Element, method: str, tol: float) -> bool:
-    """2 ||v_off|| = ||X0 - X0_on||_F <= tol over the row's off-support slots."""
-    w = X.coeffs[_OFF_SUPPORT[method]]
-    return 2.0 * math.sqrt(float(w @ w)) <= tol
+    return _linear_distance("tridiag", X.coeffs) <= tol
 
 
 def is_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """X0^T R + R X0 = 0, R = sigma_x (x) sigma_x: the span of the row's groups."""
-    return _within_support(X, "perskew", tol)
+    return _linear_distance("perskew", X.coeffs) <= tol
 
 
 def is_skew_hamiltonian(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """X^T J = J X, J = [[0, I2], [-I2, 0]]: the span of the row's group."""
-    return _within_support(X, "skewham", tol)
+    return _linear_distance("skewham", X.coeffs) <= tol
+
+
+def is_bisymmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+    """Imaginary symmetric with the interaction matrix split as a 2x2 block
+    plus a 1x1 block, in any row/column position."""
+    return _split(X.coeffs)[0] <= tol
 
 
 def is_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Traceless part is iC with C real symmetric (p = q = 0)."""
-    return _within_support(X, "imsym", tol)
-
-
-def _bisym_split(C: np.ndarray) -> tuple[float, int, int]:
-    """(residual, i0, j0) of the closest 2x2 (+) 1x1 split of C.
-
-    The split need not be aligned with the main diagonal: the 1x1 block sits
-    at (i0, j0) when row i0 and column j0 vanish outside their crossing
-    entry.  The residual is the largest |entry| of that row and column
-    outside the crossing; ties go to the first position in row-major order.
-    """
-    A = np.abs(C).tolist()
-    # Negative indices k - 1, k - 2 are the two other rows/columns of k.
-    return min((max(A[i0][j0 - 1], A[i0][j0 - 2], A[i0 - 1][j0], A[i0 - 2][j0]), i0, j0)
-               for i0 in range(3) for j0 in range(3))
-
-
-def is_split_interaction(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """The interaction matrix splits as a 2x2 block plus a 1x1 block.
-
-    The gate of the bisymmetric row, which refines imaginary symmetry.
-    """
-    C = X.quintuple.Cmat
-    return _bisym_split(C)[0] <= tol * max(1.0, np.abs(C).max())
-
-
-def is_bisymmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """Imaginary symmetric with the interaction matrix 2x2 (+) 1x1 split."""
-    return passes_gate(_ROWS["bisym"], X, tol)
+    return _linear_distance("imsym", X.coeffs) <= tol
 
 
 def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """[B, C] = 0 for the real/imaginary split of the traceless part."""
-    d = X.quintuple
-    B, C = d.B(), d.C()
-    scale = max(1.0, float(np.linalg.norm(B)) * float(np.linalg.norm(C)))
-    return float(np.linalg.norm(B @ C - C @ B)) <= tol * scale
+    """[B, C] = 0 for the real/imaginary split of the traceless part.
+
+    Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``QuintupleDecomp.K``).
+    """
+    K = X.quintuple.K()
+    return 2.0 * math.sqrt(float((K * K).sum())) <= tol
 
 
 # -- minimal-polynomial formulas ------------------------------------------
@@ -290,13 +276,15 @@ def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
 def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
     """Imaginary-symmetric exponential via a closed-form 2x2 rotation angle.
 
-    The interaction matrix splits as a 2x2 block plus a 1x1 block (in any
-    row/column position).  The angle theta = atan2(2 p.q, q.q - p.p)/2
-    applied to the two columns of the 2x2 block orthogonalizes their images,
-    replacing the 3x3 spectral factorization.
+    The interaction matrix, less the slots its gate drops, splits as a 2x2
+    block plus a 1x1 block at the gate's position (i0, j0).  The angle
+    theta = atan2(2 p.q, q.q - p.p)/2 applied to the two columns of the 2x2
+    block orthogonalizes their images, replacing the 3x3 spectral
+    factorization.
     """
-    Cmat = X.quintuple.Cmat
-    _, i0, j0 = _bisym_split(Cmat)
+    _, k = _split(X.coeffs)
+    i0, j0 = divmod(k, 3)
+    Cmat = (X.coeffs * (1.0 - _SPLIT_OFF[k]))[6:].reshape(3, 3)
     rows = [i for i in range(3) if i != i0]
     cols = [j for j in range(3) if j != j0]
     p = Cmat[rows, cols[0]]
@@ -318,11 +306,10 @@ class Family:
 
     ``method`` is the ExpResult tag and the FAMILIES key.  A structured row
     is gated by the module-level predicate named ``gate`` and shows as
-    ``label`` in ``su4exp classify``; a row that ``refines`` another is
-    tried right after that row's gate passes, and wins over it.  A row
-    without a gate applies when ``classify`` returns the tag ``label``, and
-    its formula also takes that classification.  ``groups`` holds the
-    Pauli labels of each rotation factor read off v, ``masks`` their slots.
+    ``label`` in ``su4exp classify``.  A row without a gate applies when
+    ``classify`` returns the tag ``label``, and its formula also takes that
+    classification.  ``groups`` holds the Pauli labels of each rotation
+    factor read off v, ``masks`` their slots.
     ``formula`` gives e^{X0}; ``_unitary`` adds the scalar phase.
     """
 
@@ -330,7 +317,6 @@ class Family:
     label: str
     formula: Callable[..., np.ndarray]
     gate: str | None = None
-    refines: str | None = None
     groups: tuple[str, ...] = ()
     masks: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -345,8 +331,8 @@ FAMILY_TABLE = (
            groups=("z0 xz yz", "0z zx zy")),
     Family("skewham", "skew-Hamiltonian", _grouped, "is_skew_hamiltonian",
            groups=("yy 0z 0x zy xy",)),
+    Family("bisym", "bisymmetric-type", _bisym, "is_bisymmetric"),
     Family("imsym", "imaginary-symmetric", _normal_split, "is_imaginary_symmetric"),
-    Family("bisym", "bisymmetric-type", _bisym, "is_split_interaction", refines="imsym"),
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
@@ -360,45 +346,46 @@ _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _STRUCTURED = tuple(fam for fam in FAMILY_TABLE if fam.gate)
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
 
-# Slots off the families that are coordinate subspaces of v: those outside
-# the row's groups, and p, q for imaginary symmetry.
-_OFF_SUPPORT = {m: np.flatnonzero(_ROWS[m].masks.sum(axis=0) == 0)
-                for m in ("perskew", "skewham")} | {"imsym": np.arange(6)}
-
 # v of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_MAP @ (alpha, beta, gamma).
 _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float).ravel()
                                 for e in np.eye(3)])
 
+# Orthogonal projectors onto the linear families in v.  The columns of
+# _TRIDIAG_MAP are orthogonal with squared norm 1/2; the other families are
+# the slots of the row's groups, or of Cmat for imaginary symmetry.
+_PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
+              "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
+    m: np.diag(_ROWS[m].masks.sum(axis=0)) for m in ("perskew", "skewham")}
 
-def _gate(fam: Family) -> Callable[[Su4Element, float], bool]:
-    # Looked up by name at call time, so that a wrapper installed on the
-    # module attribute (the benchmark's tracer) sees every evaluation.
-    return globals()[fam.gate]
+# Row 3 i0 + j0 marks the slots that the bisymmetric split with its 1x1 block
+# at Cmat[i0, j0] drops: p, q and the rest of row i0 and column j0.
+_SPLIT_OFF = np.ones((9, 15))
+_SPLIT_OFF[:, 6:] = [[(a == i0) != (b == j0) for a in range(3) for b in range(3)]
+                     for i0 in range(3) for j0 in range(3)]
 
 
 def passes_gate(fam: Family, X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """Whether X passes a structured row's gate and that of the row it refines."""
-    if fam.refines and not passes_gate(_ROWS[fam.refines], X, tol):
-        return False
-    return _gate(fam)(X, tol)
+    """Whether X passes a structured row's gate."""
+    # Looked up by name at call time, so that a wrapper installed on the
+    # module attribute (the benchmark's tracer) sees every evaluation.
+    return globals()[fam.gate](X, tol)
 
 
 def _structured_row(X: Su4Element, tol: float) -> Family | None:
-    """The first structured row X passes, each gate evaluated at most once."""
-    for fam in _STRUCTURED:
-        if fam.refines is None and _gate(fam)(X, tol):
-            return next((sub for sub in _STRUCTURED
-                         if sub.refines == fam.method and _gate(sub)(X, tol)), fam)
-    return None
+    """The first structured row whose gate X passes."""
+    return next((fam for fam in _STRUCTURED if passes_gate(fam, X, tol)), None)
 
 
 def _unitary(fam: Family, X: Su4Element, cls: MinPolyClass | None = None) -> np.ndarray:
     """e^X by the row's formula, scalar phase e^{ib} included.
 
-    A structured formula takes its groups' rows, a minimal-polynomial one
-    the classification.
+    A structured formula takes its groups' rows of what its gate keeps of v,
+    a minimal-polynomial one the classification.
     """
-    arg = fam.masks * X.coeffs if cls is None else cls
+    v = X.coeffs
+    if fam.method in _PROJECTOR:
+        v = _PROJECTOR[fam.method] @ v
+    arg = fam.masks * v if cls is None else cls
     return cmath.exp(1j * X.scalar) * fam.formula(X, arg)
 
 
@@ -434,8 +421,12 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
 
     Takes the three parameters rather than an element, so the demo
     propagators skip element construction: v is a constant map of them.
+    Raises InputError on a non-finite parameter.
     """
-    v = _TRIDIAG_MAP @ (S.alpha, S.beta, S.gamma)
+    params = (S.alpha, S.beta, S.gamma)
+    if not all(map(math.isfinite, params)):
+        raise InputError("tridiagonal parameters must be finite")
+    v = _TRIDIAG_MAP @ params
     return _exp_result(_rotations(_ROWS["tridiag"].masks * v), "tridiag")
 
 
@@ -468,12 +459,12 @@ def exp_normal_split(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
 def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     """Exponential of X by the cheapest applicable closed form.
 
-    Order: the structured rows of FAMILY_TABLE (bisymmetric before the
-    imaginary-symmetric row it refines), the minimal-polynomial row
-    ``classify`` names, magic-basis conjugation into a structured row, and
-    finally the series reference exponential.  Never raises StructureError:
-    near a minimal-polynomial boundary ``classify`` can name a row whose
-    formula's residual gate then rejects X, and dispatch moves on.
+    Order: the first structured row of FAMILY_TABLE whose gate passes, the
+    minimal-polynomial row ``classify`` names, magic-basis conjugation into
+    a structured row, and finally the series reference exponential.  Never
+    raises StructureError: near a minimal-polynomial boundary ``classify``
+    can name a row whose formula's residual gate then rejects X, and
+    dispatch moves on.
     """
     fam = _structured_row(X, tol)
     if fam is not None:

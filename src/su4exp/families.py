@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .classify import construct_quadratic_II_example
-from .expm import FAMILY_TABLE, SymTriDiag, closed_form
+from .expm import SymTriDiag, closed_form
 from .model import Su4Element
 from .oracle import expm_reference
 from .quaternion import PureQuaternion
@@ -107,9 +107,10 @@ _SAMPLERS = {
     "cubic-I": sample_cubic_I,
 }
 
-# family method -> (sampler(rng) -> Su4Element, closed_form(Su4Element) -> ExpResult)
-FAMILIES = {fam.method: (_SAMPLERS[fam.method], partial(closed_form, fam.method))
-            for fam in FAMILY_TABLE}
+# family method -> (sampler(rng) -> Su4Element, closed_form(Su4Element) -> ExpResult),
+# in the order above, which fixes the streams of seeded samples drawn family by family.
+FAMILIES = {name: (sampler, partial(closed_form, name))
+            for name, sampler in _SAMPLERS.items()}
 
 
 def time_family(name: str, rng: np.random.Generator,

@@ -33,7 +33,7 @@ from .qtensor import (
     pauli_kron,
     qt_basis_matrix,
 )
-from .quaternion import PureQuaternion
+from .quaternion import PureQuaternion, cross_matrix
 
 ANTIHERM_TOL = 1e-12
 
@@ -125,6 +125,10 @@ class QuintupleDecomp:
 
     def C(self) -> np.ndarray:
         return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
+
+    def K(self) -> np.ndarray:
+        """K = [p]x Cmat - Cmat [q]x, so that [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b}."""
+        return cross_matrix(self.p) @ self.Cmat - self.Cmat @ cross_matrix(self.q)
 
     def reconstruct(self) -> np.ndarray:
         v = np.concatenate((self.p.as_vector(), self.q.as_vector(),

@@ -120,6 +120,11 @@ def cross(p: PureQuaternion, q: PureQuaternion) -> PureQuaternion:
     )
 
 
+def cross_matrix(p: PureQuaternion) -> np.ndarray:
+    """[p]x, the 3x3 matrix of w -> p x w."""
+    return np.array([[0.0, -p.z, p.y], [p.z, 0.0, -p.x], [-p.y, p.x, 0.0]])
+
+
 def left_mult_matrix(p: Quaternion) -> np.ndarray:
     """4x4 real matrix of x -> p*x in the basis (1, i, j, k)."""
     return np.array([

@@ -158,6 +158,12 @@ def test_demo_bad_params(capsys):
     assert main(["demo", "nope"]) == 1
 
 
+@pytest.mark.parametrize("param", ["g1=nan", "g=1,inf,2", "t=-inf"])
+def test_demo_non_finite_is_parse_error(param, capsys):
+    assert main(["demo", "rabi", param]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bench_csv(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     assert main(["bench", "--families", "tridiag,quad-I", "--trials", "5",

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from su4exp.classify import classify
-from su4exp.errors import StructureError
+from su4exp.classify import classify, is_normal_type
+from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
-    _OFF_SUPPORT,
+    _PROJECTOR,
     FAMILY_TABLE,
     SymTriDiag,
     cosm1_over_c2,
@@ -136,6 +136,12 @@ def test_tridiag_factors_commute():
             assert np.abs(sq - sq[0, 0] * np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tridiag_rejects_non_finite(bad):
+    with pytest.raises(InputError):
+        exp_tridiag(SymTriDiag(bad, 1.0, 2.0))
+
+
 def test_tridiag_time_scaling():
     S0 = (1.3, -0.4, 2.2)
     for t in (0.1, 1.0, 10.0):
@@ -251,7 +257,7 @@ def test_linear_gates_are_coordinate_subspaces(name):
         "skewham": (is_skew_hamiltonian, lambda A: A.T @ J4 - J4 @ A, 5),
         "imsym": (is_imaginary_symmetric, lambda A: A.real, 9),
     }[name]
-    off = _OFF_SUPPORT[name]
+    off = np.flatnonzero(np.diag(_PROJECTOR[name]) == 0)
     images = np.array([L((e @ _QT_STACK).reshape(4, 4)).ravel() for e in np.eye(15)])
     images = np.concatenate((images.real, images.imag), axis=1)
     on = np.setdiff1d(np.arange(15), off)
@@ -486,6 +492,74 @@ def test_closed_form_raises_exactly_off_its_predicate(name):
                 with pytest.raises(StructureError):
                     closed(X)
     assert verdicts == {True, False}
+
+
+_R4 = np.fliplr(np.eye(4))  # sigma_x (x) sigma_x, the exchange matrix
+_J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+
+
+def _gate_distance(name, X):
+    """What a structured row's gate bounds, computed from X's entries.
+
+    For a linear family, ||X0 - X0_on||_F to the nearest member X0_on, the
+    fixed part of the family's defining involution or its explicit
+    parameters; the bisymmetric member keeps the split of the family
+    sampler, the 1x1 block at Cmat[2, 2].  For the normal split, the
+    first-order Trotter bound 1/2 ||[B, C]||_F.
+    """
+    A = X.traceless
+    if name == "normal-split":
+        _, comm = is_normal_type(X.quintuple)
+        return 0.5 * np.linalg.norm(comm)
+    if name == "tridiag":
+        on = SymTriDiag(*((A[k, k + 1] + A[k + 1, k]).imag / 2 for k in range(3))).matrix()
+    elif name == "perskew":
+        on = (A - _R4 @ A.T @ _R4) / 2
+    elif name == "skewham":
+        on = (A - _J4 @ A.T @ _J4) / 2
+    elif name == "imsym":
+        on = (A + A.T) / 2
+    else:
+        C = X.quintuple.Cmat.copy()
+        C[2, :2] = C[:2, 2] = 0.0
+        on = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *C.T).traceless
+    return np.linalg.norm(A - on)
+
+
+def _noise(rng):
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return (H - H.conj().T) / np.linalg.norm(H - H.conj().T)
+
+
+@pytest.mark.parametrize("name", _GATED)
+def test_gate_is_the_distance_its_formula_drops(name):
+    predicate, _ = _GATED[name]
+    rng = np.random.default_rng(80)
+    for _ in range(20):
+        X = FAMILIES[name][0](rng)
+        Y = Su4Element(X.entries + 0.1 * _noise(rng))
+        d = _gate_distance(name, Y)
+        assert d > 1e-3
+        assert predicate(Y, tol=d * (1 + 1e-12)) and not predicate(Y, tol=d * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("name", _GATED)
+def test_gate_tolerance_bounds_the_formula_error(name):
+    # A sample moved off its family until the gate's distance sits just
+    # under tau passes the gate at tau, and its closed form stays within tau.
+    tau = 1e-6
+    predicate, closed = _GATED[name]
+    rng = np.random.default_rng(81)
+    for _ in range(20):
+        X = FAMILIES[name][0](rng)
+        D = _noise(rng)
+        # Linear in the step size, up to a second-order commutator term.
+        step = tau * tau / _gate_distance(name, Su4Element(X.entries + tau * D))
+        Y = Su4Element(X.entries + 0.999 * step * D)
+        assert 0.99 * tau < _gate_distance(name, Y) < tau
+        assert predicate(Y, tau)
+        U = closed(Y, tau).U
+        assert np.linalg.norm(U - expm_reference(Y.entries)) <= tau
 
 
 def test_time_scaling_families():

@@ -11,6 +11,7 @@ from su4exp.quaternion import (
     Quaternion,
     conj,
     cross,
+    cross_matrix,
     left_mult_matrix,
     qmul,
 )
@@ -71,6 +72,7 @@ def test_cross_matches_commutator():
         comm = (qmul(p.as_quaternion(), q.as_quaternion())
                 - qmul(q.as_quaternion(), p.as_quaternion())) * 0.5
         assert np.allclose(cross(p, q).as_vector(), comm.as_array()[1:])
+        assert np.allclose(cross_matrix(p) @ q.as_vector(), comm.as_array()[1:])
         assert abs(comm.w) < 1e-12
 
 
