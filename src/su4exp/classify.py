@@ -1,19 +1,27 @@
 """Characteristic polynomial, minimal-polynomial type detection, normality.
 
-For traceless anti-Hermitian X the characteristic polynomial is
-x^4 + mu x^2 + nu x + pi with mu, pi real and nu purely imaginary.  The
-coefficients are obtained from Newton's identities on tr X^2, tr X^3,
-tr X^4 (monic det(xI - X) convention).
+Everything reads v = (p, q, vec Cmat) = ``Su4Element.coeffs`` and one
+product X0^2.  det(xI - X0) = x^4 + mu x^2 + nu x + pi has mu = 2||v||^2,
+nu = 8i (det Cmat - p^T Cmat q) and pi = 2||v||^4 - ||X0^2||_F^2 / 4.  Three
+minimal-polynomial shapes have simple exponentials, with the parameters of
+an exact member (spectra i{c, c, -c, -c}, i{a, a, a, -3a}, i{0, 0, c, -c}):
 
-Three minimal-polynomial shapes admit particularly simple exponentials:
+    quadratic type I    x^2 + c^2                c^2 = mu / 2
+    quadratic type II   x^2 + 2 beta x + gamma   gamma = mu / 2, beta = -3 nu / (4 mu)
+    cubic type I        x^3 + c^2 x              c^2 = mu
 
-    quadratic type I    x^2 + c^2            (nu = 0 and mu^2 = 4 pi)
-    quadratic type II   x^2 + 2 beta x + gamma, beta != 0
-    cubic type I        x^3 + c^2 x          (nu = 0 = pi, mu != 0)
+Each formula interpolates e^z at the roots of its polynomial P, so on an
+eigenvalue z of X0 it errs by P(z) e[roots, z] (Newton form).  On the
+imaginary axis a first divided difference of e^z is at most 1, and a higher
+one at most two lower ones over the spread of its farthest nodes.  So these
+distances bound ||U - e^X||_F, and are compared with the gate tolerance
+(for type II, X0 + beta I is anti-Hermitian and e^{-beta} unimodular):
 
-Type II is detected constructively through the quaternion quintuple: it holds
-iff there is a real bt with C^T p = bt q, C q = bt p and
-p q^T - Co(C) = bt C, where Co(C) is the cofactor matrix of C = [r|s|t].
+    quadratic   ||X0^2 + 2 beta X0 + gamma I||_F / omega,  omega^2 = gamma + |beta|^2
+    cubic       2 ||X0^3 + c^2 X0||_F / c^2
+
+Type II also has the paper's constructive test: a real bt with C^T p = bt q,
+C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
 """
 
 from __future__ import annotations
@@ -23,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _PURE_FLAT, QuintupleDecomp, Su4Element
+from .model import _PURE_FLAT, STRUCTURE_TOL, QuintupleDecomp, Su4Element
 from .quaternion import PureQuaternion
-
-DEFAULT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,17 +62,26 @@ class MinPolyClass:
 
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    A = X.traceless
-    A2 = A @ A
-    p2 = np.trace(A2)
-    p3 = np.trace(A2 @ A)
-    p4 = np.trace(A2 @ A2)
-    e2 = -p2 / 2.0
-    e3 = p3 / 3.0
-    e4 = -(p4 + e2 * p2) / 4.0
-    # Anti-Hermitian spectrum forces mu, pi real and nu imaginary.
-    return CharPolyCoeffs(mu=float(e2.real), nu=1j * float((-e3).imag),
-                          pi=float(e4.real))
+    v = X.coeffs
+    g = float(v @ v)
+    C = v[6:].reshape(3, 3)
+    X2 = X.traceless @ X.traceless
+    return CharPolyCoeffs(mu=2.0 * g, nu=8j * float(np.linalg.det(C) - v[:3] @ C @ v[3:6]),
+                          pi=2.0 * g * g - float(np.vdot(X2, X2).real) / 4.0)
+
+
+def _quadratic_distance(X: np.ndarray, X2: np.ndarray, beta: complex,
+                        gamma: complex) -> float:
+    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|:
+    the error bound of the quadratic formula (quadratic type I is beta = 0)."""
+    omega = math.sqrt(abs(gamma - beta * beta))
+    R = X2 + 2.0 * beta * X + gamma * np.eye(len(X))
+    return float(np.linalg.norm(R)) / omega if omega else math.inf
+
+
+def _cubic_distance(X: np.ndarray, X2: np.ndarray, c2: complex) -> float:
+    """2 ||X^3 + c^2 X||_F / |c^2|: the error bound of the cubic formula."""
+    return 2.0 * float(np.linalg.norm(X2 @ X + c2 * X)) / abs(c2) if c2 else math.inf
 
 
 def charpoly_canonical(a, b, c) -> tuple[float, complex]:
@@ -91,67 +106,51 @@ def cofactor_matrix(C: np.ndarray) -> np.ndarray:
     row_{i+1} x row_{i+2} (indices cyclic), since adj(C) = Co(C)^T.
     """
     C = np.asarray(C, dtype=float)
-    Co = np.empty((3, 3))
-    for i in range(3):
-        a, b = C[(i + 1) % 3], C[(i + 2) % 3]
-        Co[i, 0] = a[1] * b[2] - a[2] * b[1]
-        Co[i, 1] = a[2] * b[0] - a[0] * b[2]
-        Co[i, 2] = a[0] * b[1] - a[1] * b[0]
-    return Co
+    return np.cross(np.roll(C, -1, axis=0), np.roll(C, -2, axis=0))
 
 
 def check_quadratic_II_conditions(d: QuintupleDecomp,
-                                  tol: float = DEFAULT_RTOL) -> float | None:
+                                  tol: float = 1e-9) -> float | None:
     """Real bt satisfying the three quadratic-type-II conditions, if any.
 
-    The candidate is extracted from the first condition when q != 0, from the
-    second when p != 0, and from -Co(C) = bt C when both vanish (possible
-    only when C C^T is proportional to the identity).  Returns None when no
-    candidate satisfies all three conditions.
+    The conditions are linear in bt, lhs = bt rhs with lhs = (C^T p, C q,
+    p q^T - Co(C)) and rhs = (q, p, C), and the candidate is their
+    least-squares solution.  Returns None when X0 = 0, or when the candidate
+    misses a condition by more than tol times the squared scale of p, q, C.
     """
-    p = d.p.as_vector()
-    q = d.q.as_vector()
-    C = d.Cmat
-    np_ = math.sqrt(float(p @ p))
-    nq = math.sqrt(float(q @ q))
-    scale = max(np_, nq, math.sqrt(float((C * C).sum())), 1e-300)
-    atol = tol * max(scale * scale, 1.0)
-    if nq > tol * scale:
-        bt = float(q @ (C.T @ p)) / float(q @ q)
-    elif np_ > tol * scale:
-        bt = float(p @ (C @ q)) / float(p @ p)
-    else:
-        cc = float(np.sum(cofactor_matrix(C) * C))
-        denom = float(np.sum(C * C))
-        if denom <= (tol * scale) ** 2:
-            return None
-        bt = -cc / denom
-
-    r1 = np.abs(C.T @ p - bt * q).max()
-    r2 = np.abs(C @ q - bt * p).max()
-    r3 = np.abs(np.outer(p, q) - cofactor_matrix(C) - bt * C).max()
-    if max(r1, r2, r3) <= atol:
-        return bt
-    return None
+    p, q, C = d.p.as_vector(), d.q.as_vector(), d.Cmat
+    lhs = np.concatenate((C.T @ p, C @ q, (np.outer(p, q) - cofactor_matrix(C)).ravel()))
+    rhs = np.concatenate((q, p, C.ravel()))
+    denom = float(rhs @ rhs)
+    if denom == 0.0:
+        return None
+    bt = float(lhs @ rhs) / denom
+    scale2 = max(float(p @ p), float(q @ q), float((C * C).sum()), 1.0)
+    return bt if np.abs(lhs - bt * rhs).max() <= tol * scale2 else None
 
 
-def classify(X: Su4Element, rtol: float = DEFAULT_RTOL) -> MinPolyClass:
-    """Minimal-polynomial type of the traceless part of X."""
-    A = X.traceless
-    s = float(np.linalg.norm(A))
-    if s < 1e-300:
-        return MinPolyClass(tag="other")
+def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
+    """Minimal-polynomial type of the traceless part of X.
+
+    The first of quadratic-I, quadratic-II and cubic-I whose distance (module
+    docstring) is at most tol, so that its formula is within tol of e^X.
+    Otherwise quartic-distinct when |nu| <= tol mu (nu = 0: a spectrum
+    symmetric about 0), else other; neither selects a formula.
+    """
     cp = charpoly(X)
-    nu_zero = abs(cp.nu) <= rtol * s ** 3
-    if nu_zero and abs(cp.mu ** 2 - 4.0 * cp.pi) <= rtol * s ** 4:
-        return MinPolyClass(tag="quadratic-I", c2=cp.mu / 2.0)
-    if nu_zero and abs(cp.pi) <= rtol * s ** 4 and abs(cp.mu) > rtol * s ** 2:
+    if cp.mu == 0.0:
+        return MinPolyClass(tag="other")
+    g = cp.mu / 2.0
+    X0 = X.traceless
+    X2 = X0 @ X0
+    if _quadratic_distance(X0, X2, 0.0, g) <= tol:
+        return MinPolyClass(tag="quadratic-I", c2=g)
+    beta = -3.0 * cp.nu / (4.0 * cp.mu)
+    if _quadratic_distance(X0, X2, beta, g) <= tol:
+        return MinPolyClass(tag="quadratic-II", beta=beta, gamma=g)
+    if _cubic_distance(X0, X2, cp.mu) <= tol:
         return MinPolyClass(tag="cubic-I", c2=cp.mu)
-    bt = check_quadratic_II_conditions(X.quintuple, tol=rtol)
-    if bt is not None and abs(bt) > rtol * s:
-        # gamma = -tr(X^2)/4 = mu/2 under the Newton-identity convention.
-        return MinPolyClass(tag="quadratic-II", beta=1j * bt, gamma=cp.mu / 2.0)
-    if nu_zero:
+    if abs(cp.nu) <= tol * cp.mu:
         return MinPolyClass(tag="quartic-distinct")
     return MinPolyClass(tag="other")
 
@@ -173,11 +172,17 @@ def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
     return Su4Element.from_quintuple(pv, q, C[:, 0], C[:, 1], C[:, 2])
 
 
+def _commutator_distance(K: np.ndarray) -> float:
+    """1/2 ||[B, C]||_F = 2 ||K||_F, the normal gate's Trotter bound."""
+    return 2.0 * math.sqrt(float((K * K).sum()))
+
+
 def is_normal_type(d: QuintupleDecomp,
-                   tol: float = 1e-10) -> tuple[bool, np.ndarray]:
+                   tol: float = STRUCTURE_TOL) -> tuple[bool, np.ndarray]:
     """Whether B and C commute, plus the commutator [B, C] itself.
 
-    The commutator is computed both directly and through the cross-product
+    Decided by the dispatch gate's rule, 1/2 ||[B, C]||_F <= tol.  The
+    commutator is computed both directly and through the cross-product
     identity
 
         [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b},  K = [p]x Cmat - Cmat [q]x
@@ -187,15 +192,15 @@ def is_normal_type(d: QuintupleDecomp,
     """
     B = d.B()
     C = d.C()
+    K = d.K()
     direct = B @ C - C @ B
-    via = 2.0 * (d.K().reshape(9) @ _PURE_FLAT).reshape(4, 4)
+    via = 2.0 * (K.reshape(9) @ _PURE_FLAT).reshape(4, 4)
     agreement = np.abs(direct - via).max()
     scale = max(1.0, np.linalg.norm(B) * np.linalg.norm(C))
     if agreement > 1e-12 * scale:
         raise AssertionError(
             f"commutator identity mismatch ({agreement:.3e})")
-    ok = np.abs(direct).max() <= tol * (1.0 + np.linalg.norm(B) * np.linalg.norm(C))
-    return bool(ok), direct
+    return _commutator_distance(K) <= tol, direct
 
 
 def normal_type_conditions_canonical(a, b, c, tol: float = 1e-10) -> bool:

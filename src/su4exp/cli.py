@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_TOL_HELP = ("structure gate tolerance; on every structured gate it bounds the "
-             "error ||U - e^X||_F of the closed form (default %(default)g)")
+_TOL_HELP = ("gate tolerance, structure and minimal-polynomial alike; it bounds the "
+             "error ||U - e^X||_F of the closed form it admits (default %(default)g)")
 
 
 def _build_parser() -> _Parser:
@@ -99,7 +99,7 @@ def cmd_classify(args) -> int:
             print(f"{fam.label}: {'yes' if passes_gate(fam, X, tol) else 'no'}")
     cp = _charpoly(X)
     print(f"charpoly: mu={cp.mu:.12g} nu={cp.nu.imag:.12g}i pi={cp.pi:.12g}")
-    mc = _classify(X)
+    mc = _classify(X, tol)
     extra = ""
     if mc.c2 is not None:
         extra = f" c2={mc.c2:.12g}"

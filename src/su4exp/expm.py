@@ -5,15 +5,16 @@ rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
 the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
 group of anticommuting Pauli terms of X0, declared as data in the family
 table and read off v by a slot mask, or vec(u v^T) for a right singular
-direction v of the interaction matrix.  Every structured gate is a distance
-on v that bounds the error ||U - e^X||_F of its formula: the distance to
-the family for the linear families, and the first-order Trotter bound for
-the normal split.  The other formulas are low-degree minimal-polynomial
-evaluations:
+direction v of the interaction matrix.  The other formulas are low-degree
+minimal-polynomial evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
     cubic type I        e^X = I + sinc(c) X + (1-cos c)/c^2 X^2
+
+All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
+a distance that bounds the error ||U - e^X||_F of its formula is at most
+tol.  ``classify`` tests the minimal-polynomial rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -34,7 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import MinPolyClass, classify
+from .classify import (
+    MinPolyClass,
+    _commutator_distance,
+    _cubic_distance,
+    _quadratic_distance,
+    classify,
+)
 from .errors import InputError, StructureError
 from .model import (
     _COEFF_MAP,
@@ -42,20 +49,11 @@ from .model import (
     _PAULI_SLOTS,
     _QT_STACK,
     MAGIC_BASIS,
+    STRUCTURE_TOL,
     Su4Element,
 )
 from .oracle import expm_reference
 from .eig3 import eigh3
-
-# Tolerance policy: a gate's tol bounds the error ||U - e^X||_F of the
-# formula it admits.  The tridiagonal, perskew, skew-Hamiltonian,
-# bisymmetric and imaginary-symmetric gates test ||X0 - X0_on||_F, the part
-# their formula drops, which bounds that error (Duhamel); the normal gate
-# tests 1/2 ||[B, C]||_F, which bounds ||e^{B+iC} - e^B e^{iC}||_F
-# (first-order Trotter); the minimal-polynomial gates divide their residual
-# by max(1, ||X||_F)^(d-1), about the eigenvalue displacement.
-STRUCTURE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ExpResult:
@@ -194,56 +192,52 @@ def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
 
     Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``QuintupleDecomp.K``).
     """
-    K = X.quintuple.K()
-    return 2.0 * math.sqrt(float((K * K).sum())) <= tol
+    return _commutator_distance(X.quintuple.K()) <= tol
 
 
-# -- minimal-polynomial formulas ------------------------------------------
+# -- minimal-polynomial formulas: the table rows call them after
+# ``classify``, the public wrappers after the same distance at STRUCTURE_TOL.
 
-def _min_poly_gate(name: str, resid: float, X: np.ndarray, degree: int) -> None:
-    """StructureError unless resid <= STRUCTURE_TOL max(1, ||X||_F)^(degree-1)."""
-    if resid > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(X))) ** (degree - 1):
-        raise StructureError(f"{name} minimal polynomial", float(resid))
+def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
+    """e^X = e^{-beta} [cos(omega) I + sinc(omega)(X + beta I)] for
+    X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
+    omega^2 = gamma - beta^2; quadratic type I is beta = 0."""
+    c = _principal_root(gamma - beta * beta)
+    eye = np.eye(len(X), dtype=complex)
+    return cmath.exp(-beta) * (cmath.cos(c) * eye + sinc(c) * (X + beta * eye))
+
+
+def _cubic(X: np.ndarray, c2: complex) -> np.ndarray:
+    """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X."""
+    c = _principal_root(c2)
+    return np.eye(len(X), dtype=complex) + sinc(c) * X + cosm1_over_c2(c) * (X @ X)
+
+
+def _checked(name: str, X, distance: Callable, formula: Callable, *params) -> np.ndarray:
+    """formula(X, *params), or StructureError when the shape's distance
+    (``classify``) exceeds STRUCTURE_TOL."""
+    X = np.asarray(X, dtype=complex)
+    d = distance(X, X @ X, *params)
+    if d > STRUCTURE_TOL:
+        raise StructureError(f"{name} minimal polynomial", d)
+    return formula(X, *params)
 
 
 def exp_quadratic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     """e^X = cos(c) I + sinc(c) X for X with X^2 = -c^2 I, c != 0."""
-    X = np.asarray(X, dtype=complex)
-    n = X.shape[0]
-    _min_poly_gate("quadratic-I", np.linalg.norm(X @ X + c2 * np.eye(n)), X, 2)
-    c = _principal_root(c2)
-    return cmath.cos(c) * np.eye(n, dtype=complex) + sinc(c) * X
+    return _checked("quadratic-I", X, _quadratic_distance, _quadratic, 0.0, c2)
 
 
 def exp_quadratic_II(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
-    """e^X for X with X^2 + 2 beta X + gamma I = 0, beta != 0.
-
-    Evaluated through (X + beta I)^2 = (beta^2 - gamma) I:
-    e^X = e^{-beta} [cos(omega) I + sinc(omega)(X + beta I)] with
-    omega^2 = gamma - beta^2 (real and positive for anti-Hermitian X, where
-    beta is purely imaginary and gamma real).
-    """
-    X = np.asarray(X, dtype=complex)
-    n = X.shape[0]
-    _min_poly_gate("quadratic-II",
-                   np.linalg.norm(X @ X + 2.0 * beta * X + gamma * np.eye(n)), X, 2)
+    """e^X for X with X^2 + 2 beta X + gamma I = 0, beta != 0 (see ``_quadratic``)."""
     if beta == 0:
         raise ValueError("beta = 0 is the quadratic type I case")
-    # (X + beta I)^2 = -c^2 I is already certified by the residual above, so
-    # the shifted quadratic-I formula is applied directly.
-    c = _principal_root(gamma - beta * beta)
-    Y = X + beta * np.eye(n)
-    return cmath.exp(-beta) * (cmath.cos(c) * np.eye(n, dtype=complex) + sinc(c) * Y)
+    return _checked("quadratic-II", X, _quadratic_distance, _quadratic, beta, gamma)
 
 
 def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
-    """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X."""
-    X = np.asarray(X, dtype=complex)
-    n = X.shape[0]
-    X2 = X @ X
-    _min_poly_gate("cubic-I", np.linalg.norm(X2 @ X + c2 * X), X, 3)
-    c = _principal_root(c2)
-    return (np.eye(n, dtype=complex) + sinc(c) * X + cosm1_over_c2(c) * X2)
+    """e^X for X with X^3 = -c^2 X, c != 0 (see ``_cubic``)."""
+    return _checked("cubic-I", X, _cubic_distance, _cubic, c2)
 
 
 # -- family formulas: e^{X0} from X and W = masks * v, its groups' rows -----
@@ -336,11 +330,10 @@ FAMILY_TABLE = (
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
-    Family("quad-I", "quadratic-I",
-           lambda X, m: exp_quadratic_I(X.traceless, m.c2)),
+    Family("quad-I", "quadratic-I", lambda X, m: _quadratic(X.traceless, 0.0, m.c2)),
     Family("quad-II", "quadratic-II",
-           lambda X, m: exp_quadratic_II(X.traceless, m.beta, m.gamma)),
-    Family("cubic-I", "cubic-I", lambda X, m: exp_cubic_I(X.traceless, m.c2)),
+           lambda X, m: _quadratic(X.traceless, m.beta, m.gamma)),
+    Family("cubic-I", "cubic-I", lambda X, m: _cubic(X.traceless, m.c2)),
 )
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _STRUCTURED = tuple(fam for fam in FAMILY_TABLE if fam.gate)
@@ -398,7 +391,7 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
 
     This is the uniform family signature behind FAMILIES and the public
     ``exp_*`` wrappers.  Raises StructureError when X fails a structured
-    row's gate, or when ``classify`` names a tag other than a
+    row's gate, or when ``classify`` at tol names a tag other than a
     minimal-polynomial row's.
     """
     fam = _ROWS[method]
@@ -407,7 +400,7 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
             raise StructureError(fam.label, math.nan,
                                  f"structure check '{fam.label}' failed")
         return _exp_result(_unitary(fam, X), method)
-    cls = classify(X)
+    cls = classify(X, tol)
     if cls.tag != fam.label:
         raise StructureError(fam.label, math.nan,
                              f"minimal polynomial is {cls.tag}, not {fam.label}")
@@ -461,21 +454,17 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
 
     Order: the first structured row of FAMILY_TABLE whose gate passes, the
     minimal-polynomial row ``classify`` names, magic-basis conjugation into
-    a structured row, and finally the series reference exponential.  Never
-    raises StructureError: near a minimal-polynomial boundary ``classify``
-    can name a row whose formula's residual gate then rejects X, and
-    dispatch moves on.
+    a structured row, and finally the series reference exponential.  Every
+    stage tests its distance at tol, and the formula it picks is within tol
+    of e^X, so exp_auto never raises StructureError.
     """
     fam = _structured_row(X, tol)
     if fam is not None:
         return _exp_result(_unitary(fam, X), fam.method)
-    cls = classify(X)
+    cls = classify(X, tol)
     fam = _BY_TAG.get(cls.tag)
     if fam is not None:
-        try:
-            return _exp_result(_unitary(fam, X, cls), fam.method)
-        except StructureError:
-            pass
+        return _exp_result(_unitary(fam, X, cls), fam.method)
     for W in (MAGIC_BASIS, MAGIC_BASIS.conj().T):
         Y = Su4Element(W @ X.entries @ W.conj().T)
         fam = _structured_row(Y, tol)

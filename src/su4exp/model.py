@@ -37,6 +37,10 @@ from .quaternion import PureQuaternion, cross_matrix
 
 ANTIHERM_TOL = 1e-12
 
+# Tolerance policy: all nine gates compare with tol, absolute, a distance on
+# v that bounds the error ||U - e^X||_F of the formula they admit.
+STRUCTURE_TOL = 1e-10
+
 # Magic-basis matrix: V so(4, R) V* = su(2) (x) su(2).
 MAGIC_BASIS = np.array([
     [1, 0, 0, 1j],

@@ -14,6 +14,8 @@ from su4exp.classify import (
     local_vs_interaction_commute,
     normal_type_conditions_canonical,
 )
+from su4exp.expm import is_normal_element
+from su4exp.families import FAMILIES
 from su4exp.model import Su4Element, quintuple
 from su4exp.qtensor import pauli_kron
 
@@ -146,6 +148,24 @@ def test_quadratic_II_rejects_single_zero_vector():
         assert check_quadratic_II_conditions(quintuple(Y)) is None
 
 
+def test_classify_agrees_with_the_quadratic_II_conditions():
+    # Where the quintuple conditions hold with bt != 0, classify says
+    # quadratic-II; with bt = 0 they are quadratic-I's (X0^2 = -c^2 I).
+    rng = np.random.default_rng(58)
+    held = set()
+    for name, (sampler, _) in FAMILIES.items():
+        for _ in range(50):
+            X = sampler(rng)
+            bt = check_quadratic_II_conditions(quintuple(X))
+            tag = classify(X).tag
+            if bt is not None:
+                held.add(name)
+                assert tag == ("quadratic-II" if abs(bt) > 1e-9 else "quadratic-I"), name
+            else:
+                assert tag != "quadratic-II", name
+    assert "quad-II" in held
+
+
 def test_quadratic_II_identity_interaction_no_vectors():
     # p = q = 0, C = I: Co(C) = I so bt = -1 works.
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3),
@@ -175,8 +195,19 @@ def test_is_normal_type_agrees_with_commutator():
         B, C = d.B(), d.C()
         direct = B @ C - C @ B
         assert np.abs(comm - direct).max() < 1e-12
-        assert ok == (np.abs(direct).max() <= 1e-10 *
-                      (1.0 + np.linalg.norm(B) * np.linalg.norm(C)))
+        # The dispatch gate's rule: 1/2 ||[B, C]||_F <= STRUCTURE_TOL.
+        assert ok == (0.5 * np.linalg.norm(direct) <= 1e-10)
+
+
+def test_is_normal_type_matches_the_dispatch_gate_at_large_norm():
+    # 1/2 ||[B, C]||_F = 2.8e-7 is far above the gate's tolerance, but small
+    # next to ||B||_F ||C||_F = 5.7e4, which a relative test would scale by.
+    p = q = np.array([100.0, 0.0, 0.0])
+    Cmat = np.diag([100.0, 0.0, 0.0])
+    Cmat[1, 2] = 1e-9
+    X = Su4Element.from_quintuple(p, q, *Cmat.T)
+    ok, _ = is_normal_type(quintuple(X))
+    assert not ok and not is_normal_element(X)
 
 
 def test_normal_canonical_case_pure_single_qubit():

@@ -107,9 +107,9 @@ def test_expm_closed_fails_on_generic_matrix(dense_file, capsys):
     assert main(["expm", dense_file, "--method", "closed"]) == 3
 
 
-def test_expm_auto_near_min_poly_boundary_succeeds(tmp_path, capsys):
-    # A quadratic-I matrix plus a 1e-8 relative perturbation: classify still
-    # names quadratic-I, whose formula rejects it; auto falls through.
+@pytest.fixture
+def near_quad_I_file(tmp_path):
+    """A quadratic-I matrix plus a 1e-8 relative perturbation."""
     rng = np.random.default_rng(91)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     S = 2.0 * Q @ np.diag([1j, 1j, -1j, -1j]) @ Q.conj().T
@@ -117,9 +117,27 @@ def test_expm_auto_near_min_poly_boundary_succeeds(tmp_path, capsys):
     H = H + H.conj().T
     path = tmp_path / "near.json"
     save_matrix(S + 1j * H * (1e-8 * np.linalg.norm(S) / np.linalg.norm(H)), path)
+    return str(path)
+
+
+def test_expm_auto_near_min_poly_boundary_succeeds(near_quad_I_file, tmp_path, capsys):
+    # classify no longer names quadratic-I at the default tolerance, since its
+    # distance, which bounds the formula's error, exceeds it; auto lands on a
+    # later stage.
     out_path = tmp_path / "u.json"
-    assert main(["expm", str(path), "--method", "auto", "--out", str(out_path)]) == 0
-    assert np.abs(load_matrix(out_path) - expm_reference(load_matrix(path))).max() < 1e-9
+    assert main(["expm", near_quad_I_file, "--method", "auto", "--out", str(out_path)]) == 0
+    U_ref = expm_reference(load_matrix(near_quad_I_file))
+    assert np.abs(load_matrix(out_path) - U_ref).max() < 1e-9
+
+
+def test_classify_tolerance_reaches_the_min_poly_rule(near_quad_I_file, capsys):
+    # The min-poly and exp method lines follow the same --tolerance.
+    assert main(["classify", near_quad_I_file]) == 0
+    assert "quadratic-I" not in capsys.readouterr().out
+    assert main(["classify", near_quad_I_file, "--tolerance", "1e-6"]) == 0
+    out = capsys.readouterr().out
+    assert "min-poly: quadratic-I" in out
+    assert "exp method: quad-I" in out
 
 
 def test_expm_prints_matrix_without_out(zz_file, capsys):

@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from su4exp.classify import classify, is_normal_type
+from su4exp.classify import charpoly, classify, is_normal_type
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _PROJECTOR,
     FAMILY_TABLE,
+    STRUCTURE_TOL,
     SymTriDiag,
     cosm1_over_c2,
     exp_auto,
@@ -419,12 +420,13 @@ def _near_quad_I(rng, eps=1e-8):
 
 
 def test_exp_auto_falls_through_a_rejected_min_poly_row():
-    # classify's test is second order in the distance to the boundary, so it
-    # still names quadratic-I, whose formula rejects the input.
+    # classify tests the same first-order distance as the quadratic-I
+    # formula's own check, so it no longer names quadratic-I for an input
+    # the formula rejects; exp_auto moves on to a later stage.
     rng = np.random.default_rng(77)
     for _ in range(5):
         X = _near_quad_I(rng)
-        assert classify(X).tag == "quadratic-I"
+        assert classify(X).tag != "quadratic-I"
         with pytest.raises(StructureError):
             FAMILIES["quad-I"][1](X)
         res = exp_auto(X)
@@ -444,6 +446,23 @@ def test_exp_auto_near_family_boundaries(eps):
             res = exp_auto(X)
             err = np.linalg.norm(res.U - expm_reference(X.entries))
             assert err <= 1e-9, (name, res.method, err)
+
+
+_MIN_POLY_ROWS = {fam.label: fam.method for fam in FAMILY_TABLE if not fam.gate}
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6])
+def test_classify_names_only_rows_that_accept(eps):
+    # Whenever classify names a minimal-polynomial shape, that row's closed
+    # form accepts the input and is within 1e-9 of the oracle.
+    rng = np.random.default_rng(79)
+    for name, (sampler, _) in FAMILIES.items():
+        for _ in range(10):
+            X = _perturbed(sampler(rng), rng, eps)
+            method = _MIN_POLY_ROWS.get(classify(X).tag)
+            if method is not None:
+                U = FAMILIES[method][1](X).U
+                assert np.linalg.norm(U - expm_reference(X.entries)) <= 1e-9, (name, method)
 
 
 def test_exp_auto_determinant_phase():
@@ -505,9 +524,18 @@ def _gate_distance(name, X):
     fixed part of the family's defining involution or its explicit
     parameters; the bisymmetric member keeps the split of the family
     sampler, the 1x1 block at Cmat[2, 2].  For the normal split, the
-    first-order Trotter bound 1/2 ||[B, C]||_F.
+    first-order Trotter bound 1/2 ||[B, C]||_F.  For a minimal-polynomial
+    row, the distance ``classify`` tests.
     """
     A = X.traceless
+    if name in _MIN_POLY:
+        # The shape's residual over its root spread, parameters from charpoly.
+        cp = charpoly(X)
+        if name == "cubic-I":
+            return 2.0 * np.linalg.norm(A @ A @ A + cp.mu * A) / cp.mu
+        beta = 0.0 if name == "quad-I" else -3.0 * cp.nu / (4.0 * cp.mu)
+        R = A @ A + 2.0 * beta * A + cp.mu / 2.0 * np.eye(4)
+        return np.linalg.norm(R) / math.sqrt(cp.mu / 2.0 + abs(beta) ** 2)
     if name == "normal-split":
         _, comm = is_normal_type(X.quintuple)
         return 0.5 * np.linalg.norm(comm)
@@ -543,12 +571,18 @@ def test_gate_is_the_distance_its_formula_drops(name):
         assert predicate(Y, tol=d * (1 + 1e-12)) and not predicate(Y, tol=d * (1 - 1e-12))
 
 
-@pytest.mark.parametrize("name", _GATED)
+# Minimal-polynomial row -> (classify names it, its closed form).
+_MIN_POLY = {method: (lambda X, tol=STRUCTURE_TOL, label=label: classify(X, tol).tag == label,
+                      FAMILIES[method][1])
+             for label, method in _MIN_POLY_ROWS.items()}
+
+
+@pytest.mark.parametrize("name", [*_GATED, *_MIN_POLY])
 def test_gate_tolerance_bounds_the_formula_error(name):
     # A sample moved off its family until the gate's distance sits just
     # under tau passes the gate at tau, and its closed form stays within tau.
     tau = 1e-6
-    predicate, closed = _GATED[name]
+    predicate, closed = (_GATED | _MIN_POLY)[name]
     rng = np.random.default_rng(81)
     for _ in range(20):
         X = FAMILIES[name][0](rng)
