@@ -60,14 +60,28 @@ class MinPolyClass:
     gamma: float | None = None
 
 
+def _invariants(X: Su4Element) -> tuple[float, complex, np.ndarray]:
+    """mu and nu of det(xI - X0), and X0^2.
+
+    det Cmat and p^T Cmat q are expanded over the entries of v.
+    """
+    v = X.coeffs
+    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = v.tolist()
+    det = (c11 * (c22 * c33 - c23 * c32) - c12 * (c21 * c33 - c23 * c31)
+           + c13 * (c21 * c32 - c22 * c31))
+    pcq = (p1 * (c11 * q1 + c12 * q2 + c13 * q3) + p2 * (c21 * q1 + c22 * q2 + c23 * q3)
+           + p3 * (c31 * q1 + c32 * q2 + c33 * q3))
+    return 2.0 * float(v @ v), 8j * (det - pcq), X.traceless @ X.traceless
+
+
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    v = X.coeffs
-    g = float(v @ v)
-    C = v[6:].reshape(3, 3)
-    X2 = X.traceless @ X.traceless
-    return CharPolyCoeffs(mu=2.0 * g, nu=8j * float(np.linalg.det(C) - v[:3] @ C @ v[3:6]),
-                          pi=2.0 * g * g - float(np.vdot(X2, X2).real) / 4.0)
+    mu, nu, X2 = _invariants(X)
+    return CharPolyCoeffs(mu=mu, nu=nu, pi=mu * mu / 2.0 - np.vdot(X2, X2).real / 4.0)
+
+
+def _frobenius(R: np.ndarray) -> float:
+    return math.sqrt(np.vdot(R, R).real)
 
 
 def _quadratic_distance(X: np.ndarray, X2: np.ndarray, beta: complex,
@@ -75,13 +89,21 @@ def _quadratic_distance(X: np.ndarray, X2: np.ndarray, beta: complex,
     """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|:
     the error bound of the quadratic formula (quadratic type I is beta = 0)."""
     omega = math.sqrt(abs(gamma - beta * beta))
-    R = X2 + 2.0 * beta * X + gamma * np.eye(len(X))
-    return float(np.linalg.norm(R)) / omega if omega else math.inf
+    if not omega:
+        return math.inf
+    R = X2 + 2.0 * beta * X if beta else X2.copy()
+    R.ravel()[::len(X) + 1] += gamma  # the diagonal of the contiguous sum
+    return _frobenius(R) / omega
 
 
 def _cubic_distance(X: np.ndarray, X2: np.ndarray, c2: complex) -> float:
-    """2 ||X^3 + c^2 X||_F / |c^2|: the error bound of the cubic formula."""
-    return 2.0 * float(np.linalg.norm(X2 @ X + c2 * X)) / abs(c2) if c2 else math.inf
+    """2 ||X^3 + c^2 X||_F / |c^2|, with X^3 + c^2 X = X (X^2 + c^2 I): the
+    error bound of the cubic formula."""
+    if not c2:
+        return math.inf
+    R = X2.copy()
+    R.ravel()[::len(X) + 1] += c2
+    return 2.0 * _frobenius(X @ R) / abs(c2)
 
 
 def charpoly_canonical(a, b, c) -> tuple[float, complex]:
@@ -137,20 +159,19 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     Otherwise quartic-distinct when |nu| <= tol mu (nu = 0: a spectrum
     symmetric about 0), else other; neither selects a formula.
     """
-    cp = charpoly(X)
-    if cp.mu == 0.0:
+    mu, nu, X2 = _invariants(X)
+    if mu == 0.0:
         return MinPolyClass(tag="other")
-    g = cp.mu / 2.0
+    g = mu / 2.0
     X0 = X.traceless
-    X2 = X0 @ X0
     if _quadratic_distance(X0, X2, 0.0, g) <= tol:
         return MinPolyClass(tag="quadratic-I", c2=g)
-    beta = -3.0 * cp.nu / (4.0 * cp.mu)
+    beta = -3.0 * nu / (4.0 * mu)
     if _quadratic_distance(X0, X2, beta, g) <= tol:
         return MinPolyClass(tag="quadratic-II", beta=beta, gamma=g)
-    if _cubic_distance(X0, X2, cp.mu) <= tol:
-        return MinPolyClass(tag="cubic-I", c2=cp.mu)
-    if abs(cp.nu) <= tol * cp.mu:
+    if _cubic_distance(X0, X2, mu) <= tol:
+        return MinPolyClass(tag="cubic-I", c2=mu)
+    if abs(nu) <= tol * mu:
         return MinPolyClass(tag="quartic-distinct")
     return MinPolyClass(tag="other")
 

@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
                     help="e.g. rabi: g=1,1,1 E0=0 t=1; josephson: E00=1 "
                          "E10=0.5 EJ1=0.3 EJ2=0.2 t=1; jcoupling: a..f, t")
 
-    pb = sub.add_parser("bench", help="closed form vs reference timing")
+    pb = sub.add_parser("bench", help="closed form vs reference and eigh timing")
     pb.add_argument("--families", default=",".join(FAMILIES),
                     help="comma-separated subset (default: all)")
     pb.add_argument("--trials", type=int, default=200)
@@ -200,16 +200,19 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
-        t_closed, t_oracle, max_err = time_family(name, rng, args.trials)
+        t = time_family(name, rng, args.trials)
         rows.append({
             "family": name,
             "trials": args.trials,
-            "t_closed_ns": int(t_closed),
-            "t_oracle_ns": int(t_oracle),
-            "speedup": t_oracle / max(t_closed, 1),
-            "max_err": max_err,
+            "t_closed_ns": int(t.closed_ns),
+            "t_oracle_ns": int(t.oracle_ns),
+            "t_eigh_ns": int(t.eigh_ns),
+            "speedup": t.oracle_ns / max(t.closed_ns, 1),
+            "speedup_eigh": t.eigh_ns / max(t.closed_ns, 1),
+            "max_err": t.max_err,
         })
-    fields = ["family", "trials", "t_closed_ns", "t_oracle_ns", "speedup", "max_err"]
+    fields = ["family", "trials", "t_closed_ns", "t_oracle_ns", "t_eigh_ns", "speedup",
+              "speedup_eigh", "max_err"]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=fields)
@@ -217,8 +220,9 @@ def cmd_bench(args) -> int:
             w.writerows(rows)
     for r in rows:
         print(f"{r['family']:>12}: closed {r['t_closed_ns']:>9} ns | "
-              f"oracle {r['t_oracle_ns']:>9} ns | "
-              f"speedup {r['speedup']:.1f}x | max_err {r['max_err']:.2e}")
+              f"oracle {r['t_oracle_ns']:>9} ns | eigh {r['t_eigh_ns']:>9} ns | "
+              f"speedup vs oracle {r['speedup']:.1f}x, vs eigh {r['speedup_eigh']:.2f}x | "
+              f"max_err {r['max_err']:.2e}")
     return EXIT_OK
 
 
@@ -226,7 +230,7 @@ def cmd_selftest(args) -> int:
     rng = np.random.default_rng(12345)
     ok = True
     for name in FAMILIES:
-        worst = time_family(name, rng, 20)[2]
+        worst = time_family(name, rng, 20).max_err
         status = "ok" if worst <= 1e-9 else "FAIL"
         ok = ok and worst <= 1e-9
         print(f"{name:>12}: max deviation {worst:.2e} [{status}]")

@@ -14,7 +14,8 @@ minimal-polynomial evaluations:
 
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``classify`` tests the minimal-polynomial rows' distances.
+tol.  ``gate_distances`` gives the six structured rows' distances in one
+pass on v; ``classify`` tests the minimal-polynomial rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -37,7 +38,6 @@ import numpy as np
 
 from .classify import (
     MinPolyClass,
-    _commutator_distance,
     _cubic_distance,
     _quadratic_distance,
     classify,
@@ -51,6 +51,7 @@ from .model import (
     MAGIC_BASIS,
     STRUCTURE_TOL,
     Su4Element,
+    commutator_coeffs,
 )
 from .oracle import expm_reference
 from .eig3 import eigh3
@@ -116,7 +117,7 @@ def _rotations(W: np.ndarray) -> np.ndarray:
 
     The rows of W (k, 15) must give commuting Y_k with Y_k^2 = -l_k^2 I.
     """
-    lam = np.sqrt(np.einsum("ij,ij->i", W, W))
+    lam = np.sqrt((W * W).sum(axis=1))
     F = (W * np.array([sinc(l) for l in lam.tolist()])[:, None]) @ _QT_STACK
     F[:, ::5] += np.cos(lam)[:, None]  # the diagonal of each flattened 4x4
     U = F[0].reshape(4, 4)
@@ -139,52 +140,37 @@ def _slot_masks(groups: tuple[str, ...]) -> np.ndarray:
 
 
 def _unitarity(U: np.ndarray) -> float:
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(4)))
+    G = U.conj().T @ U
+    G.ravel()[::5] -= 1.0  # the diagonal of the contiguous product
+    return math.sqrt(np.vdot(G, G).real)
 
 
-# -- structure gates --------------------------------------------------------
-#
-# Each gate compares a distance on v with tol, with no scale factor.  The
-# basis matrices of v are orthogonal with squared norm 4, so ||X0||_F = 2||v||.
-
-def _linear_distance(method: str, v: np.ndarray) -> float:
-    """||X0 - X0_on||_F = 2||v - P v|| for the projector P onto the row's family."""
-    r = v - _PROJECTOR[method] @ v
-    return 2.0 * math.sqrt(float(r @ r))
-
-
-def _split(v: np.ndarray) -> tuple[float, int]:
-    """(||X0 - X0_on||_F, k) for the nearest bisymmetric split, row k of
-    ``_SPLIT_OFF``; ties go to the first position."""
-    r = _SPLIT_OFF @ (v * v)
-    k = int(r.argmin())
-    return 2.0 * math.sqrt(float(r[k])), k
-
+# -- structure gates: one comparison each with ``gate_distance`` (below) ----
 
 def is_tridiagonal_type(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Traceless part equals i x (real symmetric tridiagonal, zero diagonal)."""
-    return _linear_distance("tridiag", X.coeffs) <= tol
+    return gate_distance("tridiag", X) <= tol
 
 
 def is_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """X0^T R + R X0 = 0, R = sigma_x (x) sigma_x: the span of the row's groups."""
-    return _linear_distance("perskew", X.coeffs) <= tol
+    return gate_distance("perskew", X) <= tol
 
 
 def is_skew_hamiltonian(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """X^T J = J X, J = [[0, I2], [-I2, 0]]: the span of the row's group."""
-    return _linear_distance("skewham", X.coeffs) <= tol
+    return gate_distance("skewham", X) <= tol
 
 
 def is_bisymmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Imaginary symmetric with the interaction matrix split as a 2x2 block
     plus a 1x1 block, in any row/column position."""
-    return _split(X.coeffs)[0] <= tol
+    return gate_distance("bisym", X) <= tol
 
 
 def is_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Traceless part is iC with C real symmetric (p = q = 0)."""
-    return _linear_distance("imsym", X.coeffs) <= tol
+    return gate_distance("imsym", X) <= tol
 
 
 def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
@@ -192,7 +178,7 @@ def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
 
     Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``QuintupleDecomp.K``).
     """
-    return _commutator_distance(X.quintuple.K()) <= tol
+    return gate_distance("normal-split", X) <= tol
 
 
 # -- minimal-polynomial formulas: the table rows call them after
@@ -240,7 +226,7 @@ def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     return _checked("cubic-I", X, _cubic_distance, _cubic, c2)
 
 
-# -- family formulas: e^{X0} from X and W = masks * v, its groups' rows -----
+# -- family formulas: e^{X0} from X and W, its groups' rows of v ------------
 
 def _grouped(X: Su4Element, W: np.ndarray) -> np.ndarray:
     return _rotations(W)
@@ -262,7 +248,7 @@ def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
     W holds e^B's rows p and q; the right singular directions of the
     interaction matrix give e^{iC}'s.  Imaginary symmetry is the case B = 0.
     """
-    Cmat = X.quintuple.Cmat
+    Cmat = X.coeffs[6:].reshape(3, 3)
     _, V = eigh3(Cmat.T @ Cmat)
     return _rotations(np.concatenate((W, _interaction_rows(Cmat, V))))
 
@@ -276,9 +262,10 @@ def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
     block orthogonalizes their images, replacing the 3x3 spectral
     factorization.
     """
-    _, k = _split(X.coeffs)
+    v = X.coeffs
+    k = int((_SPLIT_OFF @ (v * v)).argmin())  # the gate's split; ties to the first
     i0, j0 = divmod(k, 3)
-    Cmat = (X.coeffs * (1.0 - _SPLIT_OFF[k]))[6:].reshape(3, 3)
+    Cmat = (v * (1.0 - _SPLIT_OFF[k]))[6:].reshape(3, 3)
     rows = [i for i in range(3) if i != i0]
     cols = [j for j in range(3) if j != j0]
     p = Cmat[rows, cols[0]]
@@ -299,10 +286,10 @@ class Family:
     """One row of ``FAMILY_TABLE``.
 
     ``method`` is the ExpResult tag and the FAMILIES key.  A structured row
-    is gated by the module-level predicate named ``gate`` and shows as
-    ``label`` in ``su4exp classify``.  A row without a gate applies when
-    ``classify`` returns the tag ``label``, and its formula also takes that
-    classification.  ``groups`` holds the Pauli labels of each rotation
+    is gated by its ``gate_distance``, which the public predicate named
+    ``gate`` compares with tol, and shows as ``label`` in ``su4exp
+    classify``.  A row without a gate applies when ``classify`` returns the
+    tag ``label``, and its formula also takes that classification.  ``groups`` holds the Pauli labels of each rotation
     factor read off v, ``masks`` their slots.
     ``formula`` gives e^{X0}; ``_unitary`` adds the scalar phase.
     """
@@ -356,17 +343,55 @@ _SPLIT_OFF = np.ones((9, 15))
 _SPLIT_OFF[:, 6:] = [[(a == i0) != (b == j0) for a in range(3) for b in range(3)]
                      for i0 in range(3) for j0 in range(3)]
 
+# Squared, the entries of _GATE_ROWS @ v are v's slots and those of (I - P) v
+# for the tridiagonal projector P.  Row 0 of _GATE_SUMS sums the latter, the
+# next three the slots each diagonal projector drops (perskew, skewham, imsym),
+# and the last nine the slots of each bisymmetric split.
+_EYE15 = np.eye(15)
+_GATE_ROWS = np.vstack((_EYE15, _EYE15 - _PROJECTOR["tridiag"]))
+_GATE_SUMS = np.zeros((13, 30))
+_GATE_SUMS[0, 15:] = 1.0
+_GATE_SUMS[1:4, :15] = [1.0 - np.diag(_PROJECTOR[m]) for m in ("perskew", "skewham", "imsym")]
+_GATE_SUMS[4:, :15] = _SPLIT_OFF
+_GATE_INDEX = {fam.method: k for k, fam in enumerate(_STRUCTURED)}
+
+# W = _GROUP_ROWS[method] @ v: the groups' rows of P v, for the projector P
+# of the row's gate, or the identity for a gate that is no projector.
+_GROUP_ROWS = {fam.method: fam.masks[:, :, None] * _PROJECTOR.get(fam.method, _EYE15)
+               for fam in _STRUCTURED}
+
+
+def gate_distances(X: Su4Element) -> tuple[float, ...]:
+    """The six structured rows' gate distances, in ``_STRUCTURED`` order.
+
+    The basis matrices of v are orthogonal with squared norm 4, so
+    ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
+    2||v - P v|| for its projector P: for a diagonal P, and for the
+    bisymmetric split (the nearest of the nine), twice the root of a sum of
+    v's squared slots.  The normal split's is the Trotter bound
+    1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
+    """
+    v = X.coeffs
+    u = _GATE_ROWS @ v
+    s = (_GATE_SUMS @ (u * u)).tolist()
+    K = commutator_coeffs(v)
+    return tuple(2.0 * math.sqrt(d2) for d2 in
+                 (s[0], s[1], s[2], min(s[4:]), s[3], float(K @ K)))
+
+
+def gate_distance(method: str, X: Su4Element) -> float:
+    """The gate distance of the structured row ``method``."""
+    return gate_distances(X)[_GATE_INDEX[method]]
+
 
 def passes_gate(fam: Family, X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     """Whether X passes a structured row's gate."""
-    # Looked up by name at call time, so that a wrapper installed on the
-    # module attribute (the benchmark's tracer) sees every evaluation.
-    return globals()[fam.gate](X, tol)
+    return gate_distance(fam.method, X) <= tol
 
 
 def _structured_row(X: Su4Element, tol: float) -> Family | None:
-    """The first structured row whose gate X passes."""
-    return next((fam for fam in _STRUCTURED if passes_gate(fam, X, tol)), None)
+    """The first structured row whose gate distance is at most tol."""
+    return next((fam for fam, d in zip(_STRUCTURED, gate_distances(X)) if d <= tol), None)
 
 
 def _unitary(fam: Family, X: Su4Element, cls: MinPolyClass | None = None) -> np.ndarray:
@@ -375,10 +400,7 @@ def _unitary(fam: Family, X: Su4Element, cls: MinPolyClass | None = None) -> np.
     A structured formula takes its groups' rows of what its gate keeps of v,
     a minimal-polynomial one the classification.
     """
-    v = X.coeffs
-    if fam.method in _PROJECTOR:
-        v = _PROJECTOR[fam.method] @ v
-    arg = fam.masks * v if cls is None else cls
+    arg = _GROUP_ROWS[fam.method] @ X.coeffs if cls is None else cls
     return cmath.exp(1j * X.scalar) * fam.formula(X, arg)
 
 
@@ -391,14 +413,14 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
 
     This is the uniform family signature behind FAMILIES and the public
     ``exp_*`` wrappers.  Raises StructureError when X fails a structured
-    row's gate, or when ``classify`` at tol names a tag other than a
-    minimal-polynomial row's.
+    row's gate, with the gate distance as its residual, or when ``classify``
+    at tol names a tag other than a minimal-polynomial row's.
     """
     fam = _ROWS[method]
     if fam.gate:
-        if not passes_gate(fam, X, tol):
-            raise StructureError(fam.label, math.nan,
-                                 f"structure check '{fam.label}' failed")
+        d = gate_distance(method, X)
+        if d > tol:
+            raise StructureError(fam.label, d)
         return _exp_result(_unitary(fam, X), method)
     cls = classify(X, tol)
     if cls.tag != fam.label:

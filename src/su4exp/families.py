@@ -3,7 +3,7 @@
 Used by the oracle-equivalence tests and the benchmark: each row of
 ``FAMILY_TABLE`` pairs a sampler (coefficients uniform in [-5, 5]) with the
 row's closed form, and ``time_family`` times that closed form against the
-reference exponential.
+reference exponential and a NumPy ``eigh`` spectral exponential.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import statistics
 import time
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,13 +114,33 @@ FAMILIES = {name: (sampler, partial(closed_form, name))
             for name, sampler in _SAMPLERS.items()}
 
 
-def time_family(name: str, rng: np.random.Generator,
-                trials: int) -> tuple[float, float, float]:
-    """Median closed-form ns, median reference ns, and the largest
-    ||U - U_reference||_F over ``trials`` samples of family ``name``."""
+def eigh_exp(A: np.ndarray) -> np.ndarray:
+    """e^A for anti-Hermitian A from the spectral decomposition of H = iA."""
+    w, V = np.linalg.eigh(1j * A)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+class FamilyTiming(NamedTuple):
+    """Medians over the samples of one family, in ns, and the closed form's
+    largest ||U - U_reference||_F."""
+
+    closed_ns: float  # the closed form on a built Su4Element
+    oracle_ns: float  # the Taylor reference from the entries
+    eigh_ns: float    # eigh_exp from the entries
+    max_err: float
+
+
+def time_family(name: str, rng: np.random.Generator, trials: int) -> FamilyTiming:
+    """Time the closed form, the reference and ``eigh_exp`` on ``trials``
+    samples of family ``name``.
+
+    ``eigh_exp`` runs in a pass of its own after the other two, so that the
+    closed form and the reference alternate as they would without it.
+    """
     sampler, closed = FAMILIES[name]
-    t_closed, t_oracle, max_err = [], [], 0.0
-    for X in [sampler(rng) for _ in range(trials)]:
+    samples = [sampler(rng) for _ in range(trials)]
+    t_closed, t_oracle, t_eigh, max_err = [], [], [], 0.0
+    for X in samples:
         t0 = time.perf_counter_ns()
         U = closed(X).U
         t1 = time.perf_counter_ns()
@@ -128,4 +149,9 @@ def time_family(name: str, rng: np.random.Generator,
         t_closed.append(t1 - t0)
         t_oracle.append(t2 - t1)
         max_err = max(max_err, float(np.linalg.norm(U - Uo)))
-    return statistics.median(t_closed), statistics.median(t_oracle), max_err
+    for X in samples:
+        t0 = time.perf_counter_ns()
+        eigh_exp(X.entries)
+        t_eigh.append(time.perf_counter_ns() - t0)
+    return FamilyTiming(statistics.median(t_closed), statistics.median(t_oracle),
+                        statistics.median(t_eigh), max_err)

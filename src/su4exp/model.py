@@ -11,9 +11,8 @@ have canonical quaternion-tensor expansions:
 with p, q, r, s, t pure quaternions.  Both decompositions come from one
 linear map, fixed at import: a constant 15x32 real matrix takes the real and
 imaginary entries of X0 to v = (p, q, vec Cmat), and the Pauli coefficients
-are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.  They are
-computed eagerly at construction, so instances are immutable values safe to
-share.
+are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.  An element
+holds v; the Pauli and quintuple views of it are built on first access.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from .qtensor import (
     BASIS_LABELS,
     PAULI,
     PAULI_TO_QT_TABLE,
-    pauli_kron,
     qt_basis_matrix,
 )
-from .quaternion import PureQuaternion, cross_matrix
+from .quaternion import PureQuaternion
 
 ANTIHERM_TOL = 1e-12
 
@@ -82,10 +80,9 @@ def _coeff_map() -> np.ndarray:
 _COEFF_MAP = _coeff_map()
 
 # Pauli coefficient order: alpha (I (x) sigma_i), beta (sigma_i (x) I), then
-# gamma row-major (sigma_j (x) sigma_k).  H = c @ _PAULI_STACK.
+# gamma row-major (sigma_j (x) sigma_k).
 _PAULI_SLOTS = ([("0", s) for s in "xyz"] + [(s, "0") for s in "xyz"]
                 + [(s, t) for s in "xyz" for t in "xyz"])
-_PAULI_STACK = np.array([pauli_kron(s, t).ravel() for s, t in _PAULI_SLOTS])
 
 
 def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +103,29 @@ def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAULI_SLOT, _PAULI_SIGN = _pauli_permutation()
+# H = c @ _PAULI_STACK: X0 = v @ _QT_STACK = iH with v[slot] = sign * c.
+_PAULI_STACK = -1j * _PAULI_SIGN[:, None] * _QT_STACK[_PAULI_SLOT]
 _IEYE4 = 1j * np.eye(4)
+
+# K = [p]x Cmat - Cmat [q]x is bilinear in (p, q) and Cmat: vec K =
+# _K_MAP @ vec outer((p, q), vec Cmat), and that outer product is
+# v[_PQ_SLOT] * v[_C_SLOT].  With eps the Levi-Civita symbol, the coefficient
+# of p_d Cmat_ce in K_ab is eps_adc delta_be, and that of q_d Cmat_ce is
+# -delta_ac eps_edb; _K_MAP's axes before the reshape are (a, b, d, c, e).
+_EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
+_I3 = np.eye(3)
+_K_MAP = np.concatenate(
+    (_EPS[:, None, :, :, None] * _I3[None, :, None, None, :],
+     -_I3[:, None, None, :, None] * _EPS.T[None, :, :, None, :]), axis=2).reshape(9, 54)
+_PQ_SLOT = np.arange(54) // 9
+_C_SLOT = np.arange(54) % 9 + 6
+
+
+def commutator_coeffs(v: np.ndarray) -> np.ndarray:
+    """vec K for v = (p, q, vec Cmat), so that [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b}."""
+    return _K_MAP @ (v[_PQ_SLOT] * v[_C_SLOT])
 
 
 @dataclass(frozen=True)
@@ -131,8 +150,10 @@ class QuintupleDecomp:
         return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
 
     def K(self) -> np.ndarray:
-        """K = [p]x Cmat - Cmat [q]x, so that [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b}."""
-        return cross_matrix(self.p) @ self.Cmat - self.Cmat @ cross_matrix(self.q)
+        """K = [p]x Cmat - Cmat [q]x (see ``commutator_coeffs``)."""
+        v = np.concatenate((self.p.as_vector(), self.q.as_vector(),
+                            self.Cmat.reshape(9)))
+        return commutator_coeffs(v).reshape(3, 3)
 
     def reconstruct(self) -> np.ndarray:
         v = np.concatenate((self.p.as_vector(), self.q.as_vector(),
@@ -178,11 +199,12 @@ def mat_pure_pure(u: PureQuaternion, v: PureQuaternion) -> np.ndarray:
 
 
 class Su4Element:
-    """Anti-Hermitian 4x4 matrix with its cached decompositions.
+    """Anti-Hermitian 4x4 matrix with its coefficient vector.
 
     ``entries`` is the full matrix (scalar part included); ``scalar`` is the
     real b with trace(entries) = 4ib; ``traceless`` is entries - i b I;
-    ``coeffs`` is v = (p, q, vec Cmat), so that X0 = v @ _QT_STACK.
+    ``coeffs`` is v = (p, q, vec Cmat), so that X0 = v @ _QT_STACK.  The
+    ``pauli`` and ``quintuple`` views of v are built on first access.
     """
 
     __slots__ = ("entries", "scalar", "traceless", "coeffs", "_pauli", "_quintuple")
@@ -213,14 +235,7 @@ class Su4Element:
                                  "matrix is not in su(4) + scalar")
         v.setflags(write=False)
         self.coeffs = v
-        c = _PAULI_SIGN * v[_PAULI_SLOT]
-        self._pauli = PauliCoeffs(alpha=c[:3], beta=c[3:6],
-                                  gamma=c[6:].reshape(3, 3))
-        w = v.tolist()
-        self._quintuple = QuintupleDecomp(
-            p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
-            r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
-            t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
+        self._pauli = self._quintuple = None
 
     # -- constructors ----------------------------------------------------
 
@@ -244,14 +259,25 @@ class Su4Element:
         return cls.from_pauli_coeffs(a, b, np.diag(np.asarray(c, dtype=float)),
                                      scalar=scalar)
 
-    # -- cached decompositions -------------------------------------------
+    # -- decompositions, built on first access ---------------------------
 
     @property
     def pauli(self) -> PauliCoeffs:
+        if self._pauli is None:
+            c = _PAULI_SIGN * self.coeffs[_PAULI_SLOT]
+            self._pauli = PauliCoeffs(alpha=c[:3], beta=c[3:6],
+                                      gamma=c[6:].reshape(3, 3))
         return self._pauli
 
     @property
     def quintuple(self) -> QuintupleDecomp:
+        if self._quintuple is None:
+            v = self.coeffs
+            w = v.tolist()
+            self._quintuple = QuintupleDecomp(
+                p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
+                r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
+                t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
         return self._quintuple
 
     def frobenius(self) -> float:
@@ -260,7 +286,7 @@ class Su4Element:
 
 def pauli_coeffs(X: Su4Element) -> PauliCoeffs:
     """Pauli basis coefficients of the traceless part (a signed permutation
-    of the quintuple coefficients, computed at construction)."""
+    of the quintuple coefficients)."""
     return X.pauli
 
 

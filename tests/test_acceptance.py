@@ -257,9 +257,10 @@ def test_acceptance_8_benchmark_sanity(capsys):
         rng = np.random.default_rng(106)
         lines = []
         for name in FAMILIES:
-            mc, mo, max_err = time_family(name, rng, 100)
+            mc, mo, me, max_err = time_family(name, rng, 100)
             lines.append(f"    {name:>12}: closed {mc:>8.0f} ns | "
-                         f"oracle {mo:>8.0f} ns | max_err {max_err:.2e}")
+                         f"oracle {mo:>8.0f} ns | eigh {me:>8.0f} ns | "
+                         f"max_err {max_err:.2e}")
             assert max_err <= 1e-9, name
             assert mc < mo, (name, mc, mo)
         print("\n".join(lines))

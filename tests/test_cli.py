@@ -193,6 +193,7 @@ def test_bench_csv(tmp_path, capsys):
         assert r["trials"] == "5"
         assert float(r["max_err"]) < 1e-9
         assert int(r["t_closed_ns"]) > 0 and int(r["t_oracle_ns"]) > 0
+        assert int(r["t_eigh_ns"]) > 0
 
 
 def test_bench_usage_errors(capsys):

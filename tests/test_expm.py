@@ -13,6 +13,7 @@ from su4exp.classify import charpoly, classify, is_normal_type
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _PROJECTOR,
+    _SPLIT_OFF,
     FAMILY_TABLE,
     STRUCTURE_TOL,
     SymTriDiag,
@@ -27,12 +28,15 @@ from su4exp.expm import (
     exp_quadratic_II,
     exp_skewham,
     exp_tridiag,
+    gate_distance,
+    gate_distances,
     is_bisymmetric,
     is_imaginary_symmetric,
     is_normal_element,
     is_perskew,
     is_skew_hamiltonian,
     is_tridiagonal_type,
+    passes_gate,
     sinc,
 )
 from su4exp.families import FAMILIES
@@ -609,3 +613,93 @@ def test_time_scaling_families():
 def test_is_tridiagonal_predicate():
     assert is_tridiagonal_type(Su4Element(SymTriDiag(1, 2, 3).matrix()))
     assert not is_tridiagonal_type(Su4Element(1j * pauli_kron("x", "x")))
+
+
+# -- the stacked gate distances ---------------------------------------------
+
+def _gate_samples():
+    """Random u(4) elements from 1e-3 to 1e3 in norm, and five samples of
+    every family, each also with a scalar part."""
+    rng = np.random.default_rng(82)
+    out = []
+    for norm in 10.0 ** np.linspace(-3.0, 3.0, 25):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        out.append(Su4Element(norm * (A - A.conj().T) / np.linalg.norm(A - A.conj().T)))
+    for sampler, _ in FAMILIES.values():
+        for _ in range(5):
+            X = sampler(rng)
+            out += [X, Su4Element(X.entries + 0.7j * np.eye(4))]
+    return out
+
+
+def _reference_distance(method, X):
+    """A gate distance by its definition: the projector residual of a linear
+    family, the nearest bisymmetric split, or the Trotter bound 2||K||_F."""
+    v = X.coeffs
+    if method == "bisym":
+        return min(2.0 * math.sqrt(float(row @ (v * v))) for row in _SPLIT_OFF)
+    if method == "normal-split":
+        return 2.0 * float(np.linalg.norm(X.quintuple.K()))
+    return 2.0 * float(np.linalg.norm(v - _PROJECTOR[method] @ v))
+
+
+def test_gate_distances_match_their_definitions():
+    # Relative to the distance, or to ||X0||_F = 2||v|| for an exact member,
+    # whose distance is rounding.
+    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
+    for X in _gate_samples():
+        d = gate_distances(X)
+        assert len(d) == len(methods)
+        scale = 2.0 * float(np.linalg.norm(X.coeffs))
+        for method, dk in zip(methods, d):
+            ref = _reference_distance(method, X)
+            assert abs(dk - ref) <= 1e-14 * max(ref, scale), (method, dk, ref)
+            assert gate_distance(method, X) == dk
+
+
+@pytest.mark.parametrize("name", _GATED)
+def test_predicate_is_its_gate_distance_against_tol(name):
+    predicate, _ = _GATED[name]
+    fam = next(f for f in FAMILY_TABLE if f.method == name)
+    for X in _gate_samples():
+        d = gate_distance(name, X)
+        for tol in (STRUCTURE_TOL, 1e-6, d, d * (1 + 1e-12), d * (1 - 1e-12)):
+            assert predicate(X, tol) == (d <= tol) == passes_gate(fam, X, tol)
+
+
+@pytest.mark.parametrize("name", _GATED)
+def test_structure_error_carries_the_gate_distance(name):
+    _, closed = _GATED[name]
+    rng = np.random.default_rng(83)
+    raised = 0
+    for sampler, _ in FAMILIES.values():
+        X = sampler(rng)
+        try:
+            closed(X)
+        except StructureError as err:
+            raised += 1
+            assert math.isfinite(err.residual) and err.residual > STRUCTURE_TOL
+            assert err.residual == gate_distance(name, X)
+    assert raised > 0
+
+
+def test_exp_auto_builds_no_decomposition_on_structured_samples(monkeypatch):
+    import su4exp.model as model
+
+    built = []
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (model.PauliCoeffs, model.QuintupleDecomp):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    rng = np.random.default_rng(84)
+    samples = [sampler(rng) for sampler, _ in FAMILIES.values() for _ in range(10)]
+    samples += [Su4Element(X.entries + 0.7j * np.eye(4)) for X in samples]
+    del built[:]  # the samplers may build a quintuple to construct an element
+    methods = {exp_auto(X).method for X in samples}
+    assert methods == set(FAMILIES) and built == []
+    assert samples[0].pauli is samples[0].pauli and built == ["PauliCoeffs"]

@@ -210,3 +210,32 @@ def test_embed_su3_block_structure():
     assert abs(U[3, 3] - 1.0) < 1e-12
     with pytest.raises(InputError):
         embed_su3(np.eye(3))
+
+
+def test_commutator_coeffs_match_cross_product_definition():
+    from su4exp.model import commutator_coeffs
+    from su4exp.quaternion import cross_matrix
+
+    for A in _u4_inputs(seed=50, n=40):
+        X = Su4Element(A)
+        d = X.quintuple
+        K = cross_matrix(d.p) @ d.Cmat - d.Cmat @ cross_matrix(d.q)
+        # Rounding of a bilinear form: relative to ||(p, q)|| ||Cmat||.
+        scale = np.linalg.norm(X.coeffs[:6]) * np.linalg.norm(X.coeffs[6:])
+        assert np.abs(d.K() - K).max() <= 1e-14 * scale
+        assert np.array_equal(commutator_coeffs(X.coeffs), d.K().ravel())
+
+
+def test_decompositions_are_built_on_first_access():
+    X = _random_element(np.random.default_rng(51))
+    assert X._pauli is None and X._quintuple is None
+    assert X.pauli is X.pauli and X.quintuple is X.quintuple
+    assert np.array_equal(X.quintuple.Cmat.ravel(), X.coeffs[6:])
+
+
+def test_pauli_stack_is_the_kronecker_products():
+    from su4exp.model import _PAULI_SLOTS, _PAULI_STACK
+    from su4exp.qtensor import pauli_kron
+
+    ref = np.array([pauli_kron(s, t).ravel() for s, t in _PAULI_SLOTS])
+    assert np.array_equal(_PAULI_STACK, ref)
