@@ -151,6 +151,34 @@ def check_quadratic_II_conditions(d: QuintupleDecomp,
     return bt if np.abs(lhs - bt * rhs).max() <= tol * scale2 else None
 
 
+def _shapes(X0: np.ndarray, X2: np.ndarray, mu: float, nu: complex):
+    """Each minimal-polynomial shape in ``classify``'s order: its tag, its
+    distance (``_quadratic_distance``, ``_cubic_distance``) and its
+    ``MinPolyClass`` parameters, taken from mu > 0 and nu.
+
+    The residuals share S = X0^2 + (mu/2) I: quadratic-I's is S,
+    quadratic-II's S + 2 beta X0 and cubic-I's X0 (S + (mu/2) I).
+    """
+    g = mu / 2.0
+    S = X2.copy()
+    S.ravel()[::5] += g  # the diagonal of the contiguous 4x4
+    yield "quadratic-I", _frobenius(S) / math.sqrt(g), {"c2": g}
+    beta = -3.0 * nu / (4.0 * mu)
+    yield ("quadratic-II", _frobenius(S + 2.0 * beta * X0) / math.sqrt(abs(g - beta * beta)),
+           {"beta": beta, "gamma": g})
+    S.ravel()[::5] += g
+    yield "cubic-I", 2.0 * _frobenius(X0 @ S) / mu, {"c2": mu}
+
+
+def shape_distance(X: Su4Element, tag: str) -> float:
+    """The distance ``classify`` tests for the shape ``tag``; inf for X0 = 0,
+    where the shapes have no parameters."""
+    mu, nu, X2 = _invariants(X)
+    if not mu:
+        return math.inf
+    return next(d for t, d, _ in _shapes(X.traceless, X2, mu, nu) if t == tag)
+
+
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     """Minimal-polynomial type of the traceless part of X.
 
@@ -162,15 +190,9 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     mu, nu, X2 = _invariants(X)
     if mu == 0.0:
         return MinPolyClass(tag="other")
-    g = mu / 2.0
-    X0 = X.traceless
-    if _quadratic_distance(X0, X2, 0.0, g) <= tol:
-        return MinPolyClass(tag="quadratic-I", c2=g)
-    beta = -3.0 * nu / (4.0 * mu)
-    if _quadratic_distance(X0, X2, beta, g) <= tol:
-        return MinPolyClass(tag="quadratic-II", beta=beta, gamma=g)
-    if _cubic_distance(X0, X2, mu) <= tol:
-        return MinPolyClass(tag="cubic-I", c2=mu)
+    for tag, d, params in _shapes(X.traceless, X2, mu, nu):
+        if d <= tol:
+            return MinPolyClass(tag, **params)
     if abs(nu) <= tol * mu:
         return MinPolyClass(tag="quartic-distinct")
     return MinPolyClass(tag="other")

@@ -2,9 +2,11 @@
 
 Each constructor builds the Hamiltonian from physical parameters and
 exponentiates -iHt through the structured closed form the generator's shape
-calls for (tridiagonal for the driven four-level ladder, the bisymmetric
-fast path for the other two).  These double as integration fixtures: the
-tests compare each propagator against the series reference exponential.
+calls for: two commuting rotation factors for the tridiagonal four-level
+ladder, and for the other two, whose interaction matrix splits as a 2x2
+plus a 1x1 block, the bisymmetric formula built from two 2x2 rotations.
+These double as integration fixtures: the tests compare each propagator
+against the series reference exponential.
 """
 
 from __future__ import annotations
@@ -106,5 +108,6 @@ def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
 
 
 def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
-    """e^{tX} = e^{iat} x (two-factor rotation + sz(x)sz factor)."""
+    """e^{tX} = e^{iat} e^{tX0}: in the interaction matrix, sz(x)sz is the
+    1x1 block and sz(x)I, I(x)sz, sx(x)sx, sy(x)sy the 2x2 block."""
     return exp_bisymmetric_fast(scalar_coupling_element(p))

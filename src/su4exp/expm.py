@@ -1,12 +1,16 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Every structured formula is one call of ``_rotations``, the only place a
+Five structured formulas are one call of ``_rotations``, the only place a
 rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
 the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
 group of anticommuting Pauli terms of X0, declared as data in the family
 table and read off v by a slot mask, or vec(u v^T) for a right singular
-direction v of the interaction matrix.  The other formulas are low-degree
-minimal-polynomial evaluations:
+direction v of the interaction matrix.  The bisymmetric formula needs only
+two 2x2 rotations: on its split, a constant involution P commutes with X0,
+and on each eigenspace of P the 2x2 block is a sum of two anticommuting
+involutions (``_bisym``), so e^X0 is six scalar coefficients times a
+constant table.  The other formulas are low-degree minimal-polynomial
+evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
@@ -41,12 +45,14 @@ from .classify import (
     _cubic_distance,
     _quadratic_distance,
     classify,
+    shape_distance,
 )
 from .errors import InputError, StructureError
 from .model import (
     _COEFF_MAP,
     _PAULI_SLOT,
     _PAULI_SLOTS,
+    _QT_FLAT,
     _QT_STACK,
     MAGIC_BASIS,
     STRUCTURE_TOL,
@@ -253,30 +259,67 @@ def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
     return _rotations(np.concatenate((W, _interaction_rows(Cmat, V))))
 
 
-def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
-    """Imaginary-symmetric exponential via a closed-form 2x2 rotation angle.
+def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
+    """The nine bisymmetric splits as constants: slots, dropped slots, signs, rows.
 
-    The interaction matrix, less the slots its gate drops, splits as a 2x2
-    block plus a 1x1 block at the gate's position (i0, j0).  The angle
-    theta = atan2(2 p.q, q.q - p.p)/2 applied to the two columns of the 2x2
-    block orthogonalizes their images, replacing the 3x3 spectral
-    factorization.
+    Split k = 3 i0 + j0 puts the 1x1 block of the interaction matrix at
+    Cmat[i0, j0], and the 2x2 block at the other rows r1 < r2 and columns
+    c1 < c2.  Row k of the slot table holds the v slots of e = Cmat[i0, j0]
+    and of (a, b, c, d) = Cmat at [r1, c1], [r1, c2], [r2, c1], [r2, c2],
+    whose basis matrices are M_e, M11, M12, M21, M22.  The split drops the
+    other ten slots: p, q and the rest of row i0 and column j0.  M11 M22 is
+    sigma_k M_e with sigma_k = +-1, and the rows are the flattened I, M_e,
+    M11, M12, M21, M22.
+    """
+    k = np.arange(9)
+    other = np.array([[1, 2], [0, 2], [0, 1]])  # row i: the indices other than i
+    block = 3 * other[:, None, :, None] + other[None, :, None, :]  # (i0, j0, r, c)
+    slots = 6 + np.concatenate((k[:, None], block.reshape(9, 4)), axis=1)
+    off = np.ones((9, 15))
+    off[k[:, None], slots] = 0.0
+    M = _QT_FLAT[slots]
+    P = M[:, 1].reshape(9, 4, 4) @ M[:, 4].reshape(9, 4, 4)
+    sign = ((P.reshape(9, 16) * M[:, 0]).sum(axis=1) / 4.0).tolist()  # M_e: norm^2 4
+    rows = np.zeros((9, 6, 16), dtype=complex)
+    rows[:, 0, ::5] = 1.0  # the flattened identity
+    rows[:, 1:] = M
+    return slots, off, sign, rows
+
+
+_SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
+
+
+def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
+    """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
+
+    On the gate's split, the nearest of the nine (ties to the first), X0 is
+    i(e M_e + a M11 + b M12 + c M21 + d M22) on the five slots the gate
+    keeps.  P = M11 M22 = sigma M_e squares to I and commutes with every
+    term, and M22 = M11 P, M21 = -M12 P.  So on the eigenspace P = s the
+    2x2 block is x_s M11 + y_s M12, two anticommuting involutions, and
+
+        e^{X0} = sum_{s = +-1} (I + sP)/2 e^{i s sigma e}
+                 [cos l_s I + i sinc(l_s) (x_s M11 + y_s M12)],
+
+    x_s = a + s d, y_s = b - s c, l_s = hypot(x_s, y_s).  Expanded, that
+    is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 = -M21,
+    the split's rows up to sign.
     """
     v = X.coeffs
-    k = int((_SPLIT_OFF @ (v * v)).argmin())  # the gate's split; ties to the first
-    i0, j0 = divmod(k, 3)
-    Cmat = (v * (1.0 - _SPLIT_OFF[k]))[6:].reshape(3, 3)
-    rows = [i for i in range(3) if i != i0]
-    cols = [j for j in range(3) if j != j0]
-    p = Cmat[rows, cols[0]]
-    q = Cmat[rows, cols[1]]
-    theta = 0.5 * math.atan2(2.0 * float(p @ q), float(q @ q) - float(p @ p))
-    ct, st = math.cos(theta), math.sin(theta)
-    V = np.zeros((3, 3))
-    V[cols[0], 0], V[cols[1], 0] = ct, -st
-    V[cols[0], 1], V[cols[1], 1] = st, ct
-    V[j0, 2] = 1.0
-    return _rotations(_interaction_rows(Cmat, V))
+    k = int((_SPLIT_OFF @ (v * v)).argmin())
+    e, a, b, c, d = v[_SPLIT_SLOTS[k]].tolist()
+    sigma = _SPLIT_SIGN[k]
+    cos_e, sin_e = math.cos(sigma * e), math.sin(sigma * e)
+    terms = []
+    for s in (1.0, -1.0):
+        x, y = a + s * d, b - s * c
+        lam = math.hypot(x, y)
+        E = complex(cos_e, s * sin_e)
+        r = 0.5j * E * sinc(lam)
+        terms.append((0.5 * E * math.cos(lam), r * x, r * y))
+    (c_p, x_p, y_p), (c_m, x_m, y_m) = terms
+    coef = (c_p + c_m, sigma * (c_p - c_m), x_p + x_m, y_p + y_m, y_m - y_p, x_p - x_m)
+    return (np.array(coef) @ _SPLIT_ROWS[k]).reshape(4, 4)
 
 
 # -- the family table -------------------------------------------------------
@@ -289,9 +332,11 @@ class Family:
     is gated by its ``gate_distance``, which the public predicate named
     ``gate`` compares with tol, and shows as ``label`` in ``su4exp
     classify``.  A row without a gate applies when ``classify`` returns the
-    tag ``label``, and its formula also takes that classification.  ``groups`` holds the Pauli labels of each rotation
-    factor read off v, ``masks`` their slots.
-    ``formula`` gives e^{X0}; ``_unitary`` adds the scalar phase.
+    tag ``label``, and its formula also takes that classification.
+    ``groups`` holds the Pauli labels of each rotation factor read off v,
+    ``masks`` their slots; the bisymmetric row has none, as its formula
+    reads the five slots of its split.  ``formula`` gives e^{X0};
+    ``_unitary`` adds the scalar phase.
     """
 
     method: str
@@ -336,12 +381,6 @@ _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float)
 _PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
               "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
     m: np.diag(_ROWS[m].masks.sum(axis=0)) for m in ("perskew", "skewham")}
-
-# Row 3 i0 + j0 marks the slots that the bisymmetric split with its 1x1 block
-# at Cmat[i0, j0] drops: p, q and the rest of row i0 and column j0.
-_SPLIT_OFF = np.ones((9, 15))
-_SPLIT_OFF[:, 6:] = [[(a == i0) != (b == j0) for a in range(3) for b in range(3)]
-                     for i0 in range(3) for j0 in range(3)]
 
 # Squared, the entries of _GATE_ROWS @ v are v's slots and those of (I - P) v
 # for the tridiagonal projector P.  Row 0 of _GATE_SUMS sums the latter, the
@@ -414,7 +453,8 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
     This is the uniform family signature behind FAMILIES and the public
     ``exp_*`` wrappers.  Raises StructureError when X fails a structured
     row's gate, with the gate distance as its residual, or when ``classify``
-    at tol names a tag other than a minimal-polynomial row's.
+    at tol names a tag other than a minimal-polynomial row's, with that
+    row's own shape distance (``classify.shape_distance``) as residual.
     """
     fam = _ROWS[method]
     if fam.gate:
@@ -424,7 +464,7 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
         return _exp_result(_unitary(fam, X), method)
     cls = classify(X, tol)
     if cls.tag != fam.label:
-        raise StructureError(fam.label, math.nan,
+        raise StructureError(fam.label, shape_distance(X, fam.label),
                              f"minimal polynomial is {cls.tag}, not {fam.label}")
     return _exp_result(_unitary(fam, X, cls), method)
 

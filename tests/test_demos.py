@@ -5,6 +5,7 @@ property in the evolution time."""
 import cmath
 
 import numpy as np
+import pytest
 
 from su4exp.demos import (
     JosephsonParams,
@@ -87,3 +88,19 @@ def test_scalar_coupling_method_and_pure_offset():
     p = ScalarCouplingParams(a=0.7, t=2.0)
     assert np.abs(scalar_coupling_propagator(p).U
                   - cmath.exp(1j * 1.4) * np.eye(4)).max() < 1e-13
+
+
+@pytest.mark.parametrize("make_params, generator, propagate", [
+    (lambda r: JosephsonParams(*r.uniform(-2, 2, 4)),
+     lambda p: -1j * p.t * josephson_matrix(p), josephson_propagator),
+    (lambda r: ScalarCouplingParams(*r.uniform(-2, 2, 6)),
+     lambda p: scalar_coupling_element(p).entries, scalar_coupling_propagator),
+], ids=["josephson", "jcoupling"])
+def test_bisymmetric_demos_over_time(make_params, generator, propagate):
+    # The bisymmetric closed form over t in (0, 10], against the oracle.
+    p = make_params(np.random.default_rng(83))
+    for t in np.linspace(0.0, 10.0, 101)[1:]:
+        q = _replace_t(p, float(t))
+        res = propagate(q)
+        assert res.method == "bisym"
+        assert np.abs(res.U - expm_reference(generator(q))).max() <= 1e-12, t

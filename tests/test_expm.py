@@ -338,12 +338,94 @@ def test_bisym_matches_oracle_all_block_positions():
 
 
 def test_bisym_degenerate_angle():
-    # Already-orthogonal columns: theta = 0 and the factors are immediate.
+    # Diagonal interaction matrix: b = c = 0, so each 2x2 rotation is about
+    # M11 alone.
     C = np.diag([2.0, -1.0, 0.5])
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3),
                                   C[:, 0], C[:, 1], C[:, 2])
     res = exp_bisymmetric_fast(X)
     _check(res.U, X.entries, tol=1e-12)
+
+
+def _split_element(k, e, a, b, c, d, scalar=0.0):
+    """Bisymmetric element on split k = 3 i0 + j0: e at Cmat[i0, j0] and the
+    2x2 block (a, b; c, d) on the other rows and columns."""
+    i0, j0 = divmod(k, 3)
+    rows = [i for i in range(3) if i != i0]
+    cols = [j for j in range(3) if j != j0]
+    C = np.zeros((3, 3))
+    C[i0, j0] = e
+    C[np.ix_(rows, cols)] = [[a, b], [c, d]]
+    return Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *C.T, scalar=scalar)
+
+
+def test_split_tables_match_their_definition():
+    # The slot table against a per-split loop, and the identities the
+    # two-rotation formula rests on.
+    from su4exp.expm import _SPLIT_ROWS, _SPLIT_SIGN, _SPLIT_SLOTS
+    from su4exp.model import _QT_FLAT
+    eye = np.eye(4)
+    for k in range(9):
+        i0, j0 = divmod(k, 3)
+        off = [(a == i0) != (b == j0) for a in range(3) for b in range(3)]
+        assert list(_SPLIT_OFF[k]) == [1.0] * 6 + off
+        kept = [6 + 3 * a + b for a in range(3) for b in range(3) if not off[3 * a + b]]
+        assert list(_SPLIT_SLOTS[k]) == [6 + k] + [s for s in kept if s != 6 + k]
+        Me, M11, M12, M21, M22 = (_QT_FLAT[s].reshape(4, 4) for s in _SPLIT_SLOTS[k])
+        P = M11 @ M22
+        assert _SPLIT_SIGN[k] in (1.0, -1.0)
+        assert np.array_equal(P, _SPLIT_SIGN[k] * Me) and np.array_equal(P @ P, eye)
+        assert np.array_equal(M22, M11 @ P) and np.array_equal(M21, -M12 @ P)
+        assert np.array_equal(M11 @ M12, -M12 @ M11)
+        rows = np.stack((eye, Me, M11, M12, M21, M22)).reshape(6, 16)
+        assert np.array_equal(_SPLIT_ROWS[k], rows)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_bisym_degenerate_rotations(k):
+    # lambda_+ = 0 (d = -a, c = b), lambda_- = 0 (d = a, c = -b), both zero
+    # with e != 0, and e = 0.
+    cases = [(1.3, 0.7, -0.4, 0.4, -0.7), (1.3, 0.7, -0.4, -0.4, 0.7),
+             (-2.1, 0.0, 0.0, 0.0, 0.0), (0.0, 0.7, -0.4, 1.1, 0.3)]
+    for args in cases:
+        X = _split_element(k, *args, scalar=0.3)
+        res = exp_bisymmetric_fast(X)
+        assert res.method == "bisym"
+        assert np.abs(res.U - expm_reference(X.entries)).max() <= 1e-12
+
+
+def test_bisym_diagonal_ties_take_the_first_split():
+    # Splits 0, 4 and 8 all keep a diagonal Cmat; the first is taken, and
+    # any of them gives e^X.
+    X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *np.diag([2.0, -1.0, 0.5]))
+    d2 = _SPLIT_OFF @ (X.coeffs * X.coeffs)
+    assert list(np.flatnonzero(d2 == 0.0)) == [0, 4, 8] and d2.argmin() == 0
+    assert np.abs(exp_bisymmetric_fast(X).U - expm_reference(X.entries)).max() <= 1e-12
+
+
+def test_bisym_across_scales():
+    # ||X||_F from 1e-9 to 1e3, every split, with a scalar part.
+    rng = np.random.default_rng(85)
+    for norm in 10.0 ** np.arange(-9.0, 4.0):
+        for k in range(9):
+            args = rng.normal(size=5)
+            X = _split_element(k, *args)
+            X = Su4Element((norm / np.linalg.norm(X.entries)) * X.entries + 0.7j * np.eye(4))
+            err = np.abs(exp_bisymmetric_fast(X).U - expm_reference(X.entries)).max()
+            assert err <= 1e-12, (norm, k, err)
+
+
+def test_bisym_agrees_with_the_normal_split():
+    # The imaginary-symmetric route (3x3 spectral factorization) on the same
+    # bisymmetric inputs.
+    from su4exp.expm import _bisym, _normal_split
+    rng = np.random.default_rng(86)
+    empty = np.zeros((0, 15))
+    for k in range(9):
+        for _ in range(20):
+            X = _split_element(k, *rng.uniform(-4, 4, 5))
+            U, V = _bisym(X, empty), _normal_split(X, empty)
+            assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
 def test_bisym_rejects_full_interaction():
@@ -680,6 +762,25 @@ def test_structure_error_carries_the_gate_distance(name):
             raised += 1
             assert math.isfinite(err.residual) and err.residual > STRUCTURE_TOL
             assert err.residual == gate_distance(name, X)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("name", _MIN_POLY)
+def test_min_poly_structure_error_carries_its_shape_distance(name):
+    # A minimal-polynomial row that classify does not name raises with its
+    # own shape's distance, here recomputed from charpoly.
+    _, closed = _MIN_POLY[name]
+    rng = np.random.default_rng(88)
+    raised = 0
+    for sampler, _ in FAMILIES.values():
+        X = sampler(rng)
+        try:
+            closed(X)
+        except StructureError as err:
+            raised += 1
+            ref = _gate_distance(name, X)
+            assert math.isfinite(err.residual)
+            assert abs(err.residual - ref) <= 1e-12 * max(ref, np.linalg.norm(X.traceless))
     assert raised > 0
 
 
