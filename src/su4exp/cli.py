@@ -19,7 +19,7 @@ from . import demos
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
-from .expm import FAMILY_TABLE, STRUCTURE_TOL, _exp_result, exp_auto, passes_gate
+from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, exp_auto, passes_gate
 from .families import FAMILIES, time_family
 from .matio import load_matrix, save_matrix
 from .model import Su4Element
@@ -113,7 +113,7 @@ def cmd_classify(args) -> int:
 def cmd_expm(args) -> int:
     X = _load_element(args.file)
     if args.method == "oracle":
-        res = _exp_result(expm_reference(X.entries), "oracle")
+        res = ExpResult(expm_reference(X.entries), "oracle")
     else:
         res = exp_auto(X, args.tolerance)
         if args.method == "closed" and res.method == "oracle":

@@ -77,7 +77,7 @@ def rabi_propagator(p: RabiParams) -> ExpResult:
     res = exp_tridiag(SymTriDiag(alpha=-p.g1 * p.t, beta=-p.g2 * p.t,
                                  gamma=-p.g3 * p.t))
     U = cmath.exp(-1j * p.E0 * p.t) * res.U
-    return ExpResult(U=U, method=res.method, residual=res.residual)
+    return ExpResult(U=U, method=res.method)
 
 
 def josephson_matrix(p: JosephsonParams) -> np.ndarray:

@@ -18,8 +18,9 @@ evaluations:
 
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``gate_distances`` gives the six structured rows' distances in one
-pass on v; ``classify`` tests the minimal-polynomial rows' distances.
+tol.  ``gate_distance`` gives one structured row's distance from v, and
+``gate_distances`` all six from the same per-row expressions; ``classify``
+tests the minimal-polynomial rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -37,11 +38,11 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .classify import (
-    MinPolyClass,
     _cubic_distance,
     _quadratic_distance,
     classify,
@@ -62,16 +63,20 @@ from .model import (
 from .oracle import expm_reference
 from .eig3 import eigh3
 
+
 @dataclass(frozen=True)
 class ExpResult:
     """Unitary U = e^X with the formula used and a numerical residual.
 
-    ``residual`` is ||U* U - I||_F.
+    ``residual`` is ||U* U - I||_F, computed on first read.
     """
 
     U: np.ndarray
     method: str
-    residual: float
+
+    @cached_property
+    def residual(self) -> float:
+        return _unitarity(self.U)
 
 
 @dataclass(frozen=True)
@@ -289,10 +294,10 @@ def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
 _SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
-def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
+def _bisym(X: Su4Element, k: int) -> np.ndarray:
     """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
 
-    On the gate's split, the nearest of the nine (ties to the first), X0 is
+    On the gate's split k, the nearest of the nine (ties to the first), X0 is
     i(e M_e + a M11 + b M12 + c M21 + d M22) on the five slots the gate
     keeps.  P = M11 M22 = sigma M_e squares to I and commutes with every
     term, and M22 = M11 P, M21 = -M12 P.  So on the eigenspace P = s the
@@ -305,9 +310,7 @@ def _bisym(X: Su4Element, W: np.ndarray) -> np.ndarray:
     is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 = -M21,
     the split's rows up to sign.
     """
-    v = X.coeffs
-    k = int((_SPLIT_OFF @ (v * v)).argmin())
-    e, a, b, c, d = v[_SPLIT_SLOTS[k]].tolist()
+    e, a, b, c, d = X.coeffs[_SPLIT_SLOTS[k]].tolist()
     sigma = _SPLIT_SIGN[k]
     cos_e, sin_e = math.cos(sigma * e), math.sin(sigma * e)
     terms = []
@@ -335,7 +338,7 @@ class Family:
     tag ``label``, and its formula also takes that classification.
     ``groups`` holds the Pauli labels of each rotation factor read off v,
     ``masks`` their slots; the bisymmetric row has none, as its formula
-    reads the five slots of its split.  ``formula`` gives e^{X0};
+    takes the split its gate found.  ``formula`` gives e^{X0};
     ``_unitary`` adds the scalar phase.
     """
 
@@ -382,17 +385,8 @@ _PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
               "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
     m: np.diag(_ROWS[m].masks.sum(axis=0)) for m in ("perskew", "skewham")}
 
-# Squared, the entries of _GATE_ROWS @ v are v's slots and those of (I - P) v
-# for the tridiagonal projector P.  Row 0 of _GATE_SUMS sums the latter, the
-# next three the slots each diagonal projector drops (perskew, skewham, imsym),
-# and the last nine the slots of each bisymmetric split.
 _EYE15 = np.eye(15)
-_GATE_ROWS = np.vstack((_EYE15, _EYE15 - _PROJECTOR["tridiag"]))
-_GATE_SUMS = np.zeros((13, 30))
-_GATE_SUMS[0, 15:] = 1.0
-_GATE_SUMS[1:4, :15] = [1.0 - np.diag(_PROJECTOR[m]) for m in ("perskew", "skewham", "imsym")]
-_GATE_SUMS[4:, :15] = _SPLIT_OFF
-_GATE_INDEX = {fam.method: k for k, fam in enumerate(_STRUCTURED)}
+_TRIDIAG_RESID = _EYE15 - _PROJECTOR["tridiag"]
 
 # W = _GROUP_ROWS[method] @ v: the groups' rows of P v, for the projector P
 # of the row's gate, or the identity for a gate that is no projector.
@@ -400,8 +394,35 @@ _GROUP_ROWS = {fam.method: fam.masks[:, :, None] * _PROJECTOR.get(fam.method, _E
                for fam in _STRUCTURED}
 
 
-def gate_distances(X: Su4Element) -> tuple[float, ...]:
-    """The six structured rows' gate distances, in ``_STRUCTURED`` order.
+# -- structure gates: each row's squared distance over 4 from v and v2 = v * v,
+# and what its formula takes of the gate (the bisymmetric split, else None).
+
+def _tridiag_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
+    u = _TRIDIAG_RESID @ v
+    return u @ u, None
+
+
+def _drop_gate(drop: np.ndarray, v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
+    return drop @ v2, None
+
+
+def _bisym_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, int]:
+    s = _SPLIT_OFF @ v2
+    k = int(s.argmin())
+    return s[k], k
+
+
+def _normal_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
+    K = commutator_coeffs(v)
+    return K @ K, None
+
+
+_GATES = {"tridiag": _tridiag_gate, "bisym": _bisym_gate, "normal-split": _normal_gate} | {
+    m: partial(_drop_gate, 1.0 - np.diag(_PROJECTOR[m])) for m in ("perskew", "skewham", "imsym")}
+
+
+def _gate(method: str, v: np.ndarray, v2: np.ndarray) -> tuple[float, int | None]:
+    """The structured row's gate distance, and its formula's split argument.
 
     The basis matrices of v are orthogonal with squared norm 4, so
     ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
@@ -410,17 +431,22 @@ def gate_distances(X: Su4Element) -> tuple[float, ...]:
     v's squared slots.  The normal split's is the Trotter bound
     1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
     """
+    d2, arg = _GATES[method](v, v2)
+    return 2.0 * math.sqrt(d2), arg
+
+
+def gate_distances(X: Su4Element) -> tuple[float, ...]:
+    """The six structured rows' gate distances, in ``_STRUCTURED`` order
+    (see ``_gate``)."""
     v = X.coeffs
-    u = _GATE_ROWS @ v
-    s = (_GATE_SUMS @ (u * u)).tolist()
-    K = commutator_coeffs(v)
-    return tuple(2.0 * math.sqrt(d2) for d2 in
-                 (s[0], s[1], s[2], min(s[4:]), s[3], float(K @ K)))
+    v2 = v * v
+    return tuple(_gate(fam.method, v, v2)[0] for fam in _STRUCTURED)
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
-    """The gate distance of the structured row ``method``."""
-    return gate_distances(X)[_GATE_INDEX[method]]
+    """The gate distance of the structured row ``method``, computed alone."""
+    v = X.coeffs
+    return _gate(method, v, v * v)[0]
 
 
 def passes_gate(fam: Family, X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
@@ -428,23 +454,28 @@ def passes_gate(fam: Family, X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     return gate_distance(fam.method, X) <= tol
 
 
-def _structured_row(X: Su4Element, tol: float) -> Family | None:
-    """The first structured row whose gate distance is at most tol."""
-    return next((fam for fam, d in zip(_STRUCTURED, gate_distances(X)) if d <= tol), None)
+def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
+    """The first structured row whose gate distance is at most tol, tested
+    in order up to it, and its gate's split argument."""
+    v = X.coeffs
+    v2 = v * v
+    for fam in _STRUCTURED:
+        d, arg = _gate(fam.method, v, v2)
+        if d <= tol:
+            return fam, arg
+    return None, None
 
 
-def _unitary(fam: Family, X: Su4Element, cls: MinPolyClass | None = None) -> np.ndarray:
+def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
     """e^X by the row's formula, scalar phase e^{ib} included.
 
-    A structured formula takes its groups' rows of what its gate keeps of v,
-    a minimal-polynomial one the classification.
+    A structured formula takes its groups' rows of what its gate keeps of v
+    (arg None), or the split its gate found; a minimal-polynomial one the
+    classification.
     """
-    arg = _GROUP_ROWS[fam.method] @ X.coeffs if cls is None else cls
+    if arg is None:
+        arg = _GROUP_ROWS[fam.method] @ X.coeffs
     return cmath.exp(1j * X.scalar) * fam.formula(X, arg)
-
-
-def _exp_result(U: np.ndarray, method: str) -> ExpResult:
-    return ExpResult(U=U, method=method, residual=_unitarity(U))
 
 
 def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -458,15 +489,16 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
     """
     fam = _ROWS[method]
     if fam.gate:
-        d = gate_distance(method, X)
+        v = X.coeffs
+        d, arg = _gate(method, v, v * v)
         if d > tol:
             raise StructureError(fam.label, d)
-        return _exp_result(_unitary(fam, X), method)
+        return ExpResult(_unitary(fam, X, arg), method)
     cls = classify(X, tol)
     if cls.tag != fam.label:
         raise StructureError(fam.label, shape_distance(X, fam.label),
                              f"minimal polynomial is {cls.tag}, not {fam.label}")
-    return _exp_result(_unitary(fam, X, cls), method)
+    return ExpResult(_unitary(fam, X, cls), method)
 
 
 # -- public closed forms and the dispatcher --------------------------------
@@ -482,7 +514,7 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     if not all(map(math.isfinite, params)):
         raise InputError("tridiagonal parameters must be finite")
     v = _TRIDIAG_MAP @ params
-    return _exp_result(_rotations(_ROWS["tridiag"].masks * v), "tridiag")
+    return ExpResult(_rotations(_ROWS["tridiag"].masks * v), "tridiag")
 
 
 def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -520,16 +552,16 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     stage tests its distance at tol, and the formula it picks is within tol
     of e^X, so exp_auto never raises StructureError.
     """
-    fam = _structured_row(X, tol)
+    fam, arg = _structured_row(X, tol)
     if fam is not None:
-        return _exp_result(_unitary(fam, X), fam.method)
+        return ExpResult(_unitary(fam, X, arg), fam.method)
     cls = classify(X, tol)
     fam = _BY_TAG.get(cls.tag)
     if fam is not None:
-        return _exp_result(_unitary(fam, X, cls), fam.method)
+        return ExpResult(_unitary(fam, X, cls), fam.method)
     for W in (MAGIC_BASIS, MAGIC_BASIS.conj().T):
         Y = Su4Element(W @ X.entries @ W.conj().T)
-        fam = _structured_row(Y, tol)
+        fam, arg = _structured_row(Y, tol)
         if fam is not None:
-            return _exp_result(W.conj().T @ _unitary(fam, Y) @ W, "magic")
-    return _exp_result(expm_reference(X.entries), "oracle")
+            return ExpResult(W.conj().T @ _unitary(fam, Y, arg) @ W, "magic")
+    return ExpResult(expm_reference(X.entries), "oracle")

@@ -139,19 +139,21 @@ def time_family(name: str, rng: np.random.Generator, trials: int) -> FamilyTimin
     """
     sampler, closed = FAMILIES[name]
     samples = [sampler(rng) for _ in range(trials)]
+    # An element builds its entries on first access: outside the timings.
+    entries = [X.entries for X in samples]
     t_closed, t_oracle, t_eigh, max_err = [], [], [], 0.0
-    for X in samples:
+    for X, A in zip(samples, entries):
         t0 = time.perf_counter_ns()
         U = closed(X).U
         t1 = time.perf_counter_ns()
-        Uo = expm_reference(X.entries)
+        Uo = expm_reference(A)
         t2 = time.perf_counter_ns()
         t_closed.append(t1 - t0)
         t_oracle.append(t2 - t1)
         max_err = max(max_err, float(np.linalg.norm(U - Uo)))
-    for X in samples:
+    for A in entries:
         t0 = time.perf_counter_ns()
-        eigh_exp(X.entries)
+        eigh_exp(A)
         t_eigh.append(time.perf_counter_ns() - t0)
     return FamilyTiming(statistics.median(t_closed), statistics.median(t_oracle),
                         statistics.median(t_eigh), max_err)

@@ -8,11 +8,13 @@ have canonical quaternion-tensor expansions:
     B = M_{p (x) 1} + M_{1 (x) q}
     C = M_{r (x) i} + M_{s (x) j} + M_{t (x) k}
 
-with p, q, r, s, t pure quaternions.  Both decompositions come from one
-linear map, fixed at import: a constant 15x32 real matrix takes the real and
-imaginary entries of X0 to v = (p, q, vec Cmat), and the Pauli coefficients
-are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.  An element
-holds v; the Pauli and quintuple views of it are built on first access.
+with p, q, r, s, t pure quaternions.  An element is its coefficient vector
+v = (p, q, vec Cmat) and the scalar b.  One constant real matrix, fixed at
+import, takes the real and imaginary input entries to v, b and the
+Hermitian defect X + X* that the anti-Hermitian test reads; the Pauli
+coefficients are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.
+The matrices X0 = v @ _QT_STACK and X = X0 + i b I, and the Pauli and
+quintuple views of v, are built from v on first access.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig3 import svd3
-from .errors import InputError, StructureError
+from .errors import InputError
 from .qtensor import (
     _BASIS_STACK_INV,
     BASIS_LABELS,
@@ -78,6 +80,32 @@ def _coeff_map() -> np.ndarray:
 
 
 _COEFF_MAP = _coeff_map()
+
+
+def _input_map() -> np.ndarray:
+    """(36, 32) real matrix taking entries.reshape(16).view(float) to
+    (v, b, the upper triangle of X + X* as 10 (Re, Im) pairs).
+
+    v needs no projection first: the B basis matrices are antisymmetric and
+    the C ones symmetric and traceless, so _COEFF_MAP reads X0's part of
+    any X.  b = tr(Im X)/4.  D = X + X* is Hermitian, so its upper triangle,
+    diagonal included, holds every modulus; Re D_ij = Re X_ij + Re X_ji and
+    Im D_ij = Im X_ij - Im X_ji, a zero row on the diagonal.
+    """
+    i, j = np.triu_indices(4)
+    pairs = np.zeros((10, 2, 16, 2))
+    pairs[np.arange(10), 0, 4 * i + j, 0] += 1.0
+    pairs[np.arange(10), 0, 4 * j + i, 0] += 1.0
+    pairs[np.arange(10), 1, 4 * i + j, 1] += 1.0
+    pairs[np.arange(10), 1, 4 * j + i, 1] -= 1.0
+    b = np.zeros((16, 2))
+    b[::5, 1] = 0.25
+    return np.vstack((_COEFF_MAP, b.reshape(1, 32), pairs.reshape(20, 32)))
+
+
+_INPUT_MAP = _input_map()
+# X0's float view: v @ _QT_VIEW is (v @ _QT_STACK).view(float).
+_QT_VIEW = _QT_STACK.view(float)
 
 # Pauli coefficient order: alpha (I (x) sigma_i), beta (sigma_i (x) I), then
 # gamma row-major (sigma_j (x) sigma_k).
@@ -199,67 +227,89 @@ def mat_pure_pure(u: PureQuaternion, v: PureQuaternion) -> np.ndarray:
 
 
 class Su4Element:
-    """Anti-Hermitian 4x4 matrix with its coefficient vector.
+    """Anti-Hermitian 4x4 matrix, held as its coefficient vector.
 
-    ``entries`` is the full matrix (scalar part included); ``scalar`` is the
-    real b with trace(entries) = 4ib; ``traceless`` is entries - i b I;
-    ``coeffs`` is v = (p, q, vec Cmat), so that X0 = v @ _QT_STACK.  The
-    ``pauli`` and ``quintuple`` views of v are built on first access.
+    ``coeffs`` is v = (p, q, vec Cmat) and ``scalar`` the real b with
+    trace(X) = 4ib.  The constructor reads both, and the Hermitian defect
+    it tests, off the input entries with one constant product
+    (``_INPUT_MAP``); the other constructors take the coefficients.  Every
+    matrix comes from v: ``traceless`` is X0 = v @ _QT_STACK and
+    ``entries`` is X0 + i b I, the anti-Hermitian projection of the input.
+    They and the ``pauli`` and ``quintuple`` views are built on first access.
     """
 
-    __slots__ = ("entries", "scalar", "traceless", "coeffs", "_pauli", "_quintuple")
+    __slots__ = ("scalar", "coeffs", "_entries", "_traceless", "_pauli", "_quintuple")
 
     def __init__(self, entries: np.ndarray, tol: float = ANTIHERM_TOL):
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
         amax = np.abs(entries).max()
-        # Before the anti-Hermitian test: every comparison with NaN is false.
+        # Before any product: every comparison with NaN is false.
         # A NaN entry makes amax NaN, an infinite one makes it inf.
         if not math.isfinite(amax):
             raise InputError("matrix has non-finite entries")
-        scale = max(1.0, amax)
-        herm_resid = np.abs(entries + entries.conj().T).max()
-        if herm_resid > tol * scale:
+        y = _INPUT_MAP @ entries.reshape(16).view(float)
+        herm_resid = np.abs(y[16:].view(complex)).max()
+        if herm_resid > tol * max(1.0, amax):
             raise InputError(
                 f"matrix is not anti-Hermitian (residual {herm_resid:.3e})")
-        entries = 0.5 * (entries - entries.conj().T)
-        b = entries.trace().imag / 4.0
-        self.entries = entries
-        self.scalar = float(b)
-        self.traceless = X0 = entries - b * _IEYE4
-        v = _COEFF_MAP @ X0.view(float).reshape(32)
-        resid = np.abs(v @ _QT_STACK - X0.reshape(16)).max()
-        if resid > 1e-10 * max(1.0, np.abs(X0).max()):
-            raise StructureError("su4-expansion", resid,
-                                 "matrix is not in su(4) + scalar")
+        self._set(y[:15], float(y[15]))
+
+    def _set(self, v: np.ndarray, scalar: float) -> None:
         v.setflags(write=False)
         self.coeffs = v
-        self._pauli = self._quintuple = None
+        self.scalar = scalar
+        self._entries = self._traceless = self._pauli = self._quintuple = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _from_coeffs(cls, v, scalar: float = 0.0) -> "Su4Element":
+        """The element with coefficient vector v and scalar part scalar."""
+        v = np.array(v, dtype=float)
+        scalar = float(scalar)
+        if v.shape != (15,):
+            raise InputError("expected 15 coefficients")
+        if not (np.isfinite(v).all() and math.isfinite(scalar)):
+            raise InputError("non-finite coefficients")
+        X = cls.__new__(cls)
+        X._set(v, scalar)
+        return X
+
+    @classmethod
     def from_pauli_coeffs(cls, alpha, beta, gamma, scalar: float = 0.0) -> "Su4Element":
-        pc = PauliCoeffs(np.asarray(alpha, dtype=float),
-                         np.asarray(beta, dtype=float),
-                         np.asarray(gamma, dtype=float))
-        return cls(1j * pc.reconstruct() + 1j * scalar * np.eye(4))
+        c = np.concatenate([np.asarray(x, dtype=float).reshape(-1)
+                            for x in (alpha, beta, gamma)])
+        v = np.empty(15)
+        v[_PAULI_SLOT] = _PAULI_SIGN * c
+        return cls._from_coeffs(v, scalar)
 
     @classmethod
     def from_quintuple(cls, p, q, r, s, t, scalar: float = 0.0) -> "Su4Element":
-        vecs = [v if isinstance(v, PureQuaternion) else PureQuaternion.from_vector(v)
-                for v in (p, q, r, s, t)]
-        d = QuintupleDecomp(*vecs, Cmat=np.column_stack(
-            [v.as_vector() for v in vecs[2:]]))
-        return cls(d.reconstruct() + 1j * scalar * np.eye(4))
+        p, q, r, s, t = (x.as_vector() if isinstance(x, PureQuaternion)
+                         else np.asarray(x, dtype=float) for x in (p, q, r, s, t))
+        return cls._from_coeffs(
+            np.concatenate((p, q, np.column_stack((r, s, t)).reshape(-1))), scalar)
 
     @classmethod
     def from_canonical(cls, a, b, c, scalar: float = 0.0) -> "Su4Element":
         return cls.from_pauli_coeffs(a, b, np.diag(np.asarray(c, dtype=float)),
                                      scalar=scalar)
 
-    # -- decompositions, built on first access ---------------------------
+    # -- matrices and decompositions, built on first access ---------------
+
+    @property
+    def traceless(self) -> np.ndarray:
+        if self._traceless is None:
+            self._traceless = (self.coeffs @ _QT_VIEW).view(complex).reshape(4, 4)
+        return self._traceless
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = self.traceless + self.scalar * _IEYE4
+        return self._entries
 
     @property
     def pauli(self) -> PauliCoeffs:

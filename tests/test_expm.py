@@ -40,7 +40,7 @@ from su4exp.expm import (
     sinc,
 )
 from su4exp.families import FAMILIES
-from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element
+from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element, commutator_coeffs
 from su4exp.oracle import expm_reference
 from su4exp.qtensor import pauli_kron
 
@@ -417,14 +417,14 @@ def test_bisym_across_scales():
 
 def test_bisym_agrees_with_the_normal_split():
     # The imaginary-symmetric route (3x3 spectral factorization) on the same
-    # bisymmetric inputs.
+    # bisymmetric inputs; _bisym takes the split the gate finds.
     from su4exp.expm import _bisym, _normal_split
     rng = np.random.default_rng(86)
     empty = np.zeros((0, 15))
     for k in range(9):
         for _ in range(20):
             X = _split_element(k, *rng.uniform(-4, 4, 5))
-            U, V = _bisym(X, empty), _normal_split(X, empty)
+            U, V = _bisym(X, k), _normal_split(X, empty)
             assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
@@ -490,6 +490,36 @@ def test_exp_auto_oracle_fallback():
     res = exp_auto(X)
     assert res.method == "oracle"
     _check(res.U, X.entries, tol=1e-12)
+
+
+def test_residual_is_the_unitarity_defect_on_first_read():
+    # ExpResult computes ||U* U - I||_F when residual is first read, on every
+    # path: each family's closed form and exp_auto, the magic and oracle
+    # fallbacks, exp_tridiag and the demo propagators.
+    from su4exp import demos
+    from su4exp.expm import _unitarity
+
+    rng = np.random.default_rng(89)
+    results = []
+    for name, (sampler, closed) in FAMILIES.items():
+        for _ in range(5):
+            X = sampler(rng)
+            results += [(name, closed(X)), (name, exp_auto(X))]
+    V, T = MAGIC_BASIS, SymTriDiag(1.0, 2.0, 3.0).matrix()
+    results.append(("magic", exp_auto(Su4Element(V.conj().T @ T @ V))))
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    results.append(("oracle", exp_auto(Su4Element(0.5 * (A - A.conj().T)))))
+    results.append(("tridiag", exp_tridiag(SymTriDiag(0.3, -1.2, 2.5))))
+    results += [("rabi", demos.rabi_propagator(demos.RabiParams(0.3, 0.4, 0.5, 0.2, 1.5))),
+                ("josephson", demos.josephson_propagator(demos.JosephsonParams())),
+                ("jcoupling", demos.scalar_coupling_propagator(
+                    demos.ScalarCouplingParams(1.0, 0.2, 0.3, 0.4, 0.5, 0.6)))]
+    assert {"magic", "oracle"} <= {res.method for _, res in results}
+    for label, res in results:
+        assert "residual" not in vars(res), label
+        r = res.residual
+        assert r == _unitarity(res.U) and r <= 1e-12, (label, r)
+        assert vars(res)["residual"] == r
 
 
 def _perturbed(X, rng, eps):
@@ -737,6 +767,27 @@ def test_gate_distances_match_their_definitions():
             ref = _reference_distance(method, X)
             assert abs(dk - ref) <= 1e-14 * max(ref, scale), (method, dk, ref)
             assert gate_distance(method, X) == dk
+
+
+def test_a_gate_computes_only_its_own_row(monkeypatch):
+    # Only the normal-split gate forms the commutator coefficients, and
+    # dispatch stops at the first row that passes.
+    import su4exp.expm as expm
+
+    calls = []
+    monkeypatch.setattr(expm, "commutator_coeffs",
+                        lambda v: calls.append(1) or commutator_coeffs(v))
+    rng = np.random.default_rng(90)
+    X = FAMILIES["bisym"][0](rng)
+    for fam in FAMILY_TABLE:
+        if fam.gate:
+            del calls[:]
+            gate_distance(fam.method, X)
+            assert len(calls) == (fam.method == "normal-split"), fam.method
+    del calls[:]
+    assert exp_bisymmetric_fast(X).method == "bisym"
+    assert exp_auto(FAMILIES["tridiag"][0](rng)).method == "tridiag"
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", _GATED)

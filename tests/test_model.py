@@ -6,6 +6,8 @@ import pytest
 
 from su4exp.errors import InputError
 from su4exp.model import (
+    _QT_STACK,
+    ANTIHERM_TOL,
     MAGIC_BASIS,
     Su4Element,
     canonicalize,
@@ -139,11 +141,85 @@ def test_coefficient_constructors_round_trip():
                       np.concatenate([d.p.as_vector(), d.q.as_vector()]), X)
 
 
-def test_no_spurious_expansion_error_at_large_norm():
-    # The su4-expansion residual is relative, so rounding at ||X|| up to
-    # 1e12 stays far below it; a spurious residual raises StructureError.
+def test_coefficients_expand_to_the_projected_input():
+    # The su4 expansion X0 = v @ _QT_STACK is an identity of the input map:
+    # for ||X|| from 1e-6 to 1e12, v rebuilds the traceless part of the
+    # anti-Hermitian projection of the input, as do traceless and entries.
     for A in _u4_inputs(seed=49, n=50):
-        Su4Element(1e6 * A)
+        for Y in (A, 1e6 * A):
+            P = 0.5 * (Y - Y.conj().T)
+            b = np.trace(P).imag / 4.0
+            X0 = P - 1j * b * np.eye(4)
+            X = Su4Element(Y)
+            bound = 1e-10 * max(1.0, np.abs(X0).max())
+            assert np.abs((X.coeffs @ _QT_STACK).reshape(4, 4) - X0).max() <= bound
+            assert np.abs(X.traceless - X0).max() <= bound
+            assert np.abs(X.entries - P).max() <= bound
+            assert abs(X.scalar - b) <= bound
+
+
+def _same_element(Y, X):
+    """Coefficients, scalar and entries equal to 1e-12 relative."""
+    scale = max(1.0, np.abs(X.entries).max())
+    assert np.abs(Y.coeffs - X.coeffs).max() <= 1e-12 * scale
+    assert abs(Y.scalar - X.scalar) <= 1e-12 * scale
+    assert np.abs(Y.entries - X.entries).max() <= 1e-12 * scale
+
+
+def test_coefficient_constructors_match_the_entry_constructor():
+    for A in _u4_inputs(seed=52, n=40):
+        X = Su4Element(A)
+        pc, d = X.pauli, X.quintuple
+        _same_element(Su4Element._from_coeffs(X.coeffs, X.scalar), X)
+        _same_element(Su4Element.from_pauli_coeffs(pc.alpha, pc.beta, pc.gamma,
+                                                   scalar=X.scalar), X)
+        _same_element(Su4Element.from_quintuple(d.p, d.q, d.r, d.s, d.t,
+                                                scalar=X.scalar), X)
+    rng = np.random.default_rng(53)
+    a, b, c, s = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), 0.4
+    X = Su4Element.from_canonical(a, b, c, scalar=s)
+    _same_element(X, Su4Element(X.entries))
+    assert np.array_equal(X.pauli.gamma, np.diag(c)) and X.scalar == s
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["alpha", "beta", "gamma", "scalar"])
+def test_coefficient_constructors_reject_non_finite(where, bad):
+    args = {"alpha": np.ones(3), "beta": np.ones(3), "gamma": np.ones((3, 3)),
+            "scalar": 0.5}
+    if where == "scalar":
+        args[where] = bad
+    else:
+        args[where] = args[where].copy()
+        args[where].flat[1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Su4Element.from_pauli_coeffs(**args)
+    v = np.ones(15)
+    with pytest.raises(InputError, match="non-finite"):
+        Su4Element._from_coeffs(v, bad)
+    v[4] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Su4Element._from_coeffs(v)
+
+
+@pytest.mark.parametrize("amax", [0.5, 5.0, 1e6])
+def test_antihermitian_tolerance_is_relative_to_the_largest_entry(amax):
+    # A defect X + X* of modulus f * tol * max(1, amax) passes for f = 0.9
+    # and raises for f = 1.1, on the diagonal (real) or off it (complex).
+    scale = max(1.0, amax)
+    for f, passes in ((0.9, True), (1.1, False)):
+        defect = f * ANTIHERM_TOL * scale
+        for entry, value in (((2, 2), 0.5 * defect),
+                             ((3, 2), defect * np.exp(0.3j))):
+            A = np.zeros((4, 4), dtype=complex)
+            A[0, 1], A[1, 0] = amax * np.exp(0.7j), -amax * np.exp(-0.7j)
+            A[2, 3], A[3, 2] = 1e-3j, 1e-3j
+            A[entry] += value
+            if passes:
+                Su4Element(A)
+            else:
+                with pytest.raises(InputError, match="not anti-Hermitian"):
+                    Su4Element(A)
 
 
 def test_su2_lift_covers_rotation():
