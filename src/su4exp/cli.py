@@ -19,7 +19,7 @@ from . import demos
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
-from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, exp_auto, passes_gate
+from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, exp_auto, gate_distance
 from .families import FAMILIES, time_family
 from .matio import load_matrix, save_matrix
 from .model import Su4Element
@@ -96,7 +96,7 @@ def cmd_classify(args) -> int:
     tol = args.tolerance
     for fam in FAMILY_TABLE:
         if fam.gate:
-            print(f"{fam.label}: {'yes' if passes_gate(fam, X, tol) else 'no'}")
+            print(f"{fam.label}: {'yes' if gate_distance(fam.method, X) <= tol else 'no'}")
     cp = _charpoly(X)
     print(f"charpoly: mu={cp.mu:.12g} nu={cp.nu.imag:.12g}i pi={cp.pi:.12g}")
     mc = _classify(X, tol)

@@ -5,12 +5,13 @@ rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
 the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
 group of anticommuting Pauli terms of X0, declared as data in the family
 table and read off v by a slot mask, or vec(u v^T) for a right singular
-direction v of the interaction matrix.  The bisymmetric formula needs only
-two 2x2 rotations: on its split, a constant involution P commutes with X0,
-and on each eigenspace of P the 2x2 block is a sum of two anticommuting
-involutions (``_bisym``), so e^X0 is six scalar coefficients times a
-constant table.  The other formulas are low-degree minimal-polynomial
-evaluations:
+direction v of the interaction matrix: an eigenvector of Cmat^T Cmat from
+NumPy's ``eigh``, the one spectral step of the structured formulas.  The
+bisymmetric formula needs only two 2x2 rotations: on its split, a constant
+involution P commutes with X0, and on each eigenspace of P the 2x2 block is
+a sum of two anticommuting involutions (``_bisym``), so e^X0 is six scalar
+coefficients times a constant table.  The other formulas are low-degree
+minimal-polynomial evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
@@ -18,9 +19,9 @@ evaluations:
 
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``gate_distance`` gives one structured row's distance from v, and
-``gate_distances`` all six from the same per-row expressions; ``classify``
-tests the minimal-polynomial rows' distances.
+tol.  ``gate_distance`` gives any one row's distance, and ``gate_distances``
+the six structured rows' from the same per-row expressions on v;
+``classify`` tests the minimal-polynomial rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -61,7 +62,9 @@ from .model import (
     commutator_coeffs,
 )
 from .oracle import expm_reference
-from .eig3 import eigh3
+
+# A module-level name, so the benchmark's tracer can wrap expm.eigh3.
+eigh3 = np.linalg.eigh
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,9 @@ def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
     """e^X0 = e^B e^{iC} when the real/imaginary parts commute.
 
     W holds e^B's rows p and q; the right singular directions of the
-    interaction matrix give e^{iC}'s.  Imaginary symmetry is the case B = 0.
+    interaction matrix, eigenvectors of Cmat^T Cmat (``eigh3``), give
+    e^{iC}'s; any orthonormal eigenbasis serves, repeated or zero singular
+    values included.  Imaginary symmetry is the case B = 0.
     """
     Cmat = X.coeffs[6:].reshape(3, 3)
     _, V = eigh3(Cmat.T @ Cmat)
@@ -444,14 +449,14 @@ def gate_distances(X: Su4Element) -> tuple[float, ...]:
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
-    """The gate distance of the structured row ``method``, computed alone."""
+    """The gate distance of the row ``method``, computed alone: a structured
+    row's from v (``_gate``), a minimal-polynomial row's shape distance
+    (``classify.shape_distance``)."""
+    fam = _ROWS[method]
+    if not fam.gate:
+        return shape_distance(X, fam.label)
     v = X.coeffs
     return _gate(method, v, v * v)[0]
-
-
-def passes_gate(fam: Family, X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
-    """Whether X passes a structured row's gate."""
-    return gate_distance(fam.method, X) <= tol
 
 
 def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
@@ -482,10 +487,10 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
     """e^X by the formula of the table row ``method``.
 
     This is the uniform family signature behind FAMILIES and the public
-    ``exp_*`` wrappers.  Raises StructureError when X fails a structured
-    row's gate, with the gate distance as its residual, or when ``classify``
-    at tol names a tag other than a minimal-polynomial row's, with that
-    row's own shape distance (``classify.shape_distance``) as residual.
+    ``exp_*`` wrappers.  Raises StructureError with the row's
+    ``gate_distance`` as its residual when X fails a structured row's gate,
+    or when ``classify`` at tol names a tag other than a minimal-polynomial
+    row's.
     """
     fam = _ROWS[method]
     if fam.gate:
@@ -496,7 +501,7 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
         return ExpResult(_unitary(fam, X, arg), method)
     cls = classify(X, tol)
     if cls.tag != fam.label:
-        raise StructureError(fam.label, shape_distance(X, fam.label),
+        raise StructureError(fam.label, gate_distance(method, X),
                              f"minimal polynomial is {cls.tag}, not {fam.label}")
     return ExpResult(_unitary(fam, X, cls), method)
 

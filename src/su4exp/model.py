@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig3 import svd3
 from .errors import InputError
 from .qtensor import (
     _BASIS_STACK_INV,
@@ -390,9 +389,10 @@ def canonicalize(X: Su4Element) -> CanonicalForm:
     """Diagonalize the interaction coefficient matrix by a local unitary.
 
     The 3x3 gamma matrix is factored gamma = O1^T diag(c) O2 with O1, O2 in
-    SO(3) (closed-form SVD; sign flips absorbed into c, so entries of c may
-    be negative), and O1, O2 are lifted through the SU(2) -> SO(3) double
-    cover.  Zero gamma returns the identity transformation.
+    SO(3) by NumPy's SVD: a factor of determinant -1 has its last singular
+    vector negated, and the sign goes into c, so entries of c may be
+    negative.  O1, O2 are lifted through the SU(2) -> SO(3) double cover.
+    Zero gamma returns the identity transformation.
     """
     pc = X.pauli
     gamma = pc.gamma
@@ -400,13 +400,11 @@ def canonicalize(X: Su4Element) -> CanonicalForm:
         return CanonicalForm(a=pc.alpha.copy(), b=pc.beta.copy(),
                              c=np.zeros(3), local_unitary=np.eye(4, dtype=complex),
                              u1=np.eye(2, dtype=complex), u2=np.eye(2, dtype=complex))
-    U, _, V = svd3(gamma)
-    if np.linalg.det(U) < 0:
-        U[:, 2] = -U[:, 2]
-    if np.linalg.det(V) < 0:
-        V[:, 2] = -V[:, 2]
+    U, _, O2 = np.linalg.svd(gamma)  # gamma = U diag(s) O2
     O1 = U.T
-    O2 = V.T
+    for O in (O1, O2):
+        if np.linalg.det(O) < 0:
+            O[2] = -O[2]
     gd = O1 @ gamma @ O2.T
     c = np.diagonal(gd).copy()
     u1 = su2_from_so3(O1)

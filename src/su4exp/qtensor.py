@@ -77,8 +77,9 @@ _QT_BASIS_CACHE: dict[tuple[str, str], np.ndarray] = {}
 def qt_basis_matrix(x: str, y: str) -> np.ndarray:
     """M_{e_x (x) e_y} for basis labels x, y in {1, i, j, k}.
 
-    Cached: these sixteen constant matrices sit on the hot path of every
-    closed-form exponential.
+    Cached: the sixteen constant matrices are read at import, to build the
+    basis and coefficient tables, and by ``QtExpansion.reconstruct`` and
+    ``pauli_to_qt``; no exponential reads them per call.
     """
     key = (x, y)
     M = _QT_BASIS_CACHE.get(key)

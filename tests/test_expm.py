@@ -36,7 +36,6 @@ from su4exp.expm import (
     is_perskew,
     is_skew_hamiltonian,
     is_tridiagonal_type,
-    passes_gate,
     sinc,
 )
 from su4exp.families import FAMILIES
@@ -298,26 +297,51 @@ def test_imsym_matches_oracle():
         _check(res.U, X.entries)
 
 
-def test_imsym_factors_commute():
-    from su4exp.eig3 import eigh3
+def _check_imsym_factors(Cmat):
+    # The factors of e^{iC} from NumPy's eigh of Cmat^T Cmat commute, their
+    # product is the closed form's, and both match the oracle.
     from su4exp.expm import _interaction_rows, _rotations
     from su4exp.model import mat_pure_pure
+    _, V = np.linalg.eigh(Cmat.T @ Cmat)
+    Fs = []
+    for i in range(3):
+        v = V[:, i]
+        u = Cmat @ v
+        s = math.sqrt(float(u @ u))
+        M = 1j * mat_pure_pure(u, v)
+        Fs.append(math.cos(s) * np.eye(4) + sinc(s) * M)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
+    prod = Fs[0] @ Fs[1] @ Fs[2]
+    assert np.abs(prod - _rotations(_interaction_rows(Cmat, V))).max() < 1e-12
+    X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T)
+    ref = expm_reference(X.entries)
+    assert np.abs(prod - ref).max() < 1e-12
+    assert np.abs(exp_imaginary_symmetric(X).U - ref).max() < 1e-12
+
+
+def test_imsym_factors_commute():
     rng = np.random.default_rng(67)
     for _ in range(50):
-        Cmat = rng.uniform(-3, 3, (3, 3))
-        _, V = eigh3(Cmat.T @ Cmat)
-        Fs = []
-        for i in range(3):
-            v = V[:, i]
-            u = Cmat @ v
-            s = math.sqrt(float(u @ u))
-            M = 1j * mat_pure_pure(u, v)
-            Fs.append(math.cos(s) * np.eye(4) + (sinc(s)) * M)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
-        prod = Fs[0] @ Fs[1] @ Fs[2]
-        assert np.abs(prod - _rotations(_interaction_rows(Cmat, V))).max() < 1e-12
+        _check_imsym_factors(rng.uniform(-3, 3, (3, 3)))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 1e-2, "rank-deficient"])
+def test_imsym_factors_commute_near_degenerate(gap):
+    # Cmat with two singular values a gap apart, or with one or two zero:
+    # the right singular directions of a cluster are ill-determined, and
+    # any orthonormal basis of it must give the same exponential.
+    rng = np.random.default_rng(21)
+    for k in range(40):
+        sv = np.sort(rng.uniform(0, 3, 3))
+        if gap == "rank-deficient":
+            sv[:1 + k % 2] = 0.0
+        else:
+            sv[1] = sv[0] + gap * rng.random()
+        Q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        _check_imsym_factors(Q1 @ np.diag(sv) @ Q2.T)
 
 
 def test_bisym_matches_oracle_all_block_positions():
@@ -793,11 +817,10 @@ def test_a_gate_computes_only_its_own_row(monkeypatch):
 @pytest.mark.parametrize("name", _GATED)
 def test_predicate_is_its_gate_distance_against_tol(name):
     predicate, _ = _GATED[name]
-    fam = next(f for f in FAMILY_TABLE if f.method == name)
     for X in _gate_samples():
         d = gate_distance(name, X)
         for tol in (STRUCTURE_TOL, 1e-6, d, d * (1 + 1e-12), d * (1 - 1e-12)):
-            assert predicate(X, tol) == (d <= tol) == passes_gate(fam, X, tol)
+            assert predicate(X, tol) == (d <= tol)
 
 
 @pytest.mark.parametrize("name", _GATED)
@@ -832,6 +855,7 @@ def test_min_poly_structure_error_carries_its_shape_distance(name):
             ref = _gate_distance(name, X)
             assert math.isfinite(err.residual)
             assert abs(err.residual - ref) <= 1e-12 * max(ref, np.linalg.norm(X.traceless))
+            assert err.residual == gate_distance(name, X)
     assert raised > 0
 
 

@@ -254,6 +254,26 @@ def test_canonicalize_diagonalizes_interaction():
         assert np.abs(np.sort(Y.pauli.alpha) - np.sort(cf.a)).max() < 1e-10
 
 
+@pytest.mark.parametrize("sv", [[5.0, 5.0, 1e-9], [1e-12, 0.0, 0.0], [4.0, 1e-7, 1e-7],
+                                [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_canonicalize_diagonalizes_interaction_spectrum(sv):
+    # Repeated, tiny and zero singular values of gamma: the local unitary
+    # still takes X to its canonical form, which reproduces X0.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        Q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        X = Su4Element.from_pauli_coeffs(rng.normal(size=3), rng.normal(size=3),
+                                         Q1 @ np.diag(sv) @ Q2.T)
+        cf = canonicalize(X)
+        L = cf.local_unitary
+        Y = Su4Element(L @ X.traceless @ L.conj().T)
+        assert np.abs(Y.pauli.gamma - np.diag(cf.c)).max() < 1e-12
+        assert np.abs(np.sort(np.abs(cf.c))[::-1] - sv).max() < 1e-12
+        Z = Su4Element.from_canonical(cf.a, cf.b, cf.c).entries
+        assert np.abs(L.conj().T @ Z @ L - X.traceless).max() < 1e-12
+
+
 def test_canonicalize_zero_interaction_is_identity():
     X = Su4Element.from_pauli_coeffs([1, 2, 3], [4, 5, 6], np.zeros((3, 3)))
     cf = canonicalize(X)
