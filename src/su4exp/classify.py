@@ -106,21 +106,6 @@ def _cubic_distance(X: np.ndarray, X2: np.ndarray, c2: complex) -> float:
     return 2.0 * _frobenius(X @ R) / abs(c2)
 
 
-def charpoly_canonical(a, b, c) -> tuple[float, complex]:
-    """Closed-form mu and nu for a generator in canonical form.
-
-    mu = 2 sum(a_i^2 + b_i^2 + c_i^2); nu = 8i (sum a_i b_i c_i - c1 c2 c3),
-    with the overall sign of nu calibrated once against Newton's identities
-    on the fixture a = b = c = (1, 0, 0).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    mu = 2.0 * float((a * a + b * b + c * c).sum())
-    nu = 8j * (float((a * b * c).sum()) - float(np.prod(c)))
-    return mu, nu
-
-
 def cofactor_matrix(C: np.ndarray) -> np.ndarray:
     """Matrix of cofactors Co(C)_ij = (-1)^(i+j) minor(i, j) (no transpose).
 
@@ -154,20 +139,14 @@ def check_quadratic_II_conditions(d: QuintupleDecomp,
 def _shapes(X0: np.ndarray, X2: np.ndarray, mu: float, nu: complex):
     """Each minimal-polynomial shape in ``classify``'s order: its tag, its
     distance (``_quadratic_distance``, ``_cubic_distance``) and its
-    ``MinPolyClass`` parameters, taken from mu > 0 and nu.
-
-    The residuals share S = X0^2 + (mu/2) I: quadratic-I's is S,
-    quadratic-II's S + 2 beta X0 and cubic-I's X0 (S + (mu/2) I).
-    """
+    ``MinPolyClass`` parameters, taken from mu > 0 and nu as in the module
+    docstring."""
     g = mu / 2.0
-    S = X2.copy()
-    S.ravel()[::5] += g  # the diagonal of the contiguous 4x4
-    yield "quadratic-I", _frobenius(S) / math.sqrt(g), {"c2": g}
+    yield "quadratic-I", _quadratic_distance(X0, X2, 0.0, g), {"c2": g}
     beta = -3.0 * nu / (4.0 * mu)
-    yield ("quadratic-II", _frobenius(S + 2.0 * beta * X0) / math.sqrt(abs(g - beta * beta)),
+    yield ("quadratic-II", _quadratic_distance(X0, X2, beta, g),
            {"beta": beta, "gamma": g})
-    S.ravel()[::5] += g
-    yield "cubic-I", 2.0 * _frobenius(X0 @ S) / mu, {"c2": mu}
+    yield "cubic-I", _cubic_distance(X0, X2, mu), {"c2": mu}
 
 
 def shape_distance(X: Su4Element, tag: str) -> float:
@@ -244,35 +223,6 @@ def is_normal_type(d: QuintupleDecomp,
         raise AssertionError(
             f"commutator identity mismatch ({agreement:.3e})")
     return _commutator_distance(K) <= tol, direct
-
-
-def normal_type_conditions_canonical(a, b, c, tol: float = 1e-10) -> bool:
-    """Normality condition sets for a generator in canonical form.
-
-    With p = (-a2, 0, 0) and q = (0, b2, 0), [B, C] vanishes iff
-
-      i)   a2 != 0, b2 = 0:  a1 = a3 = c1 = c3 = 0
-      ii)  a2 != 0, b2 != 0: a1 = a3 = b1 = b3 = 0 and
-           c3 b2 = c1 a2 and a2 c3 = c1 b2  (these force |b2/a2| = |c1/c3|
-           = 1 when the c's are nonzero, with correlated signs)
-      iii) a2 = 0, b2 != 0:  b1 = b3 = c1 = c3 = 0
-
-    Evaluated in cross-multiplied form, which handles zero denominators and
-    is exactly equivalent to the component equations of the commutator.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m = max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
-    eqs = [
-        b[0] * b[1],
-        a[0] * a[1],
-        a[1] * a[2],
-        b[2] * b[1],
-        c[2] * b[1] - c[0] * a[1],
-        a[1] * c[2] - c[0] * b[1],
-    ]
-    return all(abs(e) <= tol * m for e in eqs)
 
 
 def local_vs_interaction_commute(a, b, c, tol: float = 1e-10) -> bool:

@@ -19,9 +19,9 @@ minimal-polynomial evaluations:
 
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``gate_distance`` gives any one row's distance, and ``gate_distances``
-the six structured rows' from the same per-row expressions on v;
-``classify`` tests the minimal-polynomial rows' distances.
+tol.  ``gate_distance`` gives any one row's distance: a structured row's
+from its per-row expression on v (``_gate``), a minimal-polynomial row's
+from ``classify``, which tests those rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -38,8 +38,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,8 +333,7 @@ def _bisym(X: Su4Element, k: int) -> np.ndarray:
 
 # -- the family table -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One row of ``FAMILY_TABLE``.
 
     ``method`` is the ExpResult tag and the FAMILIES key.  A structured row
@@ -342,7 +342,7 @@ class Family:
     classify``.  A row without a gate applies when ``classify`` returns the
     tag ``label``, and its formula also takes that classification.
     ``groups`` holds the Pauli labels of each rotation factor read off v,
-    ``masks`` their slots; the bisymmetric row has none, as its formula
+    and ``_MASKS`` their slots; the bisymmetric row has none, as its formula
     takes the split its gate found.  ``formula`` gives e^{X0};
     ``_unitary`` adds the scalar phase.
     """
@@ -352,10 +352,6 @@ class Family:
     formula: Callable[..., np.ndarray]
     gate: str | None = None
     groups: tuple[str, ...] = ()
-    masks: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "masks", _slot_masks(self.groups))
 
 
 FAMILY_TABLE = (
@@ -378,6 +374,7 @@ FAMILY_TABLE = (
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _STRUCTURED = tuple(fam for fam in FAMILY_TABLE if fam.gate)
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
+_MASKS = {fam.method: _slot_masks(fam.groups) for fam in _STRUCTURED}
 
 # v of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_MAP @ (alpha, beta, gamma).
 _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float).ravel()
@@ -388,15 +385,15 @@ _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float)
 # the slots of the row's groups, or of Cmat for imaginary symmetry.
 _PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
               "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
-    m: np.diag(_ROWS[m].masks.sum(axis=0)) for m in ("perskew", "skewham")}
+    m: np.diag(_MASKS[m].sum(axis=0)) for m in ("perskew", "skewham")}
 
 _EYE15 = np.eye(15)
 _TRIDIAG_RESID = _EYE15 - _PROJECTOR["tridiag"]
 
 # W = _GROUP_ROWS[method] @ v: the groups' rows of P v, for the projector P
 # of the row's gate, or the identity for a gate that is no projector.
-_GROUP_ROWS = {fam.method: fam.masks[:, :, None] * _PROJECTOR.get(fam.method, _EYE15)
-               for fam in _STRUCTURED}
+_GROUP_ROWS = {m: masks[:, :, None] * _PROJECTOR.get(m, _EYE15)
+               for m, masks in _MASKS.items()}
 
 
 # -- structure gates: each row's squared distance over 4 from v and v2 = v * v,
@@ -438,14 +435,6 @@ def _gate(method: str, v: np.ndarray, v2: np.ndarray) -> tuple[float, int | None
     """
     d2, arg = _GATES[method](v, v2)
     return 2.0 * math.sqrt(d2), arg
-
-
-def gate_distances(X: Su4Element) -> tuple[float, ...]:
-    """The six structured rows' gate distances, in ``_STRUCTURED`` order
-    (see ``_gate``)."""
-    v = X.coeffs
-    v2 = v * v
-    return tuple(_gate(fam.method, v, v2)[0] for fam in _STRUCTURED)
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
@@ -519,7 +508,7 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     if not all(map(math.isfinite, params)):
         raise InputError("tridiagonal parameters must be finite")
     v = _TRIDIAG_MAP @ params
-    return ExpResult(_rotations(_ROWS["tridiag"].masks * v), "tridiag")
+    return ExpResult(_rotations(_MASKS["tridiag"] * v), "tridiag")
 
 
 def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:

@@ -69,11 +69,19 @@ def sample_bisym(rng) -> Su4Element:
                                      Cmat[:, 0], Cmat[:, 1], Cmat[:, 2])
 
 
+def _unit(rng) -> np.ndarray:
+    u = rng.normal(size=3)
+    return u / np.linalg.norm(u)
+
+
 def sample_normal_split(rng) -> Su4Element:
-    # p, q arbitrary with C = 0: [B, C] = 0 trivially, both rotation
-    # factors of e^B exercised.
-    p, q = _u(rng, 3), _u(rng, 3)
-    return Su4Element.from_quintuple(p, q, [0, 0, 0], [0, 0, 0], [0, 0, 0])
+    """p = a u, q = b w and Cmat = c u w^T for unit u, w: then
+    K = [p]x Cmat - Cmat [q]x = 0, as [u]x u = 0 and w^T [w]x = 0, so
+    [B, C] = 0 with both factors of e^B and the rank-one e^{iC} exercised."""
+    a, b, c = _u(rng, 3)
+    u, w = _unit(rng), _unit(rng)
+    Cmat = c * np.outer(u, w)
+    return Su4Element.from_quintuple(a * u, b * w, Cmat[:, 0], Cmat[:, 1], Cmat[:, 2])
 
 
 def sample_quad_I(rng) -> Su4Element:

@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import InputError
 from .qtensor import (
+    _BASIS_STACK,
     _BASIS_STACK_INV,
     BASIS_LABELS,
     PAULI,
     PAULI_TO_QT_TABLE,
-    qt_basis_matrix,
 )
 from .quaternion import PureQuaternion
 
@@ -52,14 +52,16 @@ MAGIC_BASIS = np.array([
 #
 # Slot k of v = (p, q, vec Cmat) is the coefficient of M_{e_x (x) e_y},
 # (x, y) = _QT_SLOTS[k], in B for the six p, q slots and in C for the nine
-# Cmat slots (row-major, Cmat[a, b] on M_{e_a (x) e_b}).  _QT_FLAT holds the
-# flattened basis matrices of the slots; _QT_STACK weights the C slots by i,
-# so that X0 = v @ _QT_STACK.
+# Cmat slots (row-major, Cmat[a, b] on M_{e_a (x) e_b}).  _QT_INDEX is each
+# slot's column of the basis stack, and _QT_FLAT holds the flattened basis
+# matrices of the slots; _QT_STACK weights the C slots by i, so that
+# X0 = v @ _QT_STACK.
 
 _PURE = ("i", "j", "k")
 _QT_SLOTS = ([(x, "1") for x in _PURE] + [("1", y) for y in _PURE]
              + [(x, y) for x in _PURE for y in _PURE])
-_QT_FLAT = np.array([qt_basis_matrix(x, y).ravel() for x, y in _QT_SLOTS])
+_QT_INDEX = [4 * BASIS_LABELS.index(x) + BASIS_LABELS.index(y) for x, y in _QT_SLOTS]
+_QT_FLAT = _BASIS_STACK.T[_QT_INDEX]
 _QT_STACK = _QT_FLAT * np.array([1.0] * 6 + [1j] * 9)[:, None]
 _PURE_FLAT = _QT_FLAT[6:]
 
@@ -71,8 +73,7 @@ def _coeff_map() -> np.ndarray:
     parts and the Cmat rows the imaginary parts, each through its row of the
     quaternion-tensor basis inverse.
     """
-    rows = _BASIS_STACK_INV[[4 * BASIS_LABELS.index(x) + BASIS_LABELS.index(y)
-                             for x, y in _QT_SLOTS]]
+    rows = _BASIS_STACK_INV[_QT_INDEX]
     L = np.zeros((15, 16, 2))
     L[:6, :, 0], L[6:, :, 1] = rows[:6], rows[6:]
     return L.reshape(15, 32)
@@ -216,13 +217,6 @@ class CanonicalForm:
     local_unitary: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-
-
-def mat_pure_pure(u: PureQuaternion, v: PureQuaternion) -> np.ndarray:
-    """M_{u (x) v} for pure quaternions u, v."""
-    uv = np.outer(u.as_vector() if isinstance(u, PureQuaternion) else u,
-                  v.as_vector() if isinstance(v, PureQuaternion) else v)
-    return (uv.reshape(9) @ _PURE_FLAT).reshape(4, 4)
 
 
 class Su4Element:
@@ -417,18 +411,3 @@ def canonicalize(X: Su4Element) -> CanonicalForm:
 def magic_conjugate(X: Su4Element) -> Su4Element:
     """Conjugate by the magic-basis matrix: returns V X V*."""
     return Su4Element(MAGIC_BASIS @ X.entries @ MAGIC_BASIS.conj().T)
-
-
-def embed_su3(Y: np.ndarray) -> Su4Element:
-    """Embed a 3x3 anti-Hermitian traceless matrix as a principal submatrix."""
-    Y = np.asarray(Y, dtype=complex)
-    if Y.shape != (3, 3):
-        raise InputError("expected a 3x3 matrix")
-    scale = max(1.0, np.abs(Y).max())
-    if np.abs(Y + Y.conj().T).max() > ANTIHERM_TOL * scale:
-        raise InputError("matrix is not anti-Hermitian")
-    if abs(np.trace(Y)) > ANTIHERM_TOL * scale:
-        raise InputError("matrix is not traceless")
-    out = np.zeros((4, 4), dtype=complex)
-    out[:3, :3] = Y
-    return Su4Element(out)

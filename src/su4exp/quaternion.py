@@ -104,32 +104,3 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
         p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
     )
-
-
-def conj(q: Quaternion) -> Quaternion:
-    """Quaternion conjugate: sign-flips the i, j, k components."""
-    return q.conj()
-
-
-def cross(p: PureQuaternion, q: PureQuaternion) -> PureQuaternion:
-    """R^3 cross product; equals the pure part of (pq - qp)/2."""
-    return PureQuaternion(
-        p.y * q.z - p.z * q.y,
-        p.z * q.x - p.x * q.z,
-        p.x * q.y - p.y * q.x,
-    )
-
-
-def cross_matrix(p: PureQuaternion) -> np.ndarray:
-    """[p]x, the 3x3 matrix of w -> p x w."""
-    return np.array([[0.0, -p.z, p.y], [p.z, 0.0, -p.x], [-p.y, p.x, 0.0]])
-
-
-def left_mult_matrix(p: Quaternion) -> np.ndarray:
-    """4x4 real matrix of x -> p*x in the basis (1, i, j, k)."""
-    return np.array([
-        [p.w, -p.x, -p.y, -p.z],
-        [p.x, p.w, -p.z, p.y],
-        [p.y, p.z, p.w, -p.x],
-        [p.z, -p.y, p.x, p.w],
-    ])

@@ -1,0 +1,75 @@
+"""Test-side references: matrices built from their definitions, and the
+paper's canonical-form formulas that the library is checked against.
+
+Nothing in the library calls these; the tests compare the library's own
+maps with them.
+"""
+
+import numpy as np
+
+from su4exp.qtensor import BASIS_LABELS, PAULI, mat_of_product_tensor, qt_basis_matrix
+from su4exp.quaternion import PureQuaternion
+
+
+def pauli_kron(s: str, t: str) -> np.ndarray:
+    """sigma_s (x) sigma_t as a complex 4x4 matrix."""
+    return np.kron(PAULI[s], PAULI[t])
+
+
+def mat_pure_pure(u, v) -> np.ndarray:
+    """M_{u (x) v} for pure quaternions u, v, given as such or as 3-vectors."""
+    u, v = (x if isinstance(x, PureQuaternion) else PureQuaternion.from_vector(x)
+            for x in (u, v))
+    return mat_of_product_tensor(u.as_quaternion(), v.as_quaternion())
+
+
+def qt_coeffs(A) -> np.ndarray:
+    """Coefficients c[x, y] of a real 4x4 A = sum c[x, y] M_{e_x (x) e_y},
+    indexed in the (1, i, j, k) order: tr(M^T A) / 4, as the basis matrices
+    are orthogonal with squared norm 4 in the trace inner product."""
+    return np.array([[np.sum(qt_basis_matrix(x, y) * A) / 4.0 for y in BASIS_LABELS]
+                     for x in BASIS_LABELS])
+
+
+def charpoly_canonical(a, b, c) -> tuple[float, complex]:
+    """Closed-form mu and nu for a generator in canonical form.
+
+    mu = 2 sum(a_i^2 + b_i^2 + c_i^2); nu = 8i (sum a_i b_i c_i - c1 c2 c3),
+    with the overall sign of nu calibrated once against Newton's identities
+    on the fixture a = b = c = (1, 0, 0).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    mu = 2.0 * float((a * a + b * b + c * c).sum())
+    nu = 8j * (float((a * b * c).sum()) - float(np.prod(c)))
+    return mu, nu
+
+
+def normal_type_conditions_canonical(a, b, c, tol: float = 1e-10) -> bool:
+    """Normality condition sets for a generator in canonical form.
+
+    With p = (-a2, 0, 0) and q = (0, b2, 0), [B, C] vanishes iff
+
+      i)   a2 != 0, b2 = 0:  a1 = a3 = c1 = c3 = 0
+      ii)  a2 != 0, b2 != 0: a1 = a3 = b1 = b3 = 0 and
+           c3 b2 = c1 a2 and a2 c3 = c1 b2  (these force |b2/a2| = |c1/c3|
+           = 1 when the c's are nonzero, with correlated signs)
+      iii) a2 = 0, b2 != 0:  b1 = b3 = c1 = c3 = 0
+
+    Evaluated in cross-multiplied form, which handles zero denominators and
+    is exactly equivalent to the component equations of the commutator.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m = max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
+    eqs = [
+        b[0] * b[1],
+        a[0] * a[1],
+        a[1] * a[2],
+        b[2] * b[1],
+        c[2] * b[1] - c[0] * a[1],
+        a[1] * c[2] - c[0] * b[1],
+    ]
+    return all(abs(e) <= tol * m for e in eqs)

@@ -14,12 +14,10 @@ import pytest
 
 from su4exp.classify import (
     charpoly,
-    charpoly_canonical,
     check_quadratic_II_conditions,
     classify,
     construct_quadratic_II_example,
     is_normal_type,
-    normal_type_conditions_canonical,
 )
 from su4exp.demos import (
     JosephsonParams,
@@ -38,11 +36,13 @@ from su4exp.model import Su4Element, quintuple
 from su4exp.oracle import eigvals_hermitian, expm_reference
 from su4exp.qtensor import (
     PAULI_LABELS,
-    pauli_kron,
-    pauli_to_qt,
+    PAULI_TO_QT_TABLE,
     mat_of_product_tensor,
+    qt_basis_matrix,
 )
 from su4exp.quaternion import Quaternion, qmul
+
+from reference import charpoly_canonical, normal_type_conditions_canonical, pauli_kron
 
 
 @contextmanager
@@ -68,7 +68,8 @@ def test_acceptance_1_basis_table_and_homomorphism(capsys):
         t0 = time.perf_counter()
         for s in PAULI_LABELS:
             for t in PAULI_LABELS:
-                assert np.abs(pauli_to_qt(s, t) - pauli_kron(s, t)).max() < 1e-14
+                scale, x, y = PAULI_TO_QT_TABLE[(s, t)]
+                assert np.abs(scale * qt_basis_matrix(x, y) - pauli_kron(s, t)).max() < 1e-14
         rng = np.random.default_rng(100)
         for _ in range(1000):
             p, q, p2, q2 = (Quaternion(*rng.normal(size=4)) for _ in range(4))

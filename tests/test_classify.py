@@ -5,19 +5,18 @@ import pytest
 
 from su4exp.classify import (
     charpoly,
-    charpoly_canonical,
     check_quadratic_II_conditions,
     classify,
     cofactor_matrix,
     construct_quadratic_II_example,
     is_normal_type,
     local_vs_interaction_commute,
-    normal_type_conditions_canonical,
 )
 from su4exp.expm import is_normal_element
 from su4exp.families import FAMILIES
 from su4exp.model import Su4Element, quintuple
-from su4exp.qtensor import pauli_kron
+
+from reference import charpoly_canonical, normal_type_conditions_canonical, pauli_kron
 
 
 def _random_element(rng, scale=1.0):

@@ -13,7 +13,8 @@ import pytest
 from su4exp.cli import main
 from su4exp.matio import load_matrix, save_matrix
 from su4exp.oracle import expm_reference
-from su4exp.qtensor import pauli_kron
+
+from reference import pauli_kron
 
 
 @pytest.fixture

@@ -11,14 +11,14 @@ from su4exp.model import (
     MAGIC_BASIS,
     Su4Element,
     canonicalize,
-    embed_su3,
     magic_conjugate,
     pauli_coeffs,
     quintuple,
     su2_from_so3,
 )
-from su4exp.oracle import expm_reference
-from su4exp.qtensor import PAULI, expand
+from su4exp.qtensor import PAULI
+
+from reference import pauli_kron, qt_coeffs
 
 
 def _random_element(rng, scale=1.0):
@@ -115,8 +115,8 @@ def test_pauli_map_matches_trace_definition():
 def test_quintuple_map_matches_expand():
     for A in _u4_inputs():
         X = Su4Element(A)
-        eb = expand(X.traceless.real).coeff
-        ec = expand(X.traceless.imag).coeff
+        eb = qt_coeffs(X.traceless.real)
+        ec = qt_coeffs(X.traceless.imag)
         d = X.quintuple
         assert _close(d.p.as_vector(), eb[1:, 0], X)
         assert _close(d.q.as_vector(), eb[0, 1:], X)
@@ -294,23 +294,12 @@ def test_magic_basis_unitary():
     assert np.abs(MAGIC_BASIS @ MAGIC_BASIS.conj().T - np.eye(4)).max() < 1e-15
 
 
-def test_embed_su3_block_structure():
-    rng = np.random.default_rng(47)
-    Y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    Y = 0.5 * (Y - Y.conj().T)
-    Y -= np.trace(Y) / 3.0 * np.eye(3)
-    X = embed_su3(Y)
-    U = expm_reference(X.entries)
-    assert np.abs(U[3, :3]).max() < 1e-12
-    assert np.abs(U[:3, 3]).max() < 1e-12
-    assert abs(U[3, 3] - 1.0) < 1e-12
-    with pytest.raises(InputError):
-        embed_su3(np.eye(3))
-
-
 def test_commutator_coeffs_match_cross_product_definition():
     from su4exp.model import commutator_coeffs
-    from su4exp.quaternion import cross_matrix
+
+    def cross_matrix(p):
+        """[p]x, the matrix of w -> p x w."""
+        return np.array([[0.0, -p.z, p.y], [p.z, 0.0, -p.x], [-p.y, p.x, 0.0]])
 
     for A in _u4_inputs(seed=50, n=40):
         X = Su4Element(A)
@@ -331,7 +320,6 @@ def test_decompositions_are_built_on_first_access():
 
 def test_pauli_stack_is_the_kronecker_products():
     from su4exp.model import _PAULI_SLOTS, _PAULI_STACK
-    from su4exp.qtensor import pauli_kron
 
     ref = np.array([pauli_kron(s, t).ravel() for s, t in _PAULI_SLOTS])
     assert np.array_equal(_PAULI_STACK, ref)
