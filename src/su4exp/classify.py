@@ -84,26 +84,23 @@ def _frobenius(R: np.ndarray) -> float:
     return math.sqrt(np.vdot(R, R).real)
 
 
-def _quadratic_distance(X: np.ndarray, X2: np.ndarray, beta: complex,
+def _quadratic_distance(X: np.ndarray, S: np.ndarray, beta: complex,
                         gamma: complex) -> float:
-    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|:
-    the error bound of the quadratic formula (quadratic type I is beta = 0)."""
+    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|,
+    from S = X^2 + gamma I: the error bound of the quadratic formula
+    (quadratic type I is beta = 0)."""
     omega = math.sqrt(abs(gamma - beta * beta))
     if not omega:
         return math.inf
-    R = X2 + 2.0 * beta * X if beta else X2.copy()
-    R.ravel()[::len(X) + 1] += gamma  # the diagonal of the contiguous sum
-    return _frobenius(R) / omega
+    return _frobenius(S + 2.0 * beta * X if beta else S) / omega
 
 
-def _cubic_distance(X: np.ndarray, X2: np.ndarray, c2: complex) -> float:
-    """2 ||X^3 + c^2 X||_F / |c^2|, with X^3 + c^2 X = X (X^2 + c^2 I): the
-    error bound of the cubic formula."""
+def _cubic_distance(X: np.ndarray, S: np.ndarray, c2: complex) -> float:
+    """2 ||X^3 + c^2 X||_F / |c^2| from S = X^2 + c^2 I, with
+    X^3 + c^2 X = X S: the error bound of the cubic formula."""
     if not c2:
         return math.inf
-    R = X2.copy()
-    R.ravel()[::len(X) + 1] += c2
-    return 2.0 * _frobenius(X @ R) / abs(c2)
+    return 2.0 * _frobenius(X @ S) / abs(c2)
 
 
 def cofactor_matrix(C: np.ndarray) -> np.ndarray:
@@ -136,17 +133,20 @@ def check_quadratic_II_conditions(d: QuintupleDecomp,
     return bt if np.abs(lhs - bt * rhs).max() <= tol * scale2 else None
 
 
-def _shapes(X0: np.ndarray, X2: np.ndarray, mu: float, nu: complex):
+def _shapes(X0: np.ndarray, S: np.ndarray, mu: float, nu: complex):
     """Each minimal-polynomial shape in ``classify``'s order: its tag, its
     distance (``_quadratic_distance``, ``_cubic_distance``) and its
     ``MinPolyClass`` parameters, taken from mu > 0 and nu as in the module
-    docstring."""
+    docstring.  S = X0^2 is shifted in place: by mu/2 for both quadratic
+    shapes, then by mu/2 more for the cubic one."""
     g = mu / 2.0
-    yield "quadratic-I", _quadratic_distance(X0, X2, 0.0, g), {"c2": g}
+    S.ravel()[::len(X0) + 1] += g  # the diagonal of the contiguous square
+    yield "quadratic-I", _quadratic_distance(X0, S, 0.0, g), {"c2": g}
     beta = -3.0 * nu / (4.0 * mu)
-    yield ("quadratic-II", _quadratic_distance(X0, X2, beta, g),
+    yield ("quadratic-II", _quadratic_distance(X0, S, beta, g),
            {"beta": beta, "gamma": g})
-    yield "cubic-I", _cubic_distance(X0, X2, mu), {"c2": mu}
+    S.ravel()[::len(X0) + 1] += g
+    yield "cubic-I", _cubic_distance(X0, S, mu), {"c2": mu}
 
 
 def shape_distance(X: Su4Element, tag: str) -> float:

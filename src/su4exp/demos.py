@@ -1,10 +1,10 @@
 """Propagators for three physical two-qubit / four-level systems.
 
 Each constructor builds the Hamiltonian from physical parameters and
-exponentiates -iHt through the structured closed form the generator's shape
-calls for: two commuting rotation factors for the tridiagonal four-level
-ladder, and for the other two, whose interaction matrix splits as a 2x2
-plus a 1x1 block, the bisymmetric formula built from two 2x2 rotations.
+exponentiates -iHt through the closed form its shape calls for, scalar
+coefficients times a constant table: nine, from two commuting rotation
+factors, for the tridiagonal four-level ladder, and six, from two 2x2
+rotations, for the other two, whose interaction matrix splits 2x2 + 1x1.
 These double as integration fixtures: the tests compare each propagator
 against the series reference exponential.
 """

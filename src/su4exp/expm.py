@@ -1,17 +1,17 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Five structured formulas are one call of ``_rotations``, the only place a
-rotation factor cos|w| I + sinc|w| (w @ _QT_STACK) is built from a row w in
-the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A row is a
-group of anticommuting Pauli terms of X0, declared as data in the family
-table and read off v by a slot mask, or vec(u v^T) for a right singular
-direction v of the interaction matrix: an eigenvector of Cmat^T Cmat from
-NumPy's ``eigh``, the one spectral step of the structured formulas.  The
-bisymmetric formula needs only two 2x2 rotations: on its split, a constant
-involution P commutes with X0, and on each eigenspace of P the 2x2 block is
-a sum of two anticommuting involutions (``_bisym``), so e^X0 is six scalar
-coefficients times a constant table.  The other formulas are low-degree
-minimal-polynomial evaluations:
+Every structured formula is scalar coefficients times a constant table, in
+the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A group of
+anticommuting Pauli terms of X0, declared as data in the family table, is
+read off v by its slots and gives the vector [cos l, sinc(l) w] of a
+rotation factor; the outer product of a row's vectors times the products
+of its groups' basis matrices, built at import, is e^X0 (``_factors``).
+e^{iC} takes the one spectral step, NumPy's ``eigh`` of Cmat^T Cmat, and
+is twenty real coefficients on I and the pure-pure basis (``_interaction``);
+the normal split is e^B e^{iC}.  The bisymmetric formula needs two 2x2
+rotations, as a constant involution P commutes with X0 on its split and
+each eigenspace of P holds two anticommuting involutions (``_bisym``).
+The other formulas are low-degree minimal-polynomial evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
@@ -20,8 +20,8 @@ minimal-polynomial evaluations:
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
 tol.  ``gate_distance`` gives any one row's distance: a structured row's
-from its per-row expression on v (``_gate``), a minimal-polynomial row's
-from ``classify``, which tests those rows' distances.
+from v (``_gate``), a minimal-polynomial row's from ``classify``, which
+tests those rows' distances.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -39,7 +39,8 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +56,7 @@ from .model import (
     _COEFF_MAP,
     _PAULI_SLOT,
     _PAULI_SLOTS,
+    _PURE_FLAT,
     _QT_FLAT,
     _QT_STACK,
     MAGIC_BASIS,
@@ -99,11 +101,12 @@ class SymTriDiag:
 
 
 def sinc(c: complex) -> complex:
-    """sin(c)/c with a series fallback for small |c| (cancellation-free)."""
+    """sin(c)/c with a series fallback for small |c| (cancellation-free);
+    real for real c."""
     if abs(c) < 1e-4:
         c2 = c * c
         return 1.0 - c2 / 6.0 * (1.0 - c2 / 20.0)
-    return cmath.sin(c) / c
+    return (cmath.sin(c) if isinstance(c, complex) else math.sin(c)) / c
 
 
 def cosm1_over_c2(c: complex) -> complex:
@@ -125,33 +128,6 @@ def _principal_root(c2: complex) -> complex:
     r = abs(c2)
     theta = math.atan2(c2.imag, c2.real) % (2.0 * math.pi)
     return math.sqrt(r) * cmath.exp(0.5j * theta)
-
-
-def _rotations(W: np.ndarray) -> np.ndarray:
-    """prod_k (cos l_k I + sinc l_k Y_k), Y_k = w_k @ _QT_STACK, l_k = ||w_k||.
-
-    The rows of W (k, 15) must give commuting Y_k with Y_k^2 = -l_k^2 I.
-    """
-    lam = np.sqrt((W * W).sum(axis=1))
-    F = (W * np.array([sinc(l) for l in lam.tolist()])[:, None]) @ _QT_STACK
-    F[:, ::5] += np.cos(lam)[:, None]  # the diagonal of each flattened 4x4
-    U = F[0].reshape(4, 4)
-    for f in F[1:]:
-        U = U @ f.reshape(4, 4)
-    return U
-
-
-def _slot_masks(groups: tuple[str, ...]) -> np.ndarray:
-    """0/1 rows of the v slots of each group's Pauli labels ("xz", "0y", ...).
-
-    masks * v is the sub-sum of X0's own expansion over a group's terms, so
-    no signs are needed.
-    """
-    M = np.zeros((len(groups), 15))
-    for k, group in enumerate(groups):
-        for st in group.split():
-            M[k, _PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))]] = 1.0
-    return M
 
 
 def _unitarity(U: np.ndarray) -> float:
@@ -204,21 +180,29 @@ def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
     X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
     omega^2 = gamma - beta^2; quadratic type I is beta = 0."""
     c = _principal_root(gamma - beta * beta)
-    eye = np.eye(len(X), dtype=complex)
-    return cmath.exp(-beta) * (cmath.cos(c) * eye + sinc(c) * (X + beta * eye))
+    e, s = cmath.exp(-beta), sinc(c)
+    U = (e * s) * X
+    U.ravel()[::len(X) + 1] += e * (cmath.cos(c) + beta * s)
+    return U
 
 
 def _cubic(X: np.ndarray, c2: complex) -> np.ndarray:
     """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X."""
     c = _principal_root(c2)
-    return np.eye(len(X), dtype=complex) + sinc(c) * X + cosm1_over_c2(c) * (X @ X)
+    U = cosm1_over_c2(c) * X
+    U.ravel()[::len(X) + 1] += sinc(c)
+    U = X @ U  # sinc(c) X + (1-cos c)/c^2 X^2
+    U.ravel()[::len(X) + 1] += 1.0
+    return U
 
 
 def _checked(name: str, X, distance: Callable, formula: Callable, *params) -> np.ndarray:
     """formula(X, *params), or StructureError when the shape's distance
-    (``classify``) exceeds STRUCTURE_TOL."""
+    (``classify``) exceeds STRUCTURE_TOL; both shift X^2 by the last param."""
     X = np.asarray(X, dtype=complex)
-    d = distance(X, X @ X, *params)
+    S = X @ X
+    S.ravel()[::len(X) + 1] += params[-1]
+    d = distance(X, S, *params)
     if d > STRUCTURE_TOL:
         raise StructureError(f"{name} minimal polynomial", d)
     return formula(X, *params)
@@ -241,33 +225,69 @@ def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     return _checked("cubic-I", X, _cubic_distance, _cubic, c2)
 
 
-# -- family formulas: e^{X0} from X and W, its groups' rows of v ------------
+# -- family formulas: e^{X0} from v and its row's table, or the gate's split --
 
-def _grouped(X: Su4Element, W: np.ndarray) -> np.ndarray:
-    return _rotations(W)
+def _factors(v: np.ndarray, table) -> np.ndarray:
+    """prod_g (cos l_g I + sinc(l_g) w_g @ _QT_STACK[slots_g]), l_g = ||w_g||,
+    over the row's one or two groups g.
 
-
-def _interaction_rows(Cmat: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Rows vec(u_i v_i^T), u_i = Cmat v_i, for orthonormal columns v_i of V.
-
-    They sum to vec Cmat, and commute when the u_i are pairwise orthogonal.
+    w = G v holds the groups' slots of what the row's gate keeps of v.  A
+    factor is the vector [cos l_g, sinc(l_g) w_g] on I and its group's basis
+    matrices, and row a of T is the product of the basis matrices that term
+    a of the outer product of those vectors names (``_group_table``).
     """
-    W = np.zeros((3, 15))
-    W[:, 6:] = ((Cmat @ V).T[:, :, None] * V.T[:, None, :]).reshape(3, 9)
-    return W
+    groups, G, T = table
+    w = (G @ v).tolist()
+    f = []
+    for group in groups:
+        g = w[group]
+        lam = math.hypot(*g)
+        s = sinc(lam)
+        f.append([math.cos(lam)] + [s * x for x in g])
+    coef = f[0] if len(f) == 1 else [a * b for a in f[0] for b in f[1]]
+    return (np.array(coef) @ T).view(complex).reshape(4, 4)
 
 
-def _normal_split(X: Su4Element, W: np.ndarray) -> np.ndarray:
-    """e^X0 = e^B e^{iC} when the real/imaginary parts commute.
+def _interaction(v: np.ndarray, table=None) -> np.ndarray:
+    """e^{iC} from the right singular directions V of Cmat (``eigh3``).
 
-    W holds e^B's rows p and q; the right singular directions of the
-    interaction matrix, eigenvectors of Cmat^T Cmat (``eigh3``), give
-    e^{iC}'s; any orthonormal eigenbasis serves, repeated or zero singular
-    values included.  Imaginary symmetry is the case B = 0.
+    With Cmat V = [u_0 u_1 u_2], iC is the sum of the commuting terms
+    i M(u_k v_k^T), M(A) = sum_ab A_ab M_{e_a (x) e_b}, which square to
+    -sigma_k^2 I, and the product of their rotation factors expands to
+
+        (c_0 c_1 c_2 - i det(Cmat) n_0 n_1 n_2) I
+            + M(i Cmat V diag(alpha) V^T - Co(Cmat) V diag(beta) V^T),
+
+    c_k = cos sigma_k, n_k = sinc sigma_k, alpha_k = n_k c_i c_j, beta_k =
+    c_k n_i n_j ({i, j} the other two indices), Co the cofactor matrix.  cos
+    and sinc are entire in sigma^2, an eigenvalue of Cmat^T Cmat, so any
+    orthonormal eigenbasis serves, repeated or zero singular values included.
     """
-    Cmat = X.coeffs[6:].reshape(3, 3)
-    _, V = eigh3(Cmat.T @ Cmat)
-    return _rotations(np.concatenate((W, _interaction_rows(Cmat, V))))
+    Cmat = v[6:].reshape(3, 3)
+    lam, V = eigh3(Cmat.T @ Cmat)
+    sigma = [math.sqrt(max(x, 0.0)) for x in lam.tolist()]
+    (c0, c1, c2), (n0, n1, n2) = map(math.cos, sigma), map(sinc, sigma)
+    a, b, c, d, e, f, g, h, i = w = v[6:].tolist()
+    co = [e * i - f * h, f * g - d * i, d * h - e * g,
+          h * c - i * b, i * a - g * c, g * b - h * a,
+          b * f - c * e, c * d - a * f, a * e - b * d]
+    det = a * co[0] + b * co[1] + c * co[2]
+    Q = (np.array(w + co).reshape(6, 3) @ V).reshape(2, 3, 3)  # Cmat V, Co(Cmat) V
+    Q *= np.array([n0 * c1 * c2, n1 * c0 * c2, n2 * c0 * c1,
+                   c0 * n1 * n2, c1 * n0 * n2, c2 * n0 * n1]).reshape(2, 1, 3)
+    U = ((Q.reshape(6, 3) @ V.T).reshape(18) @ _IC_TABLE).view(complex).reshape(4, 4)
+    U.ravel()[::5] += complex(c0 * c1 * c2, -det * n0 * n1 * n2)
+    return U
+
+
+# _interaction's table, in the real view: i M(.) and -M(.) of its 3x3 matrices.
+_IC_TABLE = np.concatenate((1j * _PURE_FLAT, -_PURE_FLAT)).view(float)
+
+
+def _normal_split(v: np.ndarray, table) -> np.ndarray:
+    """e^X0 = e^B e^{iC} when B and C commute: e^B by ``_factors`` on the p
+    and q groups, e^{iC} by ``_interaction``, the imaginary-symmetric row."""
+    return _factors(v, table) @ _interaction(v)
 
 
 def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
@@ -300,7 +320,7 @@ def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
 _SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
-def _bisym(X: Su4Element, k: int) -> np.ndarray:
+def _bisym(v: np.ndarray, k: int) -> np.ndarray:
     """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
 
     On the gate's split k, the nearest of the nine (ties to the first), X0 is
@@ -316,7 +336,7 @@ def _bisym(X: Su4Element, k: int) -> np.ndarray:
     is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 = -M21,
     the split's rows up to sign.
     """
-    e, a, b, c, d = X.coeffs[_SPLIT_SLOTS[k]].tolist()
+    e, a, b, c, d = v[_SPLIT_SLOTS[k]].tolist()
     sigma = _SPLIT_SIGN[k]
     cos_e, sin_e = math.cos(sigma * e), math.sin(sigma * e)
     terms = []
@@ -339,12 +359,12 @@ class Family(NamedTuple):
     ``method`` is the ExpResult tag and the FAMILIES key.  A structured row
     is gated by its ``gate_distance``, which the public predicate named
     ``gate`` compares with tol, and shows as ``label`` in ``su4exp
-    classify``.  A row without a gate applies when ``classify`` returns the
-    tag ``label``, and its formula also takes that classification.
-    ``groups`` holds the Pauli labels of each rotation factor read off v,
-    and ``_MASKS`` their slots; the bisymmetric row has none, as its formula
-    takes the split its gate found.  ``formula`` gives e^{X0};
-    ``_unitary`` adds the scalar phase.
+    classify``; its formula takes v and its row's table (``_TABLES``), or
+    the bisymmetric split its gate found.  A row without a gate applies
+    when ``classify`` returns the tag ``label``, and its formula takes X and
+    that classification.  ``groups`` holds the Pauli labels of each rotation
+    factor read off v.  ``formula`` gives e^{X0}; ``_unitary`` adds the
+    scalar phase.
     """
 
     method: str
@@ -355,14 +375,14 @@ class Family(NamedTuple):
 
 
 FAMILY_TABLE = (
-    Family("tridiag", "symmetric-tridiagonal", _grouped, "is_tridiagonal_type",
+    Family("tridiag", "symmetric-tridiagonal", _factors, "is_tridiagonal_type",
            groups=("xx zx", "yy 0x")),
-    Family("perskew", "perskewsymmetric", _grouped, "is_perskew",
+    Family("perskew", "perskewsymmetric", _factors, "is_perskew",
            groups=("z0 xz yz", "0z zx zy")),
-    Family("skewham", "skew-Hamiltonian", _grouped, "is_skew_hamiltonian",
+    Family("skewham", "skew-Hamiltonian", _factors, "is_skew_hamiltonian",
            groups=("yy 0z 0x zy xy",)),
     Family("bisym", "bisymmetric-type", _bisym, "is_bisymmetric"),
-    Family("imsym", "imaginary-symmetric", _normal_split, "is_imaginary_symmetric"),
+    Family("imsym", "imaginary-symmetric", _interaction, "is_imaginary_symmetric"),
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
@@ -372,9 +392,11 @@ FAMILY_TABLE = (
     Family("cubic-I", "cubic-I", lambda X, m: _cubic(X.traceless, m.c2)),
 )
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
-_STRUCTURED = tuple(fam for fam in FAMILY_TABLE if fam.gate)
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
-_MASKS = {fam.method: _slot_masks(fam.groups) for fam in _STRUCTURED}
+# The v slots of each group's Pauli labels ("xz", "0y", ...): v at a group's
+# slots is X0's own expansion over its terms, so no signs are needed.
+_SLOTS = {fam.method: [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()]
+                       for g in fam.groups] for fam in FAMILY_TABLE if fam.groups}
 
 # v of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_MAP @ (alpha, beta, gamma).
 _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float).ravel()
@@ -383,93 +405,103 @@ _TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float)
 # Orthogonal projectors onto the linear families in v.  The columns of
 # _TRIDIAG_MAP are orthogonal with squared norm 1/2; the other families are
 # the slots of the row's groups, or of Cmat for imaginary symmetry.
+_EYE15 = np.eye(15)
 _PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
               "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
-    m: np.diag(_MASKS[m].sum(axis=0)) for m in ("perskew", "skewham")}
-
-_EYE15 = np.eye(15)
+    m: np.diag(_EYE15[sum(_SLOTS[m], [])].sum(axis=0)) for m in ("perskew", "skewham")}
 _TRIDIAG_RESID = _EYE15 - _PROJECTOR["tridiag"]
 
-# W = _GROUP_ROWS[method] @ v: the groups' rows of P v, for the projector P
-# of the row's gate, or the identity for a gate that is no projector.
-_GROUP_ROWS = {m: masks[:, :, None] * _PROJECTOR.get(m, _EYE15)
-               for m, masks in _MASKS.items()}
+
+def _group_table(method: str, slots: list[list[int]]) -> tuple:
+    """A grouped row's (slices of w = G v, G, T) for ``_factors``: G v reads
+    the groups' slots of P v, P the projector of the row's gate, and T is the
+    real view of the products B_1[a] B_2[b] of the groups' bases, rows of
+    _BASES (I, then the slots' basis matrices), one broadcast product."""
+    B = [_BASES[[0] + [s + 1 for s in group]] for group in slots]
+    T = B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)
+    ends = [0, *accumulate(map(len, slots))]
+    return ([slice(*e) for e in zip(ends, ends[1:])],
+            _PROJECTOR.get(method, _EYE15)[sum(slots, [])], T.reshape(-1, 16).view(float))
 
 
-# -- structure gates: each row's squared distance over 4 from v and v2 = v * v,
-# and what its formula takes of the gate (the bisymmetric split, else None).
+_BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK)).reshape(16, 1, 4, 4)
+_TABLES = {m: _group_table(m, slots) for m, slots in _SLOTS.items()}
 
-def _tridiag_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
+
+# -- structure gates: stages of rows' squared distances over 4 from v, and
+# what the formula takes of the gate (the bisymmetric split, else None).
+
+def _tridiag_gate(v: np.ndarray) -> dict:
     u = _TRIDIAG_RESID @ v
-    return u @ u, None
+    return {"tridiag": (u @ u, None)}
 
 
-def _drop_gate(drop: np.ndarray, v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
-    return drop @ v2, None
+# v^2's dropped slots of perskew, skewham, the nine bisymmetric splits and
+# imaginary symmetry, in that order.
+_DROP = np.vstack([1.0 - np.diag(_PROJECTOR["perskew"]), 1.0 - np.diag(_PROJECTOR["skewham"]),
+                   _SPLIT_OFF, 1.0 - np.diag(_PROJECTOR["imsym"])])
 
 
-def _bisym_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, int]:
-    s = _SPLIT_OFF @ v2
-    k = int(s.argmin())
-    return s[k], k
+def _drop_gates(v: np.ndarray) -> dict:
+    s = (_DROP @ (v * v)).tolist()
+    k = s.index(min(s[2:11]), 2)
+    return {"perskew": (s[0], None), "skewham": (s[1], None), "bisym": (s[k], k - 2),
+            "imsym": (s[11], None)}
 
 
-def _normal_gate(v: np.ndarray, v2: np.ndarray) -> tuple[float, None]:
+def _normal_gate(v: np.ndarray) -> dict:
     K = commutator_coeffs(v)
-    return K @ K, None
+    return {"normal-split": (K @ K, None)}
 
 
-_GATES = {"tridiag": _tridiag_gate, "bisym": _bisym_gate, "normal-split": _normal_gate} | {
-    m: partial(_drop_gate, 1.0 - np.diag(_PROJECTOR[m])) for m in ("perskew", "skewham", "imsym")}
+_STAGES = (_tridiag_gate, _drop_gates, _normal_gate)
+_STAGE = {m: stage for stage in _STAGES for m in stage(np.zeros(15))}
 
 
-def _gate(method: str, v: np.ndarray, v2: np.ndarray) -> tuple[float, int | None]:
+def _gate(method: str, v: np.ndarray) -> tuple[float, int | None]:
     """The structured row's gate distance, and its formula's split argument.
 
     The basis matrices of v are orthogonal with squared norm 4, so
     ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
     2||v - P v|| for its projector P: for a diagonal P, and for the
-    bisymmetric split (the nearest of the nine), twice the root of a sum of
-    v's squared slots.  The normal split's is the Trotter bound
-    1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
+    bisymmetric split (the nearest of the nine, ties to the first), twice
+    the root of a sum of v's squared slots.  The normal split's is the
+    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
     """
-    d2, arg = _GATES[method](v, v2)
+    d2, arg = _STAGE[method](v)[method]
     return 2.0 * math.sqrt(d2), arg
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
-    """The gate distance of the row ``method``, computed alone: a structured
-    row's from v (``_gate``), a minimal-polynomial row's shape distance
+    """The gate distance of the row ``method``: a structured row's from v
+    (``_gate``), a minimal-polynomial row's shape distance
     (``classify.shape_distance``)."""
     fam = _ROWS[method]
     if not fam.gate:
         return shape_distance(X, fam.label)
-    v = X.coeffs
-    return _gate(method, v, v * v)[0]
+    return _gate(method, X.coeffs)[0]
 
 
 def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
-    """The first structured row whose gate distance is at most tol, tested
-    in order up to it, and its gate's split argument."""
+    """The first structured row whose gate distance is at most tol, and its
+    gate's split: the tridiagonal residual, then one product for the next
+    four rows, and the normal split's commutator only if all of those fail."""
     v = X.coeffs
-    v2 = v * v
-    for fam in _STRUCTURED:
-        d, arg = _gate(fam.method, v, v2)
-        if d <= tol:
-            return fam, arg
+    for stage in _STAGES:
+        for method, (d2, arg) in stage(v).items():
+            if 2.0 * math.sqrt(d2) <= tol:
+                return _ROWS[method], arg
     return None, None
 
 
 def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
-    """e^X by the row's formula, scalar phase e^{ib} included.
+    """e^X by the row's formula, scalar phase e^{ib} included when b != 0.
 
-    A structured formula takes its groups' rows of what its gate keeps of v
-    (arg None), or the split its gate found; a minimal-polynomial one the
-    classification.
+    A structured formula takes v and its row's table, or the split its gate
+    found (arg); a minimal-polynomial one X and the classification.
     """
-    if arg is None:
-        arg = _GROUP_ROWS[fam.method] @ X.coeffs
-    return cmath.exp(1j * X.scalar) * fam.formula(X, arg)
+    U = fam.formula(X.coeffs, _TABLES.get(fam.method, arg)) if fam.gate else fam.formula(X, arg)
+    return cmath.exp(1j * X.scalar) * U if X.scalar else U
 
 
 def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -483,8 +515,7 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
     """
     fam = _ROWS[method]
     if fam.gate:
-        v = X.coeffs
-        d, arg = _gate(method, v, v * v)
+        d, arg = _gate(method, X.coeffs)
         if d > tol:
             raise StructureError(fam.label, d)
         return ExpResult(_unitary(fam, X, arg), method)
@@ -507,8 +538,7 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     params = (S.alpha, S.beta, S.gamma)
     if not all(map(math.isfinite, params)):
         raise InputError("tridiagonal parameters must be finite")
-    v = _TRIDIAG_MAP @ params
-    return ExpResult(_rotations(_MASKS["tridiag"] * v), "tridiag")
+    return ExpResult(_factors(_TRIDIAG_MAP @ params, _TABLES["tridiag"]), "tridiag")
 
 
 def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -522,7 +552,7 @@ def exp_skewham(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
 
 
 def exp_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
-    """e^X for imaginary-symmetric X (see ``_normal_split``); StructureError otherwise."""
+    """e^X for imaginary-symmetric X (see ``_interaction``); StructureError otherwise."""
     return closed_form("imsym", X, tol)
 
 

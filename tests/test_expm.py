@@ -237,6 +237,28 @@ def test_perskew_triples_anticommute_and_commute():
                         assert np.abs(A @ B - B @ A).max() < 1e-14, fam.method
 
 
+def test_group_tables_hold_the_products_of_their_basis_matrices():
+    # Row a of a grouped row's table names I or one basis matrix of each
+    # group, in group order, as term a of the outer product of the groups'
+    # coefficient vectors does; its row is their product.
+    import itertools
+    from functools import reduce
+
+    from su4exp.expm import _IC_TABLE, _SLOTS, _TABLES
+    from su4exp.model import _PURE_FLAT
+    for method, slots in _SLOTS.items():
+        groups, G, T = _TABLES[method]
+        assert [len(range(15)[g]) for g in groups] == [len(s) for s in slots]
+        assert G.shape == (sum(map(len, slots)), 15)
+        bases = [[np.eye(4)] + [_QT_STACK[s].reshape(4, 4) for s in group] for group in slots]
+        products = [reduce(np.matmul, names) for names in itertools.product(*bases)]
+        assert T.shape == (len(products), 32)
+        for row, P in zip(T, products):
+            assert np.array_equal(row.view(complex).reshape(4, 4), P), method
+    rows = _IC_TABLE.view(complex)
+    assert np.array_equal(rows[:9], 1j * _PURE_FLAT) and np.array_equal(rows[9:], -_PURE_FLAT)
+
+
 def test_skewham_terms_anticommute():
     # The anticommutation makes any linear combination of one group's terms
     # square to a scalar, so each group is one exact rotation factor.
@@ -298,8 +320,8 @@ def test_imsym_matches_oracle():
 
 def _check_imsym_factors(Cmat):
     # The factors of e^{iC} from NumPy's eigh of Cmat^T Cmat commute, their
-    # product is the closed form's, and both match the oracle.
-    from su4exp.expm import _interaction_rows, _rotations
+    # product is the closed form's coefficient table, and both match the oracle.
+    from su4exp.expm import _interaction
     _, V = np.linalg.eigh(Cmat.T @ Cmat)
     Fs = []
     for i in range(3):
@@ -312,8 +334,8 @@ def _check_imsym_factors(Cmat):
         for j in range(i + 1, 3):
             assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
     prod = Fs[0] @ Fs[1] @ Fs[2]
-    assert np.abs(prod - _rotations(_interaction_rows(Cmat, V))).max() < 1e-12
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T)
+    assert np.abs(prod - _interaction(X.coeffs)).max() < 1e-12
     ref = expm_reference(X.entries)
     assert np.abs(prod - ref).max() < 1e-12
     assert np.abs(exp_imaginary_symmetric(X).U - ref).max() < 1e-12
@@ -340,6 +362,53 @@ def test_imsym_factors_commute_near_degenerate(gap):
         Q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         Q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         _check_imsym_factors(Q1 @ np.diag(sv) @ Q2.T)
+
+
+def _interaction_cases():
+    """Interaction matrices Q1 diag(s) Q2^T with the singular values that
+    stress e^{iC}, by name."""
+    rng = np.random.default_rng(92)
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+    cases = {"rank 0": (0.0, 0.0, 0.0), "rank 1": (2.3, 0.0, 0.0),
+             "rank 2": (2.3, 0.7, 0.0), "repeated": (1.9, 1.9, 0.4),
+             "det < 0": (1.3, 0.4, 2.2), "1e-9": (2.3, 1.1, 1e-9)}
+    out = {name: Q1 @ np.diag(s) @ Q2.T for name, s in cases.items()}
+    if np.linalg.det(out["det < 0"]) > 0:
+        out["det < 0"] = -out["det < 0"]
+    return out
+
+
+@pytest.mark.parametrize("name", _interaction_cases())
+def test_interaction_matches_oracle_at_degenerate_singular_values(name):
+    # cos and sinc enter as functions of sigma^2, so rank-deficient,
+    # repeated and tiny singular values need no special case.
+    from su4exp.expm import _interaction
+    Cmat = _interaction_cases()[name]
+    assert name != "det < 0" or np.linalg.det(Cmat) < 0
+    X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T, scalar=0.3)
+    ref = expm_reference(X.entries)
+    assert np.abs(cmath.exp(0.3j) * _interaction(X.coeffs) - ref).max() <= 1e-12
+    assert np.abs(exp_imaginary_symmetric(X).U - ref).max() <= 1e-12
+
+
+def test_normal_split_with_a_nonzero_interaction_matrix():
+    # The family sampler draws Cmat = c u w^T with p = a u, q = b w: both
+    # e^B and e^{iC} are exercised.
+    from su4exp.families import sample_normal_split
+    rng = np.random.default_rng(93)
+    for _ in range(100):
+        X = sample_normal_split(rng)
+        assert np.abs(X.coeffs[6:]).max() > 0.0 and is_normal_element(X)
+        assert np.abs(exp_normal_split(X).U - expm_reference(X.entries)).max() <= 1e-12
+
+
+def test_interaction_at_large_norm():
+    rng = np.random.default_rng(94)
+    for _ in range(20):
+        Cmat = rng.normal(size=(3, 3))
+        Cmat *= 1e3 / np.linalg.norm(Cmat)
+        X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T)
+        assert np.abs(exp_imaginary_symmetric(X).U - expm_reference(X.entries)).max() <= 1e-9
 
 
 def test_bisym_matches_oracle_all_block_positions():
@@ -438,15 +507,15 @@ def test_bisym_across_scales():
 
 
 def test_bisym_agrees_with_the_normal_split():
-    # The imaginary-symmetric route (3x3 spectral factorization) on the same
-    # bisymmetric inputs; _bisym takes the split the gate finds.
-    from su4exp.expm import _bisym, _normal_split
+    # The normal-split route (3x3 spectral factorization, and e^B = I for
+    # p = q = 0) on the same bisymmetric inputs; _bisym takes the split the
+    # gate finds.
+    from su4exp.expm import _TABLES, _bisym, _normal_split
     rng = np.random.default_rng(86)
-    empty = np.zeros((0, 15))
     for k in range(9):
         for _ in range(20):
-            X = _split_element(k, *rng.uniform(-4, 4, 5))
-            U, V = _bisym(X, k), _normal_split(X, empty)
+            v = _split_element(k, *rng.uniform(-4, 4, 5)).coeffs
+            U, V = _bisym(v, k), _normal_split(v, _TABLES["normal-split"])
             assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
@@ -817,6 +886,23 @@ def test_predicate_is_its_gate_distance_against_tol(name):
         d = gate_distance(name, X)
         for tol in (STRUCTURE_TOL, 1e-6, d, d * (1 + 1e-12), d * (1 - 1e-12)):
             assert predicate(X, tol) == (d <= tol)
+
+
+def test_structured_row_takes_the_first_row_within_tol():
+    # At tol = d and d(1 +- 1e-12) for each row's distance d, dispatch takes
+    # the first row whose gate_distance is at most tol, with the nearest
+    # bisymmetric split.
+    from su4exp.expm import _structured_row
+    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
+    for X in _gate_samples():
+        dists = [gate_distance(m, X) for m in methods]
+        split = int((_SPLIT_OFF @ (X.coeffs * X.coeffs)).argmin())
+        for d in dists:
+            for tol in (d, d * (1 + 1e-12), d * (1 - 1e-12)):
+                fam, arg = _structured_row(X, tol)
+                first = next((m for m, dm in zip(methods, dists) if dm <= tol), None)
+                assert (fam and fam.method) == first
+                assert arg == (split if first == "bisym" else None)
 
 
 @pytest.mark.parametrize("name", _GATED)
