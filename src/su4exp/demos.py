@@ -1,22 +1,23 @@
 """Propagators for three physical two-qubit / four-level systems.
 
-Each constructor builds the Hamiltonian from physical parameters and
-exponentiates -iHt through the closed form its shape calls for, scalar
-coefficients times a constant table: nine, from two commuting rotation
-factors, for the tridiagonal four-level ladder, and six, from two 2x2
-rotations, for the other two, whose interaction matrix splits 2x2 + 1x1.
-These double as integration fixtures: the tests compare each propagator
-against the series reference exponential.
+Each Hamiltonian's shape fixes its closed form, whatever its parameters:
+the tridiagonal four-level ladder is two commuting rotation factors, and
+the other two, whose interaction matrix splits 2x2 + 1x1, are bisymmetric
+at one split.  So each generator -iHt is one constant map, built at import
+from the system's own matrix builder, taking t times the parameters to the
+coefficients (v, b) of ``Su4Element``, and each call is that product and
+its row's formula (``expm._exp_mapped``): no element is built and no gate
+runs.  These double as integration fixtures: the tests compare each
+propagator against the series reference exponential.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expm import ExpResult, SymTriDiag, exp_bisymmetric_fast, exp_tridiag
+from .expm import ExpResult, _exp_mapped, _gate, _param_map
 from .model import Su4Element
 
 
@@ -74,10 +75,7 @@ def rabi_matrix(p: RabiParams) -> np.ndarray:
 
 def rabi_propagator(p: RabiParams) -> ExpResult:
     """U(t) = e^{-i E0 t} exp(-i C t) via the tridiagonal two-factor form."""
-    res = exp_tridiag(SymTriDiag(alpha=-p.g1 * p.t, beta=-p.g2 * p.t,
-                                 gamma=-p.g3 * p.t))
-    U = cmath.exp(-1j * p.E0 * p.t) * res.U
-    return ExpResult(U=U, method=res.method)
+    return _exp_mapped("tridiag", _RABI_MAP, [p.t * x for x in (p.g1, p.g2, p.g3, p.E0)])
 
 
 def josephson_matrix(p: JosephsonParams) -> np.ndarray:
@@ -92,8 +90,8 @@ def josephson_matrix(p: JosephsonParams) -> np.ndarray:
 
 def josephson_propagator(p: JosephsonParams) -> ExpResult:
     """e^{-iHt}: scalar part -(E00+E10)t/2 plus a bisymmetric remainder."""
-    X = Su4Element(-1j * p.t * josephson_matrix(p))
-    return exp_bisymmetric_fast(X)
+    return _exp_mapped("bisym", _JOSEPHSON_MAP,
+                       [p.t * x for x in (p.E00, p.E10, p.EJ1, p.EJ2)], _JOSEPHSON_SPLIT)
 
 
 def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
@@ -110,4 +108,22 @@ def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
 def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
     """e^{tX} = e^{iat} e^{tX0}: in the interaction matrix, sz(x)sz is the
     1x1 block and sz(x)I, I(x)sz, sx(x)sx, sy(x)sy the 2x2 block."""
-    return exp_bisymmetric_fast(scalar_coupling_element(p))
+    return _exp_mapped("bisym", _JCOUPLING_MAP,
+                       [p.t * x for x in (p.a, p.b, p.c, p.d, p.e, p.f)], _JCOUPLING_SPLIT)
+
+
+# -- the constant maps ------------------------------------------------------
+
+def _bisym_split(M: np.ndarray) -> int:
+    """The bisymmetric gate's split on M's range: the gate on the sum of
+    |columns|, whose support holds every column's, keeps all of them."""
+    return _gate("bisym", np.abs(M[:15]).sum(axis=1))[1]
+
+
+_RABI_MAP = _param_map(
+    lambda g1, g2, g3, E0: -1j * (rabi_matrix(RabiParams(g1, g2, g3)) + E0 * np.eye(4)), 4)
+_JOSEPHSON_MAP = _param_map(lambda *e: -1j * josephson_matrix(JosephsonParams(*e)), 4)
+_JCOUPLING_MAP = _param_map(
+    lambda *e: scalar_coupling_element(ScalarCouplingParams(*e)).entries, 6)
+_JOSEPHSON_SPLIT = _bisym_split(_JOSEPHSON_MAP)
+_JCOUPLING_SPLIT = _bisym_split(_JCOUPLING_MAP)

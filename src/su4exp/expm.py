@@ -30,7 +30,10 @@ the first structured row whose gate passes, then the minimal-polynomial row
 ``classify`` names, then a magic-basis conjugation whose image passes a
 structured gate, and finally the Taylor-series reference exponential.  All
 results carry a method tag and a unitarity residual, and every U is e^X
-with the scalar phase included.
+with the scalar phase included.  A generator that a constant map takes
+from its parameters onto one structured row needs neither element nor
+gate: ``_exp_mapped``, behind ``exp_tridiag`` and the demo propagators, is
+that product and the row's formula.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .classify import (
 )
 from .errors import InputError, StructureError
 from .model import (
-    _COEFF_MAP,
+    _INPUT_MAP,
     _PAULI_SLOT,
     _PAULI_SLOTS,
     _PURE_FLAT,
@@ -398,9 +401,19 @@ _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
 _SLOTS = {fam.method: [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()]
                        for g in fam.groups] for fam in FAMILY_TABLE if fam.groups}
 
-# v of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_MAP @ (alpha, beta, gamma).
-_TRIDIAG_MAP = np.column_stack([_COEFF_MAP @ SymTriDiag(*e).matrix().view(float).ravel()
-                                for e in np.eye(3)])
+
+def _param_map(generator, n: int) -> np.ndarray:
+    """(16, n) real M with (v, b) of generator(*x) equal to M @ x, for a
+    generator linear in its n parameters: column j is (v, b) of the unit
+    vector e_j's matrix, read by the constructor's input map."""
+    return _INPUT_MAP[:16] @ np.column_stack(
+        [np.ascontiguousarray(generator(*e), dtype=complex).reshape(16).view(float)
+         for e in np.eye(n)])
+
+
+# (v, b) of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_VB @ (alpha, beta, gamma).
+_TRIDIAG_VB = _param_map(lambda *e: SymTriDiag(*e).matrix(), 3)
+_TRIDIAG_MAP = _TRIDIAG_VB[:15]
 
 # Orthogonal projectors onto the linear families in v.  The columns of
 # _TRIDIAG_MAP are orthogonal with squared norm 1/2; the other families are
@@ -528,17 +541,31 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
 
 # -- public closed forms and the dispatcher --------------------------------
 
+def _exp_mapped(method: str, M: np.ndarray, x, arg=None) -> ExpResult:
+    """e^X for the X with (v, b) = M @ x, by the formula of the row ``method``.
+
+    For generators that a constant (16, n) map M takes from parameters x
+    onto one structured row: every column of M has gate distance 0 there,
+    and arg is the gate's split on M's range (bisym) or None.  So no element
+    is built and no gate runs.  Raises InputError on a non-finite parameter,
+    before any product.
+    """
+    if not all(map(math.isfinite, x)):
+        raise InputError("parameters must be finite")
+    y = M @ x
+    U = _ROWS[method].formula(y[:15], _TABLES.get(method, arg))
+    b = y[15]
+    return ExpResult(cmath.exp(1j * b) * U if b else U, method)
+
+
 def exp_tridiag(S: SymTriDiag) -> ExpResult:
     """e^S for i x (real symmetric tridiagonal, zero diagonal) parameters.
 
-    Takes the three parameters rather than an element, so the demo
-    propagators skip element construction: v is a constant map of them.
-    Raises InputError on a non-finite parameter.
+    Takes the three parameters rather than an element: (v, b) is the
+    constant map _TRIDIAG_VB of them (``_exp_mapped``), as for the demo
+    propagators.  Raises InputError on a non-finite parameter.
     """
-    params = (S.alpha, S.beta, S.gamma)
-    if not all(map(math.isfinite, params)):
-        raise InputError("tridiagonal parameters must be finite")
-    return ExpResult(_factors(_TRIDIAG_MAP @ params, _TABLES["tridiag"]), "tridiag")
+    return _exp_mapped("tridiag", _TRIDIAG_VB, (S.alpha, S.beta, S.gamma))
 
 
 def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:

@@ -3,10 +3,13 @@ reference exponential, stay unitary, and satisfy the one-parameter group
 property in the evolution time."""
 
 import cmath
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from su4exp import demos, expm
 from su4exp.demos import (
     JosephsonParams,
     RabiParams,
@@ -18,6 +21,9 @@ from su4exp.demos import (
     scalar_coupling_element,
     scalar_coupling_propagator,
 )
+from su4exp.errors import InputError
+from su4exp.expm import exp_auto, gate_distance
+from su4exp.model import Su4Element
 from su4exp.oracle import expm_reference
 
 
@@ -90,17 +96,84 @@ def test_scalar_coupling_method_and_pure_offset():
                   - cmath.exp(1j * 1.4) * np.eye(4)).max() < 1e-13
 
 
-@pytest.mark.parametrize("make_params, generator, propagate", [
-    (lambda r: JosephsonParams(*r.uniform(-2, 2, 4)),
-     lambda p: -1j * p.t * josephson_matrix(p), josephson_propagator),
-    (lambda r: ScalarCouplingParams(*r.uniform(-2, 2, 6)),
-     lambda p: scalar_coupling_element(p).entries, scalar_coupling_propagator),
-], ids=["josephson", "jcoupling"])
-def test_bisymmetric_demos_over_time(make_params, generator, propagate):
-    # The bisymmetric closed form over t in (0, 10], against the oracle.
-    p = make_params(np.random.default_rng(83))
+# Each demo: its parameters at a generic point, its generator -iHt, its
+# propagator, its row, and its constant map with the split the row takes.
+DEMOS = {
+    "rabi": (RabiParams(0.7, -1.3, 0.4, E0=0.6),
+             lambda p: -1j * p.t * (rabi_matrix(p) + p.E0 * np.eye(4)),
+             rabi_propagator, "tridiag", demos._RABI_MAP, None),
+    "josephson": (JosephsonParams(1.1, 0.3, 0.45, 0.2),
+                  lambda p: -1j * p.t * josephson_matrix(p),
+                  josephson_propagator, "bisym", demos._JOSEPHSON_MAP, demos._JOSEPHSON_SPLIT),
+    "jcoupling": (ScalarCouplingParams(0.4, -0.8, 0.3, 0.9, -0.5, 0.6),
+                  lambda p: scalar_coupling_element(p).entries,
+                  scalar_coupling_propagator, "bisym", demos._JCOUPLING_MAP,
+                  demos._JCOUPLING_SPLIT),
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demos_over_time(demo):
+    # The demo's closed form over t in (0, 10]: its row, which is also
+    # exp_auto's on the generator, exp_auto's U within 1e-13, and the
+    # oracle within 1e-12.
+    p, generator, propagate, method, _, _ = DEMOS[demo]
     for t in np.linspace(0.0, 10.0, 101)[1:]:
         q = _replace_t(p, float(t))
-        res = propagate(q)
-        assert res.method == "bisym"
+        res, auto = propagate(q), exp_auto(Su4Element(generator(q)))
+        assert res.method == auto.method == method, t
+        assert np.abs(res.U - auto.U).max() <= 1e-13, t
         assert np.abs(res.U - expm_reference(generator(q))).max() <= 1e-12, t
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_demo_rejects_non_finite_parameters(demo, bad):
+    # Every field, the time included, is checked before any product, so
+    # no RuntimeWarning precedes the InputError.
+    p, _, propagate, _, _, _ = DEMOS[demo]
+    for field in dataclasses.fields(p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                propagate(dataclasses.replace(p, **{field.name: bad}))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_map_lies_on_its_row(demo):
+    # Every column of the map has gate distance exactly 0: the tridiagonal
+    # residual for rabi, the distance at the split found at import otherwise.
+    *_, M, k = DEMOS[demo]
+    for col in M.T:
+        if k is None:
+            assert gate_distance("tridiag", Su4Element._from_coeffs(col[:15], col[15])) == 0.0
+        else:
+            v = col[:15]
+            assert expm._SPLIT_OFF[k] @ (v * v) == 0.0
+
+
+def test_demos_build_no_element_and_run_no_gate(monkeypatch):
+    # The maps are built at import; a call is one product and the row's
+    # formula, with no Su4Element and no gate stage.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Su4Element, "__init__", counted("__init__", Su4Element.__init__))
+    monkeypatch.setattr(Su4Element, "_from_coeffs",
+                        classmethod(counted("_from_coeffs", Su4Element._from_coeffs.__func__)))
+    wrapped = {stage: counted(stage.__name__, stage) for stage in expm._STAGES}
+    monkeypatch.setattr(expm, "_STAGES", tuple(wrapped.values()))
+    monkeypatch.setattr(expm, "_STAGE", {m: wrapped[s] for m, s in expm._STAGE.items()})
+    for p, _, propagate, *_ in DEMOS.values():
+        assert propagate(p).U.shape == (4, 4)
+    assert calls == []
+    # The counters see what they count.
+    Su4Element(np.zeros((4, 4)))
+    Su4Element._from_coeffs(np.zeros(15))
+    expm.exp_auto(Su4Element._from_coeffs(np.zeros(15)))
+    assert {"__init__", "_from_coeffs", "_tridiag_gate"} <= set(calls)
