@@ -41,12 +41,12 @@ from .model import (
     pauli_coeffs,
     quintuple,
 )
-from .oracle import OracleConfig, eigvals_hermitian, expm_reference
+from .oracle import eigvals_hermitian, expm_reference
 from .quaternion import PureQuaternion, Quaternion
 
 __all__ = [
     "CanonicalForm", "CharPolyCoeffs", "ExpResult", "InputError",
-    "MinPolyClass", "OracleConfig", "PauliCoeffs", "PureQuaternion",
+    "MinPolyClass", "PauliCoeffs", "PureQuaternion",
     "Quaternion", "QuintupleDecomp", "StructureError", "Su4Element",
     "Su4Error", "SymTriDiag", "canonicalize", "charpoly",
     "check_quadratic_II_conditions", "classify",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +46,13 @@ class CharPolyCoeffs:
         return (self.mu, self.nu, self.pi)
 
 
-@dataclass(frozen=True)
-class MinPolyClass:
+class MinPolyClass(NamedTuple):
     """Detected minimal-polynomial type with its parameters.
 
     ``tag`` is one of quadratic-I, quadratic-II, cubic-I, quartic-distinct,
     other.  ``c2`` is set for the type-I shapes; ``beta``/``gamma`` for
-    quadratic type II.
+    quadratic type II.  A NamedTuple, as ``classify`` builds one per shape
+    it tests.
     """
 
     tag: str
@@ -134,28 +135,29 @@ def check_quadratic_II_conditions(d: QuintupleDecomp,
 
 
 def _shapes(X0: np.ndarray, S: np.ndarray, mu: float, nu: complex):
-    """Each minimal-polynomial shape in ``classify``'s order: its tag, its
-    distance (``_quadratic_distance``, ``_cubic_distance``) and its
-    ``MinPolyClass`` parameters, taken from mu > 0 and nu as in the module
-    docstring.  S = X0^2 is shifted in place: by mu/2 for both quadratic
-    shapes, then by mu/2 more for the cubic one."""
+    """Each minimal-polynomial shape in ``classify``'s order: its distance
+    (``_quadratic_distance``, ``_cubic_distance``) and its ``MinPolyClass``,
+    parameters taken from mu > 0 and nu as in the module docstring.  S =
+    X0^2 is shifted in place: by mu/2 for both quadratic shapes, then by
+    mu/2 more for the cubic one."""
     g = mu / 2.0
     S.ravel()[::len(X0) + 1] += g  # the diagonal of the contiguous square
-    yield "quadratic-I", _quadratic_distance(X0, S, 0.0, g), {"c2": g}
+    yield _quadratic_distance(X0, S, 0.0, g), MinPolyClass("quadratic-I", c2=g)
     beta = -3.0 * nu / (4.0 * mu)
-    yield ("quadratic-II", _quadratic_distance(X0, S, beta, g),
-           {"beta": beta, "gamma": g})
+    yield (_quadratic_distance(X0, S, beta, g),
+           MinPolyClass("quadratic-II", beta=beta, gamma=g))
     S.ravel()[::len(X0) + 1] += g
-    yield "cubic-I", _cubic_distance(X0, S, mu), {"c2": mu}
+    yield _cubic_distance(X0, S, mu), MinPolyClass("cubic-I", c2=mu)
 
 
-def shape_distance(X: Su4Element, tag: str) -> float:
-    """The distance ``classify`` tests for the shape ``tag``; inf for X0 = 0,
-    where the shapes have no parameters."""
+def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass | None]:
+    """The distance ``classify`` tests for the shape ``tag``, and the shape
+    with its parameters; inf and None for X0 = 0, where the shapes have no
+    parameters."""
     mu, nu, X2 = _invariants(X)
     if not mu:
-        return math.inf
-    return next(d for t, d, _ in _shapes(X.traceless, X2, mu, nu) if t == tag)
+        return math.inf, None
+    return next((d, m) for d, m in _shapes(X.traceless, X2, mu, nu) if m.tag == tag)
 
 
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
@@ -169,9 +171,9 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     mu, nu, X2 = _invariants(X)
     if mu == 0.0:
         return MinPolyClass(tag="other")
-    for tag, d, params in _shapes(X.traceless, X2, mu, nu):
+    for d, m in _shapes(X.traceless, X2, mu, nu):
         if d <= tol:
-            return MinPolyClass(tag, **params)
+            return m
     if abs(nu) <= tol * mu:
         return MinPolyClass(tag="quartic-distinct")
     return MinPolyClass(tag="other")

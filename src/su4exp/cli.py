@@ -137,7 +137,9 @@ def cmd_charpoly(args) -> int:
     return EXIT_OK
 
 
-def _parse_kv(tokens, allowed) -> dict:
+def _parse_kv(tokens, allowed, lists=()) -> dict:
+    """key=value tokens as floats; a key in ``lists`` takes comma-separated
+    values, as a list."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -152,16 +154,18 @@ def _parse_kv(tokens, allowed) -> dict:
             raise InputError(f"bad value for '{key}': {exc}") from exc
         if not all(map(math.isfinite, vals)):
             raise InputError(f"non-finite value for '{key}'")
-        out[key] = vals if "," in val else vals[0]
+        if key not in lists and len(vals) > 1:
+            raise InputError(f"'{key}' takes one value, got {len(vals)}")
+        out[key] = vals if key in lists else vals[0]
     return out
 
 
 def cmd_demo(args) -> int:
     if args.name == "rabi":
-        kv = _parse_kv(args.params, ("g", "g1", "g2", "g3", "E0", "t"))
+        kv = _parse_kv(args.params, ("g", "g1", "g2", "g3", "E0", "t"), lists=("g",))
         g = kv.pop("g", None)
         if g is not None:
-            if not isinstance(g, list) or len(g) != 3:
+            if len(g) != 3:
                 raise InputError("g expects three comma-separated values")
             kv.setdefault("g1", g[0])
             kv.setdefault("g2", g[1])

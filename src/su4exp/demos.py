@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expm import ExpResult, _exp_mapped, _gate, _param_map
+from .expm import ExpResult, SymTriDiag, _drop_gates, _exp_mapped, _param_map
 from .model import Su4Element
 
 
@@ -67,10 +67,7 @@ class ScalarCouplingParams:
 
 def rabi_matrix(p: RabiParams) -> np.ndarray:
     """The coupling matrix C: tridiagonal, zero diagonal, off-diagonals g_i."""
-    C = np.zeros((4, 4))
-    for k, g in enumerate((p.g1, p.g2, p.g3)):
-        C[k, k + 1] = C[k + 1, k] = g
-    return C
+    return SymTriDiag(p.g1, p.g2, p.g3).matrix().imag
 
 
 def rabi_propagator(p: RabiParams) -> ExpResult:
@@ -117,7 +114,7 @@ def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
 def _bisym_split(M: np.ndarray) -> int:
     """The bisymmetric gate's split on M's range: the gate on the sum of
     |columns|, whose support holds every column's, keeps all of them."""
-    return _gate("bisym", np.abs(M[:15]).sum(axis=1))[1]
+    return _drop_gates(np.abs(M[:15]).sum(axis=1))["bisym"][1]
 
 
 _RABI_MAP = _param_map(

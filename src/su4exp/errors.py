@@ -5,8 +5,9 @@ class Su4Error(Exception):
     """Base class for library errors."""
 
 
-class InputError(Su4Error):
-    """Malformed or out-of-domain input (parse failures, non-anti-Hermitian)."""
+class InputError(Su4Error, ValueError):
+    """Malformed or out-of-domain input (parse failures, non-anti-Hermitian,
+    a norm past the reference exponential's range)."""
 
 
 class StructureError(Su4Error):

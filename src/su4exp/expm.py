@@ -19,9 +19,9 @@ The other formulas are low-degree minimal-polynomial evaluations:
 
 All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
 a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``gate_distance`` gives any one row's distance: a structured row's
-from v (``_gate``), a minimal-polynomial row's from ``classify``, which
-tests those rows' distances.
+tol.  ``_gate`` gives any one row's distance, a structured row's from v,
+a minimal-polynomial row's from its shape (``classify.shape``), and what
+its formula takes of the gate.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -48,12 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import (
-    _cubic_distance,
-    _quadratic_distance,
-    classify,
-    shape_distance,
-)
+from .classify import _cubic_distance, _quadratic_distance, classify, shape
 from .errors import InputError, StructureError
 from .model import (
     _INPUT_MAP,
@@ -175,8 +170,8 @@ def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
     return gate_distance("normal-split", X) <= tol
 
 
-# -- minimal-polynomial formulas: the table rows call them after
-# ``classify``, the public wrappers after the same distance at STRUCTURE_TOL.
+# -- minimal-polynomial formulas: the table rows call them after their
+# shape's gate, the public wrappers after the same distance at STRUCTURE_TOL.
 
 def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
     """e^X = e^{-beta} [cos(omega) I + sinc(omega)(X + beta I)] for
@@ -200,13 +195,14 @@ def _cubic(X: np.ndarray, c2: complex) -> np.ndarray:
 
 
 def _checked(name: str, X, distance: Callable, formula: Callable, *params) -> np.ndarray:
-    """formula(X, *params), or StructureError when the shape's distance
-    (``classify``) exceeds STRUCTURE_TOL; both shift X^2 by the last param."""
+    """formula(X, *params), or StructureError unless the shape's distance
+    (``classify``) is at most STRUCTURE_TOL (so a NaN distance fails); both
+    shift X^2 by the last param."""
     X = np.asarray(X, dtype=complex)
     S = X @ X
     S.ravel()[::len(X) + 1] += params[-1]
     d = distance(X, S, *params)
-    if d > STRUCTURE_TOL:
+    if not d <= STRUCTURE_TOL:
         raise StructureError(f"{name} minimal polynomial", d)
     return formula(X, *params)
 
@@ -359,15 +355,15 @@ def _bisym(v: np.ndarray, k: int) -> np.ndarray:
 class Family(NamedTuple):
     """One row of ``FAMILY_TABLE``.
 
-    ``method`` is the ExpResult tag and the FAMILIES key.  A structured row
-    is gated by its ``gate_distance``, which the public predicate named
-    ``gate`` compares with tol, and shows as ``label`` in ``su4exp
+    ``method`` is the ExpResult tag and the FAMILIES key.  Every row
+    applies when its ``gate_distance`` is at most tol.  A structured row's
+    public predicate is named ``gate`` and its ``label`` shows in ``su4exp
     classify``; its formula takes v and its row's table (``_TABLES``), or
-    the bisymmetric split its gate found.  A row without a gate applies
-    when ``classify`` returns the tag ``label``, and its formula takes X and
-    that classification.  ``groups`` holds the Pauli labels of each rotation
-    factor read off v.  ``formula`` gives e^{X0}; ``_unitary`` adds the
-    scalar phase.
+    the bisymmetric split its gate found.  A row without a predicate is the
+    minimal-polynomial shape ``label``, and its formula takes X and that
+    shape's ``MinPolyClass``.  ``groups`` holds the Pauli labels of each
+    rotation factor read off v.  ``formula`` gives e^{X0}; ``_unitary`` adds
+    the scalar phase.
     """
 
     method: str
@@ -471,8 +467,8 @@ _STAGES = (_tridiag_gate, _drop_gates, _normal_gate)
 _STAGE = {m: stage for stage in _STAGES for m in stage(np.zeros(15))}
 
 
-def _gate(method: str, v: np.ndarray) -> tuple[float, int | None]:
-    """The structured row's gate distance, and its formula's split argument.
+def _gate(method: str, X: Su4Element) -> tuple[float, object]:
+    """The row's gate distance, and what its formula takes of the gate.
 
     The basis matrices of v are orthogonal with squared norm 4, so
     ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
@@ -480,19 +476,19 @@ def _gate(method: str, v: np.ndarray) -> tuple[float, int | None]:
     bisymmetric split (the nearest of the nine, ties to the first), twice
     the root of a sum of v's squared slots.  The normal split's is the
     Trotter bound 1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
+    A minimal-polynomial row's is its shape's (``classify.shape``), whose
+    ``MinPolyClass`` the formula takes.
     """
-    d2, arg = _STAGE[method](v)[method]
+    fam = _ROWS[method]
+    if not fam.gate:
+        return shape(X, fam.label)
+    d2, arg = _STAGE[method](X.coeffs)[method]
     return 2.0 * math.sqrt(d2), arg
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
-    """The gate distance of the row ``method``: a structured row's from v
-    (``_gate``), a minimal-polynomial row's shape distance
-    (``classify.shape_distance``)."""
-    fam = _ROWS[method]
-    if not fam.gate:
-        return shape_distance(X, fam.label)
-    return _gate(method, X.coeffs)[0]
+    """The gate distance of the row ``method`` (``_gate``)."""
+    return _gate(method, X)[0]
 
 
 def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
@@ -511,7 +507,7 @@ def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
     """e^X by the row's formula, scalar phase e^{ib} included when b != 0.
 
     A structured formula takes v and its row's table, or the split its gate
-    found (arg); a minimal-polynomial one X and the classification.
+    found (arg); a minimal-polynomial one X and its shape (arg).
     """
     U = fam.formula(X.coeffs, _TABLES.get(fam.method, arg)) if fam.gate else fam.formula(X, arg)
     return cmath.exp(1j * X.scalar) * U if X.scalar else U
@@ -522,21 +518,12 @@ def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpRe
 
     This is the uniform family signature behind FAMILIES and the public
     ``exp_*`` wrappers.  Raises StructureError with the row's
-    ``gate_distance`` as its residual when X fails a structured row's gate,
-    or when ``classify`` at tol names a tag other than a minimal-polynomial
-    row's.
+    ``gate_distance`` as its residual unless that distance is at most tol.
     """
-    fam = _ROWS[method]
-    if fam.gate:
-        d, arg = _gate(method, X.coeffs)
-        if d > tol:
-            raise StructureError(fam.label, d)
-        return ExpResult(_unitary(fam, X, arg), method)
-    cls = classify(X, tol)
-    if cls.tag != fam.label:
-        raise StructureError(fam.label, gate_distance(method, X),
-                             f"minimal polynomial is {cls.tag}, not {fam.label}")
-    return ExpResult(_unitary(fam, X, cls), method)
+    d, arg = _gate(method, X)
+    if not d <= tol:
+        raise StructureError(_ROWS[method].label, d)
+    return ExpResult(_unitary(_ROWS[method], X, arg), method)
 
 
 # -- public closed forms and the dispatcher --------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,23 +171,22 @@ class QuintupleDecomp:
     t: PureQuaternion
     Cmat: np.ndarray
 
+    def _coeffs(self) -> np.ndarray:
+        """v = (p, q, vec Cmat)."""
+        return np.concatenate((self.p.as_vector(), self.q.as_vector(), self.Cmat.reshape(9)))
+
     def B(self) -> np.ndarray:
-        pq = np.concatenate((self.p.as_vector(), self.q.as_vector()))
-        return (pq @ _QT_FLAT[:6]).reshape(4, 4)
+        return (self._coeffs()[:6] @ _QT_FLAT[:6]).reshape(4, 4)
 
     def C(self) -> np.ndarray:
         return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
 
     def K(self) -> np.ndarray:
         """K = [p]x Cmat - Cmat [q]x (see ``commutator_coeffs``)."""
-        v = np.concatenate((self.p.as_vector(), self.q.as_vector(),
-                            self.Cmat.reshape(9)))
-        return commutator_coeffs(v).reshape(3, 3)
+        return commutator_coeffs(self._coeffs()).reshape(3, 3)
 
     def reconstruct(self) -> np.ndarray:
-        v = np.concatenate((self.p.as_vector(), self.q.as_vector(),
-                            self.Cmat.reshape(9)))
-        return (v @ _QT_STACK).reshape(4, 4)
+        return (self._coeffs() @ _QT_STACK).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,9 @@ class Su4Element:
     (``_INPUT_MAP``); the other constructors take the coefficients.  Every
     matrix comes from v: ``traceless`` is X0 = v @ _QT_STACK and
     ``entries`` is X0 + i b I, the anti-Hermitian projection of the input.
-    They and the ``pauli`` and ``quintuple`` views are built on first access.
+    They and the ``pauli`` and ``quintuple`` views are cached properties,
+    built on first access.
     """
-
-    __slots__ = ("scalar", "coeffs", "_entries", "_traceless", "_pauli", "_quintuple")
 
     def __init__(self, entries: np.ndarray, tol: float = ANTIHERM_TOL):
         entries = np.ascontiguousarray(entries, dtype=complex)
@@ -253,7 +252,6 @@ class Su4Element:
         v.setflags(write=False)
         self.coeffs = v
         self.scalar = scalar
-        self._entries = self._traceless = self._pauli = self._quintuple = None
 
     # -- constructors ----------------------------------------------------
 
@@ -274,6 +272,8 @@ class Su4Element:
     def from_pauli_coeffs(cls, alpha, beta, gamma, scalar: float = 0.0) -> "Su4Element":
         c = np.concatenate([np.asarray(x, dtype=float).reshape(-1)
                             for x in (alpha, beta, gamma)])
+        if c.shape != (15,):
+            raise InputError("expected 15 coefficients")
         v = np.empty(15)
         v[_PAULI_SLOT] = _PAULI_SIGN * c
         return cls._from_coeffs(v, scalar)
@@ -292,36 +292,27 @@ class Su4Element:
 
     # -- matrices and decompositions, built on first access ---------------
 
-    @property
+    @cached_property
     def traceless(self) -> np.ndarray:
-        if self._traceless is None:
-            self._traceless = (self.coeffs @ _QT_VIEW).view(complex).reshape(4, 4)
-        return self._traceless
+        return (self.coeffs @ _QT_VIEW).view(complex).reshape(4, 4)
 
-    @property
+    @cached_property
     def entries(self) -> np.ndarray:
-        if self._entries is None:
-            self._entries = self.traceless + self.scalar * _IEYE4
-        return self._entries
+        return self.traceless + self.scalar * _IEYE4
 
-    @property
+    @cached_property
     def pauli(self) -> PauliCoeffs:
-        if self._pauli is None:
-            c = _PAULI_SIGN * self.coeffs[_PAULI_SLOT]
-            self._pauli = PauliCoeffs(alpha=c[:3], beta=c[3:6],
-                                      gamma=c[6:].reshape(3, 3))
-        return self._pauli
+        c = _PAULI_SIGN * self.coeffs[_PAULI_SLOT]
+        return PauliCoeffs(alpha=c[:3], beta=c[3:6], gamma=c[6:].reshape(3, 3))
 
-    @property
+    @cached_property
     def quintuple(self) -> QuintupleDecomp:
-        if self._quintuple is None:
-            v = self.coeffs
-            w = v.tolist()
-            self._quintuple = QuintupleDecomp(
-                p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
-                r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
-                t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
-        return self._quintuple
+        v = self.coeffs
+        w = v.tolist()
+        return QuintupleDecomp(
+            p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
+            r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
+            t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -340,39 +331,22 @@ def quintuple(X: Su4Element) -> QuintupleDecomp:
 
 # -- SU(2) lift of SO(3) rotations ---------------------------------------
 
-def _quaternion_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with rotation matrix R (Shepperd's method)."""
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    cand = [tr, R[0, 0], R[1, 1], R[2, 2]]
-    k = int(np.argmax(cand))
-    if k == 0:
-        w = 0.5 * math.sqrt(max(0.0, 1.0 + tr))
-        x = (R[2, 1] - R[1, 2]) / (4 * w)
-        y = (R[0, 2] - R[2, 0]) / (4 * w)
-        z = (R[1, 0] - R[0, 1]) / (4 * w)
-    else:
-        i = k - 1
-        j, l = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(0.0, 1.0 + R[i, i] - R[j, j] - R[l, l]))
-        v = np.zeros(3)
-        v[i] = 0.5 * s
-        v[j] = (R[j, i] + R[i, j]) / (2 * s)
-        v[l] = (R[l, i] + R[i, l]) / (2 * s)
-        w = (R[l, j] - R[j, l]) / (2 * s)
-        x, y, z = v
-    quat = np.array([w, x, y, z])
-    return quat / np.linalg.norm(quat)
-
-
 def su2_from_so3(R: np.ndarray) -> np.ndarray:
     """2x2 special unitary U with U (v . sigma) U* = (R v) . sigma.
 
-    Of the two preimages +-U, the one with nonnegative real trace is
-    returned; at zero trace the sign makes the first nonzero vector
-    component positive, so the output is deterministic.
+    For a unit quaternion u with rotation R, the map x -> u x ubar is
+    M_{u (x) u} = diag(1, R), whose coefficients on the basis M_{e_a (x)
+    e_b} are u_a u_b: so the basis inverse takes diag(1, R) to u u^T, and u
+    is its row of largest diagonal over that diagonal's root.  Of the two
+    preimages +-U, the one with nonnegative real trace is returned; at zero
+    trace the sign makes the first nonzero vector component positive, so
+    the output is deterministic.
     """
-    w, x, y, z = _quaternion_from_rotation(R)
+    D = np.eye(4)
+    D[1:, 1:] = R
+    uu = (_BASIS_STACK_INV @ D.ravel()).reshape(4, 4)
+    k = int(np.argmax(np.diagonal(uu)))
+    w, x, y, z = (uu[k] / math.sqrt(uu[k, k])).tolist()
     if w < 0 or (w == 0 and next((c for c in (x, y, z) if c != 0), 1.0) < 0):
         w, x, y, z = -w, -x, -y, -z
     return w * np.eye(2, dtype=complex) - 1j * (

@@ -9,30 +9,23 @@ structured formula can be validated against this module independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 
-@dataclass(frozen=True)
-class OracleConfig:
-    taylor_tolerance: float = 1e-14
-    max_squarings: int = 32
-
-    def __post_init__(self):
-        if self.taylor_tolerance <= 0:
-            raise ValueError("taylor_tolerance must be positive")
+_EPS = np.finfo(float).eps
 
 
-DEFAULT_CONFIG = OracleConfig()
-
-
-def expm_reference(A: np.ndarray, config: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+def expm_reference(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by truncated Taylor series with scaling and squaring.
 
-    The series is summed until the next term's 1-norm drops below
-    ``config.taylor_tolerance``; the scaling exponent is
-    max(0, ceil(log2(norm1(A)))), capped at ``config.max_squarings``.
+    The scaling exponent is s = max(0, ceil(log2(norm1(A)))), taken from
+    the input (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), and the series
+    of A / 2^s is summed until the next term's 1-norm drops below 1e-14.
+    Raises InputError, a ValueError, when eps norm1(A) >= 1: the rounding
+    of A's entries alone then moves the phases of e^A by a radian or more,
+    so no digit of the result is determined.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -42,9 +35,9 @@ def expm_reference(A: np.ndarray, config: OracleConfig = DEFAULT_CONFIG) -> np.n
 
     n = A.shape[0]
     norm1 = np.abs(A).sum(axis=0).max()
-    s = 0
-    if norm1 > 1.0:
-        s = min(int(math.ceil(math.log2(norm1))), config.max_squarings)
+    if _EPS * norm1 >= 1.0:
+        raise InputError(f"1-norm {norm1:.3e} is past 1/eps: e^A has no determined digit")
+    s = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
     B = A / (2.0 ** s)
 
     result = np.eye(n, dtype=complex)
@@ -53,7 +46,7 @@ def expm_reference(A: np.ndarray, config: OracleConfig = DEFAULT_CONFIG) -> np.n
     while True:
         term = term @ B / k
         result = result + term
-        if np.abs(term).sum(axis=0).max() < config.taylor_tolerance:
+        if np.abs(term).sum(axis=0).max() < 1e-14:
             break
         k += 1
         if k > 1000:

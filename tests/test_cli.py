@@ -108,6 +108,14 @@ def test_expm_closed_fails_on_generic_matrix(dense_file, capsys):
     assert main(["expm", dense_file, "--method", "closed"]) == 3
 
 
+@pytest.mark.parametrize("method", ["auto", "oracle"])
+def test_expm_past_the_oracle_range_is_parse_error(dense_file, method, capsys):
+    # No digit of e^X is determined once eps ||X||_1 >= 1.
+    save_matrix(1e17 * load_matrix(dense_file), dense_file)
+    assert main(["expm", dense_file, "--method", method]) == 2
+    assert "1-norm" in capsys.readouterr().err
+
+
 @pytest.fixture
 def near_quad_I_file(tmp_path):
     """A quadratic-I matrix plus a 1e-8 relative perturbation."""
@@ -175,6 +183,14 @@ def test_demo_bad_params(capsys):
     assert main(["demo", "rabi", "zz=3"]) == 2
     assert main(["demo", "rabi", "g1=abc"]) == 2
     assert main(["demo", "nope"]) == 1
+
+
+@pytest.mark.parametrize("demo, param", [
+    ("rabi", "g1=1,2"), ("rabi", "g=1"), ("josephson", "EJ1=1,2"), ("jcoupling", "t=1,2")])
+def test_demo_list_value_is_parse_error(demo, param, capsys):
+    # Only g takes a list, of three values.
+    assert main(["demo", demo, param]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("param", ["g1=nan", "g=1,inf,2", "t=-inf"])

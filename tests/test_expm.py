@@ -17,6 +17,7 @@ from su4exp.expm import (
     FAMILY_TABLE,
     STRUCTURE_TOL,
     SymTriDiag,
+    closed_form,
     cosm1_over_c2,
     exp_auto,
     exp_bisymmetric_fast,
@@ -98,6 +99,23 @@ def test_cubic_I_rotation_formula():
     _check(U, X, tol=1e-13)
     with pytest.raises(StructureError):
         exp_cubic_I(1j * np.diag([1.0, 2.0, -1.0, -2.0]), 4.0)
+
+
+@pytest.mark.parametrize("formula, X, params", [
+    (exp_quadratic_I, 1j * np.diag([1.0, 1.0, -1.0, -1.0]), (1.0,)),
+    (exp_quadratic_II, 1j * np.diag([1.0, 1.0, 1.0, -3.0]), (1j, 3.0)),
+    (exp_cubic_I, 1j * np.diag([0.0, 0.0, 2.0, -2.0]), (4.0,)),
+])
+def test_min_poly_formulas_reject_nan(formula, X, params):
+    # A NaN distance fails the gate: every comparison with NaN is false.
+    formula(X, *params)
+    Y = X.copy()
+    Y[0, 1] = np.nan
+    with pytest.raises(StructureError):
+        formula(Y, *params)
+    for k in range(len(params)):
+        with pytest.raises(StructureError):
+            formula(X, *params[:k], np.nan, *params[k + 1:])
 
 
 # -- tridiagonal -----------------------------------------------------------
@@ -961,3 +979,36 @@ def test_exp_auto_builds_no_decomposition_on_structured_samples(monkeypatch):
     methods = {exp_auto(X).method for X in samples}
     assert methods == set(FAMILIES) and built == []
     assert samples[0].pauli is samples[0].pauli and built == ["PauliCoeffs"]
+
+
+@pytest.mark.parametrize("method", [fam.method for fam in FAMILY_TABLE])
+def test_closed_form_accepts_iff_its_gate_distance_is_within_tol(method):
+    # One rule for every row.  A quadratic-I sample has nu = 0, so the
+    # quadratic-II shape is its own with beta = 0, at the same distance.
+    rng = np.random.default_rng(92)
+    accepted = set()
+    for name, (sampler, _) in FAMILIES.items():
+        for _ in range(5):
+            X = Su4Element(sampler(rng).entries + 0.7j * np.eye(4))
+            if gate_distance(method, X) <= STRUCTURE_TOL:
+                accepted.add(name)
+                U = closed_form(method, X).U
+                assert np.linalg.norm(U - expm_reference(X.entries)) <= 1e-12
+            else:
+                with pytest.raises(StructureError):
+                    closed_form(method, X)
+    assert method in accepted
+    assert method != "quad-II" or "quad-I" in accepted
+
+
+def test_every_row_rejects_a_huge_norm():
+    # At ||X||_F = 1e160 the squared coefficients overflow, and a NaN or
+    # infinite gate distance fails every row.
+    rng = np.random.default_rng(93)
+    for _ in range(5):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        X = Su4Element(1e160 * (A - A.conj().T) / np.linalg.norm(A - A.conj().T))
+        with np.errstate(all="ignore"):
+            for fam in FAMILY_TABLE:
+                with pytest.raises(StructureError):
+                    closed_form(fam.method, X)

@@ -202,6 +202,15 @@ def test_coefficient_constructors_reject_non_finite(where, bad):
         Su4Element._from_coeffs(v)
 
 
+def test_coefficient_constructors_reject_a_wrong_count():
+    with pytest.raises(InputError, match="expected 15 coefficients"):
+        Su4Element.from_pauli_coeffs(np.ones(3), np.ones(3), np.ones((3, 2)))
+    with pytest.raises(InputError, match="expected 15 coefficients"):
+        Su4Element.from_pauli_coeffs(np.ones(3), np.ones(4), np.ones((3, 3)))
+    with pytest.raises(InputError, match="expected 15 coefficients"):
+        Su4Element.from_canonical(np.ones(3), np.ones(3), np.ones(2))
+
+
 @pytest.mark.parametrize("amax", [0.5, 5.0, 1e6])
 def test_antihermitian_tolerance_is_relative_to_the_largest_entry(amax):
     # A defect X + X* of modulus f * tol * max(1, amax) passes for f = 0.9
@@ -236,6 +245,15 @@ def test_su2_lift_covers_rotation():
             rv = Q @ v
             rhs = sum(rv[i] * sig[i] for i in range(3))
             assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_su2_lift_of_identity_and_half_turns():
+    # w = 0 for a half-turn: the sign rule makes the axis component positive.
+    assert np.array_equal(su2_from_so3(np.eye(3)), np.eye(2))
+    for k, s in enumerate("xyz"):
+        R = -np.eye(3)
+        R[k, k] = 1.0
+        assert np.array_equal(su2_from_so3(R), -1j * PAULI[s])
 
 
 def test_canonicalize_diagonalizes_interaction():
@@ -313,7 +331,7 @@ def test_commutator_coeffs_match_cross_product_definition():
 
 def test_decompositions_are_built_on_first_access():
     X = _random_element(np.random.default_rng(51))
-    assert X._pauli is None and X._quintuple is None
+    assert "pauli" not in vars(X) and "quintuple" not in vars(X)
     assert X.pauli is X.pauli and X.quintuple is X.quintuple
     assert np.array_equal(X.quintuple.Cmat.ravel(), X.coeffs[6:])
 

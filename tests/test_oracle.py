@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from su4exp.oracle import OracleConfig, eigvals_hermitian, expm_reference
+from su4exp.errors import InputError
+from su4exp.families import eigh_exp
+from su4exp.oracle import eigvals_hermitian, expm_reference
 
 
 def _random_antihermitian(rng):
@@ -68,9 +70,20 @@ def test_rejects_bad_input():
         eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(taylor_tolerance=0.0)
+def test_range_follows_the_norm():
+    # The squarings come from the input, so the error stays a few eps
+    # ||X||_F up to 1e15; past 1/eps no digit of e^X is determined.
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for norm in (1e9, 1e11, 1e12, 1e13, 1e15, 1e16):
+        X = _random_antihermitian(rng)
+        X *= norm / np.linalg.norm(X)
+        if norm < 1e16:
+            assert np.linalg.norm(expm_reference(X) - eigh_exp(X)) <= 10 * eps * norm
+        else:
+            with pytest.raises(InputError):
+                expm_reference(X)
+    assert issubclass(InputError, ValueError)
 
 
 def test_jacobi_trivial_spectra():
