@@ -27,23 +27,17 @@ C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import _PURE_FLAT, STRUCTURE_TOL, QuintupleDecomp, Su4Element
-from .quaternion import PureQuaternion
+from .model import _PURE_FLAT, STRUCTURE_TOL, QuintupleDecomp, Su4Element, _cofactors
 
 
-@dataclass(frozen=True)
-class CharPolyCoeffs:
+class CharPolyCoeffs(NamedTuple):
     mu: float
     nu: complex
     pi: float
-
-    def as_tuple(self) -> tuple[float, complex, float]:
-        return (self.mu, self.nu, self.pi)
 
 
 class MinPolyClass(NamedTuple):
@@ -64,12 +58,11 @@ class MinPolyClass(NamedTuple):
 def _invariants(X: Su4Element) -> tuple[float, complex, np.ndarray]:
     """mu and nu of det(xI - X0), and X0^2.
 
-    det Cmat and p^T Cmat q are expanded over the entries of v.
+    det Cmat (``model._cofactors``) and p^T Cmat q are expanded over v.
     """
     v = X.coeffs
-    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = v.tolist()
-    det = (c11 * (c22 * c33 - c23 * c32) - c12 * (c21 * c33 - c23 * c31)
-           + c13 * (c21 * c32 - c22 * c31))
+    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = w = v.tolist()
+    det = _cofactors(w[6:])[1]
     pcq = (p1 * (c11 * q1 + c12 * q2 + c13 * q3) + p2 * (c21 * q1 + c22 * q2 + c23 * q3)
            + p3 * (c31 * q1 + c32 * q2 + c33 * q3))
     return 2.0 * float(v @ v), 8j * (det - pcq), X.traceless @ X.traceless
@@ -105,23 +98,18 @@ def _cubic_distance(X: np.ndarray, S: np.ndarray, c2: complex) -> float:
 
 
 def cofactor_matrix(C: np.ndarray) -> np.ndarray:
-    """Matrix of cofactors Co(C)_ij = (-1)^(i+j) minor(i, j) (no transpose).
-
-    For 3x3 this is the cross products of the row pairs: row i of Co(C) is
-    row_{i+1} x row_{i+2} (indices cyclic), since adj(C) = Co(C)^T.
-    """
-    C = np.asarray(C, dtype=float)
-    return np.cross(np.roll(C, -1, axis=0), np.roll(C, -2, axis=0))
+    """Matrix of cofactors Co(C)_ij = (-1)^(i+j) minor(i, j) of a 3x3 C
+    (no transpose, so adj(C) = Co(C)^T)."""
+    return np.array(_cofactors(np.asarray(C, dtype=float).reshape(9).tolist())[0]).reshape(3, 3)
 
 
-def check_quadratic_II_conditions(d: QuintupleDecomp,
-                                  tol: float = 1e-9) -> float | None:
+def check_quadratic_II_conditions(d: QuintupleDecomp) -> float | None:
     """Real bt satisfying the three quadratic-type-II conditions, if any.
 
     The conditions are linear in bt, lhs = bt rhs with lhs = (C^T p, C q,
     p q^T - Co(C)) and rhs = (q, p, C), and the candidate is their
     least-squares solution.  Returns None when X0 = 0, or when the candidate
-    misses a condition by more than tol times the squared scale of p, q, C.
+    misses a condition by more than 1e-9 times the squared scale of p, q, C.
     """
     p, q, C = d.p.as_vector(), d.q.as_vector(), d.Cmat
     lhs = np.concatenate((C.T @ p, C @ q, (np.outer(p, q) - cofactor_matrix(C)).ravel()))
@@ -131,7 +119,7 @@ def check_quadratic_II_conditions(d: QuintupleDecomp,
         return None
     bt = float(lhs @ rhs) / denom
     scale2 = max(float(p @ p), float(q @ q), float((C * C).sum()), 1.0)
-    return bt if np.abs(lhs - bt * rhs).max() <= tol * scale2 else None
+    return bt if np.abs(lhs - bt * rhs).max() <= 1e-9 * scale2 else None
 
 
 def _shapes(X0: np.ndarray, S: np.ndarray, mu: float, nu: complex):
@@ -185,7 +173,7 @@ def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
     Uses bt = sqrt(1 + p.p), C = sqrtm(I + p p^T) diag(1, 1, -1) (so that
     det C = -bt and C C^T = I + p p^T) and q = C^{-1}(bt p).
     """
-    pv = p.as_vector() if isinstance(p, PureQuaternion) else np.asarray(p, float)
+    pv = np.asarray(p, dtype=float)
     n = float(pv @ pv)
     if n == 0.0:
         raise ValueError("p must be nonzero")
@@ -201,11 +189,10 @@ def _commutator_distance(K: np.ndarray) -> float:
     return 2.0 * math.sqrt(float((K * K).sum()))
 
 
-def is_normal_type(d: QuintupleDecomp,
-                   tol: float = STRUCTURE_TOL) -> tuple[bool, np.ndarray]:
+def is_normal_type(d: QuintupleDecomp) -> tuple[bool, np.ndarray]:
     """Whether B and C commute, plus the commutator [B, C] itself.
 
-    Decided by the dispatch gate's rule, 1/2 ||[B, C]||_F <= tol.  The
+    Decided by the dispatch gate's rule, 1/2 ||[B, C]||_F <= STRUCTURE_TOL.  The
     commutator is computed both directly and through the cross-product
     identity
 
@@ -224,25 +211,25 @@ def is_normal_type(d: QuintupleDecomp,
     if agreement > 1e-12 * scale:
         raise AssertionError(
             f"commutator identity mismatch ({agreement:.3e})")
-    return _commutator_distance(K) <= tol, direct
+    return _commutator_distance(K) <= STRUCTURE_TOL, direct
 
 
-def local_vs_interaction_commute(a, b, c, tol: float = 1e-10) -> bool:
+def local_vs_interaction_commute(a, b, c) -> bool:
     """Whether the single-qubit part commutes with the interaction part.
 
     For Y1 = i(sum a_i I(x)sigma_i + sum b_i sigma_i(x)I) and
     Y2 = i sum c_i sigma_i(x)sigma_i, [Y1, Y2] = 0 iff for every cyclic
     triple (i, j, k): a_i c_j = b_i c_k and a_i c_k = b_i c_j.  This is the
     cross-multiplied (zero-safe) form of the ratio conditions
-    c3/c2 = b1/a1, c3/c1 = b2/a2, c2/c1 = b3/a3.
+    c3/c2 = b1/a1, c3/c1 = b2/a2, c2/c1 = b3/a3, to 1e-10 max(1, max |coeff|^2).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    m = max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
+    tol = 1e-10 * max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        if abs(a[i] * c[j] - b[i] * c[k]) > tol * m:
+        if abs(a[i] * c[j] - b[i] * c[k]) > tol:
             return False
-        if abs(a[i] * c[k] - b[i] * c[j]) > tol * m:
+        if abs(a[i] * c[k] - b[i] * c[j]) > tol:
             return False
     return True

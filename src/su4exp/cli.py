@@ -64,10 +64,12 @@ def _build_parser() -> _Parser:
     pp.add_argument("file")
 
     pd = sub.add_parser("demo", help="run a physical-system propagator")
-    pd.add_argument("name", choices=["rabi", "josephson", "jcoupling"])
+    pd.add_argument("name", choices=list(demos.DEMOS))
+    defaults = "; ".join(
+        f"{name}: " + " ".join(f"{k}={v:g}" for k, v in P._field_defaults.items())
+        for name, (P, _, _) in demos.DEMOS.items())
     pd.add_argument("params", nargs="*", metavar="key=value",
-                    help="e.g. rabi: g=1,1,1 E0=0 t=1; josephson: E00=1 "
-                         "E10=0.5 EJ1=0.3 EJ2=0.2 t=1; jcoupling: a..f, t")
+                    help=f"defaults {defaults}; rabi also takes g=g1,g2,g3")
 
     pb = sub.add_parser("bench", help="closed form vs reference and eigh timing")
     pb.add_argument("--families", default=",".join(FAMILIES),
@@ -161,31 +163,18 @@ def _parse_kv(tokens, allowed, lists=()) -> dict:
 
 
 def cmd_demo(args) -> int:
-    if args.name == "rabi":
-        kv = _parse_kv(args.params, ("g", "g1", "g2", "g3", "E0", "t"), lists=("g",))
-        g = kv.pop("g", None)
-        if g is not None:
-            if len(g) != 3:
-                raise InputError("g expects three comma-separated values")
-            kv.setdefault("g1", g[0])
-            kv.setdefault("g2", g[1])
-            kv.setdefault("g3", g[2])
-        p = demos.RabiParams(g1=kv.get("g1", 0.0), g2=kv.get("g2", 0.0),
-                             g3=kv.get("g3", 0.0), E0=kv.get("E0", 0.0),
-                             t=kv.get("t", 1.0))
-        res = demos.rabi_propagator(p)
-        A = -1j * p.t * (p.E0 * np.eye(4) + demos.rabi_matrix(p))
-    elif args.name == "josephson":
-        kv = _parse_kv(args.params, ("E00", "E10", "EJ1", "EJ2", "t"))
-        p = demos.JosephsonParams(**kv)
-        res = demos.josephson_propagator(p)
-        A = -1j * p.t * demos.josephson_matrix(p)
-    else:
-        kv = _parse_kv(args.params, ("a", "b", "c", "d", "e", "f", "t"))
-        p = demos.ScalarCouplingParams(**kv)
-        res = demos.scalar_coupling_propagator(p)
-        A = demos.scalar_coupling_element(p).entries
-    dev = float(np.abs(res.U - expm_reference(A)).max())
+    params, propagate, generator = demos.DEMOS[args.name]
+    lists = ("g",) if args.name == "rabi" else ()
+    kv = _parse_kv(args.params, params._fields + lists, lists)
+    g = kv.pop("g", None)
+    if g is not None:
+        if len(g) != 3:
+            raise InputError("g expects three comma-separated values")
+        for key, x in zip(("g1", "g2", "g3"), g):
+            kv.setdefault(key, x)
+    p = params(**kv)
+    res = propagate(p)
+    dev = float(np.abs(res.U - expm_reference(generator(p))).max())
     print(f"method: {res.method}")
     print(f"oracle deviation: {dev:.3e}")
     print(_fmt_matrix(res.U))

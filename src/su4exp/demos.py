@@ -3,17 +3,18 @@
 Each Hamiltonian's shape fixes its closed form, whatever its parameters:
 the tridiagonal four-level ladder is two commuting rotation factors, and
 the other two, whose interaction matrix splits 2x2 + 1x1, are bisymmetric
-at one split.  So each generator -iHt is one constant map, built at import
-from the system's own matrix builder, taking t times the parameters to the
-coefficients (v, b) of ``Su4Element``, and each call is that product and
-its row's formula (``expm._exp_mapped``): no element is built and no gate
-runs.  These double as integration fixtures: the tests compare each
-propagator against the series reference exponential.
+at one split.  ``DEMOS`` holds each system once, for the library and the
+CLI: its parameters (ending in the time t), propagator and generator tX.
+A constant map, read off the generator at t = 1 at import, takes t times
+the other parameters to the coefficients (v, b) of ``Su4Element``, and
+each call is that product and its row's formula (``expm._exp_mapped``): no
+element is built and no gate runs.  These double as integration fixtures:
+the tests compare each propagator against the series reference exponential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,23 +22,21 @@ from .expm import ExpResult, SymTriDiag, _drop_gates, _exp_mapped, _param_map
 from .model import Su4Element
 
 
-@dataclass(frozen=True)
-class RabiParams:
+class RabiParams(NamedTuple):
     """Four-level ladder driven by three resonant fields.
 
     g1, g2, g3 are the field amplitudes, E0 the common energy offset, t the
     evolution time.
     """
 
-    g1: float
-    g2: float
-    g3: float
+    g1: float = 0.0
+    g2: float = 0.0
+    g3: float = 0.0
     E0: float = 0.0
     t: float = 1.0
 
 
-@dataclass(frozen=True)
-class JosephsonParams:
+class JosephsonParams(NamedTuple):
     """Charge-qubit pair energies.  Defaults are arbitrary placeholders
     (the source model leaves the constants device-dependent)."""
 
@@ -48,8 +47,7 @@ class JosephsonParams:
     t: float = 1.0
 
 
-@dataclass(frozen=True)
-class ScalarCouplingParams:
+class ScalarCouplingParams(NamedTuple):
     """NMR scalar-coupling Hamiltonian coefficients.
 
     H = -(a I + b sz(x)I + c I(x)sz + d sz(x)sz + e sx(x)sx + f sy(x)sy),
@@ -109,7 +107,24 @@ def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
                        [p.t * x for x in (p.a, p.b, p.c, p.d, p.e, p.f)], _JCOUPLING_SPLIT)
 
 
+# name -> (parameter NamedTuple, propagator, generator tX of the parameters)
+DEMOS = {
+    "rabi": (RabiParams, rabi_propagator,
+             lambda p: -1j * p.t * (rabi_matrix(p) + p.E0 * np.eye(4))),
+    "josephson": (JosephsonParams, josephson_propagator,
+                  lambda p: -1j * p.t * josephson_matrix(p)),
+    "jcoupling": (ScalarCouplingParams, scalar_coupling_propagator,
+                  lambda p: scalar_coupling_element(p).entries),
+}
+
+
 # -- the constant maps ------------------------------------------------------
+
+def _demo_map(name: str) -> np.ndarray:
+    """(16, n) map of the demo's generator at t = 1 from its other n fields."""
+    params, _, generator = DEMOS[name]
+    return _param_map(lambda *e: generator(params(*e)), len(params._fields) - 1)
+
 
 def _bisym_split(M: np.ndarray) -> int:
     """The bisymmetric gate's split on M's range: the gate on the sum of
@@ -117,10 +132,6 @@ def _bisym_split(M: np.ndarray) -> int:
     return _drop_gates(np.abs(M[:15]).sum(axis=1))["bisym"][1]
 
 
-_RABI_MAP = _param_map(
-    lambda g1, g2, g3, E0: -1j * (rabi_matrix(RabiParams(g1, g2, g3)) + E0 * np.eye(4)), 4)
-_JOSEPHSON_MAP = _param_map(lambda *e: -1j * josephson_matrix(JosephsonParams(*e)), 4)
-_JCOUPLING_MAP = _param_map(
-    lambda *e: scalar_coupling_element(ScalarCouplingParams(*e)).entries, 6)
+_RABI_MAP, _JOSEPHSON_MAP, _JCOUPLING_MAP = map(_demo_map, DEMOS)
 _JOSEPHSON_SPLIT = _bisym_split(_JOSEPHSON_MAP)
 _JCOUPLING_SPLIT = _bisym_split(_JCOUPLING_MAP)

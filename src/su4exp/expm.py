@@ -17,19 +17,21 @@ The other formulas are low-degree minimal-polynomial evaluations:
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
     cubic type I        e^X = I + sinc(c) X + (1-cos c)/c^2 X^2
 
-All nine rows follow one rule (``model.STRUCTURE_TOL``): a row applies when
-a distance that bounds the error ||U - e^X||_F of its formula is at most
-tol.  ``_gate`` gives any one row's distance, a structured row's from v,
-a minimal-polynomial row's from its shape (``classify.shape``), and what
-its formula takes of the gate.
+All nine rows follow one rule: a row applies when a distance that bounds
+the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
+(or the tol of ``exp_auto``, the one tolerance a caller sets).  ``_gate``
+gives any one row's distance, a structured row's from v, a
+minimal-polynomial row's from its shape (``classify.shape``), and what its
+formula takes of the gate.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
 ``FAMILIES`` and the CLI are all read off that table.  ``exp_auto`` takes
 the first structured row whose gate passes, then the minimal-polynomial row
 ``classify`` names, then a magic-basis conjugation whose image passes a
-structured gate, and finally the Taylor-series reference exponential.  All
-results carry a method tag and a unitarity residual, and every U is e^X
+structured gate, and finally the Taylor-series reference exponential; an
+input too large for e^X to have a determined digit raises InputError first.
+All results carry a method tag and a unitarity residual, and every U is e^X
 with the scalar phase included.  A generator that a constant map takes
 from its parameters onto one structured row needs neither element nor
 gate: ``_exp_mapped``, behind ``exp_tridiag`` and the demo propagators, is
@@ -41,8 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -60,31 +60,30 @@ from .model import (
     MAGIC_BASIS,
     STRUCTURE_TOL,
     Su4Element,
+    _cofactors,
     commutator_coeffs,
 )
-from .oracle import expm_reference
+from .oracle import _check_range, expm_reference
 
 # A module-level name, so the benchmark's tracer can wrap expm.eigh3.
 eigh3 = np.linalg.eigh
 
 
-@dataclass(frozen=True)
-class ExpResult:
+class ExpResult(NamedTuple):
     """Unitary U = e^X with the formula used and a numerical residual.
 
-    ``residual`` is ||U* U - I||_F, computed on first read.
+    ``residual`` is ||U* U - I||_F, computed when read.
     """
 
     U: np.ndarray
     method: str
 
-    @cached_property
+    @property
     def residual(self) -> float:
         return _unitarity(self.U)
 
 
-@dataclass(frozen=True)
-class SymTriDiag:
+class SymTriDiag(NamedTuple):
     """Parameters of i x (real symmetric tridiagonal with zero diagonal)."""
 
     alpha: float
@@ -93,7 +92,7 @@ class SymTriDiag:
 
     def matrix(self) -> np.ndarray:
         T = np.zeros((4, 4))
-        for k, v in enumerate((self.alpha, self.beta, self.gamma)):
+        for k, v in enumerate(self):
             T[k, k + 1] = T[k + 1, k] = v
         return 1j * T
 
@@ -120,54 +119,46 @@ def cosm1_over_c2(c: complex) -> complex:
     return (1.0 - cmath.cos(c)) / (c * c)
 
 
-def _principal_root(c2: complex) -> complex:
-    """c = sqrt(r) e^{i theta/2} for c^2 = r e^{i theta}, theta in [0, 2pi)."""
-    c2 = complex(c2)
-    r = abs(c2)
-    theta = math.atan2(c2.imag, c2.real) % (2.0 * math.pi)
-    return math.sqrt(r) * cmath.exp(0.5j * theta)
-
-
 def _unitarity(U: np.ndarray) -> float:
     G = U.conj().T @ U
     G.ravel()[::5] -= 1.0  # the diagonal of the contiguous product
     return math.sqrt(np.vdot(G, G).real)
 
 
-# -- structure gates: one comparison each with ``gate_distance`` (below) ----
+# -- structure gates: ``gate_distance`` (below) against STRUCTURE_TOL -------
 
-def is_tridiagonal_type(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_tridiagonal_type(X: Su4Element) -> bool:
     """Traceless part equals i x (real symmetric tridiagonal, zero diagonal)."""
-    return gate_distance("tridiag", X) <= tol
+    return gate_distance("tridiag", X) <= STRUCTURE_TOL
 
 
-def is_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_perskew(X: Su4Element) -> bool:
     """X0^T R + R X0 = 0, R = sigma_x (x) sigma_x: the span of the row's groups."""
-    return gate_distance("perskew", X) <= tol
+    return gate_distance("perskew", X) <= STRUCTURE_TOL
 
 
-def is_skew_hamiltonian(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_skew_hamiltonian(X: Su4Element) -> bool:
     """X^T J = J X, J = [[0, I2], [-I2, 0]]: the span of the row's group."""
-    return gate_distance("skewham", X) <= tol
+    return gate_distance("skewham", X) <= STRUCTURE_TOL
 
 
-def is_bisymmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_bisymmetric(X: Su4Element) -> bool:
     """Imaginary symmetric with the interaction matrix split as a 2x2 block
     plus a 1x1 block, in any row/column position."""
-    return gate_distance("bisym", X) <= tol
+    return gate_distance("bisym", X) <= STRUCTURE_TOL
 
 
-def is_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_imaginary_symmetric(X: Su4Element) -> bool:
     """Traceless part is iC with C real symmetric (p = q = 0)."""
-    return gate_distance("imsym", X) <= tol
+    return gate_distance("imsym", X) <= STRUCTURE_TOL
 
 
-def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
+def is_normal_element(X: Su4Element) -> bool:
     """[B, C] = 0 for the real/imaginary split of the traceless part.
 
     Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``QuintupleDecomp.K``).
     """
-    return gate_distance("normal-split", X) <= tol
+    return gate_distance("normal-split", X) <= STRUCTURE_TOL
 
 
 # -- minimal-polynomial formulas: the table rows call them after their
@@ -176,8 +167,9 @@ def is_normal_element(X: Su4Element, tol: float = STRUCTURE_TOL) -> bool:
 def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
     """e^X = e^{-beta} [cos(omega) I + sinc(omega)(X + beta I)] for
     X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
-    omega^2 = gamma - beta^2; quadratic type I is beta = 0."""
-    c = _principal_root(gamma - beta * beta)
+    omega^2 = gamma - beta^2 (either root: both terms are even in omega);
+    quadratic type I is beta = 0."""
+    c = cmath.sqrt(gamma - beta * beta)
     e, s = cmath.exp(-beta), sinc(c)
     U = (e * s) * X
     U.ravel()[::len(X) + 1] += e * (cmath.cos(c) + beta * s)
@@ -185,8 +177,9 @@ def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
 
 
 def _cubic(X: np.ndarray, c2: complex) -> np.ndarray:
-    """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X."""
-    c = _principal_root(c2)
+    """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X,
+    either root c (the coefficients are even in c)."""
+    c = cmath.sqrt(c2)
     U = cosm1_over_c2(c) * X
     U.ravel()[::len(X) + 1] += sinc(c)
     U = X @ U  # sinc(c) X + (1-cos c)/c^2 X^2
@@ -266,11 +259,7 @@ def _interaction(v: np.ndarray, table=None) -> np.ndarray:
     lam, V = eigh3(Cmat.T @ Cmat)
     sigma = [math.sqrt(max(x, 0.0)) for x in lam.tolist()]
     (c0, c1, c2), (n0, n1, n2) = map(math.cos, sigma), map(sinc, sigma)
-    a, b, c, d, e, f, g, h, i = w = v[6:].tolist()
-    co = [e * i - f * h, f * g - d * i, d * h - e * g,
-          h * c - i * b, i * a - g * c, g * b - h * a,
-          b * f - c * e, c * d - a * f, a * e - b * d]
-    det = a * co[0] + b * co[1] + c * co[2]
+    co, det = _cofactors(w := v[6:].tolist())
     Q = (np.array(w + co).reshape(6, 3) @ V).reshape(2, 3, 3)  # Cmat V, Co(Cmat) V
     Q *= np.array([n0 * c1 * c2, n1 * c0 * c2, n2 * c0 * c1,
                    c0 * n1 * n2, c1 * n0 * n2, c2 * n0 * n1]).reshape(2, 1, 3)
@@ -356,14 +345,14 @@ class Family(NamedTuple):
     """One row of ``FAMILY_TABLE``.
 
     ``method`` is the ExpResult tag and the FAMILIES key.  Every row
-    applies when its ``gate_distance`` is at most tol.  A structured row's
-    public predicate is named ``gate`` and its ``label`` shows in ``su4exp
-    classify``; its formula takes v and its row's table (``_TABLES``), or
-    the bisymmetric split its gate found.  A row without a predicate is the
-    minimal-polynomial shape ``label``, and its formula takes X and that
-    shape's ``MinPolyClass``.  ``groups`` holds the Pauli labels of each
-    rotation factor read off v.  ``formula`` gives e^{X0}; ``_unitary`` adds
-    the scalar phase.
+    applies when its ``gate_distance`` is at most the gate tolerance.  A
+    structured row's public predicate is named ``gate`` and its ``label``
+    shows in ``su4exp classify``; its formula takes v and its row's table
+    (``_TABLES``), or the bisymmetric split its gate found.  A row without a
+    predicate is the minimal-polynomial shape ``label``, and its formula
+    takes X and that shape's ``MinPolyClass``.  ``groups`` holds the Pauli
+    labels of each rotation factor read off v.  ``formula`` gives e^{X0};
+    ``_unitary`` adds the scalar phase.
     """
 
     method: str
@@ -513,15 +502,15 @@ def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
     return cmath.exp(1j * X.scalar) * U if X.scalar else U
 
 
-def closed_form(method: str, X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def closed_form(method: str, X: Su4Element) -> ExpResult:
     """e^X by the formula of the table row ``method``.
 
     This is the uniform family signature behind FAMILIES and the public
     ``exp_*`` wrappers.  Raises StructureError with the row's
-    ``gate_distance`` as its residual unless that distance is at most tol.
+    ``gate_distance`` as its residual unless it is at most STRUCTURE_TOL.
     """
     d, arg = _gate(method, X)
-    if not d <= tol:
+    if not d <= STRUCTURE_TOL:
         raise StructureError(_ROWS[method].label, d)
     return ExpResult(_unitary(_ROWS[method], X, arg), method)
 
@@ -552,33 +541,33 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     constant map _TRIDIAG_VB of them (``_exp_mapped``), as for the demo
     propagators.  Raises InputError on a non-finite parameter.
     """
-    return _exp_mapped("tridiag", _TRIDIAG_VB, (S.alpha, S.beta, S.gamma))
+    return _exp_mapped("tridiag", _TRIDIAG_VB, S)
 
 
-def exp_perskew(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def exp_perskew(X: Su4Element) -> ExpResult:
     """e^X for perskewsymmetric X (two factors, its groups); StructureError otherwise."""
-    return closed_form("perskew", X, tol)
+    return closed_form("perskew", X)
 
 
-def exp_skewham(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def exp_skewham(X: Su4Element) -> ExpResult:
     """e^X for skew-Hamiltonian X (one factor, its group); StructureError otherwise."""
-    return closed_form("skewham", X, tol)
+    return closed_form("skewham", X)
 
 
-def exp_imaginary_symmetric(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def exp_imaginary_symmetric(X: Su4Element) -> ExpResult:
     """e^X for imaginary-symmetric X (see ``_interaction``); StructureError otherwise."""
-    return closed_form("imsym", X, tol)
+    return closed_form("imsym", X)
 
 
-def exp_bisymmetric_fast(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def exp_bisymmetric_fast(X: Su4Element) -> ExpResult:
     """e^X for bisymmetric-type X (see ``_bisym``); StructureError otherwise."""
-    return closed_form("bisym", X, tol)
+    return closed_form("bisym", X)
 
 
-def exp_normal_split(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
+def exp_normal_split(X: Su4Element) -> ExpResult:
     """e^X for X with commuting real/imaginary parts (see ``_normal_split``);
     StructureError otherwise."""
-    return closed_form("normal-split", X, tol)
+    return closed_form("normal-split", X)
 
 
 def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -588,8 +577,11 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     minimal-polynomial row ``classify`` names, magic-basis conjugation into
     a structured row, and finally the series reference exponential.  Every
     stage tests its distance at tol, and the formula it picks is within tol
-    of e^X, so exp_auto never raises StructureError.
+    of e^X, so exp_auto never raises StructureError.  It raises InputError,
+    before any stage, when eps 2||X||_F >= 1 (``oracle._check_range``):
+    2||X||_F = 4 sqrt(v.v + b^2), taken without overflow, bounds ||X||_1.
     """
+    _check_range(4.0 * math.hypot(*X.coeffs.tolist(), X.scalar))
     fam, arg = _structured_row(X, tol)
     if fam is not None:
         return ExpResult(_unitary(fam, X, arg), fam.method)

@@ -20,8 +20,8 @@ quintuple views of v, are built from v on first access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,16 @@ def commutator_coeffs(v: np.ndarray) -> np.ndarray:
     return _K_MAP @ (v[_PQ_SLOT] * v[_C_SLOT])
 
 
-@dataclass(frozen=True)
-class QuintupleDecomp:
+def _cofactors(w: list[float]) -> tuple[list[float], float]:
+    """Co(C)_ij = (-1)^(i+j) minor(i, j) and det C, both over C's row-major entries w."""
+    a, b, c, d, e, f, g, h, i = w
+    co = [e * i - f * h, f * g - d * i, d * h - e * g,
+          h * c - i * b, i * a - g * c, g * b - h * a,
+          b * f - c * e, c * d - a * f, a * e - b * d]
+    return co, a * co[0] + b * co[1] + c * co[2]
+
+
+class QuintupleDecomp(NamedTuple):
     """Quaternion data (p, q; r, s, t) of the B + iC split.
 
     ``Cmat`` is the real 3x3 matrix with columns r, s, t.
@@ -189,8 +197,7 @@ class QuintupleDecomp:
         return (self._coeffs() @ _QT_STACK).reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class PauliCoeffs:
+class PauliCoeffs(NamedTuple):
     """Real coefficients of H = -i(X - i b I) in the Pauli tensor basis."""
 
     alpha: np.ndarray  # coefficients of I (x) sigma_i
@@ -202,8 +209,7 @@ class PauliCoeffs:
         return (c @ _PAULI_STACK).reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Result of diagonalizing the interaction coefficients by local unitaries.
 
     Conjugating the source by ``local_unitary`` (an SU(2) (x) SU(2) element)
@@ -232,7 +238,7 @@ class Su4Element:
     built on first access.
     """
 
-    def __init__(self, entries: np.ndarray, tol: float = ANTIHERM_TOL):
+    def __init__(self, entries: np.ndarray):
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
@@ -243,7 +249,7 @@ class Su4Element:
             raise InputError("matrix has non-finite entries")
         y = _INPUT_MAP @ entries.reshape(16).view(float)
         herm_resid = np.abs(y[16:].view(complex)).max()
-        if herm_resid > tol * max(1.0, amax):
+        if herm_resid > ANTIHERM_TOL * max(1.0, amax):
             raise InputError(
                 f"matrix is not anti-Hermitian (residual {herm_resid:.3e})")
         self._set(y[:15], float(y[15]))
@@ -280,10 +286,10 @@ class Su4Element:
 
     @classmethod
     def from_quintuple(cls, p, q, r, s, t, scalar: float = 0.0) -> "Su4Element":
-        p, q, r, s, t = (x.as_vector() if isinstance(x, PureQuaternion)
-                         else np.asarray(x, dtype=float) for x in (p, q, r, s, t))
-        return cls._from_coeffs(
-            np.concatenate((p, q, np.column_stack((r, s, t)).reshape(-1))), scalar)
+        p, q, r, s, t = (np.asarray(x, dtype=float) for x in (p, q, r, s, t))
+        if {x.shape for x in (p, q, r, s, t)} != {(3,)}:
+            raise InputError("expected 15 coefficients")
+        return cls._from_coeffs(np.concatenate((p, q, np.array((r, s, t)).T.reshape(9))), scalar)
 
     @classmethod
     def from_canonical(cls, a, b, c, scalar: float = 0.0) -> "Su4Element":
@@ -313,9 +319,6 @@ class Su4Element:
             p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
             r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
             t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 def pauli_coeffs(X: Su4Element) -> PauliCoeffs:

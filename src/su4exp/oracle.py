@@ -4,6 +4,7 @@ Deliberately the slow, trusted path: plain Taylor series with scaling and
 squaring for the exponential, cyclic Jacobi sweeps for Hermitian eigenvalues.
 No closed-form shortcut from the rest of the library is used here, so every
 structured formula can be validated against this module independently.
+Its range rule (``_check_range``) is also the one ``exp_auto`` applies.
 """
 
 from __future__ import annotations
@@ -17,15 +18,21 @@ from .errors import InputError
 _EPS = np.finfo(float).eps
 
 
+def _check_range(norm: float) -> None:
+    """Raise InputError, a ValueError, when eps norm >= 1, norm a bound on
+    the 1-norm of A: the rounding of A's entries alone then moves the phases
+    of e^A by a radian or more, so no digit of the result is determined."""
+    if _EPS * norm >= 1.0:
+        raise InputError(f"1-norm bound {norm:.3e} is past 1/eps: e^A has no determined digit")
+
+
 def expm_reference(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by truncated Taylor series with scaling and squaring.
 
     The scaling exponent is s = max(0, ceil(log2(norm1(A)))), taken from
     the input (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), and the series
     of A / 2^s is summed until the next term's 1-norm drops below 1e-14.
-    Raises InputError, a ValueError, when eps norm1(A) >= 1: the rounding
-    of A's entries alone then moves the phases of e^A by a radian or more,
-    so no digit of the result is determined.
+    Raises InputError when eps norm1(A) >= 1 (``_check_range``).
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -35,8 +42,7 @@ def expm_reference(A: np.ndarray) -> np.ndarray:
 
     n = A.shape[0]
     norm1 = np.abs(A).sum(axis=0).max()
-    if _EPS * norm1 >= 1.0:
-        raise InputError(f"1-norm {norm1:.3e} is past 1/eps: e^A has no determined digit")
+    _check_range(norm1)
     s = math.ceil(math.log2(norm1)) if norm1 > 1.0 else 0
     B = A / (2.0 ** s)
 
@@ -74,15 +80,16 @@ def _hermitian_2x2_rotation(a: float, b: float, h: complex) -> np.ndarray:
     return np.column_stack([v, w])
 
 
-def eigvals_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def eigvals_hermitian(H: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, ascending.
 
+    The input must be Hermitian to 1e-12 times its largest entry (or 1).
     Each rotation exactly diagonalizes one 2x2 principal block; sweeps stop
     when the off-diagonal Frobenius mass falls below 1e-15 * ||H||_F.
     """
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
-    if np.abs(H - H.conj().T).max() > tol * max(1.0, np.abs(H).max()):
+    if np.abs(H - H.conj().T).max() > 1e-12 * max(1.0, np.abs(H).max()):
         raise ValueError("input is not Hermitian")
     A = 0.5 * (H + H.conj().T)
     scale = np.linalg.norm(A)

@@ -2,19 +2,21 @@
 
 Components are plain doubles; no unit-norm constraint is imposed anywhere.
 ``PureQuaternion`` is kept as a separate type so that formulas requiring a
-zero real part cannot silently receive a general quaternion.
+zero real part cannot silently receive a general quaternion.  Both are
+NamedTuples, so they unpack and convert to arrays as their components; a
+``PureQuaternion`` has no arithmetic beyond negation (its + and * are the
+tuple's), so convert it with ``as_quaternion`` or ``as_vector`` first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     """Element w + x*i + y*j + z*k of the quaternion algebra."""
 
     w: float
@@ -49,17 +51,12 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
 
-    def pure(self) -> "PureQuaternion":
-        """Vector part along (i, j, k); the real part is discarded."""
-        return PureQuaternion(self.x, self.y, self.z)
-
     def as_array(self) -> np.ndarray:
         """R^4 coordinates in the basis (1, i, j, k)."""
         return np.array([self.w, self.x, self.y, self.z])
 
 
-@dataclass(frozen=True)
-class PureQuaternion:
+class PureQuaternion(NamedTuple):
     """Purely imaginary quaternion, identified with a vector in R^3.
 
     Satisfies p * p = -|p|^2 * 1 for every pure p.
@@ -77,9 +74,6 @@ class PureQuaternion:
 
     def norm(self) -> float:
         return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def dot(self, other: "PureQuaternion") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
 
     def __neg__(self) -> "PureQuaternion":
         return PureQuaternion(-self.x, -self.y, -self.z)

@@ -166,7 +166,7 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
             v /= np.linalg.norm(v)
             C = np.outer(u, v)
             X = Su4Element.from_quintuple(u, v, C[:, 0], C[:, 1], C[:, 2])
-            bt = check_quadratic_II_conditions(quintuple(X), tol=1e-9)
+            bt = check_quadratic_II_conditions(quintuple(X))
             assert bt is not None and abs(bt - 1.0) < 1e-9
         # invertible-C construction: C C^T = I + p p^T, det C = -bt
         for _ in range(100):
@@ -175,7 +175,7 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
                 p = rng.uniform(-2, 2, 3)
             X = construct_quadratic_II_example(p)
             d = quintuple(X)
-            bt = check_quadratic_II_conditions(d, tol=1e-9)
+            bt = check_quadratic_II_conditions(d)
             assert bt is not None
             assert abs(bt - math.sqrt(1.0 + float(p @ p))) < 1e-9
             C = d.Cmat
@@ -193,7 +193,7 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
             args = (p, z) if rng.random() < 0.5 else (z, p)
             X = Su4Element.from_quintuple(args[0], args[1],
                                           C[:, 0], C[:, 1], C[:, 2])
-            assert check_quadratic_II_conditions(quintuple(X), tol=1e-9) is None
+            assert check_quadratic_II_conditions(quintuple(X)) is None
 
 
 def test_acceptance_6_normality(capsys):

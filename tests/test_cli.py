@@ -178,6 +178,26 @@ def test_demo_josephson_and_jcoupling(capsys):
     assert "method: bisym" in capsys.readouterr().out
 
 
+def _demo_keys(name):
+    from su4exp import demos
+
+    params = demos.DEMOS[name][0]
+    # Every field at a value of its own, the time included.
+    return [f"{key}={0.1 * (k + 3):g}" for k, key in enumerate(params._fields)]
+
+
+@pytest.mark.parametrize("every_key", [False, True])
+@pytest.mark.parametrize("name", ["rabi", "josephson", "jcoupling"])
+def test_every_demo_runs_from_its_table_entry(name, every_key, capsys):
+    from su4exp import demos
+
+    assert name in demos.DEMOS and len(demos.DEMOS) == 3
+    assert main(["demo", name, *(_demo_keys(name) if every_key else [])]) == 0
+    out = capsys.readouterr().out
+    assert "method: " in out
+    assert float(out.split("oracle deviation:")[1].split()[0]) < 1e-10
+
+
 def test_demo_bad_params(capsys):
     assert main(["demo", "rabi", "notakv"]) == 2
     assert main(["demo", "rabi", "zz=3"]) == 2

@@ -3,7 +3,6 @@ reference exponential, stay unitary, and satisfy the one-parameter group
 property in the evolution time."""
 
 import cmath
-import dataclasses
 import warnings
 
 import numpy as np
@@ -28,7 +27,7 @@ from su4exp.oracle import expm_reference
 
 
 def _replace_t(p, t):
-    return type(p)(**{**p.__dict__, "t": t})
+    return p._replace(t=t)
 
 
 def _check_propagator(make_params, make_generator, propagate, rng, n=50):
@@ -132,11 +131,23 @@ def test_demo_rejects_non_finite_parameters(demo, bad):
     # Every field, the time included, is checked before any product, so
     # no RuntimeWarning precedes the InputError.
     p, _, propagate, _, _, _ = DEMOS[demo]
-    for field in dataclasses.fields(p):
+    for field in p._fields:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError):
-                propagate(dataclasses.replace(p, **{field.name: bad}))
+                propagate(p._replace(**{field: bad}))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_table_holds_each_demo_once(demo):
+    # demos.DEMOS pairs the parameter class and propagator with the
+    # generator its map and the CLI read, which is the one written here.
+    p, generator, propagate, *_ = DEMOS[demo]
+    params, table_propagate, table_generator = demos.DEMOS[demo]
+    assert type(p) is params and table_propagate is propagate
+    for t in (0.3, 1.0, 2.5):
+        q = _replace_t(p, t)
+        assert np.array_equal(table_generator(q), generator(q))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

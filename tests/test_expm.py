@@ -5,6 +5,7 @@ squares of anticommuting sums)."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def test_linear_gates_are_coordinate_subspaces(name):
     assert predicate(X)
     dist = np.linalg.norm(((v - v_on) @ _QT_STACK))
     Y = Su4Element((v @ _QT_STACK).reshape(4, 4))
-    assert predicate(Y, tol=dist * (1 + 1e-12)) and not predicate(Y, tol=dist * (1 - 1e-12))
+    assert abs(gate_distance(name, Y) - dist) <= 1e-12 * dist
 
 
 # -- imaginary symmetric / bisymmetric -------------------------------------
@@ -601,13 +602,15 @@ def test_exp_auto_oracle_fallback():
     _check(res.U, X.entries, tol=1e-12)
 
 
-def test_residual_is_the_unitarity_defect_on_first_read():
-    # ExpResult computes ||U* U - I||_F when residual is first read, on every
-    # path: each family's closed form and exp_auto, the magic and oracle
-    # fallbacks, exp_tridiag and the demo propagators.
-    from su4exp import demos
-    from su4exp.expm import _unitarity
+def test_residual_is_the_unitarity_defect_on_first_read(monkeypatch):
+    # ExpResult computes ||U* U - I||_F when residual is read, not before,
+    # on every path: each family's closed form and exp_auto, the magic and
+    # oracle fallbacks, exp_tridiag and the demo propagators.
+    from su4exp import demos, expm
 
+    calls = []
+    unitarity = expm._unitarity
+    monkeypatch.setattr(expm, "_unitarity", lambda U: calls.append(1) or unitarity(U))
     rng = np.random.default_rng(89)
     results = []
     for name, (sampler, closed) in FAMILIES.items():
@@ -624,11 +627,12 @@ def test_residual_is_the_unitarity_defect_on_first_read():
                 ("jcoupling", demos.scalar_coupling_propagator(
                     demos.ScalarCouplingParams(1.0, 0.2, 0.3, 0.4, 0.5, 0.6)))]
     assert {"magic", "oracle"} <= {res.method for _, res in results}
+    assert calls == []
     for label, res in results:
-        assert "residual" not in vars(res), label
         r = res.residual
-        assert r == _unitarity(res.U) and r <= 1e-12, (label, r)
-        assert vars(res)["residual"] == r
+        assert calls == [1], label
+        del calls[:]
+        assert r == unitarity(res.U) and r <= 1e-12, (label, r)
 
 
 def _perturbed(X, rng, eps):
@@ -786,28 +790,26 @@ def _noise(rng):
 
 @pytest.mark.parametrize("name", _GATED)
 def test_gate_is_the_distance_its_formula_drops(name):
-    predicate, _ = _GATED[name]
     rng = np.random.default_rng(80)
     for _ in range(20):
         X = FAMILIES[name][0](rng)
         Y = Su4Element(X.entries + 0.1 * _noise(rng))
         d = _gate_distance(name, Y)
         assert d > 1e-3
-        assert predicate(Y, tol=d * (1 + 1e-12)) and not predicate(Y, tol=d * (1 - 1e-12))
+        assert abs(gate_distance(name, Y) - d) <= 1e-12 * d
 
 
-# Minimal-polynomial row -> (classify names it, its closed form).
-_MIN_POLY = {method: (lambda X, tol=STRUCTURE_TOL, label=label: classify(X, tol).tag == label,
-                      FAMILIES[method][1])
-             for label, method in _MIN_POLY_ROWS.items()}
+# Minimal-polynomial row -> its closed form.
+_MIN_POLY = {method: FAMILIES[method][1] for method in _MIN_POLY_ROWS.values()}
 
 
 @pytest.mark.parametrize("name", [*_GATED, *_MIN_POLY])
 def test_gate_tolerance_bounds_the_formula_error(name):
     # A sample moved off its family until the gate's distance sits just
-    # under tau passes the gate at tau, and its closed form stays within tau.
+    # under tau passes the gate at tau, and its row's formula, on what the
+    # gate found, stays within tau.
+    from su4exp.expm import _ROWS, _gate, _unitary
     tau = 1e-6
-    predicate, closed = (_GATED | _MIN_POLY)[name]
     rng = np.random.default_rng(81)
     for _ in range(20):
         X = FAMILIES[name][0](rng)
@@ -816,8 +818,9 @@ def test_gate_tolerance_bounds_the_formula_error(name):
         step = tau * tau / _gate_distance(name, Su4Element(X.entries + tau * D))
         Y = Su4Element(X.entries + 0.999 * step * D)
         assert 0.99 * tau < _gate_distance(name, Y) < tau
-        assert predicate(Y, tau)
-        U = closed(Y, tau).U
+        d, arg = _gate(name, Y)
+        assert d <= tau
+        U = _unitary(_ROWS[name], Y, arg)
         assert np.linalg.norm(U - expm_reference(Y.entries)) <= tau
 
 
@@ -899,11 +902,11 @@ def test_a_gate_computes_only_its_own_row(monkeypatch):
 
 @pytest.mark.parametrize("name", _GATED)
 def test_predicate_is_its_gate_distance_against_tol(name):
+    # The predicates compare with STRUCTURE_TOL; dispatch at other
+    # tolerances is test_structured_row_takes_the_first_row_within_tol.
     predicate, _ = _GATED[name]
     for X in _gate_samples():
-        d = gate_distance(name, X)
-        for tol in (STRUCTURE_TOL, 1e-6, d, d * (1 + 1e-12), d * (1 - 1e-12)):
-            assert predicate(X, tol) == (d <= tol)
+        assert predicate(X) == (gate_distance(name, X) <= STRUCTURE_TOL)
 
 
 def test_structured_row_takes_the_first_row_within_tol():
@@ -943,7 +946,7 @@ def test_structure_error_carries_the_gate_distance(name):
 def test_min_poly_structure_error_carries_its_shape_distance(name):
     # A minimal-polynomial row that classify does not name raises with its
     # own shape's distance, here recomputed from charpoly.
-    _, closed = _MIN_POLY[name]
+    closed = _MIN_POLY[name]
     rng = np.random.default_rng(88)
     raised = 0
     for sampler, _ in FAMILIES.values():
@@ -964,14 +967,14 @@ def test_exp_auto_builds_no_decomposition_on_structured_samples(monkeypatch):
 
     built = []
 
-    def counting(init):
-        def counted(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
+    def counting(new):
+        def counted(cls, *args, **kwargs):
+            built.append(cls.__name__)
+            return new(cls, *args, **kwargs)
         return counted
 
     for cls in (model.PauliCoeffs, model.QuintupleDecomp):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        monkeypatch.setattr(cls, "__new__", counting(cls.__new__))
     rng = np.random.default_rng(84)
     samples = [sampler(rng) for sampler, _ in FAMILIES.values() for _ in range(10)]
     samples += [Su4Element(X.entries + 0.7j * np.eye(4)) for X in samples]
@@ -999,6 +1002,18 @@ def test_closed_form_accepts_iff_its_gate_distance_is_within_tol(method):
                     closed_form(method, X)
     assert method in accepted
     assert method != "quad-II" or "quad-I" in accepted
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_exp_auto_rejects_a_norm_past_the_oracle_range(name):
+    # At ||X||_F = 1e160 no digit of e^X is determined, so exp_auto raises
+    # InputError before any gate, whatever the family: an exact member
+    # would otherwise pass its gate and overflow in its formula.
+    X = FAMILIES[name][0](np.random.default_rng(94))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="past 1/eps"):
+            exp_auto(Su4Element(1e160 * X.entries / np.linalg.norm(X.entries)))
 
 
 def test_every_row_rejects_a_huge_norm():

@@ -209,6 +209,11 @@ def test_coefficient_constructors_reject_a_wrong_count():
         Su4Element.from_pauli_coeffs(np.ones(3), np.ones(4), np.ones((3, 3)))
     with pytest.raises(InputError, match="expected 15 coefficients"):
         Su4Element.from_canonical(np.ones(3), np.ones(3), np.ones(2))
+    # r, s, t of unequal lengths, and a count that adds up to 15 unevenly.
+    with pytest.raises(InputError, match="expected 15 coefficients"):
+        Su4Element.from_quintuple(*[np.ones(3)] * 4, np.ones(2))
+    with pytest.raises(InputError, match="expected 15 coefficients"):
+        Su4Element.from_quintuple(np.ones(4), np.ones(2), *[np.ones(3)] * 3)
 
 
 @pytest.mark.parametrize("amax", [0.5, 5.0, 1e6])

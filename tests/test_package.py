@@ -3,14 +3,18 @@
 Every public module-level function or class in ``src/su4exp`` is used by
 other library code, exported in ``su4exp.__all__``, or read by the benchmark
 in ``perfbench/``.  A helper that only tests call belongs in ``tests/``.
+Every method is read by name somewhere in ``src/``, ``tests/`` or
+``perfbench/``, unless it overrides a base class's.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import su4exp
 
 SRC = Path(su4exp.__file__).parent
+READERS = (SRC, Path(__file__).parent, SRC.parent.parent / "perfbench")
 
 # Public names that no library code calls but the benchmark reads.
 _PREDICATES = "perfbench/layers.py wraps every expm.is_* function as a predicate span"
@@ -59,3 +63,38 @@ def test_every_public_definition_has_a_library_reader():
     assert _unused_public_definitions() == []
     # An entry for a name that is gone would exempt nothing the benchmark reads.
     assert [n for n in BENCHMARK_READS if not callable(getattr(expm, n, None))] == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every attribute, name or identifier string that tree reads."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
+    return names
+
+
+def _unread_methods() -> list[str]:
+    read = set().union(*(_names_read(ast.parse(f.read_text()))
+                         for d in READERS for f in sorted(d.glob("*.py"))))
+    unread = []
+    for f in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"su4exp.{f.stem}")
+        for stmt in ast.parse(f.read_text()).body:
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            bases = getattr(module, stmt.name).__mro__[1:]
+            for m in stmt.body:
+                if (isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                        and m.name not in read
+                        and not any(hasattr(b, m.name) for b in bases)):
+                    unread.append(f"{f.stem}.{stmt.name}.{m.name}")
+    return unread
+
+
+def test_every_method_has_a_reader():
+    assert _unread_methods() == []
