@@ -41,7 +41,7 @@ from .model import (
     pauli_coeffs,
     quintuple,
 )
-from .oracle import eigvals_hermitian, expm_reference
+from .oracle import expm_reference
 from .quaternion import PureQuaternion, Quaternion
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "Quaternion", "QuintupleDecomp", "StructureError", "Su4Element",
     "Su4Error", "SymTriDiag", "canonicalize", "charpoly",
     "check_quadratic_II_conditions", "classify",
-    "construct_quadratic_II_example", "eigvals_hermitian", "exp_auto",
+    "construct_quadratic_II_example", "exp_auto",
     "exp_bisymmetric_fast", "exp_cubic_I", "exp_imaginary_symmetric",
     "exp_normal_split", "exp_perskew", "exp_quadratic_I", "exp_quadratic_II",
     "exp_skewham", "exp_tridiag", "expm_reference", "local_vs_interaction_commute",

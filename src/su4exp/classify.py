@@ -138,13 +138,15 @@ def _shapes(X0: np.ndarray, S: np.ndarray, mu: float, nu: complex):
     yield _cubic_distance(X0, S, mu), MinPolyClass("cubic-I", c2=mu)
 
 
-def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass | None]:
+def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
     """The distance ``classify`` tests for the shape ``tag``, and the shape
-    with its parameters; inf and None for X0 = 0, where the shapes have no
-    parameters."""
+    with its parameters.  X0 = 0 (mu = 0) satisfies every shape with zero
+    parameters, at distance 0, and each formula then gives e^{ib} I exactly;
+    ``classify`` still tags it other, as it selects no formula."""
     mu, nu, X2 = _invariants(X)
     if not mu:
-        return math.inf, None
+        params = {"beta": 0.0, "gamma": 0.0} if tag == "quadratic-II" else {"c2": 0.0}
+        return 0.0, MinPolyClass(tag, **params)
     return next((d, m) for d, m in _shapes(X.traceless, X2, mu, nu) if m.tag == tag)
 
 

@@ -19,7 +19,7 @@ from . import demos
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
-from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, exp_auto, gate_distance
+from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, _check_norm, exp_auto, gate_distance
 from .families import FAMILIES, time_family
 from .matio import load_matrix, save_matrix
 from .model import Su4Element
@@ -95,6 +95,7 @@ def _fmt_matrix(U: np.ndarray) -> str:
 
 def cmd_classify(args) -> int:
     X = _load_element(args.file)
+    _check_norm(X)  # exp_auto's range rule, before any line is printed
     tol = args.tolerance
     for fam in FAMILY_TABLE:
         if fam.gate:

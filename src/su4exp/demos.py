@@ -6,9 +6,11 @@ the other two, whose interaction matrix splits 2x2 + 1x1, are bisymmetric
 at one split.  ``DEMOS`` holds each system once, for the library and the
 CLI: its parameters (ending in the time t), propagator and generator tX.
 A constant map, read off the generator at t = 1 at import, takes t times
-the other parameters to the coefficients (v, b) of ``Su4Element``, and
-each call is that product and its row's formula (``expm._exp_mapped``): no
-element is built and no gate runs.  These double as integration fixtures:
+the other parameters to the coefficients (v, b) of ``Su4Element``.  Its
+row's read-out is composed with it at import too, so each call is one
+product, giving the few coordinates the formula reads and b, and the row's
+formula, which applies the scalar phase (``expm._exp_mapped``): no element
+is built and no gate runs.  These double as integration fixtures:
 the tests compare each propagator against the series reference exponential.
 """
 
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expm import ExpResult, SymTriDiag, _drop_gates, _exp_mapped, _param_map
+from .expm import ExpResult, SymTriDiag, _drop_gates, _exp_mapped, _param_map, _readout_map
 from .model import Su4Element
 
 
@@ -70,7 +72,7 @@ def rabi_matrix(p: RabiParams) -> np.ndarray:
 
 def rabi_propagator(p: RabiParams) -> ExpResult:
     """U(t) = e^{-i E0 t} exp(-i C t) via the tridiagonal two-factor form."""
-    return _exp_mapped("tridiag", _RABI_MAP, [p.t * x for x in (p.g1, p.g2, p.g3, p.E0)])
+    return _exp_mapped("tridiag", _RABI_READ, [p.t * x for x in (p.g1, p.g2, p.g3, p.E0)])
 
 
 def josephson_matrix(p: JosephsonParams) -> np.ndarray:
@@ -85,7 +87,7 @@ def josephson_matrix(p: JosephsonParams) -> np.ndarray:
 
 def josephson_propagator(p: JosephsonParams) -> ExpResult:
     """e^{-iHt}: scalar part -(E00+E10)t/2 plus a bisymmetric remainder."""
-    return _exp_mapped("bisym", _JOSEPHSON_MAP,
+    return _exp_mapped("bisym", _JOSEPHSON_READ,
                        [p.t * x for x in (p.E00, p.E10, p.EJ1, p.EJ2)], _JOSEPHSON_SPLIT)
 
 
@@ -103,7 +105,7 @@ def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
 def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
     """e^{tX} = e^{iat} e^{tX0}: in the interaction matrix, sz(x)sz is the
     1x1 block and sz(x)I, I(x)sz, sx(x)sx, sy(x)sy the 2x2 block."""
-    return _exp_mapped("bisym", _JCOUPLING_MAP,
+    return _exp_mapped("bisym", _JCOUPLING_READ,
                        [p.t * x for x in (p.a, p.b, p.c, p.d, p.e, p.f)], _JCOUPLING_SPLIT)
 
 
@@ -135,3 +137,7 @@ def _bisym_split(M: np.ndarray) -> int:
 _RABI_MAP, _JOSEPHSON_MAP, _JCOUPLING_MAP = map(_demo_map, DEMOS)
 _JOSEPHSON_SPLIT = _bisym_split(_JOSEPHSON_MAP)
 _JCOUPLING_SPLIT = _bisym_split(_JCOUPLING_MAP)
+# Each map composed with its row's read-out at its split: A @ x is (R v, b).
+_RABI_READ = _readout_map("tridiag", _RABI_MAP)
+_JOSEPHSON_READ = _readout_map("bisym", _JOSEPHSON_MAP, _JOSEPHSON_SPLIT)
+_JCOUPLING_READ = _readout_map("bisym", _JCOUPLING_MAP, _JCOUPLING_SPLIT)

@@ -11,7 +11,9 @@ is twenty real coefficients on I and the pure-pure basis (``_interaction``);
 the normal split is e^B e^{iC}.  The bisymmetric formula needs two 2x2
 rotations, as a constant involution P commutes with X0 on its split and
 each eigenspace of P holds two anticommuting involutions (``_bisym``).
-The other formulas are low-degree minimal-polynomial evaluations:
+Each of these formulas takes only the coordinates it reads of v, its row's
+read-out R v (``_readout``), and the scalar part b.  The other formulas are
+low-degree minimal-polynomial evaluations:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
@@ -32,10 +34,13 @@ the first structured row whose gate passes, then the minimal-polynomial row
 structured gate, and finally the Taylor-series reference exponential; an
 input too large for e^X to have a determined digit raises InputError first.
 All results carry a method tag and a unitarity residual, and every U is e^X
-with the scalar phase included.  A generator that a constant map takes
-from its parameters onto one structured row needs neither element nor
-gate: ``_exp_mapped``, behind ``exp_tridiag`` and the demo propagators, is
-that product and the row's formula.
+with the scalar phase included: each formula puts e^{ib} into its scalar
+coefficients, and no pass over U applies it.  A generator that a constant
+map takes from its parameters onto one structured row needs neither element
+nor gate.  Composed at import with the row's read-out, the map gives the
+formula's coordinates and b in one product (``_readout_map``), and
+``_exp_mapped``, behind ``exp_tridiag`` and the demo propagators, is that
+product and the row's formula.
 """
 
 from __future__ import annotations
@@ -99,11 +104,14 @@ class SymTriDiag(NamedTuple):
 
 def sinc(c: complex) -> complex:
     """sin(c)/c with a series fallback for small |c| (cancellation-free);
-    real for real c."""
-    if abs(c) < 1e-4:
-        c2 = c * c
-        return 1.0 - c2 / 6.0 * (1.0 - c2 / 20.0)
-    return (cmath.sin(c) if isinstance(c, complex) else math.sin(c)) / c
+    real for real c, where it takes one type check and one comparison."""
+    if isinstance(c, complex):
+        if abs(c) >= 1e-4:
+            return cmath.sin(c) / c
+    elif not -1e-4 < c < 1e-4:
+        return math.sin(c) / c
+    c2 = c * c
+    return 1.0 - c2 / 6.0 * (1.0 - c2 / 20.0)
 
 
 def cosm1_over_c2(c: complex) -> complex:
@@ -164,40 +172,40 @@ def is_normal_element(X: Su4Element) -> bool:
 # -- minimal-polynomial formulas: the table rows call them after their
 # shape's gate, the public wrappers after the same distance at STRUCTURE_TOL.
 
-def _quadratic(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
-    """e^X = e^{-beta} [cos(omega) I + sinc(omega)(X + beta I)] for
-    X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
+def _quadratic(X: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
+    """e^{ib} e^X = e^{ib - beta} [cos(omega) I + sinc(omega)(X + beta I)]
+    for X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
     omega^2 = gamma - beta^2 (either root: both terms are even in omega);
     quadratic type I is beta = 0."""
     c = cmath.sqrt(gamma - beta * beta)
-    e, s = cmath.exp(-beta), sinc(c)
+    e, s = cmath.exp(1j * b - beta), sinc(c)
     U = (e * s) * X
     U.ravel()[::len(X) + 1] += e * (cmath.cos(c) + beta * s)
     return U
 
 
-def _cubic(X: np.ndarray, c2: complex) -> np.ndarray:
-    """Euler-Rodrigues: e^X = I + sinc(c) X + (1-cos c)/c^2 X^2 for X^3 = -c^2 X,
-    either root c (the coefficients are even in c)."""
-    c = cmath.sqrt(c2)
-    U = cosm1_over_c2(c) * X
-    U.ravel()[::len(X) + 1] += sinc(c)
-    U = X @ U  # sinc(c) X + (1-cos c)/c^2 X^2
-    U.ravel()[::len(X) + 1] += 1.0
+def _cubic(X: np.ndarray, b: float, c2: complex) -> np.ndarray:
+    """Euler-Rodrigues: e^{ib} e^X = e^{ib} [I + sinc(c) X + (1-cos c)/c^2 X^2]
+    for X^3 = -c^2 X, either root c (the coefficients are even in c)."""
+    c, E = cmath.sqrt(c2), cmath.exp(1j * b)
+    U = (E * cosm1_over_c2(c)) * X
+    U.ravel()[::len(X) + 1] += E * sinc(c)
+    U = X @ U  # e^{ib} [sinc(c) X + (1-cos c)/c^2 X^2]
+    U.ravel()[::len(X) + 1] += E
     return U
 
 
 def _checked(name: str, X, distance: Callable, formula: Callable, *params) -> np.ndarray:
-    """formula(X, *params), or StructureError unless the shape's distance
-    (``classify``) is at most STRUCTURE_TOL (so a NaN distance fails); both
-    shift X^2 by the last param."""
+    """formula(X, 0.0, *params), with no scalar phase, or StructureError
+    unless the shape's distance (``classify``) is at most STRUCTURE_TOL (so a
+    NaN distance fails); both shift X^2 by the last param."""
     X = np.asarray(X, dtype=complex)
     S = X @ X
     S.ravel()[::len(X) + 1] += params[-1]
     d = distance(X, S, *params)
     if not d <= STRUCTURE_TOL:
         raise StructureError(f"{name} minimal polynomial", d)
-    return formula(X, *params)
+    return formula(X, 0.0, *params)
 
 
 def exp_quadratic_I(X: np.ndarray, c2: complex) -> np.ndarray:
@@ -217,31 +225,36 @@ def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     return _checked("cubic-I", X, _cubic_distance, _cubic, c2)
 
 
-# -- family formulas: e^{X0} from v and its row's table, or the gate's split --
+# -- family formulas: e^X from the row's read-out of v, the scalar part b, and
+# the row's table or the gate's split.
 
-def _factors(v: np.ndarray, table) -> np.ndarray:
-    """prod_g (cos l_g I + sinc(l_g) w_g @ _QT_STACK[slots_g]), l_g = ||w_g||,
-    over the row's one or two groups g.
+def _factors(w: list[float], b: float, table) -> np.ndarray:
+    """e^{ib} prod_g (cos l_g I + sinc(l_g) w_g @ _QT_STACK[slots_g]), l_g =
+    ||w_g||, over the row's one or two groups g.
 
-    w = G v holds the groups' slots of what the row's gate keeps of v.  A
-    factor is the vector [cos l_g, sinc(l_g) w_g] on I and its group's basis
-    matrices, and row a of T is the product of the basis matrices that term
-    a of the outer product of those vectors names (``_group_table``).
+    w = G v, the row's read-out (``_readout``), holds the groups' slots of
+    what the row's gate keeps of v.  A factor is the vector [cos l_g,
+    sinc(l_g) w_g] on I and its group's basis matrices, the first one times
+    e^{ib}, and row a of the complex T is the product of the basis matrices
+    that term a of the outer product of those vectors names (``_group_table``).
     """
-    groups, G, T = table
-    w = (G @ v).tolist()
-    f = []
-    for group in groups:
-        g = w[group]
+    groups, _, T = table
+    g = w[groups[0]]
+    lam = math.hypot(*g)
+    E = cmath.exp(1j * b)
+    f = [E * math.cos(lam), *map((E * sinc(lam)).__mul__, g)]
+    if len(groups) == 2:
+        g = w[groups[1]]
         lam = math.hypot(*g)
-        s = sinc(lam)
-        f.append([math.cos(lam)] + [s * x for x in g])
-    coef = f[0] if len(f) == 1 else [a * b for a in f[0] for b in f[1]]
-    return (np.array(coef) @ T).view(complex).reshape(4, 4)
+        h = [math.cos(lam), *map(sinc(lam).__mul__, g)]
+        f = [a * c for a in f for c in h]
+    # np.dot has less call overhead than @ on operands this small.
+    return np.dot(f, T).reshape(4, 4)
 
 
-def _interaction(v: np.ndarray, table=None) -> np.ndarray:
-    """e^{iC} from the right singular directions V of Cmat (``eigh3``).
+def _interaction(w: list[float], b: float, table=None) -> np.ndarray:
+    """e^{ib} e^{iC} from the nine entries w of Cmat and the right singular
+    directions V of Cmat (``eigh3``).
 
     With Cmat V = [u_0 u_1 u_2], iC is the sum of the commuting terms
     i M(u_k v_k^T), M(A) = sum_ab A_ab M_{e_a (x) e_b}, which square to
@@ -251,31 +264,34 @@ def _interaction(v: np.ndarray, table=None) -> np.ndarray:
             + M(i Cmat V diag(alpha) V^T - Co(Cmat) V diag(beta) V^T),
 
     c_k = cos sigma_k, n_k = sinc sigma_k, alpha_k = n_k c_i c_j, beta_k =
-    c_k n_i n_j ({i, j} the other two indices), Co the cofactor matrix.  cos
-    and sinc are entire in sigma^2, an eigenvalue of Cmat^T Cmat, so any
-    orthonormal eigenbasis serves, repeated or zero singular values included.
+    c_k n_i n_j ({i, j} the other two indices), Co the cofactor matrix; the
+    I coefficient, alpha and beta carry e^{ib}.  cos and sinc are entire in
+    sigma^2, an eigenvalue of Cmat^T Cmat, so any orthonormal eigenbasis
+    serves, repeated or zero singular values included.
     """
-    Cmat = v[6:].reshape(3, 3)
-    lam, V = eigh3(Cmat.T @ Cmat)
+    co, det = _cofactors(w)
+    A = np.array(w + co).reshape(6, 3)  # Cmat, then Co(Cmat)
+    lam, V = eigh3(A[:3].T @ A[:3])
     sigma = [math.sqrt(max(x, 0.0)) for x in lam.tolist()]
     (c0, c1, c2), (n0, n1, n2) = map(math.cos, sigma), map(sinc, sigma)
-    co, det = _cofactors(w := v[6:].tolist())
-    Q = (np.array(w + co).reshape(6, 3) @ V).reshape(2, 3, 3)  # Cmat V, Co(Cmat) V
-    Q *= np.array([n0 * c1 * c2, n1 * c0 * c2, n2 * c0 * c1,
-                   c0 * n1 * n2, c1 * n0 * n2, c2 * n0 * n1]).reshape(2, 1, 3)
-    U = ((Q.reshape(6, 3) @ V.T).reshape(18) @ _IC_TABLE).view(complex).reshape(4, 4)
-    U.ravel()[::5] += complex(c0 * c1 * c2, -det * n0 * n1 * n2)
+    E = cmath.exp(1j * b)
+    Q = (A @ V).reshape(2, 3, 3) * np.array(
+        [E * (n0 * c1 * c2), E * (n1 * c0 * c2), E * (n2 * c0 * c1),
+         E * (c0 * n1 * n2), E * (c1 * n0 * n2), E * (c2 * n0 * n1)]).reshape(2, 1, 3)
+    U = ((Q.reshape(6, 3) @ V.T).reshape(18) @ _IC_TABLE).reshape(4, 4)
+    U.ravel()[::5] += E * complex(c0 * c1 * c2, -det * n0 * n1 * n2)
     return U
 
 
-# _interaction's table, in the real view: i M(.) and -M(.) of its 3x3 matrices.
-_IC_TABLE = np.concatenate((1j * _PURE_FLAT, -_PURE_FLAT)).view(float)
+# _interaction's table: i M(.) and -M(.) of its 3x3 matrices.
+_IC_TABLE = np.concatenate((1j * _PURE_FLAT, -_PURE_FLAT))
 
 
-def _normal_split(v: np.ndarray, table) -> np.ndarray:
-    """e^X0 = e^B e^{iC} when B and C commute: e^B by ``_factors`` on the p
-    and q groups, e^{iC} by ``_interaction``, the imaginary-symmetric row."""
-    return _factors(v, table) @ _interaction(v)
+def _normal_split(w: list[float], b: float, table) -> np.ndarray:
+    """e^{ib} e^X0 = e^{ib} e^B e^{iC} when B and C commute: e^B by
+    ``_factors`` on the p and q groups, the first six entries of w, and
+    e^{iC} by ``_interaction`` on Cmat, the other nine."""
+    return _factors(w, b, table) @ _interaction(w[6:], 0.0)
 
 
 def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
@@ -308,35 +324,35 @@ def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
 _SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
-def _bisym(v: np.ndarray, k: int) -> np.ndarray:
+def _bisym(s: list[float], b: float, k: int) -> np.ndarray:
     """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
 
     On the gate's split k, the nearest of the nine (ties to the first), X0 is
-    i(e M_e + a M11 + b M12 + c M21 + d M22) on the five slots the gate
-    keeps.  P = M11 M22 = sigma M_e squares to I and commutes with every
-    term, and M22 = M11 P, M21 = -M12 P.  So on the eigenspace P = s the
-    2x2 block is x_s M11 + y_s M12, two anticommuting involutions, and
+    i(e M_e + x11 M11 + x12 M12 + x21 M21 + x22 M22), and s = (e, x11, x12,
+    x21, x22) are the five slots the gate keeps.  P = M11 M22 = sigma M_e
+    squares to I and commutes with every term, and M22 = M11 P, M21 =
+    -M12 P.  So on the eigenspace P = +-1 the 2x2 block is x M11 + y M12,
+    two anticommuting involutions, and
 
-        e^{X0} = sum_{s = +-1} (I + sP)/2 e^{i s sigma e}
-                 [cos l_s I + i sinc(l_s) (x_s M11 + y_s M12)],
+        e^{ib} e^{X0} = sum_{p = +-1} (I + pP)/2 e^{i(b + p sigma e)}
+                        [cos l_p I + i sinc(l_p) (x_p M11 + y_p M12)],
 
-    x_s = a + s d, y_s = b - s c, l_s = hypot(x_s, y_s).  Expanded, that
-    is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 = -M21,
-    the split's rows up to sign.
+    x_p = x11 + p x22, y_p = x12 - p x21, l_p = hypot(x_p, y_p).  Expanded,
+    that is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 =
+    -M21, the split's rows up to sign.
     """
-    e, a, b, c, d = v[_SPLIT_SLOTS[k]].tolist()
+    e, x11, x12, x21, x22 = s
     sigma = _SPLIT_SIGN[k]
-    cos_e, sin_e = math.cos(sigma * e), math.sin(sigma * e)
     terms = []
-    for s in (1.0, -1.0):
-        x, y = a + s * d, b - s * c
+    for p in (1.0, -1.0):
+        x, y = x11 + p * x22, x12 - p * x21
         lam = math.hypot(x, y)
-        E = complex(cos_e, s * sin_e)
+        E = cmath.exp(1j * (b + p * sigma * e))
         r = 0.5j * E * sinc(lam)
         terms.append((0.5 * E * math.cos(lam), r * x, r * y))
     (c_p, x_p, y_p), (c_m, x_m, y_m) = terms
     coef = (c_p + c_m, sigma * (c_p - c_m), x_p + x_m, y_p + y_m, y_m - y_p, x_p - x_m)
-    return (np.array(coef) @ _SPLIT_ROWS[k]).reshape(4, 4)
+    return np.dot(coef, _SPLIT_ROWS[k]).reshape(4, 4)
 
 
 # -- the family table -------------------------------------------------------
@@ -347,12 +363,13 @@ class Family(NamedTuple):
     ``method`` is the ExpResult tag and the FAMILIES key.  Every row
     applies when its ``gate_distance`` is at most the gate tolerance.  A
     structured row's public predicate is named ``gate`` and its ``label``
-    shows in ``su4exp classify``; its formula takes v and its row's table
-    (``_TABLES``), or the bisymmetric split its gate found.  A row without a
+    shows in ``su4exp classify``; its formula takes the row's read-out R v
+    (``_readout``) as floats, the scalar part b, and its row's table
+    (``_TABLES``) or the bisymmetric split its gate found.  A row without a
     predicate is the minimal-polynomial shape ``label``, and its formula
     takes X and that shape's ``MinPolyClass``.  ``groups`` holds the Pauli
-    labels of each rotation factor read off v.  ``formula`` gives e^{X0};
-    ``_unitary`` adds the scalar phase.
+    labels of each rotation factor read off v.  Every formula gives e^X
+    with the scalar phase e^{ib} in its coefficients.
     """
 
     method: str
@@ -374,10 +391,11 @@ FAMILY_TABLE = (
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
-    Family("quad-I", "quadratic-I", lambda X, m: _quadratic(X.traceless, 0.0, m.c2)),
+    Family("quad-I", "quadratic-I",
+           lambda X, m: _quadratic(X.traceless, X.scalar, 0.0, m.c2)),
     Family("quad-II", "quadratic-II",
-           lambda X, m: _quadratic(X.traceless, m.beta, m.gamma)),
-    Family("cubic-I", "cubic-I", lambda X, m: _cubic(X.traceless, m.c2)),
+           lambda X, m: _quadratic(X.traceless, X.scalar, m.beta, m.gamma)),
+    Family("cubic-I", "cubic-I", lambda X, m: _cubic(X.traceless, X.scalar, m.c2)),
 )
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
@@ -412,18 +430,41 @@ _TRIDIAG_RESID = _EYE15 - _PROJECTOR["tridiag"]
 
 def _group_table(method: str, slots: list[list[int]]) -> tuple:
     """A grouped row's (slices of w = G v, G, T) for ``_factors``: G v reads
-    the groups' slots of P v, P the projector of the row's gate, and T is the
-    real view of the products B_1[a] B_2[b] of the groups' bases, rows of
-    _BASES (I, then the slots' basis matrices), one broadcast product."""
+    the groups' slots of P v, P the projector of the row's gate, and T holds
+    the products B_1[a] B_2[b] of the groups' bases, rows of _BASES (I, then
+    the slots' basis matrices), one broadcast product."""
     B = [_BASES[[0] + [s + 1 for s in group]] for group in slots]
     T = B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)
     ends = [0, *accumulate(map(len, slots))]
     return ([slice(*e) for e in zip(ends, ends[1:])],
-            _PROJECTOR.get(method, _EYE15)[sum(slots, [])], T.reshape(-1, 16).view(float))
+            _PROJECTOR.get(method, _EYE15)[sum(slots, [])], T.reshape(-1, 16))
 
 
 _BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK)).reshape(16, 1, 4, 4)
 _TABLES = {m: _group_table(m, slots) for m, slots in _SLOTS.items()}
+
+# What each structured row's formula reads of v, as R @ v: G of its table
+# for the grouped rows, Cmat for e^{iC} (after G for the normal split), and
+# the five kept slots of each of the nine bisymmetric splits.
+_READOUT = {m: G for m, (_, G, _) in _TABLES.items()} | {
+    "imsym": _EYE15[6:], "normal-split": np.vstack((_TABLES["normal-split"][1], _EYE15[6:])),
+    "bisym": _EYE15[_SPLIT_SLOTS]}
+
+
+def _readout(method: str, arg=None) -> np.ndarray:
+    """The structured row's read-out R, at the bisymmetric split arg."""
+    R = _READOUT[method]
+    return R if arg is None else R[arg]
+
+
+def _readout_map(method: str, M: np.ndarray, arg=None) -> np.ndarray:
+    """A = [R M[:15]; M[15]] for a (16, n) parameter map M: (R v, b) of the
+    X with (v, b) = M @ x is A @ x, for the row's read-out R at split arg."""
+    return np.vstack((_readout(method, arg) @ M[:15], M[15]))
+
+
+# (R v, b) of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_READ @ (alpha, beta, gamma).
+_TRIDIAG_READ = _readout_map("tridiag", _TRIDIAG_VB)
 
 
 # -- structure gates: stages of rows' squared distances over 4 from v, and
@@ -493,13 +534,16 @@ def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | Non
 
 
 def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
-    """e^X by the row's formula, scalar phase e^{ib} included when b != 0.
+    """e^X by the row's formula, which applies the scalar phase.
 
-    A structured formula takes v and its row's table, or the split its gate
-    found (arg); a minimal-polynomial one X and its shape (arg).
+    A structured formula takes the row's read-out of v, b and its row's
+    table, or the split its gate found (arg); a minimal-polynomial one X and
+    its shape (arg).
     """
-    U = fam.formula(X.coeffs, _TABLES.get(fam.method, arg)) if fam.gate else fam.formula(X, arg)
-    return cmath.exp(1j * X.scalar) * U if X.scalar else U
+    if not fam.gate:
+        return fam.formula(X, arg)
+    y = _readout(fam.method, arg).dot(X.coeffs).tolist()
+    return fam.formula(y, X.scalar, _TABLES.get(fam.method, arg))
 
 
 def closed_form(method: str, X: Su4Element) -> ExpResult:
@@ -517,31 +561,31 @@ def closed_form(method: str, X: Su4Element) -> ExpResult:
 
 # -- public closed forms and the dispatcher --------------------------------
 
-def _exp_mapped(method: str, M: np.ndarray, x, arg=None) -> ExpResult:
+def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
     """e^X for the X with (v, b) = M @ x, by the formula of the row ``method``.
 
     For generators that a constant (16, n) map M takes from parameters x
     onto one structured row: every column of M has gate distance 0 there,
-    and arg is the gate's split on M's range (bisym) or None.  So no element
-    is built and no gate runs.  Raises InputError on a non-finite parameter,
-    before any product.
+    and arg is the gate's split on M's range (bisym) or None.  A =
+    ``_readout_map(method, M, arg)`` gives the formula's read-out and b in
+    one product, so no element is built and no gate runs.  Raises
+    InputError on a non-finite parameter, before any product.
     """
     if not all(map(math.isfinite, x)):
         raise InputError("parameters must be finite")
-    y = M @ x
-    U = _ROWS[method].formula(y[:15], _TABLES.get(method, arg))
-    b = y[15]
-    return ExpResult(cmath.exp(1j * b) * U if b else U, method)
+    *y, b = A.dot(x).tolist()
+    return ExpResult(_ROWS[method].formula(y, b, _TABLES.get(method, arg)), method)
 
 
 def exp_tridiag(S: SymTriDiag) -> ExpResult:
     """e^S for i x (real symmetric tridiagonal, zero diagonal) parameters.
 
     Takes the three parameters rather than an element: (v, b) is the
-    constant map _TRIDIAG_VB of them (``_exp_mapped``), as for the demo
-    propagators.  Raises InputError on a non-finite parameter.
+    constant map _TRIDIAG_VB of them, read out by _TRIDIAG_READ
+    (``_exp_mapped``), as for the demo propagators.  Raises InputError on a
+    non-finite parameter.
     """
-    return _exp_mapped("tridiag", _TRIDIAG_VB, S)
+    return _exp_mapped("tridiag", _TRIDIAG_READ, S)
 
 
 def exp_perskew(X: Su4Element) -> ExpResult:
@@ -570,6 +614,13 @@ def exp_normal_split(X: Su4Element) -> ExpResult:
     return closed_form("normal-split", X)
 
 
+def _check_norm(X: Su4Element) -> None:
+    """Raise InputError when eps 2||X||_F >= 1 (``oracle._check_range``),
+    the range rule of ``exp_auto`` and of the ``classify`` verb:
+    2||X||_F = 4 sqrt(v.v + b^2), taken without overflow, bounds ||X||_1."""
+    _check_range(4.0 * math.hypot(*X.coeffs.tolist(), X.scalar))
+
+
 def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     """Exponential of X by the cheapest applicable closed form.
 
@@ -577,11 +628,10 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     minimal-polynomial row ``classify`` names, magic-basis conjugation into
     a structured row, and finally the series reference exponential.  Every
     stage tests its distance at tol, and the formula it picks is within tol
-    of e^X, so exp_auto never raises StructureError.  It raises InputError,
-    before any stage, when eps 2||X||_F >= 1 (``oracle._check_range``):
-    2||X||_F = 4 sqrt(v.v + b^2), taken without overflow, bounds ||X||_1.
+    of e^X, so exp_auto never raises StructureError.  It raises InputError
+    before any stage (``_check_norm``).
     """
-    _check_range(4.0 * math.hypot(*X.coeffs.tolist(), X.scalar))
+    _check_norm(X)
     fam, arg = _structured_row(X, tol)
     if fam is not None:
         return ExpResult(_unitary(fam, X, arg), fam.method)

@@ -1,9 +1,12 @@
-"""Test-side references: matrices built from their definitions, and the
-paper's canonical-form formulas that the library is checked against.
+"""Test-side references: matrices built from their definitions, the
+paper's canonical-form formulas, and a Jacobi eigenvalue solver independent
+of LAPACK, that the library is checked against.
 
 Nothing in the library calls these; the tests compare the library's own
 maps with them.
 """
+
+import math
 
 import numpy as np
 
@@ -73,3 +76,53 @@ def normal_type_conditions_canonical(a, b, c, tol: float = 1e-10) -> bool:
         a[1] * c[2] - c[0] * b[1],
     ]
     return all(abs(e) <= tol * m for e in eqs)
+
+
+def _hermitian_2x2_rotation(a: float, b: float, h: complex) -> np.ndarray:
+    """Unitary 2x2 G whose columns are eigenvectors of [[a, h], [conj(h), b]].
+
+    a, b are real diagonal entries.  Returned with the eigenvector of the
+    smaller eigenvalue first.
+    """
+    d = 0.5 * (a - b)
+    r = math.hypot(abs(h), d)
+    lo = 0.5 * (a + b) - r
+    # Eigenvector for lo: (h, lo - a), unless that pair degenerates.
+    v = np.array([h, lo - a], dtype=complex)
+    if np.abs(v).max() < 1e-300:
+        v = np.array([lo - b, np.conj(h)], dtype=complex)
+    v = v / np.linalg.norm(v)
+    w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
+    return np.column_stack([v, w])
+
+
+def eigvals_hermitian(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, ascending.
+
+    The input must be Hermitian to 1e-12 times its largest entry (or 1).
+    Each rotation exactly diagonalizes one 2x2 principal block; sweeps stop
+    when the off-diagonal Frobenius mass falls below 1e-15 * ||H||_F.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    if np.abs(H - H.conj().T).max() > 1e-12 * max(1.0, np.abs(H).max()):
+        raise ValueError("input is not Hermitian")
+    A = 0.5 * (H + H.conj().T)
+    scale = np.linalg.norm(A)
+    if scale == 0.0:
+        return np.zeros(n)
+    for _ in range(60):
+        off = math.sqrt(max(0.0, np.linalg.norm(A) ** 2
+                            - np.linalg.norm(np.diagonal(A)) ** 2))
+        if off < 1e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                h = A[p, q]
+                if abs(h) < 1e-18 * scale:
+                    continue
+                G = _hermitian_2x2_rotation(A[p, p].real, A[q, q].real, h)
+                idx = [p, q]
+                A[:, idx] = A[:, idx] @ G
+                A[idx, :] = G.conj().T @ A[idx, :]
+    return np.sort(np.diagonal(A).real)

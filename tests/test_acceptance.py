@@ -33,7 +33,7 @@ from su4exp.demos import (
 from su4exp.expm import exp_auto, exp_cubic_I, exp_quadratic_I, exp_quadratic_II
 from su4exp.families import FAMILIES, time_family
 from su4exp.model import Su4Element, quintuple
-from su4exp.oracle import eigvals_hermitian, expm_reference
+from su4exp.oracle import expm_reference
 from su4exp.qtensor import (
     PAULI_LABELS,
     PAULI_TO_QT_TABLE,
@@ -42,7 +42,12 @@ from su4exp.qtensor import (
 )
 from su4exp.quaternion import Quaternion, qmul
 
-from reference import charpoly_canonical, normal_type_conditions_canonical, pauli_kron
+from reference import (
+    charpoly_canonical,
+    eigvals_hermitian,
+    normal_type_conditions_canonical,
+    pauli_kron,
+)
 
 
 @contextmanager

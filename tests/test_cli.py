@@ -6,6 +6,7 @@ The exit codes are a scripting contract: 0 success, 1 usage, 2 input/parse,
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ def test_expm_auto_near_min_poly_boundary_succeeds(near_quad_I_file, tmp_path, c
     assert main(["expm", near_quad_I_file, "--method", "auto", "--out", str(out_path)]) == 0
     U_ref = expm_reference(load_matrix(near_quad_I_file))
     assert np.abs(load_matrix(out_path) - U_ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e17, 1e160])
+def test_classify_past_the_oracle_range_prints_nothing(tmp_path, capsys, scale):
+    # exp_auto's range rule runs before the first line of the report: exit
+    # 2 with an empty stdout, and no overflow warning from the gates or the
+    # charpoly on the way.
+    rng = np.random.default_rng(91)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = tmp_path / "big.json"
+    save_matrix(scale * (A - A.conj().T), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err
 
 
 def test_classify_tolerance_reaches_the_min_poly_rule(near_quad_I_file, capsys):

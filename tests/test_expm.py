@@ -271,11 +271,11 @@ def test_group_tables_hold_the_products_of_their_basis_matrices():
         assert G.shape == (sum(map(len, slots)), 15)
         bases = [[np.eye(4)] + [_QT_STACK[s].reshape(4, 4) for s in group] for group in slots]
         products = [reduce(np.matmul, names) for names in itertools.product(*bases)]
-        assert T.shape == (len(products), 32)
+        assert T.shape == (len(products), 16)
         for row, P in zip(T, products):
-            assert np.array_equal(row.view(complex).reshape(4, 4), P), method
-    rows = _IC_TABLE.view(complex)
-    assert np.array_equal(rows[:9], 1j * _PURE_FLAT) and np.array_equal(rows[9:], -_PURE_FLAT)
+            assert np.array_equal(row.reshape(4, 4), P), method
+    assert np.array_equal(_IC_TABLE[:9], 1j * _PURE_FLAT)
+    assert np.array_equal(_IC_TABLE[9:], -_PURE_FLAT)
 
 
 def test_skewham_terms_anticommute():
@@ -354,7 +354,7 @@ def _check_imsym_factors(Cmat):
             assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
     prod = Fs[0] @ Fs[1] @ Fs[2]
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T)
-    assert np.abs(prod - _interaction(X.coeffs)).max() < 1e-12
+    assert np.abs(prod - _interaction(X.coeffs[6:].tolist(), 0.0)).max() < 1e-12
     ref = expm_reference(X.entries)
     assert np.abs(prod - ref).max() < 1e-12
     assert np.abs(exp_imaginary_symmetric(X).U - ref).max() < 1e-12
@@ -406,7 +406,7 @@ def test_interaction_matches_oracle_at_degenerate_singular_values(name):
     assert name != "det < 0" or np.linalg.det(Cmat) < 0
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T, scalar=0.3)
     ref = expm_reference(X.entries)
-    assert np.abs(cmath.exp(0.3j) * _interaction(X.coeffs) - ref).max() <= 1e-12
+    assert np.abs(_interaction(X.coeffs[6:].tolist(), X.scalar) - ref).max() <= 1e-12
     assert np.abs(exp_imaginary_symmetric(X).U - ref).max() <= 1e-12
 
 
@@ -527,14 +527,16 @@ def test_bisym_across_scales():
 
 def test_bisym_agrees_with_the_normal_split():
     # The normal-split route (3x3 spectral factorization, and e^B = I for
-    # p = q = 0) on the same bisymmetric inputs; _bisym takes the split the
-    # gate finds.
-    from su4exp.expm import _TABLES, _bisym, _normal_split
+    # p = q = 0) on the same bisymmetric inputs; _bisym takes the five slots
+    # of the split the gate finds, each formula its read-out and b.
+    from su4exp.expm import _TABLES, _bisym, _normal_split, _readout
     rng = np.random.default_rng(86)
     for k in range(9):
         for _ in range(20):
             v = _split_element(k, *rng.uniform(-4, 4, 5)).coeffs
-            U, V = _bisym(v, k), _normal_split(v, _TABLES["normal-split"])
+            b = rng.uniform(-3, 3)
+            U = _bisym((_readout("bisym", k) @ v).tolist(), b, k)
+            V = _normal_split((_readout("normal-split") @ v).tolist(), b, _TABLES["normal-split"])
             assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
@@ -706,11 +708,34 @@ def test_exp_auto_determinant_phase():
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_family_closed_form_includes_scalar_phase(name):
+    # Each formula applies e^{ib} itself: the family's closed form and
+    # exp_auto at b are within 1e-9 of the oracle, and within 1e-13 of e^{ib}
+    # times their own result at b = 0.  The b values run inside the test, so
+    # its ids stay one per family.
     sampler, closed = FAMILIES[name]
+    paths = {"closed_form": closed, "exp_auto": exp_auto}
     rng = np.random.default_rng(75)
     for _ in range(5):
-        X = Su4Element(sampler(rng).entries + 0.7j * np.eye(4))
-        assert np.linalg.norm(closed(X).U - expm_reference(X.entries)) <= 1e-9
+        A = sampler(rng).traceless
+        U0 = {path: f(Su4Element(A)).U for path, f in paths.items()}
+        for b in (0.7, -2.9, 40.0):
+            X = Su4Element(A + 1j * b * np.eye(4))
+            ref = expm_reference(X.entries)
+            for path, f in paths.items():
+                U = f(X).U
+                assert np.linalg.norm(U - ref) <= 1e-9, (path, b)
+                assert np.abs(U - cmath.exp(1j * b) * U0[path]).max() <= 1e-13, (path, b)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.7])
+@pytest.mark.parametrize("method", ["quad-I", "quad-II", "cubic-I"])
+def test_min_poly_rows_take_a_zero_traceless_part(method, b):
+    # X0 = 0 satisfies every minimal-polynomial shape with zero parameters,
+    # and each formula then gives e^{ib} I; classify still tags it other.
+    X = Su4Element(1j * b * np.eye(4))
+    assert gate_distance(method, X) == 0.0
+    assert np.abs(closed_form(method, X).U - cmath.exp(1j * b) * np.eye(4)).max() <= 1e-15
+    assert classify(X).tag == "other"
 
 
 # Structured family -> (its predicate, its public closed form).  exp_tridiag

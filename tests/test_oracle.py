@@ -5,7 +5,9 @@ import pytest
 
 from su4exp.errors import InputError
 from su4exp.families import eigh_exp
-from su4exp.oracle import eigvals_hermitian, expm_reference
+from su4exp.oracle import expm_reference
+
+from reference import eigvals_hermitian
 
 
 def _random_antihermitian(rng):
