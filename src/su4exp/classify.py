@@ -1,10 +1,16 @@
 """Characteristic polynomial, minimal-polynomial type detection, normality.
 
 Everything reads v = (p, q, vec Cmat) = ``Su4Element.coeffs`` and one
-product X0^2.  det(xI - X0) = x^4 + mu x^2 + nu x + pi has mu = 2||v||^2,
-nu = 8i (det Cmat - p^T Cmat q) and pi = 2||v||^4 - ||X0^2||_F^2 / 4.  Three
-minimal-polynomial shapes have simple exponentials, with the parameters of
-an exact member (spectra i{c, c, -c, -c}, i{a, a, a, -3a}, i{0, 0, c, -c}):
+constant bilinear map of it, the square map D (``model.square_coeffs``):
+with T_k the basis matrix of slot k of v, X0 = v.T and g = v.v,
+
+    X0^2 = -g I - i z.T,   X0 (z.T) = -(v.z) I - i D(v, z).T,   z = D(v, v),
+
+and the T_k are orthogonal to I and to each other, with squared Frobenius
+norm 4.  det(xI - X0) = x^4 + mu x^2 + nu x + pi has mu = 2g, nu = 8i (det
+Cmat - p^T Cmat q) and pi = g^2 - z.z.  Three minimal-polynomial shapes
+have simple exponentials, with the parameters of an exact member (spectra
+i{c, c, -c, -c}, i{a, a, a, -3a}, i{0, 0, c, -c}):
 
     quadratic type I    x^2 + c^2                c^2 = mu / 2
     quadratic type II   x^2 + 2 beta x + gamma   gamma = mu / 2, beta = -3 nu / (4 mu)
@@ -20,6 +26,14 @@ distances bound ||U - e^X||_F, and are compared with the gate tolerance
     quadratic   ||X0^2 + 2 beta X0 + gamma I||_F / omega,  omega^2 = gamma + |beta|^2
     cubic       2 ||X0^3 + c^2 X0||_F / c^2
 
+On v, with beta = i beta_r, they are
+
+    quadratic type I    2 ||z|| / sqrt(g)
+    quadratic type II   2 ||z - 2 beta_r v|| / sqrt(g + beta_r^2)
+    cubic type I        2 sqrt((v.z)^2 + ||g v - D(v, z)||^2) / g
+
+as X0^3 + 2g X0 = i(v.z) I + (g v - D(v, z)).T.  No 4x4 matrix is built.
+
 Type II also has the paper's constructive test: a real bt with C^T p = bt q,
 C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
 """
@@ -27,11 +41,24 @@ C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import _PURE_FLAT, STRUCTURE_TOL, QuintupleDecomp, Su4Element, _cofactors
+from .errors import InputError
+from .model import (
+    _PURE_FLAT,
+    STRUCTURE_TOL,
+    QuintupleDecomp,
+    Su4Element,
+    _cofactors,
+    square_coeffs,
+)
+
+# ||v|| below which 4 g^2 = mu^2 is finite: then so are pi, ||z||^2 <= 3 g^2
+# (||X0^2||_F^2 = 4 g^2 + 4 ||z||^2 <= ||X0||_F^4) and every distance.
+_NORM_MAX = (sys.float_info.max / 4.0) ** 0.25
 
 
 class CharPolyCoeffs(NamedTuple):
@@ -45,8 +72,7 @@ class MinPolyClass(NamedTuple):
 
     ``tag`` is one of quadratic-I, quadratic-II, cubic-I, quartic-distinct,
     other.  ``c2`` is set for the type-I shapes; ``beta``/``gamma`` for
-    quadratic type II.  A NamedTuple, as ``classify`` builds one per shape
-    it tests.
+    quadratic type II.
     """
 
     tag: str
@@ -55,46 +81,30 @@ class MinPolyClass(NamedTuple):
     gamma: float | None = None
 
 
-def _invariants(X: Su4Element) -> tuple[float, complex, np.ndarray]:
-    """mu and nu of det(xI - X0), and X0^2.
+def _invariants(X: Su4Element) -> tuple[float, complex, np.ndarray, np.ndarray]:
+    """mu and nu of det(xI - X0), and z and D v of the square map
+    (``model.square_coeffs``).
 
     det Cmat (``model._cofactors``) and p^T Cmat q are expanded over v.
+    Raises InputError, before any product, when ||v|| reaches _NORM_MAX.
     """
     v = X.coeffs
     p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = w = v.tolist()
+    n = math.hypot(*w)
+    if not n < _NORM_MAX:
+        raise InputError(f"coefficient norm {n:.3e} is past {_NORM_MAX:.3e}: "
+                         "the characteristic polynomial overflows")
     det = _cofactors(w[6:])[1]
     pcq = (p1 * (c11 * q1 + c12 * q2 + c13 * q3) + p2 * (c21 * q1 + c22 * q2 + c23 * q3)
            + p3 * (c31 * q1 + c32 * q2 + c33 * q3))
-    return 2.0 * float(v @ v), 8j * (det - pcq), X.traceless @ X.traceless
+    return 2.0 * float(v @ v), 8j * (det - pcq), *square_coeffs(v)
 
 
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    mu, nu, X2 = _invariants(X)
-    return CharPolyCoeffs(mu=mu, nu=nu, pi=mu * mu / 2.0 - np.vdot(X2, X2).real / 4.0)
-
-
-def _frobenius(R: np.ndarray) -> float:
-    return math.sqrt(np.vdot(R, R).real)
-
-
-def _quadratic_distance(X: np.ndarray, S: np.ndarray, beta: complex,
-                        gamma: complex) -> float:
-    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|,
-    from S = X^2 + gamma I: the error bound of the quadratic formula
-    (quadratic type I is beta = 0)."""
-    omega = math.sqrt(abs(gamma - beta * beta))
-    if not omega:
-        return math.inf
-    return _frobenius(S + 2.0 * beta * X if beta else S) / omega
-
-
-def _cubic_distance(X: np.ndarray, S: np.ndarray, c2: complex) -> float:
-    """2 ||X^3 + c^2 X||_F / |c^2| from S = X^2 + c^2 I, with
-    X^3 + c^2 X = X S: the error bound of the cubic formula."""
-    if not c2:
-        return math.inf
-    return 2.0 * _frobenius(X @ S) / abs(c2)
+    mu, nu, z, _ = _invariants(X)
+    g = mu / 2.0
+    return CharPolyCoeffs(mu=mu, nu=nu, pi=g * g - float(z @ z))
 
 
 def cofactor_matrix(C: np.ndarray) -> np.ndarray:
@@ -122,32 +132,39 @@ def check_quadratic_II_conditions(d: QuintupleDecomp) -> float | None:
     return bt if np.abs(lhs - bt * rhs).max() <= 1e-9 * scale2 else None
 
 
-def _shapes(X0: np.ndarray, S: np.ndarray, mu: float, nu: complex):
-    """Each minimal-polynomial shape in ``classify``'s order: its distance
-    (``_quadratic_distance``, ``_cubic_distance``) and its ``MinPolyClass``,
-    parameters taken from mu > 0 and nu as in the module docstring.  S =
-    X0^2 is shifted in place: by mu/2 for both quadratic shapes, then by
-    mu/2 more for the cubic one."""
+def _distances(v: np.ndarray, mu: float, nu: complex, z: np.ndarray, Dv: np.ndarray):
+    """Each minimal-polynomial shape's tag and distance, in ``classify``'s
+    order, from the v-forms of the module docstring with mu > 0; the cubic
+    one's D(v, z) only when it is reached."""
     g = mu / 2.0
-    S.ravel()[::len(X0) + 1] += g  # the diagonal of the contiguous square
-    yield _quadratic_distance(X0, S, 0.0, g), MinPolyClass("quadratic-I", c2=g)
-    beta = -3.0 * nu / (4.0 * mu)
-    yield (_quadratic_distance(X0, S, beta, g),
-           MinPolyClass("quadratic-II", beta=beta, gamma=g))
-    S.ravel()[::len(X0) + 1] += g
-    yield _cubic_distance(X0, S, mu), MinPolyClass("cubic-I", c2=mu)
+    yield "quadratic-I", 2.0 * math.hypot(*z.tolist()) / math.sqrt(g)
+    br = (-3.0 * nu / (4.0 * mu)).imag
+    yield "quadratic-II", 2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br)
+    yield "cubic-I", 2.0 * math.hypot(float(v @ z), *(g * v - Dv @ z).tolist()) / g
+
+
+def _shape(tag: str, mu: float, nu: complex) -> MinPolyClass:
+    """The shape ``tag`` with its parameters from mu and nu (module docstring)."""
+    if tag == "quadratic-II":
+        return MinPolyClass(tag, beta=-3.0 * nu / (4.0 * mu), gamma=mu / 2.0)
+    return MinPolyClass(tag, c2=mu / 2.0 if tag == "quadratic-I" else mu)
 
 
 def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
     """The distance ``classify`` tests for the shape ``tag``, and the shape
     with its parameters.  X0 = 0 (mu = 0) satisfies every shape with zero
     parameters, at distance 0, and each formula then gives e^{ib} I exactly;
-    ``classify`` still tags it other, as it selects no formula."""
-    mu, nu, X2 = _invariants(X)
+    ``classify`` still tags it other, as it selects no formula.  Past the
+    range of ``_invariants`` the distance is inf, which no gate passes."""
+    try:
+        mu, nu, z, Dv = _invariants(X)
+    except InputError:
+        return math.inf, MinPolyClass(tag)
     if not mu:
         params = {"beta": 0.0, "gamma": 0.0} if tag == "quadratic-II" else {"c2": 0.0}
         return 0.0, MinPolyClass(tag, **params)
-    return next((d, m) for d, m in _shapes(X.traceless, X2, mu, nu) if m.tag == tag)
+    d = next(d for t, d in _distances(X.coeffs, mu, nu, z, Dv) if t == tag)
+    return d, _shape(tag, mu, nu)
 
 
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
@@ -156,14 +173,15 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     The first of quadratic-I, quadratic-II and cubic-I whose distance (module
     docstring) is at most tol, so that its formula is within tol of e^X.
     Otherwise quartic-distinct when |nu| <= tol mu (nu = 0: a spectrum
-    symmetric about 0), else other; neither selects a formula.
+    symmetric about 0), else other; neither selects a formula.  Raises
+    InputError past the range of ``_invariants``.
     """
-    mu, nu, X2 = _invariants(X)
+    mu, nu, z, Dv = _invariants(X)
     if mu == 0.0:
         return MinPolyClass(tag="other")
-    for d, m in _shapes(X.traceless, X2, mu, nu):
+    for tag, d in _distances(X.coeffs, mu, nu, z, Dv):
         if d <= tol:
-            return m
+            return _shape(tag, mu, nu)
     if abs(nu) <= tol * mu:
         return MinPolyClass(tag="quartic-distinct")
     return MinPolyClass(tag="other")

@@ -71,7 +71,14 @@ def _build_parser() -> _Parser:
     pd.add_argument("params", nargs="*", metavar="key=value",
                     help=f"defaults {defaults}; rabi also takes g=g1,g2,g3")
 
-    pb = sub.add_parser("bench", help="closed form vs reference and eigh timing")
+    pb = sub.add_parser(
+        "bench", help="closed form vs reference and eigh timing, one pass",
+        description="Median latency per family of the closed form on a pre-built element, "
+                    "against the series reference and a NumPy eigh exponential from the raw "
+                    "entries.  One pass of --trials samples, with no host-speed scaling, so "
+                    "figures move with the host's speed state.  End-to-end figures, raw "
+                    "entries in and U out with construction and dispatch included, come "
+                    "from perfbench/run.py in a source checkout.")
     pb.add_argument("--families", default=",".join(FAMILIES),
                     help="comma-separated subset (default: all)")
     pb.add_argument("--trials", type=int, default=200)

@@ -1,7 +1,8 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Every structured formula is scalar coefficients times a constant table, in
-the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.  A group of
+Every formula of the nine rows is scalar coefficients times a constant
+table, in the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.
+A group of
 anticommuting Pauli terms of X0, declared as data in the family table, is
 read off v by its slots and gives the vector [cos l, sinc(l) w] of a
 rotation factor; the outer product of a row's vectors times the products
@@ -12,12 +13,16 @@ the normal split is e^B e^{iC}.  The bisymmetric formula needs two 2x2
 rotations, as a constant involution P commutes with X0 on its split and
 each eigenspace of P holds two anticommuting involutions (``_bisym``).
 Each of these formulas takes only the coordinates it reads of v, its row's
-read-out R v (``_readout``), and the scalar part b.  The other formulas are
-low-degree minimal-polynomial evaluations:
+read-out R v (``_readout``), and the scalar part b.  The other three are
+low-degree minimal-polynomial evaluations, coefficients on I, X and X^2:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
     cubic type I        e^X = I + sinc(c) X + (1-cos c)/c^2 X^2
+
+Their rows take v, b and the shape: X0 is v on the basis, and X0^2 = -(v.v) I
+- i z.T with z from the square map (``model.square_coeffs``), so each is
+coefficients on [I; basis] (``_BASES``) with no 4x4 matrix built.
 
 All nine rows follow one rule: a row applies when a distance that bounds
 the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
@@ -53,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import _cubic_distance, _quadratic_distance, classify, shape
+from .classify import classify, shape
 from .errors import InputError, StructureError
 from .model import (
     _INPUT_MAP,
@@ -67,6 +72,7 @@ from .model import (
     Su4Element,
     _cofactors,
     commutator_coeffs,
+    square_coeffs,
 )
 from .oracle import _check_range, expm_reference
 
@@ -169,60 +175,94 @@ def is_normal_element(X: Su4Element) -> bool:
     return gate_distance("normal-split", X) <= STRUCTURE_TOL
 
 
-# -- minimal-polynomial formulas: the table rows call them after their
-# shape's gate, the public wrappers after the same distance at STRUCTURE_TOL.
+# -- minimal-polynomial formulas: each shape's scalar coefficients on I, X
+# and X^2, once.  The table rows put them on [I; basis] from v, after their
+# shape's gate; the public wrappers on a bare matrix, after the same
+# distance on its products at STRUCTURE_TOL.
 
-def _quadratic(X: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
-    """e^{ib} e^X = e^{ib - beta} [cos(omega) I + sinc(omega)(X + beta I)]
-    for X^2 + 2 beta X + gamma I = 0, as (X + beta I)^2 = -omega^2 I with
-    omega^2 = gamma - beta^2 (either root: both terms are even in omega);
-    quadratic type I is beta = 0."""
+def _quadratic_coeffs(b: float, beta: complex, gamma: complex) -> tuple[complex, complex]:
+    """(c0, c1) with e^{ib} e^X = c0 I + c1 X for X^2 + 2 beta X + gamma I = 0:
+    e^{ib - beta} [cos(omega) I + sinc(omega)(X + beta I)], as (X + beta I)^2 =
+    -omega^2 I with omega^2 = gamma - beta^2 (either root: both terms are
+    even in omega); quadratic type I is beta = 0."""
     c = cmath.sqrt(gamma - beta * beta)
     e, s = cmath.exp(1j * b - beta), sinc(c)
-    U = (e * s) * X
-    U.ravel()[::len(X) + 1] += e * (cmath.cos(c) + beta * s)
-    return U
+    return e * (cmath.cos(c) + beta * s), e * s
 
 
-def _cubic(X: np.ndarray, b: float, c2: complex) -> np.ndarray:
-    """Euler-Rodrigues: e^{ib} e^X = e^{ib} [I + sinc(c) X + (1-cos c)/c^2 X^2]
-    for X^3 = -c^2 X, either root c (the coefficients are even in c)."""
+def _cubic_coeffs(b: float, c2: complex) -> tuple[complex, complex, complex]:
+    """Euler-Rodrigues: the coefficients on I, X and X^2 of e^{ib} e^X =
+    e^{ib} [I + sinc(c) X + (1-cos c)/c^2 X^2] for X^3 = -c^2 X, either root
+    c (the coefficients are even in c)."""
     c, E = cmath.sqrt(c2), cmath.exp(1j * b)
-    U = (E * cosm1_over_c2(c)) * X
-    U.ravel()[::len(X) + 1] += E * sinc(c)
-    U = X @ U  # e^{ib} [sinc(c) X + (1-cos c)/c^2 X^2]
-    U.ravel()[::len(X) + 1] += E
-    return U
+    return E, E * sinc(c), E * cosm1_over_c2(c)
 
 
-def _checked(name: str, X, distance: Callable, formula: Callable, *params) -> np.ndarray:
-    """formula(X, 0.0, *params), with no scalar phase, or StructureError
-    unless the shape's distance (``classify``) is at most STRUCTURE_TOL (so a
-    NaN distance fails); both shift X^2 by the last param."""
+def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
+    """e^{ib} e^X0 = [c0, c1 v] on [I; basis] (``_quadratic_coeffs``)."""
+    c0, c1 = _quadratic_coeffs(b, beta, gamma)
+    return np.dot(np.concatenate(([c0], c1 * v)), _BASES).reshape(4, 4)
+
+
+def _cubic(v: np.ndarray, b: float, c2: complex) -> np.ndarray:
+    """e^{ib} e^X0 = [c0 - k g, c1 v - i k z] on [I; basis] (``_cubic_coeffs``),
+    as X0^2 = -g I - i z.T with z = D(v, v) (``model.square_coeffs``) and
+    g = v.v = c^2 / 2."""
+    c0, c1, k = _cubic_coeffs(b, c2)
+    z = square_coeffs(v)[0]
+    return np.dot(np.concatenate(([c0 - k * (c2 / 2.0)], c1 * v - 1j * k * z)),
+                  _BASES).reshape(4, 4)
+
+
+def _quadratic_distance(X: np.ndarray, S: np.ndarray, beta: complex,
+                        gamma: complex) -> float:
+    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|,
+    from S = X^2 + gamma I: the error bound of the quadratic formula
+    (quadratic type I is beta = 0), the matrix form of ``classify``'s."""
+    omega = math.sqrt(abs(gamma - beta * beta))
+    if not omega:
+        return math.inf
+    return np.linalg.norm(S + 2.0 * beta * X if beta else S) / omega
+
+
+def _cubic_distance(X: np.ndarray, S: np.ndarray, c2: complex) -> float:
+    """2 ||X^3 + c^2 X||_F / |c^2| from S = X^2 + c^2 I, with
+    X^3 + c^2 X = X S: the error bound of the cubic formula."""
+    if not c2:
+        return math.inf
+    return 2.0 * np.linalg.norm(X @ S) / abs(c2)
+
+
+def _checked(name: str, X, distance: Callable, coeffs: Callable, *params) -> np.ndarray:
+    """The shape's coefficients, with no scalar phase, on I, X and X^2, or
+    StructureError unless the shape's distance is at most STRUCTURE_TOL (so
+    a NaN distance fails); the distance takes X^2 shifted by the last param.
+
+    This form takes any complex 4x4 X, trace part and non-normal X
+    included, which v does not represent, and the caller's parameters."""
     X = np.asarray(X, dtype=complex)
-    S = X @ X
-    S.ravel()[::len(X) + 1] += params[-1]
-    d = distance(X, S, *params)
+    X2 = X @ X
+    d = distance(X, X2 + params[-1] * np.eye(len(X)), *params)
     if not d <= STRUCTURE_TOL:
         raise StructureError(f"{name} minimal polynomial", d)
-    return formula(X, 0.0, *params)
+    return sum(c * P for c, P in zip(coeffs(0.0, *params), (np.eye(len(X)), X, X2)))
 
 
 def exp_quadratic_I(X: np.ndarray, c2: complex) -> np.ndarray:
     """e^X = cos(c) I + sinc(c) X for X with X^2 = -c^2 I, c != 0."""
-    return _checked("quadratic-I", X, _quadratic_distance, _quadratic, 0.0, c2)
+    return _checked("quadratic-I", X, _quadratic_distance, _quadratic_coeffs, 0.0, c2)
 
 
 def exp_quadratic_II(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
-    """e^X for X with X^2 + 2 beta X + gamma I = 0, beta != 0 (see ``_quadratic``)."""
+    """e^X for X with X^2 + 2 beta X + gamma I = 0, beta != 0 (see ``_quadratic_coeffs``)."""
     if beta == 0:
         raise ValueError("beta = 0 is the quadratic type I case")
-    return _checked("quadratic-II", X, _quadratic_distance, _quadratic, beta, gamma)
+    return _checked("quadratic-II", X, _quadratic_distance, _quadratic_coeffs, beta, gamma)
 
 
 def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
-    """e^X for X with X^3 = -c^2 X, c != 0 (see ``_cubic``)."""
-    return _checked("cubic-I", X, _cubic_distance, _cubic, c2)
+    """e^X for X with X^3 = -c^2 X, c != 0 (see ``_cubic_coeffs``)."""
+    return _checked("cubic-I", X, _cubic_distance, _cubic_coeffs, c2)
 
 
 # -- family formulas: e^X from the row's read-out of v, the scalar part b, and
@@ -367,9 +407,10 @@ class Family(NamedTuple):
     (``_readout``) as floats, the scalar part b, and its row's table
     (``_TABLES``) or the bisymmetric split its gate found.  A row without a
     predicate is the minimal-polynomial shape ``label``, and its formula
-    takes X and that shape's ``MinPolyClass``.  ``groups`` holds the Pauli
-    labels of each rotation factor read off v.  Every formula gives e^X
-    with the scalar phase e^{ib} in its coefficients.
+    takes v, b and that shape's ``MinPolyClass``.  ``groups`` holds the
+    Pauli labels of each rotation factor read off v.  Every formula is
+    scalar coefficients times a constant table, and gives e^X with the
+    scalar phase e^{ib} in its coefficients.
     """
 
     method: str
@@ -391,11 +432,9 @@ FAMILY_TABLE = (
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
-    Family("quad-I", "quadratic-I",
-           lambda X, m: _quadratic(X.traceless, X.scalar, 0.0, m.c2)),
-    Family("quad-II", "quadratic-II",
-           lambda X, m: _quadratic(X.traceless, X.scalar, m.beta, m.gamma)),
-    Family("cubic-I", "cubic-I", lambda X, m: _cubic(X.traceless, X.scalar, m.c2)),
+    Family("quad-I", "quadratic-I", lambda v, b, m: _quadratic(v, b, 0.0, m.c2)),
+    Family("quad-II", "quadratic-II", lambda v, b, m: _quadratic(v, b, m.beta, m.gamma)),
+    Family("cubic-I", "cubic-I", lambda v, b, m: _cubic(v, b, m.c2)),
 )
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
@@ -433,14 +472,15 @@ def _group_table(method: str, slots: list[list[int]]) -> tuple:
     the groups' slots of P v, P the projector of the row's gate, and T holds
     the products B_1[a] B_2[b] of the groups' bases, rows of _BASES (I, then
     the slots' basis matrices), one broadcast product."""
-    B = [_BASES[[0] + [s + 1 for s in group]] for group in slots]
+    B = [_BASES[[0] + [s + 1 for s in group]].reshape(-1, 1, 4, 4) for group in slots]
     T = B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)
     ends = [0, *accumulate(map(len, slots))]
     return ([slice(*e) for e in zip(ends, ends[1:])],
             _PROJECTOR.get(method, _EYE15)[sum(slots, [])], T.reshape(-1, 16))
 
 
-_BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK)).reshape(16, 1, 4, 4)
+# [I; basis]: the flattened identity, then the rows of _QT_STACK.
+_BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK))
 _TABLES = {m: _group_table(m, slots) for m, slots in _SLOTS.items()}
 
 # What each structured row's formula reads of v, as R @ v: G of its table
@@ -537,11 +577,11 @@ def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
     """e^X by the row's formula, which applies the scalar phase.
 
     A structured formula takes the row's read-out of v, b and its row's
-    table, or the split its gate found (arg); a minimal-polynomial one X and
-    its shape (arg).
+    table, or the split its gate found (arg); a minimal-polynomial one v, b
+    and its shape (arg).
     """
     if not fam.gate:
-        return fam.formula(X, arg)
+        return fam.formula(X.coeffs, X.scalar, arg)
     y = _readout(fam.method, arg).dot(X.coeffs).tolist()
     return fam.formula(y, X.scalar, _TABLES.get(fam.method, arg))
 

@@ -157,6 +157,33 @@ def commutator_coeffs(v: np.ndarray) -> np.ndarray:
     return _K_MAP @ (v[_PQ_SLOT] * v[_C_SLOT])
 
 
+def _square_map() -> np.ndarray:
+    """(225, 15) real D, the (15, 15, 15) square map D_kij with axes (k, i)
+    joined: with T_k row k of _QT_STACK as a 4x4 matrix,
+
+        (T_i T_j + T_j T_i) / 2 = -delta_ij I - i sum_k D_kij T_k.
+
+    _COEFF_MAP reads the anti-Hermitian part of i T_i T_j, which is
+    i/2 (T_i T_j + T_j T_i), the scalar -i delta_ij I aside; so D is
+    symmetric in i, j.  Every T_i T_j is one product, rows (i, a) of the
+    stacked T times columns (j, c).
+    """
+    T = _QT_STACK.reshape(15, 4, 4)
+    P = (1j * T.reshape(60, 4)) @ T.transpose(1, 0, 2).reshape(4, 60)
+    P = P.reshape(15, 4, 15, 4).transpose(0, 2, 1, 3).reshape(225, 16)
+    return (_COEFF_MAP @ P.view(float).T).reshape(225, 15)
+
+
+_SQUARE_MAP = _square_map()
+
+
+def square_coeffs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = D(v, v) and the (15, 15) matrix D v, for the square map D
+    (``_square_map``): X0^2 = -(v.v) I - i z.T, and D(v, w) = (D v) w."""
+    Dv = (_SQUARE_MAP @ v).reshape(15, 15)
+    return Dv @ v, Dv
+
+
 def _cofactors(w: list[float]) -> tuple[list[float], float]:
     """Co(C)_ij = (-1)^(i+j) minor(i, j) and det C, both over C's row-major entries w."""
     a, b, c, d, e, f, g, h, i = w

@@ -1,5 +1,8 @@
 """Characteristic polynomial, minimal-polynomial typing, and normality."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,10 @@ from su4exp.classify import (
     construct_quadratic_II_example,
     is_normal_type,
     local_vs_interaction_commute,
+    shape,
 )
-from su4exp.expm import is_normal_element
+from su4exp.errors import InputError
+from su4exp.expm import _cubic_distance, _quadratic_distance, is_normal_element
 from su4exp.families import FAMILIES
 from su4exp.model import Su4Element, quintuple
 
@@ -86,6 +91,80 @@ def test_cofactor_matrix():
         Co = cofactor_matrix(C)
         # adj(C) = Co^T, so C Co^T = det(C) I
         assert np.abs(C @ Co.T - np.linalg.det(C) * np.eye(3)).max() < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+def test_invariants_past_their_range_raise_before_any_product(scale):
+    # g^2 = (v.v)^2 overflows at these norms: charpoly and classify raise
+    # InputError with no overflow warning on the way, and every
+    # minimal-polynomial shape is at distance inf.
+    X = _random_element(np.random.default_rng(59), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (charpoly, classify):
+            with pytest.raises(InputError, match="overflows"):
+                f(X)
+        for tag in ("quadratic-I", "quadratic-II", "cubic-I"):
+            assert shape(X, tag)[0] == math.inf
+
+
+def _matrix_distances(X, tol):
+    """Each shape's distance in its matrix form, the one the bare-matrix
+    formulas check, on X0 with classify's parameters; and the tag that
+    classify's rule gives on those distances."""
+    A = X.traceless
+    out = {}
+    for tag in ("quadratic-I", "quadratic-II", "cubic-I"):
+        m = shape(X, tag)[1]
+        distance, params = {"quadratic-I": (_quadratic_distance, (0.0, m.c2)),
+                             "quadratic-II": (_quadratic_distance, (m.beta, m.gamma)),
+                             "cubic-I": (_cubic_distance, (m.c2,))}[tag]
+        out[tag] = distance(A, A @ A + params[-1] * np.eye(4), *params)
+    cp = charpoly(X)
+    tag = next((t for t, d in out.items() if d <= tol), None)
+    if tag is None:
+        tag = "quartic-distinct" if abs(cp.nu) <= tol * cp.mu else "other"
+    return out, tag
+
+
+def _shape_inputs():
+    """Family samples at scales 1e-8 to 1e6, with relative anti-Hermitian
+    noise from 0 to 1e-9 and scalar parts 0 and 0.7, and generic inputs."""
+    rng = np.random.default_rng(60)
+    for sampler, _ in FAMILIES.values():
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e6):
+            A = scale * sampler(rng).traceless
+            for eps in (0.0, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9):
+                H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                H = H + H.conj().T
+                N = 1j * H * (eps * np.linalg.norm(A) / np.linalg.norm(H))
+                for b in (0.0, 0.7):
+                    yield Su4Element(A + N + 1j * b * np.eye(4))
+    for _ in range(100):
+        yield _random_element(rng, 10.0 ** rng.uniform(-3, 3))
+
+
+def test_shape_distances_on_v_equal_their_matrix_forms():
+    # classify and the table rows test each shape on v; the bare-matrix
+    # formulas test it on products of X0.  The two agree to rounding, and
+    # the tags agree unless rounding puts the two forms of a distance on
+    # either side of tol.  It can: an exact quadratic-I sample at ||v|| =
+    # 7e6 is at distance 0 on v, and at 2.2e-10 in the matrix form, whose
+    # X0^2 rounds at eps ||X0||_F^2.
+    tol = 1e-10
+    tags, split = set(), 0
+    for X in _shape_inputs():
+        ref, tag = _matrix_distances(X, tol)
+        on_v = {t: shape(X, t)[0] for t in ref}
+        for t, d_ref in ref.items():
+            assert abs(on_v[t] - d_ref) <= 1e-12 * (1.0 + X.coeffs @ X.coeffs), t
+        if any((on_v[t] <= tol) != (d_ref <= tol) for t, d_ref in ref.items()):
+            split += 1
+        else:
+            assert classify(X).tag == tag
+            tags.add(tag)
+    assert tags == {"quadratic-I", "quadratic-II", "cubic-I", "quartic-distinct", "other"}
+    assert split <= 2
 
 
 def test_classify_quadratic_I():

@@ -181,6 +181,36 @@ def test_charpoly_values(zz_file, capsys):
     assert "pi: 1" in out
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+def test_charpoly_past_its_range_is_parse_error(tmp_path, capsys, scale):
+    # (v.v)^2 overflows: exit 2 with an empty stdout, and no overflow
+    # warning on the way.
+    rng = np.random.default_rng(91)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = tmp_path / "big.json"
+    save_matrix(scale * (A - A.conj().T), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["charpoly", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "overflows" in out.err
+
+
+def test_charpoly_prints_finite_values_past_the_oracle_range(tmp_path, capsys):
+    # charpoly has no oracle range rule: at 1e17 it still prints three
+    # finite coefficients.
+    rng = np.random.default_rng(91)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = tmp_path / "big.json"
+    save_matrix(1e17 * (A - A.conj().T), path)
+    assert main(["charpoly", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["mu", "nu", "pi"]
+    values = [complex(line.split(": ")[1].replace("i", "j")) for line in lines]
+    assert all(np.isfinite(values))
+
+
 def test_demo_rabi(capsys):
     assert main(["demo", "rabi", "g=1,1,1", "t=0.5"]) == 0
     out = capsys.readouterr().out

@@ -738,6 +738,19 @@ def test_min_poly_rows_take_a_zero_traceless_part(method, b):
     assert classify(X).tag == "other"
 
 
+@pytest.mark.parametrize("b", [0.0, 0.7, -2.9])
+def test_exp_auto_min_poly_rows_fold_in_the_scalar_phase(b):
+    # The minimal-polynomial rows put e^{ib} into their coefficients on
+    # [I; basis], as the structured rows do.
+    rng = np.random.default_rng(95)
+    for method in _MIN_POLY_ROWS.values():
+        for _ in range(10):
+            X = Su4Element(FAMILIES[method][0](rng).traceless + 1j * b * np.eye(4))
+            res = exp_auto(X)
+            assert res.method == method
+            assert np.linalg.norm(res.U - expm_reference(X.entries)) <= 1e-9, (method, b)
+
+
 # Structured family -> (its predicate, its public closed form).  exp_tridiag
 # takes SymTriDiag parameters, so the tridiagonal row is reached via FAMILIES.
 _GATED = {

@@ -334,6 +334,27 @@ def test_commutator_coeffs_match_cross_product_definition():
         assert np.array_equal(commutator_coeffs(X.coeffs), d.K().ravel())
 
 
+def test_square_map_gives_the_square_and_its_product_with_X0():
+    # X0^2 = -g I - i z.T and X0 (z.T) = -(v.z) I - i D(v, z).T, with
+    # z = D(v, v) and D(v, z) = (D v) z.
+    from su4exp.model import square_coeffs
+
+    def on_basis(w):
+        return (w @ _QT_STACK).reshape(4, 4)
+
+    rng = np.random.default_rng(52)
+    for norm in 10.0 ** np.linspace(-3.0, 3.0, 40):
+        v = rng.normal(size=15)
+        v *= norm / np.linalg.norm(v)
+        X0 = Su4Element.from_quintuple(v[:3], v[3:6], *v[6:].reshape(3, 3).T).traceless
+        z, Dv = square_coeffs(v)
+        g = v @ v
+        tol = 1e-13 * max(1.0, g * g)
+        assert np.abs(X0 @ X0 - (-g * np.eye(4) - 1j * on_basis(z))).max() <= tol
+        want = -(v @ z) * np.eye(4) - 1j * on_basis(Dv @ z)
+        assert np.abs(X0 @ on_basis(z) - want).max() <= tol
+
+
 def test_decompositions_are_built_on_first_access():
     X = _random_element(np.random.default_rng(51))
     assert "pauli" not in vars(X) and "quintuple" not in vars(X)
