@@ -242,10 +242,11 @@ def local_vs_interaction_commute(a, b, c) -> bool:
     triple (i, j, k): a_i c_j = b_i c_k and a_i c_k = b_i c_j.  This is the
     cross-multiplied (zero-safe) form of the ratio conditions
     c3/c2 = b1/a1, c3/c1 = b2/a2, c2/c1 = b3/a3, to 1e-10 max(1, max |coeff|^2).
+    Raises InputError unless a, b and c each hold 3 finite values.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    if not all(x.shape == (3,) and np.isfinite(x).all() for x in (a, b, c)):
+        raise InputError("a, b and c must each hold 3 finite values")
     tol = 1e-10 * max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         if abs(a[i] * c[j] - b[i] * c[k]) > tol:

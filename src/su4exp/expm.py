@@ -33,11 +33,15 @@ formula takes of the gate.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
-``FAMILIES`` and the CLI are all read off that table.  ``exp_auto`` takes
-the first structured row whose gate passes, then the minimal-polynomial row
-``classify`` names, then a magic-basis conjugation whose image passes a
-structured gate, and finally the Taylor-series reference exponential; an
-input too large for e^X to have a determined digit raises InputError first.
+``FAMILIES`` and the CLI are all read off that table.  Each of the eight
+wrappers on an element is ``closed_form`` of its row, which reads every
+parameter a formula takes, a minimal-polynomial shape's included, from the
+element; ``exp_tridiag``, on parameters, is the one exception.
+``exp_auto`` takes the first structured row whose gate passes, then the
+minimal-polynomial row ``classify`` names, then a magic-basis conjugation
+whose image passes a structured gate, and finally the Taylor-series
+reference exponential; an input too large for e^X to have a determined
+digit raises InputError first.
 All results carry a method tag and a unitarity residual, and every U is e^X
 with the scalar phase included: each formula puts e^{ib} into its scalar
 coefficients, and no pass over U applies it.  A generator that a constant
@@ -74,7 +78,7 @@ from .model import (
     commutator_coeffs,
     square_coeffs,
 )
-from .oracle import _check_range, expm_reference
+from .oracle import _EPS, _check_range, expm_reference
 
 # A module-level name, so the benchmark's tracer can wrap expm.eigh3.
 eigh3 = np.linalg.eigh
@@ -175,94 +179,30 @@ def is_normal_element(X: Su4Element) -> bool:
     return gate_distance("normal-split", X) <= STRUCTURE_TOL
 
 
-# -- minimal-polynomial formulas: each shape's scalar coefficients on I, X
-# and X^2, once.  The table rows put them on [I; basis] from v, after their
-# shape's gate; the public wrappers on a bare matrix, after the same
-# distance on its products at STRUCTURE_TOL.
+# -- minimal-polynomial formulas: each shape's scalar coefficients on I, X0
+# and X0^2, put on [I; basis] from v, after their shape's gate.
 
-def _quadratic_coeffs(b: float, beta: complex, gamma: complex) -> tuple[complex, complex]:
-    """(c0, c1) with e^{ib} e^X = c0 I + c1 X for X^2 + 2 beta X + gamma I = 0:
-    e^{ib - beta} [cos(omega) I + sinc(omega)(X + beta I)], as (X + beta I)^2 =
-    -omega^2 I with omega^2 = gamma - beta^2 (either root: both terms are
+def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
+    """e^{ib} e^X0 = [c0, c1 v] on [I; basis] for X0^2 + 2 beta X0 + gamma I = 0:
+    e^{ib - beta} [cos(omega) I + sinc(omega)(X0 + beta I)], as (X0 + beta I)^2
+    = -omega^2 I with omega^2 = gamma - beta^2 (either root: both terms are
     even in omega); quadratic type I is beta = 0."""
     c = cmath.sqrt(gamma - beta * beta)
     e, s = cmath.exp(1j * b - beta), sinc(c)
-    return e * (cmath.cos(c) + beta * s), e * s
-
-
-def _cubic_coeffs(b: float, c2: complex) -> tuple[complex, complex, complex]:
-    """Euler-Rodrigues: the coefficients on I, X and X^2 of e^{ib} e^X =
-    e^{ib} [I + sinc(c) X + (1-cos c)/c^2 X^2] for X^3 = -c^2 X, either root
-    c (the coefficients are even in c)."""
-    c, E = cmath.sqrt(c2), cmath.exp(1j * b)
-    return E, E * sinc(c), E * cosm1_over_c2(c)
-
-
-def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
-    """e^{ib} e^X0 = [c0, c1 v] on [I; basis] (``_quadratic_coeffs``)."""
-    c0, c1 = _quadratic_coeffs(b, beta, gamma)
-    return np.dot(np.concatenate(([c0], c1 * v)), _BASES).reshape(4, 4)
-
-
-def _cubic(v: np.ndarray, b: float, c2: complex) -> np.ndarray:
-    """e^{ib} e^X0 = [c0 - k g, c1 v - i k z] on [I; basis] (``_cubic_coeffs``),
-    as X0^2 = -g I - i z.T with z = D(v, v) (``model.square_coeffs``) and
-    g = v.v = c^2 / 2."""
-    c0, c1, k = _cubic_coeffs(b, c2)
-    z = square_coeffs(v)[0]
-    return np.dot(np.concatenate(([c0 - k * (c2 / 2.0)], c1 * v - 1j * k * z)),
+    return np.dot(np.concatenate(([e * (cmath.cos(c) + beta * s)], e * s * v)),
                   _BASES).reshape(4, 4)
 
 
-def _quadratic_distance(X: np.ndarray, S: np.ndarray, beta: complex,
-                        gamma: complex) -> float:
-    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|,
-    from S = X^2 + gamma I: the error bound of the quadratic formula
-    (quadratic type I is beta = 0), the matrix form of ``classify``'s."""
-    omega = math.sqrt(abs(gamma - beta * beta))
-    if not omega:
-        return math.inf
-    return np.linalg.norm(S + 2.0 * beta * X if beta else S) / omega
-
-
-def _cubic_distance(X: np.ndarray, S: np.ndarray, c2: complex) -> float:
-    """2 ||X^3 + c^2 X||_F / |c^2| from S = X^2 + c^2 I, with
-    X^3 + c^2 X = X S: the error bound of the cubic formula."""
-    if not c2:
-        return math.inf
-    return 2.0 * np.linalg.norm(X @ S) / abs(c2)
-
-
-def _checked(name: str, X, distance: Callable, coeffs: Callable, *params) -> np.ndarray:
-    """The shape's coefficients, with no scalar phase, on I, X and X^2, or
-    StructureError unless the shape's distance is at most STRUCTURE_TOL (so
-    a NaN distance fails); the distance takes X^2 shifted by the last param.
-
-    This form takes any complex 4x4 X, trace part and non-normal X
-    included, which v does not represent, and the caller's parameters."""
-    X = np.asarray(X, dtype=complex)
-    X2 = X @ X
-    d = distance(X, X2 + params[-1] * np.eye(len(X)), *params)
-    if not d <= STRUCTURE_TOL:
-        raise StructureError(f"{name} minimal polynomial", d)
-    return sum(c * P for c, P in zip(coeffs(0.0, *params), (np.eye(len(X)), X, X2)))
-
-
-def exp_quadratic_I(X: np.ndarray, c2: complex) -> np.ndarray:
-    """e^X = cos(c) I + sinc(c) X for X with X^2 = -c^2 I, c != 0."""
-    return _checked("quadratic-I", X, _quadratic_distance, _quadratic_coeffs, 0.0, c2)
-
-
-def exp_quadratic_II(X: np.ndarray, beta: complex, gamma: complex) -> np.ndarray:
-    """e^X for X with X^2 + 2 beta X + gamma I = 0, beta != 0 (see ``_quadratic_coeffs``)."""
-    if beta == 0:
-        raise ValueError("beta = 0 is the quadratic type I case")
-    return _checked("quadratic-II", X, _quadratic_distance, _quadratic_coeffs, beta, gamma)
-
-
-def exp_cubic_I(X: np.ndarray, c2: complex) -> np.ndarray:
-    """e^X for X with X^3 = -c^2 X, c != 0 (see ``_cubic_coeffs``)."""
-    return _checked("cubic-I", X, _cubic_distance, _cubic_coeffs, c2)
+def _cubic(v: np.ndarray, b: float, c2: complex) -> np.ndarray:
+    """Euler-Rodrigues for X0^3 = -c^2 X0: e^{ib} e^X0 = e^{ib} [I + s X0 +
+    k X0^2] = e^{ib} [1 - k g, s v - i k z] on [I; basis], with s = sinc(c)
+    and k = (1-cos c)/c^2 (both even in c), as X0^2 = -g I - i z.T with z =
+    D(v, v) (``model.square_coeffs``) and g = v.v = c^2 / 2."""
+    c, E = cmath.sqrt(c2), cmath.exp(1j * b)
+    c1, k = E * sinc(c), E * cosm1_over_c2(c)
+    z = square_coeffs(v)[0]
+    return np.dot(np.concatenate(([E - k * (c2 / 2.0)], c1 * v - 1j * k * z)),
+                  _BASES).reshape(4, 4)
 
 
 # -- family formulas: e^X from the row's read-out of v, the scalar part b, and
@@ -609,11 +549,15 @@ def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
     and arg is the gate's split on M's range (bisym) or None.  A =
     ``_readout_map(method, M, arg)`` gives the formula's read-out and b in
     one product, so no element is built and no gate runs.  Raises
-    InputError on a non-finite parameter, before any product.
+    InputError on a non-finite parameter, before any product, and past the
+    range rule of ``exp_auto`` (``_check_norm``): on every map here
+    ||(R v, b)|| = ||(v, b)||.
     """
     if not all(map(math.isfinite, x)):
         raise InputError("parameters must be finite")
     *y, b = A.dot(x).tolist()
+    if _EPS * 4.0 * math.hypot(*y, b) >= 1.0:
+        raise InputError("parameters past 1/eps: e^X has no determined digit")
     return ExpResult(_ROWS[method].formula(y, b, _TABLES.get(method, arg)), method)
 
 
@@ -652,6 +596,22 @@ def exp_normal_split(X: Su4Element) -> ExpResult:
     """e^X for X with commuting real/imaginary parts (see ``_normal_split``);
     StructureError otherwise."""
     return closed_form("normal-split", X)
+
+
+def exp_quadratic_I(X: Su4Element) -> ExpResult:
+    """e^X for X0^2 = -c^2 I (see ``_quadratic``, beta = 0); StructureError otherwise."""
+    return closed_form("quad-I", X)
+
+
+def exp_quadratic_II(X: Su4Element) -> ExpResult:
+    """e^X for X0^2 + 2 beta X0 + gamma I = 0 (see ``_quadratic``); StructureError
+    otherwise.  Quadratic type I input passes too, at beta = 0."""
+    return closed_form("quad-II", X)
+
+
+def exp_cubic_I(X: Su4Element) -> ExpResult:
+    """e^X for X0^3 = -c^2 X0 (see ``_cubic``); StructureError otherwise."""
+    return closed_form("cubic-I", X)
 
 
 def _check_norm(X: Su4Element) -> None:

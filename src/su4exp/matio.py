@@ -25,15 +25,21 @@ def obj_to_matrix(obj: dict) -> np.ndarray:
         raise InputError("expected an object with a 'matrix' field")
     rows = obj["matrix"]
     try:
+        # An entry {} raises KeyError, and an integer past the float range
+        # OverflowError.
         A = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed matrix entries: {exc}") from exc
     if A.shape != (4, 4):
         raise InputError(f"expected a 4x4 matrix, got shape {A.shape}")
     scalar = obj.get("scalar", 0.0)
     if not isinstance(scalar, (int, float)):
         raise InputError("'scalar' must be a real number")
-    return A + 1j * float(scalar) * np.eye(4)
+    try:
+        scalar = float(scalar)
+    except OverflowError as exc:
+        raise InputError(f"'scalar' is past the float range: {exc}") from exc
+    return A + 1j * scalar * np.eye(4)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

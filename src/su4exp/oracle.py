@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float, for scalar comparisons
 
 
 def _check_range(norm: float) -> None:

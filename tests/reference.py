@@ -78,6 +78,24 @@ def normal_type_conditions_canonical(a, b, c, tol: float = 1e-10) -> bool:
     return all(abs(e) <= tol * m for e in eqs)
 
 
+def quadratic_distance(X: np.ndarray, beta: complex, gamma: complex) -> float:
+    """||X^2 + 2 beta X + gamma I||_F / omega, omega^2 = |gamma - beta^2|: the
+    error bound of the quadratic formula (quadratic type I is beta = 0), in
+    its matrix form; inf at omega = 0."""
+    omega = math.sqrt(abs(gamma - beta * beta))
+    if not omega:
+        return math.inf
+    return float(np.linalg.norm(X @ X + gamma * np.eye(len(X)) + 2.0 * beta * X)) / omega
+
+
+def cubic_distance(X: np.ndarray, c2: complex) -> float:
+    """2 ||X^3 + c^2 X||_F / |c^2|: the error bound of the cubic formula, in
+    its matrix form; inf at c^2 = 0."""
+    if not c2:
+        return math.inf
+    return 2.0 * float(np.linalg.norm(X @ (X @ X + c2 * np.eye(len(X))))) / abs(c2)
+
+
 def _hermitian_2x2_rotation(a: float, b: float, h: complex) -> np.ndarray:
     """Unitary 2x2 G whose columns are eigenvectors of [[a, h], [conj(h), b]].
 

@@ -133,7 +133,7 @@ def test_acceptance_4_classification_fixtures(capsys):
         A = 1j * pauli_kron("z", "z")
         r = classify(Su4Element(A))
         assert r.tag == "quadratic-I" and abs(r.c2 - 1.0) < 1e-12
-        U = exp_quadratic_I(A, r.c2)
+        U = exp_quadratic_I(Su4Element(A)).U
         assert np.abs(U - expm_reference(A)).max() <= 1e-9
 
         # cubic type I: c3 = -1 member of the rotation-formula family
@@ -144,7 +144,7 @@ def test_acceptance_4_classification_fixtures(capsys):
         w = np.sort(eigvals_hermitian(-1j * A))
         expected = np.sort([0.0, 0.0, 2.0 * math.sqrt(2.0), -2.0 * math.sqrt(2.0)])
         assert np.abs(w - expected).max() < 1e-10
-        U = exp_cubic_I(A, r.c2)
+        U = exp_cubic_I(Su4Element(A)).U
         assert np.abs(U - expm_reference(A)).max() <= 1e-9
 
         # quadratic type II: isotropic exchange -iJ(xx + yy + zz)
@@ -156,7 +156,7 @@ def test_acceptance_4_classification_fixtures(capsys):
             # x^2 + 2 beta x + gamma = x^2 - 2iJ x + 3J^2
             assert abs(r.beta - (-1j * J)) < 1e-10
             assert abs(r.gamma - 3.0 * J * J) < 1e-10
-            U = exp_quadratic_II(A, r.beta, r.gamma)
+            U = exp_quadratic_II(Su4Element(A)).U
             assert np.abs(U - expm_reference(A)).max() <= 1e-9
 
 

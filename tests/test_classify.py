@@ -17,11 +17,17 @@ from su4exp.classify import (
     shape,
 )
 from su4exp.errors import InputError
-from su4exp.expm import _cubic_distance, _quadratic_distance, is_normal_element
+from su4exp.expm import is_normal_element
 from su4exp.families import FAMILIES
 from su4exp.model import Su4Element, quintuple
 
-from reference import charpoly_canonical, normal_type_conditions_canonical, pauli_kron
+from reference import (
+    charpoly_canonical,
+    cubic_distance,
+    normal_type_conditions_canonical,
+    pauli_kron,
+    quadratic_distance,
+)
 
 
 def _random_element(rng, scale=1.0):
@@ -109,17 +115,14 @@ def test_invariants_past_their_range_raise_before_any_product(scale):
 
 
 def _matrix_distances(X, tol):
-    """Each shape's distance in its matrix form, the one the bare-matrix
-    formulas check, on X0 with classify's parameters; and the tag that
-    classify's rule gives on those distances."""
+    """Each shape's distance in its matrix form (``reference``), on X0 with
+    classify's parameters; and the tag that classify's rule gives on those
+    distances."""
     A = X.traceless
-    out = {}
-    for tag in ("quadratic-I", "quadratic-II", "cubic-I"):
-        m = shape(X, tag)[1]
-        distance, params = {"quadratic-I": (_quadratic_distance, (0.0, m.c2)),
-                             "quadratic-II": (_quadratic_distance, (m.beta, m.gamma)),
-                             "cubic-I": (_cubic_distance, (m.c2,))}[tag]
-        out[tag] = distance(A, A @ A + params[-1] * np.eye(4), *params)
+    q1, q2, c1 = (shape(X, tag)[1] for tag in ("quadratic-I", "quadratic-II", "cubic-I"))
+    out = {"quadratic-I": quadratic_distance(A, 0.0, q1.c2),
+           "quadratic-II": quadratic_distance(A, q2.beta, q2.gamma),
+           "cubic-I": cubic_distance(A, c1.c2)}
     cp = charpoly(X)
     tag = next((t for t, d in out.items() if d <= tol), None)
     if tag is None:
@@ -145,8 +148,8 @@ def _shape_inputs():
 
 
 def test_shape_distances_on_v_equal_their_matrix_forms():
-    # classify and the table rows test each shape on v; the bare-matrix
-    # formulas test it on products of X0.  The two agree to rounding, and
+    # classify and the table rows test each shape on v; the reference
+    # tests it on products of X0.  The two agree to rounding, and
     # the tags agree unless rounding puts the two forms of a distance on
     # either side of tol.  It can: an exact quadratic-I sample at ||v|| =
     # 7e6 is at distance 0 on v, and at 2.2e-10 in the matrix form, whose
@@ -316,6 +319,18 @@ def test_local_vs_interaction_fixtures():
     # The ratio conditions alone are not sufficient in naive form: this set
     # satisfies c2/c1 = b3/a3 vacuously but fails the cross-multiplied pair.
     assert not local_vs_interaction_commute([1, 0, 0], [2, 0, 0], [0, 1, 2])
+
+
+@pytest.mark.parametrize("a, b, c", [
+    ([1, 2, 3, 4], [0, 0, 0, 0], [0, 0, 0, 0]),  # a 4th entry, once ignored
+    ([1, 2], [1, 2], [1, 2]),                    # 2 entries, once an IndexError
+    ([1, 2, 3], [1, 2, 3], 0),
+    ([1, 2, 3], [1, 2, 3], [1, 1, float("nan")]),
+    ([1, 2, 3], [float("inf"), 0, 0], [1, 1, 1]),
+])
+def test_local_vs_interaction_rejects_malformed_coefficients(a, b, c):
+    with pytest.raises(InputError, match="3 finite values"):
+        local_vs_interaction_commute(a, b, c)
 
 
 def test_local_vs_interaction_matches_commutator():

@@ -55,8 +55,16 @@ def test_missing_file_is_parse_error(tmp_path, capsys):
 
 def test_malformed_json_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"matrix": [[1, 2], [3, 4]]}')
-    assert main(["classify", str(bad)]) == 2
+    zeros = [[[0, 0]] * 4] * 4
+    huge = 10 ** 400  # an integer past the float range
+    for obj in ({"matrix": [[1, 2], [3, 4]]},
+                {"matrix": [[{}] * 4] * 4},
+                {"matrix": [[[huge, 0]] + zeros[0][1:]] + zeros[1:]},
+                {"matrix": zeros, "scalar": huge}):
+        bad.write_text(json.dumps(obj))
+        for verb in ("classify", "expm"):
+            assert main([verb, str(bad)]) == 2, (verb, obj)
+            assert capsys.readouterr().out == ""
 
 
 def test_non_antihermitian_is_parse_error(tmp_path, capsys):

@@ -146,6 +146,26 @@ def test_demo_rejects_non_finite_parameters(demo, bad):
 
 
 @pytest.mark.parametrize("demo", DEMOS)
+def test_demo_applies_the_range_rule_of_exp_auto(demo):
+    # Past eps 2||tX||_F >= 1 no digit of e^{tX} is determined: the
+    # propagator raises InputError exactly where exp_auto does on the same
+    # generator, here at 2% either side of that time and at t = 1e17.
+    p, generator, propagate, *_ = DEMOS[demo]
+    t_max = 1.0 / (np.finfo(float).eps * 2.0 * np.linalg.norm(generator(_replace_t(p, 1.0))))
+    for t in (0.98 * t_max, 1.02 * t_max, 1e17):
+        q = _replace_t(p, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if t < t_max:
+                assert propagate(q).method == exp_auto(Su4Element(generator(q))).method
+                continue
+            with pytest.raises(InputError, match="past 1/eps"):
+                propagate(q)
+            with pytest.raises(InputError, match="past 1/eps"):
+                exp_auto(Su4Element(generator(q)))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_table_holds_each_demo_once(demo):
     # demos.DEMOS pairs the parameter class and propagator with the
     # generator its map and the CLI read, which is the one written here.

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su4exp.classify import charpoly, classify, is_normal_type
+from su4exp.classify import charpoly, classify, is_normal_type, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _PROJECTOR,
@@ -72,51 +72,44 @@ def test_cosm1_series_matches_exact():
 # -- minimal-polynomial formulas -------------------------------------------
 
 def test_quadratic_I_diagonal():
-    X = 1j * np.diag([1.0, 1.0, -1.0, -1.0])
-    U = exp_quadratic_I(X, 1.0)
-    _check(U, X, tol=1e-13)
-    assert np.abs(U - np.diag(np.exp(np.diag(X)))).max() < 1e-13
+    X = Su4Element(1j * np.diag([1.0, 1.0, -1.0, -1.0]))
+    res = exp_quadratic_I(X)
+    assert res.method == "quad-I"
+    _check(res.U, X.entries, tol=1e-13)
+    assert np.abs(res.U - np.diag(np.exp(np.diag(X.entries)))).max() < 1e-13
 
 
 def test_quadratic_I_rejects_wrong_structure():
     with pytest.raises(StructureError):
-        exp_quadratic_I(1j * np.diag([1.0, 2.0, -1.0, -2.0]), 1.0)
+        exp_quadratic_I(Su4Element(1j * np.diag([1.0, 2.0, -1.0, -2.0])))
 
 
 def test_quadratic_II_shifted_rotation():
-    X = 1j * np.diag([1.0, 1.0, 1.0, -3.0])
-    # (x - i)(x + 3i) = x^2 + 2ix + 3
-    U = exp_quadratic_II(X, 1j, 3.0)
-    _check(U, X, tol=1e-13)
+    X = Su4Element(1j * np.diag([1.0, 1.0, 1.0, -3.0]))
+    # (x - i)(x + 3i) = x^2 + 2ix + 3, the parameters read from X
+    m = classify(X)
+    assert m.tag == "quadratic-II"
+    assert abs(m.beta - 1j) < 1e-13 and abs(m.gamma - 3.0) < 1e-13
+    res = exp_quadratic_II(X)
+    assert res.method == "quad-II"
+    _check(res.U, X.entries, tol=1e-13)
     with pytest.raises(StructureError):
-        exp_quadratic_II(1j * np.diag([1.0, 2.0, -1.0, -2.0]), 1j, 3.0)
-    with pytest.raises(ValueError):
-        exp_quadratic_II(1j * np.diag([1.0, 1.0, -1.0, -1.0]), 0.0, 1.0)
+        exp_quadratic_II(Su4Element(1j * np.diag([1.0, 2.0, -1.0, -2.0])))
+    # Quadratic type I input is the quadratic-II row's at beta = 0.
+    X = Su4Element(1j * np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert shape(X, "quadratic-II")[1].beta == 0.0
+    _check(exp_quadratic_II(X).U, X.entries, tol=1e-13)
 
 
 def test_cubic_I_rotation_formula():
-    X = 1j * np.diag([0.0, 0.0, 2.0, -2.0])
-    U = exp_cubic_I(X, 4.0)
-    _check(U, X, tol=1e-13)
+    X = Su4Element(1j * np.diag([0.0, 0.0, 2.0, -2.0]))
+    m = classify(X)
+    assert m.tag == "cubic-I" and abs(m.c2 - 4.0) < 1e-13
+    res = exp_cubic_I(X)
+    assert res.method == "cubic-I"
+    _check(res.U, X.entries, tol=1e-13)
     with pytest.raises(StructureError):
-        exp_cubic_I(1j * np.diag([1.0, 2.0, -1.0, -2.0]), 4.0)
-
-
-@pytest.mark.parametrize("formula, X, params", [
-    (exp_quadratic_I, 1j * np.diag([1.0, 1.0, -1.0, -1.0]), (1.0,)),
-    (exp_quadratic_II, 1j * np.diag([1.0, 1.0, 1.0, -3.0]), (1j, 3.0)),
-    (exp_cubic_I, 1j * np.diag([0.0, 0.0, 2.0, -2.0]), (4.0,)),
-])
-def test_min_poly_formulas_reject_nan(formula, X, params):
-    # A NaN distance fails the gate: every comparison with NaN is false.
-    formula(X, *params)
-    Y = X.copy()
-    Y[0, 1] = np.nan
-    with pytest.raises(StructureError):
-        formula(Y, *params)
-    for k in range(len(params)):
-        with pytest.raises(StructureError):
-            formula(X, *params[:k], np.nan, *params[k + 1:])
+        exp_cubic_I(Su4Element(1j * np.diag([1.0, 2.0, -1.0, -2.0])))
 
 
 # -- tridiagonal -----------------------------------------------------------
@@ -751,8 +744,13 @@ def test_exp_auto_min_poly_rows_fold_in_the_scalar_phase(b):
             assert np.linalg.norm(res.U - expm_reference(X.entries)) <= 1e-9, (method, b)
 
 
-# Structured family -> (its predicate, its public closed form).  exp_tridiag
-# takes SymTriDiag parameters, so the tridiagonal row is reached via FAMILIES.
+def _within_gate(method):
+    return lambda X: gate_distance(method, X) <= STRUCTURE_TOL
+
+
+# Family -> (its predicate, its public closed form).  exp_tridiag takes
+# SymTriDiag parameters, so the tridiagonal row is reached via FAMILIES; a
+# minimal-polynomial row's predicate is its gate distance against the tol.
 _GATED = {
     "tridiag": (is_tridiagonal_type, FAMILIES["tridiag"][1]),
     "perskew": (is_perskew, exp_perskew),
@@ -760,6 +758,9 @@ _GATED = {
     "imsym": (is_imaginary_symmetric, exp_imaginary_symmetric),
     "bisym": (is_bisymmetric, exp_bisymmetric_fast),
     "normal-split": (is_normal_element, exp_normal_split),
+    "quad-I": (_within_gate("quad-I"), exp_quadratic_I),
+    "quad-II": (_within_gate("quad-II"), exp_quadratic_II),
+    "cubic-I": (_within_gate("cubic-I"), exp_cubic_I),
 }
 
 
@@ -837,11 +838,10 @@ def test_gate_is_the_distance_its_formula_drops(name):
         assert abs(gate_distance(name, Y) - d) <= 1e-12 * d
 
 
-# Minimal-polynomial row -> its closed form.
-_MIN_POLY = {method: FAMILIES[method][1] for method in _MIN_POLY_ROWS.values()}
+_MIN_POLY = tuple(_MIN_POLY_ROWS.values())
 
 
-@pytest.mark.parametrize("name", [*_GATED, *_MIN_POLY])
+@pytest.mark.parametrize("name", _GATED)
 def test_gate_tolerance_bounds_the_formula_error(name):
     # A sample moved off its family until the gate's distance sits just
     # under tau passes the gate at tau, and its row's formula, on what the
@@ -938,7 +938,7 @@ def test_a_gate_computes_only_its_own_row(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", _GATED)
+@pytest.mark.parametrize("name", [fam.method for fam in FAMILY_TABLE if fam.gate])
 def test_predicate_is_its_gate_distance_against_tol(name):
     # The predicates compare with STRUCTURE_TOL; dispatch at other
     # tolerances is test_structured_row_takes_the_first_row_within_tol.
@@ -984,7 +984,7 @@ def test_structure_error_carries_the_gate_distance(name):
 def test_min_poly_structure_error_carries_its_shape_distance(name):
     # A minimal-polynomial row that classify does not name raises with its
     # own shape's distance, here recomputed from charpoly.
-    closed = _MIN_POLY[name]
+    _, closed = _GATED[name]
     rng = np.random.default_rng(88)
     raised = 0
     for sampler, _ in FAMILIES.values():
@@ -998,6 +998,23 @@ def test_min_poly_structure_error_carries_its_shape_distance(name):
             assert abs(err.residual - ref) <= 1e-12 * max(ref, np.linalg.norm(X.traceless))
             assert err.residual == gate_distance(name, X)
     assert raised > 0
+
+
+@pytest.mark.parametrize("name", _MIN_POLY)
+def test_min_poly_wrapper_reads_its_shape_off_the_element(name):
+    # The public wrapper takes the element alone, scalar part included, and
+    # returns its row's tag; off its shape it raises with the row's distance.
+    _, closed = _GATED[name]
+    rng = np.random.default_rng(96)
+    X = Su4Element(FAMILIES[name][0](rng).traceless + 0.7j * np.eye(4))
+    res = closed(X)
+    assert res.method == name
+    assert np.linalg.norm(res.U - expm_reference(X.entries)) <= 1e-9
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    Y = Su4Element(0.5 * (A - A.conj().T))
+    with pytest.raises(StructureError) as err:
+        closed(Y)
+    assert err.value.residual == gate_distance(name, Y) > STRUCTURE_TOL
 
 
 def test_exp_auto_builds_no_decomposition_on_structured_samples(monkeypatch):
