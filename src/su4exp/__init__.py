@@ -38,8 +38,6 @@ from .model import (
     Su4Element,
     canonicalize,
     magic_conjugate,
-    pauli_coeffs,
-    quintuple,
 )
 from .oracle import expm_reference
 from .quaternion import PureQuaternion, Quaternion
@@ -54,7 +52,7 @@ __all__ = [
     "exp_bisymmetric_fast", "exp_cubic_I", "exp_imaginary_symmetric",
     "exp_normal_split", "exp_perskew", "exp_quadratic_I", "exp_quadratic_II",
     "exp_skewham", "exp_tridiag", "expm_reference", "local_vs_interaction_commute",
-    "magic_conjugate", "pauli_coeffs", "quintuple",
+    "magic_conjugate",
 ]
 
 __version__ = "0.1.0"

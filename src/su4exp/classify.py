@@ -50,9 +50,9 @@ from .errors import InputError
 from .model import (
     _PURE_FLAT,
     STRUCTURE_TOL,
-    QuintupleDecomp,
     Su4Element,
     _cofactors,
+    commutator_coeffs,
     square_coeffs,
 )
 
@@ -107,22 +107,19 @@ def charpoly(X: Su4Element) -> CharPolyCoeffs:
     return CharPolyCoeffs(mu=mu, nu=nu, pi=g * g - float(z @ z))
 
 
-def cofactor_matrix(C: np.ndarray) -> np.ndarray:
-    """Matrix of cofactors Co(C)_ij = (-1)^(i+j) minor(i, j) of a 3x3 C
-    (no transpose, so adj(C) = Co(C)^T)."""
-    return np.array(_cofactors(np.asarray(C, dtype=float).reshape(9).tolist())[0]).reshape(3, 3)
-
-
-def check_quadratic_II_conditions(d: QuintupleDecomp) -> float | None:
+def check_quadratic_II_conditions(X: Su4Element) -> float | None:
     """Real bt satisfying the three quadratic-type-II conditions, if any.
 
     The conditions are linear in bt, lhs = bt rhs with lhs = (C^T p, C q,
     p q^T - Co(C)) and rhs = (q, p, C), and the candidate is their
-    least-squares solution.  Returns None when X0 = 0, or when the candidate
-    misses a condition by more than 1e-9 times the squared scale of p, q, C.
+    least-squares solution, with p, q and C = Cmat read off v.  Returns None
+    when X0 = 0, or when the candidate misses a condition by more than 1e-9
+    times the squared scale of p, q, C.
     """
-    p, q, C = d.p.as_vector(), d.q.as_vector(), d.Cmat
-    lhs = np.concatenate((C.T @ p, C @ q, (np.outer(p, q) - cofactor_matrix(C)).ravel()))
+    v = X.coeffs
+    p, q, C = v[:3], v[3:6], v[6:].reshape(3, 3)
+    co = np.array(_cofactors(v[6:].tolist())[0]).reshape(3, 3)
+    lhs = np.concatenate((C.T @ p, C @ q, (np.outer(p, q) - co).ravel()))
     rhs = np.concatenate((q, p, C.ravel()))
     denom = float(rhs @ rhs)
     if denom == 0.0:
@@ -204,34 +201,19 @@ def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
     return Su4Element.from_quintuple(pv, q, C[:, 0], C[:, 1], C[:, 2])
 
 
-def _commutator_distance(K: np.ndarray) -> float:
-    """1/2 ||[B, C]||_F = 2 ||K||_F, the normal gate's Trotter bound."""
-    return 2.0 * math.sqrt(float((K * K).sum()))
-
-
-def is_normal_type(d: QuintupleDecomp) -> tuple[bool, np.ndarray]:
+def is_normal_type(X: Su4Element) -> tuple[bool, np.ndarray]:
     """Whether B and C commute, plus the commutator [B, C] itself.
 
-    Decided by the dispatch gate's rule, 1/2 ||[B, C]||_F <= STRUCTURE_TOL.  The
-    commutator is computed both directly and through the cross-product
-    identity
+    Both come from the cross-product identity
 
         [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b},  K = [p]x Cmat - Cmat [q]x
 
-    (``QuintupleDecomp.K``), and the two must agree to near machine
-    precision.
+    (``model.commutator_coeffs``), and the verdict is the dispatch gate's
+    rule, 1/2 ||[B, C]||_F = 2 ||K||_F <= STRUCTURE_TOL.
     """
-    B = d.B()
-    C = d.C()
-    K = d.K()
-    direct = B @ C - C @ B
-    via = 2.0 * (K.reshape(9) @ _PURE_FLAT).reshape(4, 4)
-    agreement = np.abs(direct - via).max()
-    scale = max(1.0, np.linalg.norm(B) * np.linalg.norm(C))
-    if agreement > 1e-12 * scale:
-        raise AssertionError(
-            f"commutator identity mismatch ({agreement:.3e})")
-    return _commutator_distance(K) <= STRUCTURE_TOL, direct
+    K = commutator_coeffs(X.coeffs)
+    return (2.0 * math.sqrt(float((K * K).sum())) <= STRUCTURE_TOL,
+            2.0 * (K @ _PURE_FLAT).reshape(4, 4))
 
 
 def local_vs_interaction_commute(a, b, c) -> bool:

@@ -40,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def tolerance(text: str) -> float:
+    """A finite --tolerance >= 0: inf would admit every closed form, and
+    nan or a negative value none."""
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return x
+
+
 _TOL_HELP = ("gate tolerance, structure and minimal-polynomial alike; it bounds the "
              "error ||U - e^X||_F of the closed form it admits (default %(default)g)")
 
@@ -52,13 +61,13 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("classify", help="structure flags and minimal-polynomial type")
     pc.add_argument("file")
-    pc.add_argument("--tolerance", type=float, default=STRUCTURE_TOL, help=_TOL_HELP)
+    pc.add_argument("--tolerance", type=tolerance, default=STRUCTURE_TOL, help=_TOL_HELP)
 
     pe = sub.add_parser("expm", help="exponentiate a matrix from JSON")
     pe.add_argument("file")
     pe.add_argument("--method", choices=["auto", "closed", "oracle"], default="auto")
     pe.add_argument("--out", help="write the resulting unitary as JSON")
-    pe.add_argument("--tolerance", type=float, default=STRUCTURE_TOL, help=_TOL_HELP)
+    pe.add_argument("--tolerance", type=tolerance, default=STRUCTURE_TOL, help=_TOL_HELP)
 
     pp = sub.add_parser("charpoly", help="characteristic polynomial coefficients")
     pp.add_argument("file")

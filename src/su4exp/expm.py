@@ -174,7 +174,7 @@ def is_imaginary_symmetric(X: Su4Element) -> bool:
 def is_normal_element(X: Su4Element) -> bool:
     """[B, C] = 0 for the real/imaginary split of the traceless part.
 
-    Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``QuintupleDecomp.K``).
+    Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``model.commutator_coeffs``).
     """
     return gate_distance("normal-split", X) <= STRUCTURE_TOL
 

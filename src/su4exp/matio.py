@@ -30,10 +30,13 @@ def obj_to_matrix(obj: dict) -> np.ndarray:
         A = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
     except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed matrix entries: {exc}") from exc
+    # bool is an int in Python, but a JSON true or false is not a number.
+    if any(isinstance(x, bool) for row in rows for e in row for x in (e[0], e[1])):
+        raise InputError("malformed matrix entries: a boolean is not a number")
     if A.shape != (4, 4):
         raise InputError(f"expected a 4x4 matrix, got shape {A.shape}")
     scalar = obj.get("scalar", 0.0)
-    if not isinstance(scalar, (int, float)):
+    if isinstance(scalar, bool) or not isinstance(scalar, (int, float)):
         raise InputError("'scalar' must be a real number")
     try:
         scalar = float(scalar)

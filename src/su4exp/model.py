@@ -14,7 +14,8 @@ import, takes the real and imaginary input entries to v, b and the
 Hermitian defect X + X* that the anti-Hermitian test reads; the Pauli
 coefficients are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.
 The matrices X0 = v @ _QT_STACK and X = X0 + i b I, and the Pauli and
-quintuple views of v, are built from v on first access.
+quintuple views of v, are built from v on first access; ``traceless`` is the
+one map from coefficients to matrices, and the views are data.
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAULI_SLOT, _PAULI_SIGN = _pauli_permutation()
-# H = c @ _PAULI_STACK: X0 = v @ _QT_STACK = iH with v[slot] = sign * c.
-_PAULI_STACK = -1j * _PAULI_SIGN[:, None] * _QT_STACK[_PAULI_SLOT]
 _IEYE4 = 1j * np.eye(4)
 
 # K = [p]x Cmat - Cmat [q]x is bilinear in (p, q) and Cmat: vec K =
@@ -194,9 +193,10 @@ def _cofactors(w: list[float]) -> tuple[list[float], float]:
 
 
 class QuintupleDecomp(NamedTuple):
-    """Quaternion data (p, q; r, s, t) of the B + iC split.
+    """Quaternion data (p, q; r, s, t) of the B + iC split, a view of v.
 
-    ``Cmat`` is the real 3x3 matrix with columns r, s, t.
+    ``Cmat`` is the real 3x3 matrix with columns r, s, t.  The record is
+    data: B and C are ``Su4Element.traceless.real`` and ``.imag``.
     """
 
     p: PureQuaternion
@@ -206,23 +206,6 @@ class QuintupleDecomp(NamedTuple):
     t: PureQuaternion
     Cmat: np.ndarray
 
-    def _coeffs(self) -> np.ndarray:
-        """v = (p, q, vec Cmat)."""
-        return np.concatenate((self.p.as_vector(), self.q.as_vector(), self.Cmat.reshape(9)))
-
-    def B(self) -> np.ndarray:
-        return (self._coeffs()[:6] @ _QT_FLAT[:6]).reshape(4, 4)
-
-    def C(self) -> np.ndarray:
-        return (self.Cmat.reshape(9) @ _PURE_FLAT).reshape(4, 4)
-
-    def K(self) -> np.ndarray:
-        """K = [p]x Cmat - Cmat [q]x (see ``commutator_coeffs``)."""
-        return commutator_coeffs(self._coeffs()).reshape(3, 3)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self._coeffs() @ _QT_STACK).reshape(4, 4)
-
 
 class PauliCoeffs(NamedTuple):
     """Real coefficients of H = -i(X - i b I) in the Pauli tensor basis."""
@@ -230,10 +213,6 @@ class PauliCoeffs(NamedTuple):
     alpha: np.ndarray  # coefficients of I (x) sigma_i
     beta: np.ndarray   # coefficients of sigma_i (x) I
     gamma: np.ndarray  # gamma[j, k] multiplies sigma_j (x) sigma_k
-
-    def reconstruct(self) -> np.ndarray:
-        c = np.concatenate((self.alpha, self.beta, self.gamma.reshape(9)))
-        return (c @ _PAULI_STACK).reshape(4, 4)
 
 
 class CanonicalForm(NamedTuple):
@@ -346,17 +325,6 @@ class Su4Element:
             p=PureQuaternion(*w[0:3]), q=PureQuaternion(*w[3:6]),
             r=PureQuaternion(*w[6::3]), s=PureQuaternion(*w[7::3]),
             t=PureQuaternion(*w[8::3]), Cmat=v[6:].reshape(3, 3))
-
-
-def pauli_coeffs(X: Su4Element) -> PauliCoeffs:
-    """Pauli basis coefficients of the traceless part (a signed permutation
-    of the quintuple coefficients)."""
-    return X.pauli
-
-
-def quintuple(X: Su4Element) -> QuintupleDecomp:
-    """Quaternion quintuple (p, q, r, s, t) of the traceless part."""
-    return X.quintuple
 
 
 # -- SU(2) lift of SO(3) rotations ---------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from su4exp.qtensor import BASIS_LABELS, PAULI, mat_of_product_tensor, qt_basis_matrix
-from su4exp.quaternion import PureQuaternion
+from su4exp.quaternion import ONE, PureQuaternion, Quaternion
 
 
 def pauli_kron(s: str, t: str) -> np.ndarray:
@@ -19,11 +19,28 @@ def pauli_kron(s: str, t: str) -> np.ndarray:
     return np.kron(PAULI[s], PAULI[t])
 
 
+def _pure(u) -> Quaternion:
+    """A pure quaternion, given as such or as a 3-vector."""
+    return (u if isinstance(u, PureQuaternion) else PureQuaternion.from_vector(u)).as_quaternion()
+
+
 def mat_pure_pure(u, v) -> np.ndarray:
     """M_{u (x) v} for pure quaternions u, v, given as such or as 3-vectors."""
-    u, v = (x if isinstance(x, PureQuaternion) else PureQuaternion.from_vector(x)
-            for x in (u, v))
-    return mat_of_product_tensor(u.as_quaternion(), v.as_quaternion())
+    return mat_of_product_tensor(_pure(u), _pure(v))
+
+
+def quintuple_matrices(p, q, r, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """B = M_{p (x) 1} + M_{1 (x) q} and C = M_{r (x) i} + M_{s (x) j} +
+    M_{t (x) k}, for pure quaternions given as such or as 3-vectors."""
+    B = mat_of_product_tensor(_pure(p), ONE) + mat_of_product_tensor(ONE, _pure(q))
+    C = sum(mat_pure_pure(x, e) for x, e in zip((r, s, t), np.eye(3)))
+    return B, C
+
+
+def cross_matrix(p) -> np.ndarray:
+    """[p]x, the matrix of w -> p x w, for a 3-vector p."""
+    x, y, z = p
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def qt_coeffs(A) -> np.ndarray:

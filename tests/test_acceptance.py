@@ -32,7 +32,7 @@ from su4exp.demos import (
 )
 from su4exp.expm import exp_auto, exp_cubic_I, exp_quadratic_I, exp_quadratic_II
 from su4exp.families import FAMILIES, time_family
-from su4exp.model import Su4Element, quintuple
+from su4exp.model import Su4Element
 from su4exp.oracle import expm_reference
 from su4exp.qtensor import (
     PAULI_LABELS,
@@ -171,7 +171,7 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
             v /= np.linalg.norm(v)
             C = np.outer(u, v)
             X = Su4Element.from_quintuple(u, v, C[:, 0], C[:, 1], C[:, 2])
-            bt = check_quadratic_II_conditions(quintuple(X))
+            bt = check_quadratic_II_conditions(X)
             assert bt is not None and abs(bt - 1.0) < 1e-9
         # invertible-C construction: C C^T = I + p p^T, det C = -bt
         for _ in range(100):
@@ -179,11 +179,10 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
             while np.linalg.norm(p) < 1e-3:
                 p = rng.uniform(-2, 2, 3)
             X = construct_quadratic_II_example(p)
-            d = quintuple(X)
-            bt = check_quadratic_II_conditions(d)
+            bt = check_quadratic_II_conditions(X)
             assert bt is not None
             assert abs(bt - math.sqrt(1.0 + float(p @ p))) < 1e-9
-            C = d.Cmat
+            C = X.quintuple.Cmat
             assert np.abs(C @ C.T - np.eye(3) - np.outer(p, p)).max() < 1e-9
             assert abs(np.linalg.det(C) + bt) < 1e-9
         # exactly one of p, q zero: conditions must fail
@@ -198,19 +197,19 @@ def test_acceptance_5_quadratic_II_constructions(capsys):
             args = (p, z) if rng.random() < 0.5 else (z, p)
             X = Su4Element.from_quintuple(args[0], args[1],
                                           C[:, 0], C[:, 1], C[:, 2])
-            assert check_quadratic_II_conditions(quintuple(X)) is None
+            assert check_quadratic_II_conditions(X) is None
 
 
 def test_acceptance_6_normality(capsys):
     with _report(capsys, 6, "normality identity + canonical conditions"):
         rng = np.random.default_rng(104)
-        # is_normal_type internally recomputes the commutator through the
-        # cross-product identity and raises if the two disagree beyond 1e-12.
+        # is_normal_type's commutator is the cross-product identity
+        # [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b}; it agrees with B C - C B,
+        # B and C the real and imaginary parts of X0, to 1e-12.
         for _ in range(1000):
             X = Su4Element(_random_su4(rng))
-            d = quintuple(X)
-            ok, comm = is_normal_type(d)
-            B, C = d.B(), d.C()
+            ok, comm = is_normal_type(X)
+            B, C = X.traceless.real, X.traceless.imag
             assert np.abs(comm - (B @ C - C @ B)).max() < 1e-12
         # canonical-form sweeps with structured zero patterns
         for _ in range(1000):
@@ -218,7 +217,7 @@ def test_acceptance_6_normality(capsys):
             b = np.where(rng.random(3) < 0.5, 0.0, rng.normal(size=3))
             c = np.where(rng.random(3) < 0.5, 0.0, rng.normal(size=3))
             X = Su4Element.from_pauli_coeffs(a, b, np.diag(c))
-            ok, _ = is_normal_type(quintuple(X))
+            ok, _ = is_normal_type(X)
             assert ok == normal_type_conditions_canonical(a, b, c)
         # boundary |b2/a2| = 1 with matched/mismatched c1, c3
         for s in (1.0, -1.0):
@@ -226,11 +225,11 @@ def test_acceptance_6_normality(capsys):
             b = [0.0, s * 1.3, 0.0]
             good = [0.4, 0.9, s * 0.4]
             X = Su4Element.from_pauli_coeffs(a, b, np.diag(good))
-            ok, _ = is_normal_type(quintuple(X))
+            ok, _ = is_normal_type(X)
             assert ok and normal_type_conditions_canonical(a, b, good)
             bad = [0.4, 0.9, -s * 0.4]
             Y = Su4Element.from_pauli_coeffs(a, b, np.diag(bad))
-            ok, _ = is_normal_type(quintuple(Y))
+            ok, _ = is_normal_type(Y)
             assert not ok and not normal_type_conditions_canonical(a, b, bad)
 
 

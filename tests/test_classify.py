@@ -10,7 +10,6 @@ from su4exp.classify import (
     charpoly,
     check_quadratic_II_conditions,
     classify,
-    cofactor_matrix,
     construct_quadratic_II_example,
     is_normal_type,
     local_vs_interaction_commute,
@@ -19,7 +18,7 @@ from su4exp.classify import (
 from su4exp.errors import InputError
 from su4exp.expm import is_normal_element
 from su4exp.families import FAMILIES
-from su4exp.model import Su4Element, quintuple
+from su4exp.model import Su4Element, _cofactors
 
 from reference import (
     charpoly_canonical,
@@ -94,9 +93,11 @@ def test_cofactor_matrix():
     rng = np.random.default_rng(53)
     for _ in range(50):
         C = rng.normal(size=(3, 3))
-        Co = cofactor_matrix(C)
+        co, det = _cofactors(C.ravel().tolist())
+        Co = np.array(co).reshape(3, 3)
         # adj(C) = Co^T, so C Co^T = det(C) I
         assert np.abs(C @ Co.T - np.linalg.det(C) * np.eye(3)).max() < 1e-10
+        assert abs(det - np.linalg.det(C)) < 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e80, 1e160])
@@ -212,7 +213,7 @@ def test_quadratic_II_rank_one_interaction():
     u = np.array([1.0, 0.0, 0.0])
     C = np.outer(u, u)
     X = Su4Element.from_quintuple(u, u, C[:, 0], C[:, 1], C[:, 2])
-    bt = check_quadratic_II_conditions(quintuple(X))
+    bt = check_quadratic_II_conditions(X)
     assert bt is not None and abs(bt - 1.0) < 1e-12
 
 
@@ -224,9 +225,9 @@ def test_quadratic_II_rejects_single_zero_vector():
         while abs(np.linalg.det(C)) < 0.1:
             C = rng.normal(size=(3, 3))
         X = Su4Element.from_quintuple(p, np.zeros(3), C[:, 0], C[:, 1], C[:, 2])
-        assert check_quadratic_II_conditions(quintuple(X)) is None
+        assert check_quadratic_II_conditions(X) is None
         Y = Su4Element.from_quintuple(np.zeros(3), p, C[:, 0], C[:, 1], C[:, 2])
-        assert check_quadratic_II_conditions(quintuple(Y)) is None
+        assert check_quadratic_II_conditions(Y) is None
 
 
 def test_classify_agrees_with_the_quadratic_II_conditions():
@@ -237,7 +238,7 @@ def test_classify_agrees_with_the_quadratic_II_conditions():
     for name, (sampler, _) in FAMILIES.items():
         for _ in range(50):
             X = sampler(rng)
-            bt = check_quadratic_II_conditions(quintuple(X))
+            bt = check_quadratic_II_conditions(X)
             tag = classify(X).tag
             if bt is not None:
                 held.add(name)
@@ -251,7 +252,7 @@ def test_quadratic_II_identity_interaction_no_vectors():
     # p = q = 0, C = I: Co(C) = I so bt = -1 works.
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3),
                                   [1, 0, 0], [0, 1, 0], [0, 0, 1])
-    bt = check_quadratic_II_conditions(quintuple(X))
+    bt = check_quadratic_II_conditions(X)
     assert bt is not None and abs(bt + 1.0) < 1e-12
     assert classify(X).tag == "quadratic-II"
 
@@ -271,9 +272,8 @@ def test_is_normal_type_agrees_with_commutator():
     rng = np.random.default_rng(55)
     for _ in range(300):
         X = _random_element(rng)
-        d = quintuple(X)
-        ok, comm = is_normal_type(d)
-        B, C = d.B(), d.C()
+        ok, comm = is_normal_type(X)
+        B, C = X.traceless.real, X.traceless.imag
         direct = B @ C - C @ B
         assert np.abs(comm - direct).max() < 1e-12
         # The dispatch gate's rule: 1/2 ||[B, C]||_F <= STRUCTURE_TOL.
@@ -287,7 +287,7 @@ def test_is_normal_type_matches_the_dispatch_gate_at_large_norm():
     Cmat = np.diag([100.0, 0.0, 0.0])
     Cmat[1, 2] = 1e-9
     X = Su4Element.from_quintuple(p, q, *Cmat.T)
-    ok, _ = is_normal_type(quintuple(X))
+    ok, _ = is_normal_type(X)
     assert not ok and not is_normal_element(X)
 
 
@@ -309,7 +309,7 @@ def test_normal_canonical_matches_commutator():
         b = np.where(rng.random(3) < 0.5, 0.0, rng.normal(size=3))
         c = np.where(rng.random(3) < 0.5, 0.0, rng.normal(size=3))
         X = Su4Element.from_pauli_coeffs(a, b, np.diag(c))
-        ok, _ = is_normal_type(quintuple(X))
+        ok, _ = is_normal_type(X)
         assert ok == normal_type_conditions_canonical(a, b, c)
 
 

@@ -60,7 +60,10 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     for obj in ({"matrix": [[1, 2], [3, 4]]},
                 {"matrix": [[{}] * 4] * 4},
                 {"matrix": [[[huge, 0]] + zeros[0][1:]] + zeros[1:]},
-                {"matrix": zeros, "scalar": huge}):
+                {"matrix": zeros, "scalar": huge},
+                # JSON booleans are not numbers, though Python's bool is an int.
+                {"matrix": [[[True, False]] + zeros[0][1:]] + zeros[1:]},
+                {"matrix": zeros, "scalar": True}):
         bad.write_text(json.dumps(obj))
         for verb in ("classify", "expm"):
             assert main([verb, str(bad)]) == 2, (verb, obj)
@@ -173,6 +176,17 @@ def test_classify_tolerance_reaches_the_min_poly_rule(near_quad_I_file, capsys):
     out = capsys.readouterr().out
     assert "min-poly: quadratic-I" in out
     assert "exp method: quad-I" in out
+
+
+@pytest.mark.parametrize("verb", ["classify", "expm"])
+def test_tolerance_must_be_finite_and_nonnegative(verb, zz_file, capsys):
+    # inf would send a generic matrix to a closed form, nan and -1 every
+    # matrix to the oracle: each is a usage error, printed before any result.
+    for bad in ("inf", "nan", "-1"):
+        assert main([verb, zz_file, "--tolerance", bad]) == 1, bad
+        out = capsys.readouterr()
+        assert out.out == "" and "--tolerance" in out.err
+    assert main([verb, zz_file, "--tolerance", "0"]) == 0
 
 
 def test_expm_prints_matrix_without_out(zz_file, capsys):

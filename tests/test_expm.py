@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su4exp.classify import charpoly, classify, is_normal_type, shape
+from su4exp.classify import charpoly, classify, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _PROJECTOR,
@@ -43,7 +43,7 @@ from su4exp.families import FAMILIES
 from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element, commutator_coeffs
 from su4exp.oracle import expm_reference
 
-from reference import mat_pure_pure, pauli_kron
+from reference import cross_matrix, mat_pure_pure, pauli_kron
 
 
 def _check(U, X, tol=1e-10):
@@ -805,8 +805,8 @@ def _gate_distance(name, X):
         R = A @ A + 2.0 * beta * A + cp.mu / 2.0 * np.eye(4)
         return np.linalg.norm(R) / math.sqrt(cp.mu / 2.0 + abs(beta) ** 2)
     if name == "normal-split":
-        _, comm = is_normal_type(X.quintuple)
-        return 0.5 * np.linalg.norm(comm)
+        B, C = A.real, A.imag
+        return 0.5 * np.linalg.norm(B @ C - C @ B)
     if name == "tridiag":
         on = SymTriDiag(*((A[k, k + 1] + A[k + 1, k]).imag / 2 for k in range(3))).matrix()
     elif name == "perskew":
@@ -896,12 +896,14 @@ def _gate_samples():
 
 def _reference_distance(method, X):
     """A gate distance by its definition: the projector residual of a linear
-    family, the nearest bisymmetric split, or the Trotter bound 2||K||_F."""
+    family, the nearest bisymmetric split, or the Trotter bound 2||K||_F,
+    K = [p]x Cmat - Cmat [q]x."""
     v = X.coeffs
     if method == "bisym":
         return min(2.0 * math.sqrt(float(row @ (v * v))) for row in _SPLIT_OFF)
     if method == "normal-split":
-        return 2.0 * float(np.linalg.norm(X.quintuple.K()))
+        d = X.quintuple
+        return 2.0 * float(np.linalg.norm(cross_matrix(d.p) @ d.Cmat - d.Cmat @ cross_matrix(d.q)))
     return 2.0 * float(np.linalg.norm(v - _PROJECTOR[method] @ v))
 
 

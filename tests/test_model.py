@@ -11,14 +11,13 @@ from su4exp.model import (
     MAGIC_BASIS,
     Su4Element,
     canonicalize,
+    commutator_coeffs,
     magic_conjugate,
-    pauli_coeffs,
-    quintuple,
     su2_from_so3,
 )
-from su4exp.qtensor import PAULI
+from su4exp.qtensor import PAULI, qt_basis_matrix
 
-from reference import pauli_kron, qt_coeffs
+from reference import cross_matrix, pauli_kron, qt_coeffs, quintuple_matrices
 
 
 def _random_element(rng, scale=1.0):
@@ -50,25 +49,31 @@ def test_scalar_split():
 
 
 def test_pauli_round_trip():
+    # H = sum c sigma_s (x) sigma_t over the Pauli record, from the Kronecker
+    # products, is -i X0.
     rng = np.random.default_rng(41)
     for _ in range(100):
         X = _random_element(rng, scale=rng.uniform(0.1, 5))
-        pc = pauli_coeffs(X)
-        H = pc.reconstruct()
+        pc = X.pauli
+        H = (sum(a * pauli_kron("0", s) + b * pauli_kron(s, "0")
+                 for a, b, s in zip(pc.alpha, pc.beta, "xyz"))
+             + sum(pc.gamma[j, k] * pauli_kron(s, t)
+                   for j, s in enumerate("xyz") for k, t in enumerate("xyz")))
         assert np.abs(1j * H - X.traceless).max() < 1e-12
 
 
 def test_quintuple_round_trip():
+    # B and C from the quintuple record through the quaternion matrices are
+    # X0's real antisymmetric and imaginary symmetric parts.
     rng = np.random.default_rng(42)
     for _ in range(100):
         X = _random_element(rng)
-        d = quintuple(X)
-        assert np.abs(d.reconstruct() - X.traceless).max() < 1e-12
-        # B real antisymmetric, C real symmetric
-        B, C = d.B(), d.C()
+        d = X.quintuple
+        B, C = quintuple_matrices(d.p, d.q, d.r, d.s, d.t)
         assert np.abs(B + B.T).max() < 1e-12
         assert np.abs(C - C.T).max() < 1e-12
-        assert np.abs((B + 1j * C) - X.traceless).max() < 1e-12
+        assert np.abs(B - X.traceless.real).max() < 1e-12
+        assert np.abs(C - X.traceless.imag).max() < 1e-12
 
 
 def test_from_constructors_agree():
@@ -318,20 +323,13 @@ def test_magic_basis_unitary():
 
 
 def test_commutator_coeffs_match_cross_product_definition():
-    from su4exp.model import commutator_coeffs
-
-    def cross_matrix(p):
-        """[p]x, the matrix of w -> p x w."""
-        return np.array([[0.0, -p.z, p.y], [p.z, 0.0, -p.x], [-p.y, p.x, 0.0]])
-
     for A in _u4_inputs(seed=50, n=40):
         X = Su4Element(A)
         d = X.quintuple
         K = cross_matrix(d.p) @ d.Cmat - d.Cmat @ cross_matrix(d.q)
         # Rounding of a bilinear form: relative to ||(p, q)|| ||Cmat||.
         scale = np.linalg.norm(X.coeffs[:6]) * np.linalg.norm(X.coeffs[6:])
-        assert np.abs(d.K() - K).max() <= 1e-14 * scale
-        assert np.array_equal(commutator_coeffs(X.coeffs), d.K().ravel())
+        assert np.abs(commutator_coeffs(X.coeffs) - K.ravel()).max() <= 1e-14 * scale
 
 
 def test_square_map_gives_the_square_and_its_product_with_X0():
@@ -363,7 +361,11 @@ def test_decompositions_are_built_on_first_access():
 
 
 def test_pauli_stack_is_the_kronecker_products():
-    from su4exp.model import _PAULI_SLOTS, _PAULI_STACK
+    # X0 = sum_k v[slot_k] T_slot = i sum_k c_k sigma_s (x) sigma_t with
+    # v[slot_k] = sign_k c_k, so sigma_s (x) sigma_t = -i sign_k T_slot; T is
+    # M_{e_x (x) e_y} on a p, q slot and i M_{e_x (x) e_y} on a Cmat slot.
+    from su4exp.model import _PAULI_SIGN, _PAULI_SLOT, _PAULI_SLOTS, _QT_SLOTS
 
-    ref = np.array([pauli_kron(s, t).ravel() for s, t in _PAULI_SLOTS])
-    assert np.array_equal(_PAULI_STACK, ref)
+    for (s, t), k, sign in zip(_PAULI_SLOTS, _PAULI_SLOT, _PAULI_SIGN):
+        T = qt_basis_matrix(*_QT_SLOTS[k]) * (1j if k >= 6 else 1.0)
+        assert np.array_equal(-1j * sign * T, pauli_kron(s, t)), (s, t)
