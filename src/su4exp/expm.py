@@ -71,6 +71,7 @@ from .model import (
     _PURE_FLAT,
     _QT_FLAT,
     _QT_STACK,
+    MAGIC_ADJOINT,
     MAGIC_BASIS,
     STRUCTURE_TOL,
     Su4Element,
@@ -639,9 +640,9 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     fam = _BY_TAG.get(cls.tag)
     if fam is not None:
         return ExpResult(_unitary(fam, X, cls), fam.method)
-    for W in (MAGIC_BASIS, MAGIC_BASIS.conj().T):
-        Y = Su4Element(W @ X.entries @ W.conj().T)
+    for W, Wh in ((MAGIC_BASIS, MAGIC_ADJOINT), (MAGIC_ADJOINT, MAGIC_BASIS)):
+        Y = Su4Element(W @ X.entries @ Wh)
         fam, arg = _structured_row(Y, tol)
         if fam is not None:
-            return ExpResult(W.conj().T @ _unitary(fam, Y, arg) @ W, "magic")
+            return ExpResult(Wh @ _unitary(fam, Y, arg) @ W, "magic")
     return ExpResult(expm_reference(X.entries), "oracle")

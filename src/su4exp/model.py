@@ -42,13 +42,14 @@ ANTIHERM_TOL = 1e-12
 # v that bounds the error ||U - e^X||_F of the formula they admit.
 STRUCTURE_TOL = 1e-10
 
-# Magic-basis matrix: V so(4, R) V* = su(2) (x) su(2).
+# Magic-basis matrix V and its adjoint V*: V so(4, R) V* = su(2) (x) su(2).
 MAGIC_BASIS = np.array([
     [1, 0, 0, 1j],
     [0, 1j, 1, 0],
     [0, 1j, -1, 0],
     [1, 0, 0, -1j],
 ], dtype=complex) / math.sqrt(2.0)
+MAGIC_ADJOINT = MAGIC_BASIS.conj().T
 
 # -- the coefficient map ----------------------------------------------------
 #
@@ -382,4 +383,4 @@ def canonicalize(X: Su4Element) -> CanonicalForm:
 
 def magic_conjugate(X: Su4Element) -> Su4Element:
     """Conjugate by the magic-basis matrix: returns V X V*."""
-    return Su4Element(MAGIC_BASIS @ X.entries @ MAGIC_BASIS.conj().T)
+    return Su4Element(MAGIC_BASIS @ X.entries @ MAGIC_ADJOINT)

@@ -260,12 +260,15 @@ def test_acceptance_7_illustrations(capsys):
 def test_acceptance_8_benchmark_sanity(capsys):
     with _report(capsys, 8, "benchmark sanity (informational)"):
         rng = np.random.default_rng(106)
-        lines = []
+        # Each row goes to the terminal before its asserts, so the log shows
+        # the margins, and the row that failed.
+        with capsys.disabled():
+            print()
         for name in FAMILIES:
             mc, mo, me, max_err = time_family(name, rng, 100)
-            lines.append(f"    {name:>12}: closed {mc:>8.0f} ns | "
-                         f"oracle {mo:>8.0f} ns | eigh {me:>8.0f} ns | "
-                         f"max_err {max_err:.2e}")
+            with capsys.disabled():
+                print(f"    {name:>12}: closed {mc:>8.0f} ns | oracle {mo:>8.0f} ns | "
+                      f"closed/oracle {mc / mo:.2f} | eigh {me:>8.0f} ns | "
+                      f"max_err {max_err:.2e}")
             assert max_err <= 1e-9, name
             assert mc < mo, (name, mc, mo)
-        print("\n".join(lines))

@@ -133,6 +133,22 @@ def test_demos_over_time(demo):
 
 
 @pytest.mark.parametrize("demo", DEMOS)
+def test_demos_scale_with_time(demo):
+    # Large-norm accuracy: at t ||X||_F from 1 to 1e6 the closed form and
+    # the series reference each err by at most c eps ||tX||_F, with c = 2.5
+    # measured against 40-digit mpmath at ||X||_F = 1e6, so they differ by
+    # at most twice that, or 1e-9 where that is smaller.
+    p, generator, propagate, *_ = DEMOS[demo]
+    eps = np.finfo(float).eps
+    unit = np.linalg.norm(generator(_replace_t(p, 1.0)))
+    for scale in np.logspace(0.0, 6.0, 25):
+        q = _replace_t(p, float(scale / unit))
+        A = generator(q)
+        err = np.linalg.norm(propagate(q).U - expm_reference(A))
+        assert err <= max(1e-9, 2 * 2.5 * eps * np.linalg.norm(A)), scale
+
+
+@pytest.mark.parametrize("demo", DEMOS)
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_demo_rejects_non_finite_parameters(demo, bad):
     # Every field, the time included, is checked before any product, so

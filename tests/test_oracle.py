@@ -16,7 +16,9 @@ def _random_antihermitian(rng):
 
 
 def test_zero_gives_identity():
-    assert np.allclose(expm_reference(np.zeros((4, 4))), np.eye(4))
+    # norm1 = 0: one term, no squaring, I exactly.
+    for n in (1, 4, 8):
+        assert np.array_equal(expm_reference(np.zeros((n, n))), np.eye(n))
 
 
 def test_diagonal_case():
@@ -61,6 +63,55 @@ def test_unitarity_and_eigenphases():
         phases = np.sort(np.angle(np.linalg.eigvals(U)))
         expected = np.sort(np.angle(np.exp(1j * w)))
         assert np.abs(phases - expected).max() < 1e-10
+
+
+# Non-normal inputs against exact values.  N is the 4x4 nilpotent shift,
+# so lam I + c N has 1-norm |lam| + |c| and exponential
+# e^lam (I + c N + c^2 N^2 / 2 + c^3 N^3 / 6).
+_SHIFT = np.eye(4, k=1)
+
+
+def _jordan_exp(lam, c):
+    N = c * _SHIFT
+    return np.exp(lam) * (np.eye(4) + N + N @ N / 2 + N @ N @ N / 6)
+
+
+def test_jordan_block():
+    # e^J = I + J + J^2 / 2 + J^3 / 6 for the nilpotent 4x4 Jordan block.
+    err = np.abs(expm_reference(_SHIFT) - _jordan_exp(0.0, 1.0)).max()
+    assert err <= 2 * np.finfo(float).eps
+
+
+def test_block_triangular_with_commuting_blocks():
+    # exp [[X, E], [0, X]] = [[e^X, E e^X], [0, e^X]] when X E = E X; the
+    # off-diagonal block is the derivative of e^X in the direction E.
+    rng = np.random.default_rng(34)
+    eps = np.finfo(float).eps
+    for scale in (0.3, 1.0, 7.0, 60.0):
+        x = scale * (rng.normal(size=4) * 0.1 + 1j * rng.normal(size=4))
+        e = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        A = np.zeros((8, 8), dtype=complex)
+        A[:4, :4] = A[4:, 4:] = np.diag(x)
+        A[:4, 4:] = np.diag(e)
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[:4, :4] = expected[4:, 4:] = np.diag(np.exp(x))
+        expected[:4, 4:] = np.diag(e * np.exp(x))
+        err = np.abs(expm_reference(A) - expected).max()
+        assert err <= 10 * eps * np.abs(A).sum(axis=0).max() * np.abs(expected).max(), scale
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 10])
+def test_norm_at_and_just_above_a_power_of_two(k):
+    # At norm1 = 2^k the scaled matrix has 1-norm exactly 1, the largest
+    # the series takes; just above it, one more squaring and about 1/2.
+    eps = np.finfo(float).eps
+    for norm1 in (2.0 ** k, 2.0 ** k * (1 + 4 * eps)):
+        lam, c = 0.5j * 2.0 ** k, norm1 - 0.5 * 2.0 ** k
+        A = lam * np.eye(4) + c * _SHIFT
+        assert np.abs(A).sum(axis=0).max() == norm1
+        expected = _jordan_exp(lam, c)
+        err = np.abs(expm_reference(A) - expected).max()
+        assert err <= 5 * eps * norm1 * np.abs(expected).max(), (k, norm1)
 
 
 def test_rejects_bad_input():
