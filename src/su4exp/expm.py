@@ -1,15 +1,17 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Every formula of the nine rows is scalar coefficients times a constant
-table, in the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``.
-A group of
+Every formula of the nine rows returns scalar coefficients and a constant
+table, in the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``,
+and U = coef @ T is formed in one place (``_matrix``).  A group of
 anticommuting Pauli terms of X0, declared as data in the family table, is
 read off v by its slots and gives the vector [cos l, sinc(l) w] of a
-rotation factor; the outer product of a row's vectors times the products
-of its groups' basis matrices, built at import, is e^X0 (``_factors``).
-e^{iC} takes the one spectral step, NumPy's ``eigh`` of Cmat^T Cmat, and
-is twenty real coefficients on I and the pure-pure basis (``_interaction``);
-the normal split is e^B e^{iC}.  The bisymmetric formula needs two 2x2
+rotation factor; the outer product of a row's vectors on the products of
+its groups' basis matrices, built at import, is e^X0 (``_factors``).
+e^{iC} takes the one spectral step, NumPy's ``eigh`` of Cmat^T Cmat for
+the right singular directions V, and is nineteen coefficients on I, i M(.)
+and -M(.) of the pure-pure basis, read off the one product Cmat V
+(``_interaction``).  The normal split is e^B e^{iC}, one 4x4 product of
+the two rows' matrices.  The bisymmetric formula needs two 2x2
 rotations, as a constant involution P commutes with X0 on its split and
 each eigenspace of P holds two anticommuting involutions (``_bisym``).
 Each of these formulas takes only the coordinates it reads of v, its row's
@@ -183,18 +185,17 @@ def is_normal_element(X: Su4Element) -> bool:
 # -- minimal-polynomial formulas: each shape's scalar coefficients on I, X0
 # and X0^2, put on [I; basis] from v, after their shape's gate.
 
-def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> np.ndarray:
+def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> tuple:
     """e^{ib} e^X0 = [c0, c1 v] on [I; basis] for X0^2 + 2 beta X0 + gamma I = 0:
     e^{ib - beta} [cos(omega) I + sinc(omega)(X0 + beta I)], as (X0 + beta I)^2
     = -omega^2 I with omega^2 = gamma - beta^2 (either root: both terms are
     even in omega); quadratic type I is beta = 0."""
     c = cmath.sqrt(gamma - beta * beta)
     e, s = cmath.exp(1j * b - beta), sinc(c)
-    return np.dot(np.concatenate(([e * (cmath.cos(c) + beta * s)], e * s * v)),
-                  _BASES).reshape(4, 4)
+    return np.concatenate(([e * (cmath.cos(c) + beta * s)], e * s * v)), _BASES
 
 
-def _cubic(v: np.ndarray, b: float, c2: complex) -> np.ndarray:
+def _cubic(v: np.ndarray, b: float, c2: complex) -> tuple:
     """Euler-Rodrigues for X0^3 = -c^2 X0: e^{ib} e^X0 = e^{ib} [I + s X0 +
     k X0^2] = e^{ib} [1 - k g, s v - i k z] on [I; basis], with s = sinc(c)
     and k = (1-cos c)/c^2 (both even in c), as X0^2 = -g I - i z.T with z =
@@ -202,16 +203,15 @@ def _cubic(v: np.ndarray, b: float, c2: complex) -> np.ndarray:
     c, E = cmath.sqrt(c2), cmath.exp(1j * b)
     c1, k = E * sinc(c), E * cosm1_over_c2(c)
     z = square_coeffs(v)[0]
-    return np.dot(np.concatenate(([E - k * (c2 / 2.0)], c1 * v - 1j * k * z)),
-                  _BASES).reshape(4, 4)
+    return np.concatenate(([E - k * (c2 / 2.0)], c1 * v - 1j * k * z)), _BASES
 
 
 # -- family formulas: e^X from the row's read-out of v, the scalar part b, and
 # the row's table or the gate's split.
 
-def _factors(w: list[float], b: float, table) -> np.ndarray:
+def _factors(w: list[float], b: float, table) -> tuple:
     """e^{ib} prod_g (cos l_g I + sinc(l_g) w_g @ _QT_STACK[slots_g]), l_g =
-    ||w_g||, over the row's one or two groups g.
+    ||w_g||, over the row's one or two groups g, as coefficients on T.
 
     w = G v, the row's read-out (``_readout``), holds the groups' slots of
     what the row's gate keeps of v.  A factor is the vector [cos l_g,
@@ -229,50 +229,56 @@ def _factors(w: list[float], b: float, table) -> np.ndarray:
         lam = math.hypot(*g)
         h = [math.cos(lam), *map(sinc(lam).__mul__, g)]
         f = [a * c for a in f for c in h]
-    # np.dot has less call overhead than @ on operands this small.
-    return np.dot(f, T).reshape(4, 4)
+    return f, T
 
 
-def _interaction(w: list[float], b: float, table=None) -> np.ndarray:
-    """e^{ib} e^{iC} from the nine entries w of Cmat and the right singular
-    directions V of Cmat (``eigh3``).
+def _interaction(w: list[float], b: float, table=None) -> tuple:
+    """e^{ib} e^{iC} as coefficients on ``_IC_TABLE``, [I; i M(.); -M(.)],
+    from the nine entries w of Cmat and W = Cmat V, V the right singular
+    directions of Cmat (``eigh3`` of Cmat^T Cmat).
 
-    With Cmat V = [u_0 u_1 u_2], iC is the sum of the commuting terms
+    With W = [u_0 u_1 u_2], iC is the sum of the commuting terms
     i M(u_k v_k^T), M(A) = sum_ab A_ab M_{e_a (x) e_b}, which square to
     -sigma_k^2 I, and the product of their rotation factors expands to
 
         (c_0 c_1 c_2 - i det(Cmat) n_0 n_1 n_2) I
-            + M(i Cmat V diag(alpha) V^T - Co(Cmat) V diag(beta) V^T),
+            + M(i W diag(alpha) V^T - Co(Cmat) V diag(beta) V^T),
 
     c_k = cos sigma_k, n_k = sinc sigma_k, alpha_k = n_k c_i c_j, beta_k =
     c_k n_i n_j ({i, j} the other two indices), Co the cofactor matrix; the
-    I coefficient, alpha and beta carry e^{ib}.  cos and sinc are entire in
-    sigma^2, an eigenvalue of Cmat^T Cmat, so any orthonormal eigenbasis
-    serves, repeated or zero singular values included.
+    coefficients carry e^{ib}.  cos and sinc are entire in sigma^2, so the
+    algebra needs no special case: any orthonormal eigenbasis V serves,
+    repeated or zero singular values included.  Numerically, sigma, the
+    cofactor term and det Cmat are all read off W: sigma_k = ||W e_k||,
+    Co(Cmat) V = det V Co(W) and det Cmat = det V det W, as V is orthogonal.
+    These scale with the singular values they hold, where sigma^2, an
+    eigenvalue of Cmat^T Cmat, loses a singular value below sqrt(eps)
+    sigma_max, and Cmat's own cofactors cancel at eps ||Cmat||^2.
     """
-    co, det = _cofactors(w)
-    A = np.array(w + co).reshape(6, 3)  # Cmat, then Co(Cmat)
-    lam, V = eigh3(A[:3].T @ A[:3])
-    sigma = [math.sqrt(max(x, 0.0)) for x in lam.tolist()]
+    C = np.array(w).reshape(3, 3)
+    V = eigh3(C.T @ C)[1]
+    x = (C @ V).ravel().tolist()  # W, row by row
+    co, det = _cofactors(x)
+    d = _cofactors(V.ravel().tolist())[1]  # det V = +-1
+    sigma = [math.hypot(x[k], x[k + 3], x[k + 6]) for k in range(3)]
     (c0, c1, c2), (n0, n1, n2) = map(math.cos, sigma), map(sinc, sigma)
-    E = cmath.exp(1j * b)
-    Q = (A @ V).reshape(2, 3, 3) * np.array(
-        [E * (n0 * c1 * c2), E * (n1 * c0 * c2), E * (n2 * c0 * c1),
-         E * (c0 * n1 * n2), E * (c1 * n0 * n2), E * (c2 * n0 * n1)]).reshape(2, 1, 3)
-    U = ((Q.reshape(6, 3) @ V.T).reshape(18) @ _IC_TABLE).reshape(4, 4)
-    U.ravel()[::5] += E * complex(c0 * c1 * c2, -det * n0 * n1 * n2)
-    return U
+    Q = np.array(x + co).reshape(2, 3, 3) * np.array(
+        [n0 * c1 * c2, n1 * c0 * c2, n2 * c0 * c1,
+         d * c0 * n1 * n2, d * c1 * n0 * n2, d * c2 * n0 * n1]).reshape(2, 1, 3)
+    return cmath.exp(1j * b) * np.concatenate(
+        ([complex(c0 * c1 * c2, -d * det * n0 * n1 * n2)], (Q @ V.T).ravel())), _IC_TABLE
 
 
-# _interaction's table: i M(.) and -M(.) of its 3x3 matrices.
-_IC_TABLE = np.concatenate((1j * _PURE_FLAT, -_PURE_FLAT))
+# _interaction's table: I, then i M(.) and -M(.) of its 3x3 matrices.
+_IC_TABLE = np.concatenate((np.eye(4).reshape(1, 16), 1j * _PURE_FLAT, -_PURE_FLAT))
 
 
-def _normal_split(w: list[float], b: float, table) -> np.ndarray:
+def _normal_split(w: list[float], b: float, table) -> tuple:
     """e^{ib} e^X0 = e^{ib} e^B e^{iC} when B and C commute: e^B by
-    ``_factors`` on the p and q groups, the first six entries of w, and
-    e^{iC} by ``_interaction`` on Cmat, the other nine."""
-    return _factors(w, b, table) @ _interaction(w[6:], 0.0)
+    ``_factors`` on the p and q groups, the first six entries of w, then
+    e^{iC} by ``_interaction`` on Cmat, the other nine, its right factor in
+    ``_matrix``."""
+    return (*_factors(w, b, table), *_interaction(w[6:], 0.0))
 
 
 def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
@@ -305,7 +311,7 @@ def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
 _SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
-def _bisym(s: list[float], b: float, k: int) -> np.ndarray:
+def _bisym(s: list[float], b: float, k: int) -> tuple:
     """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
 
     On the gate's split k, the nearest of the nine (ties to the first), X0 is
@@ -333,7 +339,7 @@ def _bisym(s: list[float], b: float, k: int) -> np.ndarray:
         terms.append((0.5 * E * math.cos(lam), r * x, r * y))
     (c_p, x_p, y_p), (c_m, x_m, y_m) = terms
     coef = (c_p + c_m, sigma * (c_p - c_m), x_p + x_m, y_p + y_m, y_m - y_p, x_p - x_m)
-    return np.dot(coef, _SPLIT_ROWS[k]).reshape(4, 4)
+    return coef, _SPLIT_ROWS[k]
 
 
 # -- the family table -------------------------------------------------------
@@ -349,14 +355,14 @@ class Family(NamedTuple):
     (``_TABLES``) or the bisymmetric split its gate found.  A row without a
     predicate is the minimal-polynomial shape ``label``, and its formula
     takes v, b and that shape's ``MinPolyClass``.  ``groups`` holds the
-    Pauli labels of each rotation factor read off v.  Every formula is
-    scalar coefficients times a constant table, and gives e^X with the
-    scalar phase e^{ib} in its coefficients.
+    Pauli labels of each rotation factor read off v.  Every formula returns
+    scalar coefficients and a constant table whose product is e^X
+    (``_matrix``), with the scalar phase e^{ib} in its coefficients.
     """
 
     method: str
     label: str
-    formula: Callable[..., np.ndarray]
+    formula: Callable[..., tuple]
     gate: str | None = None
     groups: tuple[str, ...] = ()
 
@@ -514,17 +520,26 @@ def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | Non
     return None, None
 
 
+def _matrix(coef, T, *right) -> np.ndarray:
+    """coef @ T as a 4x4 matrix, for a formula's coefficients on its constant
+    table: the one place where a row becomes U.  Only the normal split
+    returns a second such pair, e^{iC}, whose matrix multiplies e^B's on the
+    right: one 4x4 product costs less than the outer product of their
+    coefficients on a table of products of their rows."""
+    # np.dot has less call overhead than @ on operands this small.
+    U = np.dot(coef, T).reshape(4, 4)
+    return U.dot(_matrix(*right)) if right else U
+
+
 def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
-    """e^X by the row's formula, which applies the scalar phase.
+    """e^X by the row's formula, which applies the scalar phase (``_matrix``).
 
     A structured formula takes the row's read-out of v, b and its row's
     table, or the split its gate found (arg); a minimal-polynomial one v, b
     and its shape (arg).
     """
-    if not fam.gate:
-        return fam.formula(X.coeffs, X.scalar, arg)
-    y = _readout(fam.method, arg).dot(X.coeffs).tolist()
-    return fam.formula(y, X.scalar, _TABLES.get(fam.method, arg))
+    w = _readout(fam.method, arg).dot(X.coeffs).tolist() if fam.gate else X.coeffs
+    return _matrix(*fam.formula(w, X.scalar, _TABLES.get(fam.method, arg)))
 
 
 def closed_form(method: str, X: Su4Element) -> ExpResult:
@@ -559,7 +574,7 @@ def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
     *y, b = A.dot(x).tolist()
     if _EPS * 4.0 * math.hypot(*y, b) >= 1.0:
         raise InputError("parameters past 1/eps: e^X has no determined digit")
-    return ExpResult(_ROWS[method].formula(y, b, _TABLES.get(method, arg)), method)
+    return ExpResult(_matrix(*_ROWS[method].formula(y, b, _TABLES.get(method, arg))), method)
 
 
 def exp_tridiag(S: SymTriDiag) -> ExpResult:

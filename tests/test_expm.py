@@ -267,8 +267,9 @@ def test_group_tables_hold_the_products_of_their_basis_matrices():
         assert T.shape == (len(products), 16)
         for row, P in zip(T, products):
             assert np.array_equal(row.reshape(4, 4), P), method
-    assert np.array_equal(_IC_TABLE[:9], 1j * _PURE_FLAT)
-    assert np.array_equal(_IC_TABLE[9:], -_PURE_FLAT)
+    assert np.array_equal(_IC_TABLE[0], np.eye(4).ravel())
+    assert np.array_equal(_IC_TABLE[1:10], 1j * _PURE_FLAT)
+    assert np.array_equal(_IC_TABLE[10:], -_PURE_FLAT)
 
 
 def test_skewham_terms_anticommute():
@@ -333,7 +334,7 @@ def test_imsym_matches_oracle():
 def _check_imsym_factors(Cmat):
     # The factors of e^{iC} from NumPy's eigh of Cmat^T Cmat commute, their
     # product is the closed form's coefficient table, and both match the oracle.
-    from su4exp.expm import _interaction
+    from su4exp.expm import _interaction, _matrix
     _, V = np.linalg.eigh(Cmat.T @ Cmat)
     Fs = []
     for i in range(3):
@@ -347,7 +348,7 @@ def _check_imsym_factors(Cmat):
             assert np.abs(Fs[i] @ Fs[j] - Fs[j] @ Fs[i]).max() < 1e-12
     prod = Fs[0] @ Fs[1] @ Fs[2]
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T)
-    assert np.abs(prod - _interaction(X.coeffs[6:].tolist(), 0.0)).max() < 1e-12
+    assert np.abs(prod - _matrix(*_interaction(X.coeffs[6:].tolist(), 0.0))).max() < 1e-12
     ref = expm_reference(X.entries)
     assert np.abs(prod - ref).max() < 1e-12
     assert np.abs(exp_imaginary_symmetric(X).U - ref).max() < 1e-12
@@ -376,31 +377,47 @@ def test_imsym_factors_commute_near_degenerate(gap):
         _check_imsym_factors(Q1 @ np.diag(sv) @ Q2.T)
 
 
-def _interaction_cases():
-    """Interaction matrices Q1 diag(s) Q2^T with the singular values that
-    stress e^{iC}, by name."""
-    rng = np.random.default_rng(92)
+# Singular values that stress e^{iC}, by name; "1e-6" and "1e-9" are the
+# smallest relative to the largest.
+_SINGULAR_VALUES = {"rank 0": (0.0, 0.0, 0.0), "rank 1": (2.3, 0.0, 0.0),
+                    "rank 2": (2.3, 0.7, 0.0), "repeated": (1.9, 1.9, 0.4),
+                    "det < 0": (1.3, 0.4, 2.2), "1e-9": (2.3, 1.1, 1e-9),
+                    "1e-6": (2.3, 1.1, 2.3e-6)}
+
+
+def _interaction_matrix(s, rng):
+    """Q1 diag(s) Q2^T for a random rotation pair Q1, Q2."""
     Q1, Q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
-    cases = {"rank 0": (0.0, 0.0, 0.0), "rank 1": (2.3, 0.0, 0.0),
-             "rank 2": (2.3, 0.7, 0.0), "repeated": (1.9, 1.9, 0.4),
-             "det < 0": (1.3, 0.4, 2.2), "1e-9": (2.3, 1.1, 1e-9)}
-    out = {name: Q1 @ np.diag(s) @ Q2.T for name, s in cases.items()}
-    if np.linalg.det(out["det < 0"]) > 0:
-        out["det < 0"] = -out["det < 0"]
-    return out
+    return Q1 @ np.diag(s) @ Q2.T
 
 
-@pytest.mark.parametrize("name", _interaction_cases())
+@pytest.mark.parametrize("name", _SINGULAR_VALUES)
 def test_interaction_matches_oracle_at_degenerate_singular_values(name):
-    # cos and sinc enter as functions of sigma^2, so rank-deficient,
-    # repeated and tiny singular values need no special case.
-    from su4exp.expm import _interaction
-    Cmat = _interaction_cases()[name]
-    assert name != "det < 0" or np.linalg.det(Cmat) < 0
+    # cos and sinc enter as functions of sigma^2, so the algebra needs no
+    # special case for rank-deficient, repeated or tiny singular values.
+    # Numerically, sigma and the cofactors are read off Cmat V: from
+    # Cmat^T Cmat and Cmat's own cofactors, a singular value below
+    # sqrt(eps) sigma_max is lost, which at ||X||_F = 1e4 costs more than 1e-9.
+    from su4exp.expm import _interaction, _matrix
+    s = _SINGULAR_VALUES[name]
+    Cmat = _interaction_matrix(s, np.random.default_rng(92))
+    if name == "det < 0" and np.linalg.det(Cmat) > 0:
+        Cmat = -Cmat
     X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *Cmat.T, scalar=0.3)
     ref = expm_reference(X.entries)
-    assert np.abs(_interaction(X.coeffs[6:].tolist(), X.scalar) - ref).max() <= 1e-12
+    assert np.abs(_matrix(*_interaction(X.coeffs[6:].tolist(), X.scalar)) - ref).max() <= 1e-12
     assert np.abs(exp_imaginary_symmetric(X).U - ref).max() <= 1e-12
+    rng = np.random.default_rng(95)
+    for norm in (1e4, 1e5):
+        for _ in range(6):
+            C = _interaction_matrix(s, rng)
+            X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *C.T, scalar=0.3)
+            X = Su4Element(norm / np.linalg.norm(X.entries) * X.entries)
+            ref = expm_reference(X.entries)
+            # Cmat = 0 is a scalar, which the first row, tridiag, takes.
+            res = exp_auto(X) if name != "rank 0" else exp_imaginary_symmetric(X)
+            assert res.method == "imsym"
+            assert np.linalg.norm(res.U - ref) <= 1e-9, (norm, np.linalg.norm(res.U - ref))
 
 
 def test_normal_split_with_a_nonzero_interaction_matrix():
@@ -522,14 +539,15 @@ def test_bisym_agrees_with_the_normal_split():
     # The normal-split route (3x3 spectral factorization, and e^B = I for
     # p = q = 0) on the same bisymmetric inputs; _bisym takes the five slots
     # of the split the gate finds, each formula its read-out and b.
-    from su4exp.expm import _TABLES, _bisym, _normal_split, _readout
+    from su4exp.expm import _TABLES, _bisym, _matrix, _normal_split, _readout
     rng = np.random.default_rng(86)
     for k in range(9):
         for _ in range(20):
             v = _split_element(k, *rng.uniform(-4, 4, 5)).coeffs
             b = rng.uniform(-3, 3)
-            U = _bisym((_readout("bisym", k) @ v).tolist(), b, k)
-            V = _normal_split((_readout("normal-split") @ v).tolist(), b, _TABLES["normal-split"])
+            U = _matrix(*_bisym((_readout("bisym", k) @ v).tolist(), b, k))
+            V = _matrix(*_normal_split((_readout("normal-split") @ v).tolist(), b,
+                                       _TABLES["normal-split"]))
             assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
