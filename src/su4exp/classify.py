@@ -1,7 +1,7 @@
 """Characteristic polynomial, minimal-polynomial type detection, normality.
 
 Everything reads v = (p, q, vec Cmat) = ``Su4Element.coeffs`` and one
-constant bilinear map of it, the square map D (``model.square_coeffs``):
+constant bilinear map of it, the square map D (``model._square_map``):
 with T_k the basis matrix of slot k of v, X0 = v.T and g = v.v,
 
     X0^2 = -g I - i z.T,   X0 (z.T) = -(v.z) I - i D(v, z).T,   z = D(v, v),
@@ -33,6 +33,10 @@ On v, with beta = i beta_r, they are
     cubic type I        2 sqrt((v.z)^2 + ||g v - D(v, z)||^2) / g
 
 as X0^3 + 2g X0 = i(v.z) I + (g v - D(v, z)).T.  No 4x4 matrix is built.
+g and z are read off the shared product of the element
+(``Su4Element.quadratic``), which the normal-split gate of ``exp_auto`` has
+formed already; nu is formed only for quadratic-II and quartic-distinct,
+and D v only for cubic-I.
 
 Type II also has the paper's constructive test: a real bt with C^T p = bt q,
 C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
@@ -49,11 +53,10 @@ import numpy as np
 from .errors import InputError
 from .model import (
     _PURE_FLAT,
+    _SQUARE_MAP,
     STRUCTURE_TOL,
     Su4Element,
     _cofactors,
-    commutator_coeffs,
-    square_coeffs,
 )
 
 # ||v|| below which 4 g^2 = mu^2 is finite: then so are pi, ||z||^2 <= 3 g^2
@@ -81,30 +84,31 @@ class MinPolyClass(NamedTuple):
     gamma: float | None = None
 
 
-def _invariants(X: Su4Element) -> tuple[float, complex, np.ndarray, np.ndarray]:
-    """mu and nu of det(xI - X0), and z and D v of the square map
-    (``model.square_coeffs``).
-
-    det Cmat (``model._cofactors``) and p^T Cmat q are expanded over v.
-    Raises InputError, before any product, when ||v|| reaches _NORM_MAX.
-    """
-    v = X.coeffs
-    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = w = v.tolist()
-    n = math.hypot(*w)
+def _invariants(X: Su4Element) -> tuple[float, np.ndarray]:
+    """g = v.v and z = D(v, v), read off the products the element shares
+    with the normal-split gate (``Su4Element.quadratic``).  Raises
+    InputError, before any product, when ||v|| reaches _NORM_MAX."""
+    n = math.hypot(*X.coeffs.tolist())
     if not n < _NORM_MAX:
         raise InputError(f"coefficient norm {n:.3e} is past {_NORM_MAX:.3e}: "
                          "the characteristic polynomial overflows")
-    det = _cofactors(w[6:])[1]
+    _, z, g = X.quadratic
+    return g, z
+
+
+def _nu(v: np.ndarray) -> complex:
+    """nu = 8i (det Cmat - p^T Cmat q), both expanded over v (det Cmat by
+    ``model._cofactors``)."""
+    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = w = v.tolist()
     pcq = (p1 * (c11 * q1 + c12 * q2 + c13 * q3) + p2 * (c21 * q1 + c22 * q2 + c23 * q3)
            + p3 * (c31 * q1 + c32 * q2 + c33 * q3))
-    return 2.0 * float(v @ v), 8j * (det - pcq), *square_coeffs(v)
+    return 8j * (_cofactors(w[6:])[1] - pcq)
 
 
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    mu, nu, z, _ = _invariants(X)
-    g = mu / 2.0
-    return CharPolyCoeffs(mu=mu, nu=nu, pi=g * g - float(z @ z))
+    g, z = _invariants(X)
+    return CharPolyCoeffs(mu=2.0 * g, nu=_nu(X.coeffs), pi=g * g - float(z @ z))
 
 
 def check_quadratic_II_conditions(X: Su4Element) -> float | None:
@@ -129,39 +133,37 @@ def check_quadratic_II_conditions(X: Su4Element) -> float | None:
     return bt if np.abs(lhs - bt * rhs).max() <= 1e-9 * scale2 else None
 
 
-def _distances(v: np.ndarray, mu: float, nu: complex, z: np.ndarray, Dv: np.ndarray):
-    """Each minimal-polynomial shape's tag and distance, in ``classify``'s
-    order, from the v-forms of the module docstring with mu > 0; the cubic
-    one's D(v, z) only when it is reached."""
-    g = mu / 2.0
-    yield "quadratic-I", 2.0 * math.hypot(*z.tolist()) / math.sqrt(g)
-    br = (-3.0 * nu / (4.0 * mu)).imag
-    yield "quadratic-II", 2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br)
-    yield "cubic-I", 2.0 * math.hypot(float(v @ z), *(g * v - Dv @ z).tolist()) / g
-
-
-def _shape(tag: str, mu: float, nu: complex) -> MinPolyClass:
-    """The shape ``tag`` with its parameters from mu and nu (module docstring)."""
-    if tag == "quadratic-II":
-        return MinPolyClass(tag, beta=-3.0 * nu / (4.0 * mu), gamma=mu / 2.0)
-    return MinPolyClass(tag, c2=mu / 2.0 if tag == "quadratic-I" else mu)
+def _shapes(v: np.ndarray, g: float, z: np.ndarray):
+    """Each minimal-polynomial shape in ``classify``'s order, as its distance
+    from the v-forms of the module docstring, for g = v.v > 0, and the shape
+    with its parameters (mu = 2g); then quartic-distinct, at |nu| / mu.  nu
+    is formed only once quadratic-II is reached, and D v for cubic-I."""
+    yield 2.0 * math.hypot(*z.tolist()) / math.sqrt(g), MinPolyClass("quadratic-I", c2=g)
+    nu = _nu(v)
+    beta = -3.0 * nu / (8.0 * g)
+    br = beta.imag
+    yield (2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br),
+           MinPolyClass("quadratic-II", beta=beta, gamma=g))
+    Dvz = _SQUARE_MAP.dot(v).reshape(15, 15).dot(z)
+    yield (2.0 * math.hypot(float(v @ z), *(g * v - Dvz).tolist()) / g,
+           MinPolyClass("cubic-I", c2=2.0 * g))
+    yield abs(nu) / (2.0 * g), MinPolyClass("quartic-distinct")
 
 
 def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
     """The distance ``classify`` tests for the shape ``tag``, and the shape
-    with its parameters.  X0 = 0 (mu = 0) satisfies every shape with zero
+    with its parameters.  X0 = 0 (g = 0) satisfies every shape with zero
     parameters, at distance 0, and each formula then gives e^{ib} I exactly;
     ``classify`` still tags it other, as it selects no formula.  Past the
     range of ``_invariants`` the distance is inf, which no gate passes."""
     try:
-        mu, nu, z, Dv = _invariants(X)
+        g, z = _invariants(X)
     except InputError:
         return math.inf, MinPolyClass(tag)
-    if not mu:
+    if not g:
         params = {"beta": 0.0, "gamma": 0.0} if tag == "quadratic-II" else {"c2": 0.0}
         return 0.0, MinPolyClass(tag, **params)
-    d = next(d for t, d in _distances(X.coeffs, mu, nu, z, Dv) if t == tag)
-    return d, _shape(tag, mu, nu)
+    return next((d, m) for d, m in _shapes(X.coeffs, g, z) if m.tag == tag)
 
 
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
@@ -169,19 +171,15 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
 
     The first of quadratic-I, quadratic-II and cubic-I whose distance (module
     docstring) is at most tol, so that its formula is within tol of e^X.
-    Otherwise quartic-distinct when |nu| <= tol mu (nu = 0: a spectrum
+    Otherwise quartic-distinct when |nu| / mu <= tol (nu = 0: a spectrum
     symmetric about 0), else other; neither selects a formula.  Raises
     InputError past the range of ``_invariants``.
     """
-    mu, nu, z, Dv = _invariants(X)
-    if mu == 0.0:
+    g, z = _invariants(X)
+    if g == 0.0:
         return MinPolyClass(tag="other")
-    for tag, d in _distances(X.coeffs, mu, nu, z, Dv):
-        if d <= tol:
-            return _shape(tag, mu, nu)
-    if abs(nu) <= tol * mu:
-        return MinPolyClass(tag="quartic-distinct")
-    return MinPolyClass(tag="other")
+    return next((m for d, m in _shapes(X.coeffs, g, z) if d <= tol),
+                MinPolyClass(tag="other"))
 
 
 def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
@@ -208,11 +206,11 @@ def is_normal_type(X: Su4Element) -> tuple[bool, np.ndarray]:
 
         [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b},  K = [p]x Cmat - Cmat [q]x
 
-    (``model.commutator_coeffs``), and the verdict is the dispatch gate's
+    (``model.quadratic_forms``), and the verdict is the dispatch gate's
     rule, 1/2 ||[B, C]||_F = 2 ||K||_F <= STRUCTURE_TOL.
     """
-    K = commutator_coeffs(X.coeffs)
-    return (2.0 * math.sqrt(float((K * K).sum())) <= STRUCTURE_TOL,
+    K = X.quadratic[0]
+    return (2.0 * math.sqrt(float(K @ K)) <= STRUCTURE_TOL,
             2.0 * (K @ _PURE_FLAT).reshape(4, 4))
 
 

@@ -131,7 +131,7 @@ def _demo_map(name: str) -> np.ndarray:
 def _bisym_split(M: np.ndarray) -> int:
     """The bisymmetric gate's split on M's range: the gate on the sum of
     |columns|, whose support holds every column's, keeps all of them."""
-    return _drop_gates(np.abs(M[:15]).sum(axis=1))["bisym"][1]
+    return _drop_gates(Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))["bisym"][1]
 
 
 _RABI_MAP, _JOSEPHSON_MAP, _JCOUPLING_MAP = map(_demo_map, DEMOS)

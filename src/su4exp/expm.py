@@ -22,9 +22,10 @@ low-degree minimal-polynomial evaluations, coefficients on I, X and X^2:
     quadratic type II   e^X = e^{-beta} exp(X + beta I)
     cubic type I        e^X = I + sinc(c) X + (1-cos c)/c^2 X^2
 
-Their rows take v, b and the shape: X0 is v on the basis, and X0^2 = -(v.v) I
-- i z.T with z from the square map (``model.square_coeffs``), so each is
-coefficients on [I; basis] (``_BASES``) with no 4x4 matrix built.
+Their rows take the element, b and the shape: X0 is v on the basis, and
+X0^2 = -(v.v) I - i z.T with z read off the element's shared product
+(``Su4Element.quadratic``), so each is coefficients on [I; basis]
+(``_BASES``) with no 4x4 matrix built.
 
 All nine rows follow one rule: a row applies when a distance that bounds
 the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
@@ -41,7 +42,8 @@ parameter a formula takes, a minimal-polynomial shape's included, from the
 element; ``exp_tridiag``, on parameters, is the one exception.
 ``exp_auto`` takes the first structured row whose gate passes, then the
 minimal-polynomial row ``classify`` names, then a magic-basis conjugation
-whose image passes a structured gate, and finally the Taylor-series
+whose image passes a structured gate (both conjugates' entries are one
+constant map of (v, b), ``model._magic_entries``), and finally the Taylor-series
 reference exponential; an input too large for e^X to have a determined
 digit raises InputError first.
 All results carry a method tag and a unitarity residual, and every U is e^X
@@ -78,8 +80,7 @@ from .model import (
     STRUCTURE_TOL,
     Su4Element,
     _cofactors,
-    commutator_coeffs,
-    square_coeffs,
+    _magic_entries,
 )
 from .oracle import _EPS, _check_range, expm_reference
 
@@ -177,7 +178,7 @@ def is_imaginary_symmetric(X: Su4Element) -> bool:
 def is_normal_element(X: Su4Element) -> bool:
     """[B, C] = 0 for the real/imaginary split of the traceless part.
 
-    Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``model.commutator_coeffs``).
+    Tests 1/2 ||[B, C]||_F = 2 ||K||_F (``Su4Element.quadratic``).
     """
     return gate_distance("normal-split", X) <= STRUCTURE_TOL
 
@@ -195,14 +196,13 @@ def _quadratic(v: np.ndarray, b: float, beta: complex, gamma: complex) -> tuple:
     return np.concatenate(([e * (cmath.cos(c) + beta * s)], e * s * v)), _BASES
 
 
-def _cubic(v: np.ndarray, b: float, c2: complex) -> tuple:
+def _cubic(v: np.ndarray, b: float, c2: complex, z: np.ndarray) -> tuple:
     """Euler-Rodrigues for X0^3 = -c^2 X0: e^{ib} e^X0 = e^{ib} [I + s X0 +
     k X0^2] = e^{ib} [1 - k g, s v - i k z] on [I; basis], with s = sinc(c)
     and k = (1-cos c)/c^2 (both even in c), as X0^2 = -g I - i z.T with z =
-    D(v, v) (``model.square_coeffs``) and g = v.v = c^2 / 2."""
+    D(v, v) (``Su4Element.quadratic``) and g = v.v = c^2 / 2."""
     c, E = cmath.sqrt(c2), cmath.exp(1j * b)
     c1, k = E * sinc(c), E * cosm1_over_c2(c)
-    z = square_coeffs(v)[0]
     return np.concatenate(([E - k * (c2 / 2.0)], c1 * v - 1j * k * z)), _BASES
 
 
@@ -354,10 +354,10 @@ class Family(NamedTuple):
     (``_readout``) as floats, the scalar part b, and its row's table
     (``_TABLES``) or the bisymmetric split its gate found.  A row without a
     predicate is the minimal-polynomial shape ``label``, and its formula
-    takes v, b and that shape's ``MinPolyClass``.  ``groups`` holds the
-    Pauli labels of each rotation factor read off v.  Every formula returns
-    scalar coefficients and a constant table whose product is e^X
-    (``_matrix``), with the scalar phase e^{ib} in its coefficients.
+    takes the element, b and that shape's ``MinPolyClass``.  ``groups``
+    holds the Pauli labels of each rotation factor read off v.  Every
+    formula returns scalar coefficients and a constant table whose product
+    is e^X (``_matrix``), with the scalar phase e^{ib} in its coefficients.
     """
 
     method: str
@@ -379,9 +379,10 @@ FAMILY_TABLE = (
     # e^B: the p slots, then the q slots of v.
     Family("normal-split", "normal-type", _normal_split, "is_normal_element",
            groups=("0y yx yz", "y0 xy zy")),
-    Family("quad-I", "quadratic-I", lambda v, b, m: _quadratic(v, b, 0.0, m.c2)),
-    Family("quad-II", "quadratic-II", lambda v, b, m: _quadratic(v, b, m.beta, m.gamma)),
-    Family("cubic-I", "cubic-I", lambda v, b, m: _cubic(v, b, m.c2)),
+    Family("quad-I", "quadratic-I", lambda X, b, m: _quadratic(X.coeffs, b, 0.0, m.c2)),
+    Family("quad-II", "quadratic-II",
+           lambda X, b, m: _quadratic(X.coeffs, b, m.beta, m.gamma)),
+    Family("cubic-I", "cubic-I", lambda X, b, m: _cubic(X.coeffs, b, m.c2, X.quadratic[1])),
 )
 _ROWS = {fam.method: fam for fam in FAMILY_TABLE}
 _BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
@@ -457,8 +458,8 @@ _TRIDIAG_READ = _readout_map("tridiag", _TRIDIAG_VB)
 # -- structure gates: stages of rows' squared distances over 4 from v, and
 # what the formula takes of the gate (the bisymmetric split, else None).
 
-def _tridiag_gate(v: np.ndarray) -> dict:
-    u = _TRIDIAG_RESID @ v
+def _tridiag_gate(X: Su4Element) -> dict:
+    u = _TRIDIAG_RESID.dot(X.coeffs)
     return {"tridiag": (u @ u, None)}
 
 
@@ -468,20 +469,22 @@ _DROP = np.vstack([1.0 - np.diag(_PROJECTOR["perskew"]), 1.0 - np.diag(_PROJECTO
                    _SPLIT_OFF, 1.0 - np.diag(_PROJECTOR["imsym"])])
 
 
-def _drop_gates(v: np.ndarray) -> dict:
+def _drop_gates(X: Su4Element) -> dict:
+    v = X.coeffs
     s = (_DROP @ (v * v)).tolist()
     k = s.index(min(s[2:11]), 2)
     return {"perskew": (s[0], None), "skewham": (s[1], None), "bisym": (s[k], k - 2),
             "imsym": (s[11], None)}
 
 
-def _normal_gate(v: np.ndarray) -> dict:
-    K = commutator_coeffs(v)
+def _normal_gate(X: Su4Element) -> dict:
+    K = X.quadratic[0]
     return {"normal-split": (K @ K, None)}
 
 
 _STAGES = (_tridiag_gate, _drop_gates, _normal_gate)
-_STAGE = {m: stage for stage in _STAGES for m in stage(np.zeros(15))}
+_STAGE = dict.fromkeys(("perskew", "skewham", "bisym", "imsym"), _drop_gates) | {
+    "tridiag": _tridiag_gate, "normal-split": _normal_gate}
 
 
 def _gate(method: str, X: Su4Element) -> tuple[float, object]:
@@ -492,14 +495,15 @@ def _gate(method: str, X: Su4Element) -> tuple[float, object]:
     2||v - P v|| for its projector P: for a diagonal P, and for the
     bisymmetric split (the nearest of the nine, ties to the first), twice
     the root of a sum of v's squared slots.  The normal split's is the
-    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F (``model.commutator_coeffs``).
+    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F, K read off the shared
+    product (``Su4Element.quadratic``) that ``classify`` reads too.
     A minimal-polynomial row's is its shape's (``classify.shape``), whose
     ``MinPolyClass`` the formula takes.
     """
     fam = _ROWS[method]
     if not fam.gate:
         return shape(X, fam.label)
-    d2, arg = _STAGE[method](X.coeffs)[method]
+    d2, arg = _STAGE[method](X)[method]
     return 2.0 * math.sqrt(d2), arg
 
 
@@ -512,9 +516,8 @@ def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | Non
     """The first structured row whose gate distance is at most tol, and its
     gate's split: the tridiagonal residual, then one product for the next
     four rows, and the normal split's commutator only if all of those fail."""
-    v = X.coeffs
     for stage in _STAGES:
-        for method, (d2, arg) in stage(v).items():
+        for method, (d2, arg) in stage(X).items():
             if 2.0 * math.sqrt(d2) <= tol:
                 return _ROWS[method], arg
     return None, None
@@ -535,10 +538,10 @@ def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
     """e^X by the row's formula, which applies the scalar phase (``_matrix``).
 
     A structured formula takes the row's read-out of v, b and its row's
-    table, or the split its gate found (arg); a minimal-polynomial one v, b
-    and its shape (arg).
+    table, or the split its gate found (arg); a minimal-polynomial one the
+    element, b and its shape (arg).
     """
-    w = _readout(fam.method, arg).dot(X.coeffs).tolist() if fam.gate else X.coeffs
+    w = _readout(fam.method, arg).dot(X.coeffs).tolist() if fam.gate else X
     return _matrix(*fam.formula(w, X.scalar, _TABLES.get(fam.method, arg)))
 
 
@@ -655,8 +658,9 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     fam = _BY_TAG.get(cls.tag)
     if fam is not None:
         return ExpResult(_unitary(fam, X, cls), fam.method)
-    for W, Wh in ((MAGIC_BASIS, MAGIC_ADJOINT), (MAGIC_ADJOINT, MAGIC_BASIS)):
-        Y = Su4Element(W @ X.entries @ Wh)
+    for entries, W, Wh in zip(_magic_entries(X), (MAGIC_BASIS, MAGIC_ADJOINT),
+                              (MAGIC_ADJOINT, MAGIC_BASIS)):
+        Y = Su4Element(entries)
         fam, arg = _structured_row(Y, tol)
         if fam is not None:
             return ExpResult(Wh @ _unitary(fam, Y, arg) @ W, "magic")

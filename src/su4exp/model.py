@@ -15,12 +15,17 @@ Hermitian defect X + X* that the anti-Hermitian test reads; the Pauli
 coefficients are a signed permutation of v, read off ``PAULI_TO_QT_TABLE``.
 The matrices X0 = v @ _QT_STACK and X = X0 + i b I, and the Pauli and
 quintuple views of v, are built from v on first access; ``traceless`` is the
-one map from coefficients to matrices, and the views are data.
+one map from coefficients to matrices, and the views are data.  So is the
+shared product: the 120 products v_i v_j (i <= j), formed at most once per
+element (``Su4Element.quadratic``), from which one constant map reads the
+commutator coefficients K of the normal-split gate and the z = D(v, v) and
+v.v of ``classify``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -107,6 +112,9 @@ def _input_map() -> np.ndarray:
 
 
 _INPUT_MAP = _input_map()
+# Each row of _INPUT_MAP has absolute sum at most 2: below this bound on the
+# entries, no partial sum of its product overflows.
+_ENTRY_NORM_MAX = sys.float_info.max / 4.0
 # X0's float view: v @ _QT_VIEW is (v @ _QT_STACK).view(float).
 _QT_VIEW = _QT_STACK.view(float)
 
@@ -136,25 +144,18 @@ def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
 _PAULI_SLOT, _PAULI_SIGN = _pauli_permutation()
 _IEYE4 = 1j * np.eye(4)
 
-# K = [p]x Cmat - Cmat [q]x is bilinear in (p, q) and Cmat: vec K =
-# _K_MAP @ vec outer((p, q), vec Cmat), and that outer product is
-# v[_PQ_SLOT] * v[_C_SLOT].  With eps the Levi-Civita symbol, the coefficient
-# of p_d Cmat_ce in K_ab is eps_adc delta_be, and that of q_d Cmat_ce is
-# -delta_ac eps_edb; _K_MAP's axes before the reshape are (a, b, d, c, e).
+# K = [p]x Cmat - Cmat [q]x is bilinear in (p, q) and Cmat: with eps the
+# Levi-Civita symbol, the coefficient of p_d Cmat_ce in K_ab is eps_adc
+# delta_be, and that of q_d Cmat_ce is -delta_ac eps_edb.  _K_FORM holds them
+# with axes (vec K, slot d of (p, q), vec Cmat); before the reshape they are
+# (a, b, d, c, e).
 _EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                  [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
                  [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
 _I3 = np.eye(3)
-_K_MAP = np.concatenate(
+_K_FORM = np.concatenate(
     (_EPS[:, None, :, :, None] * _I3[None, :, None, None, :],
-     -_I3[:, None, None, :, None] * _EPS.T[None, :, :, None, :]), axis=2).reshape(9, 54)
-_PQ_SLOT = np.arange(54) // 9
-_C_SLOT = np.arange(54) % 9 + 6
-
-
-def commutator_coeffs(v: np.ndarray) -> np.ndarray:
-    """vec K for v = (p, q, vec Cmat), so that [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b}."""
-    return _K_MAP @ (v[_PQ_SLOT] * v[_C_SLOT])
+     -_I3[:, None, None, :, None] * _EPS.T[None, :, :, None, :]), axis=2).reshape(9, 6, 9)
 
 
 def _square_map() -> np.ndarray:
@@ -166,7 +167,8 @@ def _square_map() -> np.ndarray:
     _COEFF_MAP reads the anti-Hermitian part of i T_i T_j, which is
     i/2 (T_i T_j + T_j T_i), the scalar -i delta_ij I aside; so D is
     symmetric in i, j.  Every T_i T_j is one product, rows (i, a) of the
-    stacked T times columns (j, c).
+    stacked T times columns (j, c).  So X0^2 = -(v.v) I - i z.T with z =
+    D(v, v), and D(v, w) = (D v) w, D v = (D @ v).reshape(15, 15).
     """
     T = _QT_STACK.reshape(15, 4, 4)
     P = (1j * T.reshape(60, 4)) @ T.transpose(1, 0, 2).reshape(4, 60)
@@ -175,13 +177,34 @@ def _square_map() -> np.ndarray:
 
 
 _SQUARE_MAP = _square_map()
+# The shared products v_i v_j, i <= j, are v[_PAIR_I] * v[_PAIR_J].
+_PAIR_I, _PAIR_J = np.nonzero(np.tri(15, dtype=bool).T)
 
 
-def square_coeffs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z = D(v, v) and the (15, 15) matrix D v, for the square map D
-    (``_square_map``): X0^2 = -(v.v) I - i z.T, and D(v, w) = (D v) w."""
-    Dv = (_SQUARE_MAP @ v).reshape(15, 15)
-    return Dv @ v, Dv
+def _quadratic_map() -> np.ndarray:
+    """(25, 120) real Q taking the 120 products v_i v_j, i <= j, to (vec K,
+    z, g): the commutator coefficients K of the normal-split gate, and z =
+    D(v, v) (``_square_map``) and g = v.v of ``classify``.  Each is a form
+    F(v, v) = sum_ij F_ij v_i v_j, so the column of (i, j) is F_ij + F_ji,
+    and F_ii on the diagonal."""
+    F = np.zeros((25, 15, 15))
+    F[:9, :6, 6:] = _K_FORM
+    F[9:24] = _SQUARE_MAP.reshape(15, 15, 15)
+    F.reshape(25, 225)[24, ::16] = 1.0
+    F += F.transpose(0, 2, 1)
+    F.reshape(25, 225)[:, ::16] *= 0.5
+    return F[:, _PAIR_I, _PAIR_J]
+
+
+_QUADRATIC_MAP = _quadratic_map()
+
+
+def quadratic_forms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """vec K, z = D(v, v) and g = v.v for v = (p, q, vec Cmat), read off the
+    products v_i v_j by one constant map (``_quadratic_map``): [B, C] = 2
+    sum_ab K_ab M_{e_a (x) e_b}, and X0^2 = -g I - i z.T."""
+    q = _QUADRATIC_MAP.dot(v[_PAIR_I] * v[_PAIR_J])
+    return q[:9], q[9:24], float(q[24])
 
 
 def _cofactors(w: list[float]) -> tuple[list[float], float]:
@@ -237,28 +260,37 @@ class Su4Element:
 
     ``coeffs`` is v = (p, q, vec Cmat) and ``scalar`` the real b with
     trace(X) = 4ib.  The constructor reads both, and the Hermitian defect
-    it tests, off the input entries with one constant product
-    (``_INPUT_MAP``); the other constructors take the coefficients.  Every
-    matrix comes from v: ``traceless`` is X0 = v @ _QT_STACK and
-    ``entries`` is X0 + i b I, the anti-Hermitian projection of the input.
-    They and the ``pauli`` and ``quintuple`` views are cached properties,
-    built on first access.
+    D it tests, off the input entries with one constant product
+    (``_INPUT_MAP``), and takes max |X_ij| for the exact test only when
+    ||D|| exceeds ANTIHERM_TOL max(1, ||X||_F / 4); the other constructors
+    take the coefficients.  Every matrix comes from v: ``traceless`` is
+    X0 = v @ _QT_STACK and ``entries`` is X0 + i b I, the anti-Hermitian
+    projection of the input.  They, the ``pauli`` and ``quintuple`` views
+    and the shared products (``quadratic``) are cached properties, built on
+    first access.
     """
 
     def __init__(self, entries: np.ndarray):
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
-        amax = np.abs(entries).max()
-        # Before any product: every comparison with NaN is false.
-        # A NaN entry makes amax NaN, an infinite one makes it inf.
-        if not math.isfinite(amax):
-            raise InputError("matrix has non-finite entries")
-        y = _INPUT_MAP @ entries.reshape(16).view(float)
-        herm_resid = np.abs(y[16:].view(complex)).max()
-        if herm_resid > ANTIHERM_TOL * max(1.0, amax):
-            raise InputError(
-                f"matrix is not anti-Hermitian (residual {herm_resid:.3e})")
+        x = entries.reshape(16).view(float)
+        # hypot raises no flag, and is NaN or inf on a non-finite entry.
+        n = math.hypot(*x.tolist())
+        y = _INPUT_MAP.dot(x) if n < _ENTRY_NORM_MAX else None
+        # max |D_ij| <= ||D|| and ||X||_F <= 4 max |X_ij|: a defect within
+        # this bound passes the exact test below too.
+        if y is None or math.hypot(*y[16:].tolist()) > ANTIHERM_TOL * max(1.0, 0.25 * n):
+            with np.errstate(all="ignore"):
+                amax = np.abs(entries).max()
+                # A NaN entry makes amax NaN, an infinite one makes it inf.
+                if not math.isfinite(amax):
+                    raise InputError("matrix has non-finite entries")
+                y = _INPUT_MAP.dot(x)
+                herm_resid = np.abs(y[16:].view(complex)).max()
+            if herm_resid > ANTIHERM_TOL * max(1.0, amax):
+                raise InputError(
+                    f"matrix is not anti-Hermitian (residual {herm_resid:.3e})")
         self._set(y[:15], float(y[15]))
 
     def _set(self, v: np.ndarray, scalar: float) -> None:
@@ -312,6 +344,12 @@ class Su4Element:
     @cached_property
     def entries(self) -> np.ndarray:
         return self.traceless + self.scalar * _IEYE4
+
+    @cached_property
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(vec K, z, v.v), the quadratic forms of v that the normal-split
+        gate and ``classify`` share (``quadratic_forms``)."""
+        return quadratic_forms(self.coeffs)
 
     @cached_property
     def pauli(self) -> PauliCoeffs:
@@ -381,6 +419,23 @@ def canonicalize(X: Su4Element) -> CanonicalForm:
                          local_unitary=local, u1=u1, u2=u2)
 
 
+def _magic_maps() -> np.ndarray:
+    """(16, 64) real map taking (v, b) to the float views of V X V* and
+    V* X V: the two conjugates of each basis matrix and of i I."""
+    T = np.concatenate((_QT_STACK, _IEYE4.reshape(1, 16))).reshape(16, 1, 4, 4)
+    W = np.array((MAGIC_BASIS, MAGIC_ADJOINT))
+    return (W @ T @ W[::-1]).reshape(16, 32).view(float)
+
+
+_MAGIC_MAPS = _magic_maps()
+
+
+def _magic_entries(X: Su4Element) -> np.ndarray:
+    """V X V* and V* X V as a (2, 4, 4) array: one product of (v, b)."""
+    vb = np.concatenate((X.coeffs, (X.scalar,)))
+    return vb.dot(_MAGIC_MAPS).view(complex).reshape(2, 4, 4)
+
+
 def magic_conjugate(X: Su4Element) -> Su4Element:
     """Conjugate by the magic-basis matrix: returns V X V*."""
-    return Su4Element(MAGIC_BASIS @ X.entries @ MAGIC_ADJOINT)
+    return Su4Element(_magic_entries(X)[0])

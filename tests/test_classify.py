@@ -18,7 +18,7 @@ from su4exp.classify import (
 from su4exp.errors import InputError
 from su4exp.expm import is_normal_element
 from su4exp.families import FAMILIES
-from su4exp.model import Su4Element, _cofactors
+from su4exp.model import _QT_STACK, STRUCTURE_TOL, Su4Element, _cofactors
 
 from reference import (
     charpoly_canonical,
@@ -169,6 +169,43 @@ def test_shape_distances_on_v_equal_their_matrix_forms():
             tags.add(tag)
     assert tags == {"quadratic-I", "quadratic-II", "cubic-I", "quartic-distinct", "other"}
     assert split <= 2
+
+
+def _shared_product_inputs():
+    """Family samples at ||X0||_F = 1, 1e3 and 1e5, and quadratic-I samples
+    with relative anti-Hermitian noise from 1e-13 to 1e-9."""
+    rng = np.random.default_rng(61)
+    for sampler, _ in FAMILIES.values():
+        for norm in (1.0, 1e3, 1e5):
+            for _ in range(4):
+                A = sampler(rng).traceless
+                yield Su4Element(norm / np.linalg.norm(A) * A)
+    sampler = FAMILIES["quad-I"][0]
+    for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+        for _ in range(6):
+            A = sampler(rng).traceless
+            H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            H = H + H.conj().T
+            yield Su4Element(A + 1j * H * (eps * np.linalg.norm(A) / np.linalg.norm(H)))
+
+
+def test_shared_products_give_the_invariants_and_distances_of_X0_products():
+    # X0^2 = -g I - i z.T, with the basis matrices orthogonal to I and to
+    # each other, of squared norm 4: g and z of the shared products match
+    # X0 @ X0 to 1e-14 ||X0||_F^2, and each shape's distance its matrix form
+    # (``reference``) to 1e-14 max(d, ||X0||_F).
+    for X in _shared_product_inputs():
+        A = X.traceless
+        n = float(np.linalg.norm(A))
+        _, z, g = X.quadratic
+        A2 = A @ A
+        g_ref = -np.trace(A2).real / 4.0
+        z_ref = (_QT_STACK.conj() @ (1j * (A2 + g_ref * np.eye(4))).ravel()).real / 4.0
+        assert abs(g - g_ref) <= 1e-14 * n * n
+        assert np.abs(z - z_ref).max() <= 1e-14 * n * n
+        ref, _ = _matrix_distances(X, STRUCTURE_TOL)
+        for tag, d_ref in ref.items():
+            assert abs(shape(X, tag)[0] - d_ref) <= 1e-14 * max(d_ref, n), (tag, d_ref)
 
 
 def test_classify_quadratic_I():

@@ -208,7 +208,9 @@ def test_demo_map_lies_on_its_row(demo):
 
 def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     # The maps are built at import; a call is one product and the row's
-    # formula, with no Su4Element and no gate stage.
+    # formula, with no Su4Element, no gate stage and no shared products.
+    import su4exp.model as model
+
     calls = []
 
     def counted(name, fn):
@@ -220,6 +222,8 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     monkeypatch.setattr(Su4Element, "__init__", counted("__init__", Su4Element.__init__))
     monkeypatch.setattr(Su4Element, "_from_coeffs",
                         classmethod(counted("_from_coeffs", Su4Element._from_coeffs.__func__)))
+    monkeypatch.setattr(model, "quadratic_forms",
+                        counted("quadratic_forms", model.quadratic_forms))
     wrapped = {stage: counted(stage.__name__, stage) for stage in expm._STAGES}
     monkeypatch.setattr(expm, "_STAGES", tuple(wrapped.values()))
     monkeypatch.setattr(expm, "_STAGE", {m: wrapped[s] for m, s in expm._STAGE.items()})
@@ -230,4 +234,6 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     Su4Element(np.zeros((4, 4)))
     Su4Element._from_coeffs(np.zeros(15))
     expm.exp_auto(Su4Element._from_coeffs(np.zeros(15)))
-    assert {"__init__", "_from_coeffs", "_tridiag_gate"} <= set(calls)
+    gate_distance("normal-split", Su4Element._from_coeffs(np.ones(15)))
+    assert {"__init__", "_from_coeffs", "_tridiag_gate", "_normal_gate",
+            "quadratic_forms"} <= set(calls)

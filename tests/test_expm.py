@@ -40,7 +40,7 @@ from su4exp.expm import (
     sinc,
 )
 from su4exp.families import FAMILIES
-from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element, commutator_coeffs
+from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element, quadratic_forms
 from su4exp.oracle import expm_reference
 
 from reference import cross_matrix, mat_pure_pure, pauli_kron
@@ -938,24 +938,35 @@ def test_gate_distances_match_their_definitions():
 
 
 def test_a_gate_computes_only_its_own_row(monkeypatch):
-    # Only the normal-split gate forms the commutator coefficients, and
-    # dispatch stops at the first row that passes.
-    import su4exp.expm as expm
+    # Only the normal-split gate forms the shared products
+    # (``model.quadratic_forms``), and dispatch stops at the first row that
+    # passes: a tridiagonal or drop-row input never forms them.  An element
+    # forms them at most once, and classify and the cubic formula read the
+    # normal-split gate's formation.
+    import su4exp.model as model
 
     calls = []
-    monkeypatch.setattr(expm, "commutator_coeffs",
-                        lambda v: calls.append(1) or commutator_coeffs(v))
+    monkeypatch.setattr(model, "quadratic_forms",
+                        lambda v: calls.append(1) or quadratic_forms(v))
     rng = np.random.default_rng(90)
     X = FAMILIES["bisym"][0](rng)
     for fam in FAMILY_TABLE:
         if fam.gate:
             del calls[:]
-            gate_distance(fam.method, X)
+            gate_distance(fam.method, Su4Element._from_coeffs(X.coeffs, X.scalar))
             assert len(calls) == (fam.method == "normal-split"), fam.method
     del calls[:]
     assert exp_bisymmetric_fast(X).method == "bisym"
-    assert exp_auto(FAMILIES["tridiag"][0](rng)).method == "tridiag"
+    for method in ("tridiag", "perskew", "skewham", "bisym", "imsym"):
+        assert exp_auto(FAMILIES[method][0](rng)).method == method
     assert calls == []
+    for method in ("quad-I", "quad-II", "cubic-I"):
+        Y = FAMILIES[method][0](rng)
+        assert exp_auto(Y).method == method
+        assert len(calls) == 1, method
+        classify(Y), charpoly(Y), is_normal_element(Y), closed_form(method, Y)
+        assert len(calls) == 1, method
+        del calls[:]
 
 
 @pytest.mark.parametrize("name", [fam.method for fam in FAMILY_TABLE if fam.gate])

@@ -1,6 +1,8 @@
 """Decompositions of anti-Hermitian 4x4 generators: Pauli coefficients,
 quaternion quintuple, canonical form, magic-basis conjugation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from su4exp.model import (
     ANTIHERM_TOL,
     MAGIC_BASIS,
     Su4Element,
+    MAGIC_ADJOINT,
     canonicalize,
-    commutator_coeffs,
     magic_conjugate,
+    quadratic_forms,
     su2_from_so3,
 )
 from su4exp.qtensor import PAULI, qt_basis_matrix
@@ -38,6 +41,77 @@ def test_rejects_non_finite(bad):
     A[0, 1] = bad
     with pytest.raises(InputError, match="non-finite"):
         Su4Element(A)
+
+
+def _input_verdict(A):
+    """The input test by its definition: the error message for entries A, or
+    None.  Finite entries, and a Hermitian defect D = A + A* whose largest
+    modulus is at most ANTIHERM_TOL max(1, max |A_ij|)."""
+    with np.errstate(all="ignore"):
+        amax = np.abs(A).max()
+        if not np.isfinite(amax):
+            return "matrix has non-finite entries"
+        resid = np.abs(A + A.conj().T).max()
+    if resid > ANTIHERM_TOL * max(1.0, amax):
+        return f"matrix is not anti-Hermitian (residual {resid:.3e})"
+    return None
+
+
+def _error_path_inputs():
+    """Non-finite entries, finite ones near the float maximum, and defects at
+    0.2 and (1 +- 1e-6) times the tolerance."""
+    zero = np.zeros((4, 4), dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        for entry in ((0, 0), (0, 1), (3, 2)):
+            A = zero.copy()
+            A[entry] = bad
+            yield A
+    for (i, j), value in (((0, 1), np.inf), ((0, 0), 1j * np.inf)):
+        A = zero.copy()
+        A[i, j], A[j + 1, i + 1] = value, -value
+        yield A
+    rng = np.random.default_rng(41)
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    X = (H - H.conj().T) / np.abs(H - H.conj().T).max()
+    for top in (1e300, 1.7e308 / 8.0, 1.7e308):
+        yield top * X                        # anti-Hermitian
+        A = top * X
+        A[0, 1] *= 1.0 + 1e-6                # a defect far above the tolerance
+        yield A
+        A = zero.copy()
+        A[0, 1] = A[1, 0] = top              # Hermitian: the defect overflows
+        yield A
+        A = zero.copy()
+        A[0, 1], A[1, 0] = top, -top         # anti-Hermitian
+        A[:2, :2] += 1j * top * np.eye(2)
+        yield A
+    # The defect 2 Re A_00 is exact: f tol max(1, amax).
+    for amax in (1e-3, 1.0, 1e6):
+        for f in (0.2, 1.0 - 1e-6, 1.0 + 1e-6):
+            A = zero.copy()
+            A[0, 1], A[1, 0], A[2, 3], A[3, 2] = amax, -amax, 0.5j * amax, 0.5j * amax
+            A[0, 0] = 0.5 * f * ANTIHERM_TOL * max(1.0, amax)
+            yield A
+
+
+def test_constructor_errors_follow_the_input_test():
+    # Each input raises InputError with the message of the input test's
+    # definition, or passes when that test passes, and no input raises a
+    # floating-point warning on the way.
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in _error_path_inputs():
+            want = _input_verdict(A)
+            if want is None:
+                X = Su4Element(A)
+                assert np.isfinite(X.coeffs).all() and np.isfinite(X.scalar)
+            else:
+                with pytest.raises(InputError) as err:
+                    Su4Element(A)
+                assert str(err.value) == want
+            outcomes.add(want.split(" (")[0] if want else want)
+    assert outcomes == {None, "matrix has non-finite entries", "matrix is not anti-Hermitian"}
 
 
 def test_scalar_split():
@@ -329,13 +403,14 @@ def test_commutator_coeffs_match_cross_product_definition():
         K = cross_matrix(d.p) @ d.Cmat - d.Cmat @ cross_matrix(d.q)
         # Rounding of a bilinear form: relative to ||(p, q)|| ||Cmat||.
         scale = np.linalg.norm(X.coeffs[:6]) * np.linalg.norm(X.coeffs[6:])
-        assert np.abs(commutator_coeffs(X.coeffs) - K.ravel()).max() <= 1e-14 * scale
+        assert np.abs(quadratic_forms(X.coeffs)[0] - K.ravel()).max() <= 1e-14 * scale
 
 
 def test_square_map_gives_the_square_and_its_product_with_X0():
     # X0^2 = -g I - i z.T and X0 (z.T) = -(v.z) I - i D(v, z).T, with
-    # z = D(v, v) and D(v, z) = (D v) z.
-    from su4exp.model import square_coeffs
+    # z = D(v, v) and g = v.v read off the shared products, and D(v, z) =
+    # (D v) z.
+    from su4exp.model import _SQUARE_MAP
 
     def on_basis(w):
         return (w @ _QT_STACK).reshape(4, 4)
@@ -345,12 +420,26 @@ def test_square_map_gives_the_square_and_its_product_with_X0():
         v = rng.normal(size=15)
         v *= norm / np.linalg.norm(v)
         X0 = Su4Element.from_quintuple(v[:3], v[3:6], *v[6:].reshape(3, 3).T).traceless
-        z, Dv = square_coeffs(v)
-        g = v @ v
+        _, z, g = quadratic_forms(v)
+        Dv = (_SQUARE_MAP @ v).reshape(15, 15)
         tol = 1e-13 * max(1.0, g * g)
+        assert abs(g - v @ v) <= 1e-15 * (v @ v)
         assert np.abs(X0 @ X0 - (-g * np.eye(4) - 1j * on_basis(z))).max() <= tol
         want = -(v @ z) * np.eye(4) - 1j * on_basis(Dv @ z)
         assert np.abs(X0 @ on_basis(z) - want).max() <= tol
+
+
+def test_magic_conjugates_are_the_products_with_the_magic_basis():
+    # One constant map of (v, b) gives V X V* and V* X V, equal to the 4x4
+    # products to rounding; magic_conjugate builds its element from the first.
+    from su4exp.model import _magic_entries
+    for A in _u4_inputs(seed=49, n=40):
+        X = Su4Element(A)
+        E = _magic_entries(X)
+        tol = 1e-14 * max(1.0, np.abs(A).max())
+        for k, (W, Wh) in enumerate(((MAGIC_BASIS, MAGIC_ADJOINT), (MAGIC_ADJOINT, MAGIC_BASIS))):
+            assert np.abs(E[k] - W @ X.entries @ Wh).max() <= tol
+        assert np.array_equal(magic_conjugate(X).coeffs, Su4Element(E[0]).coeffs)
 
 
 def test_decompositions_are_built_on_first_access():
