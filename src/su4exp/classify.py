@@ -35,8 +35,11 @@ On v, with beta = i beta_r, they are
 as X0^3 + 2g X0 = i(v.z) I + (g v - D(v, z)).T.  No 4x4 matrix is built.
 g and z are read off the shared product of the element
 (``Su4Element.quadratic``), which the normal-split gate of ``exp_auto`` has
-formed already; nu is formed only for quadratic-II and quartic-distinct,
-and D v only for cubic-I.
+formed already.  ``classify`` tests the shapes in the order above, then
+quartic-distinct, in one straight-line walk (``_walk``): nu is formed only
+once quadratic-II is reached, D v only for cubic-I, and the one
+``MinPolyClass`` built is the shape returned.  ``shape`` is the same walk
+told to accept no shape before the one it asks for.
 
 Type II also has the paper's constructive test: a real bt with C^T p = bt q,
 C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
@@ -84,16 +87,15 @@ class MinPolyClass(NamedTuple):
     gamma: float | None = None
 
 
-def _invariants(X: Su4Element) -> tuple[float, np.ndarray]:
-    """g = v.v and z = D(v, v), read off the products the element shares
-    with the normal-split gate (``Su4Element.quadratic``).  Raises
-    InputError, before any product, when ||v|| reaches _NORM_MAX."""
+def _invariants(X: Su4Element) -> tuple[np.ndarray, np.ndarray, float]:
+    """vec K, z = D(v, v) and g = v.v, the products the element shares with
+    the normal-split gate (``Su4Element.quadratic``).  Raises InputError,
+    before any product, when ||v|| reaches _NORM_MAX."""
     n = math.hypot(*X.coeffs.tolist())
     if not n < _NORM_MAX:
         raise InputError(f"coefficient norm {n:.3e} is past {_NORM_MAX:.3e}: "
                          "the characteristic polynomial overflows")
-    _, z, g = X.quadratic
-    return g, z
+    return X.quadratic
 
 
 def _nu(v: np.ndarray) -> complex:
@@ -107,7 +109,7 @@ def _nu(v: np.ndarray) -> complex:
 
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    g, z = _invariants(X)
+    _, z, g = _invariants(X)
     return CharPolyCoeffs(mu=2.0 * g, nu=_nu(X.coeffs), pi=g * g - float(z @ z))
 
 
@@ -133,37 +135,43 @@ def check_quadratic_II_conditions(X: Su4Element) -> float | None:
     return bt if np.abs(lhs - bt * rhs).max() <= 1e-9 * scale2 else None
 
 
-def _shapes(v: np.ndarray, g: float, z: np.ndarray):
-    """Each minimal-polynomial shape in ``classify``'s order, as its distance
-    from the v-forms of the module docstring, for g = v.v > 0, and the shape
-    with its parameters (mu = 2g); then quartic-distinct, at |nu| / mu.  nu
-    is formed only once quadratic-II is reached, and D v for cubic-I."""
-    yield 2.0 * math.hypot(*z.tolist()) / math.sqrt(g), MinPolyClass("quadratic-I", c2=g)
+def _walk(X: Su4Element, tol: float, tag: str = "") -> tuple[float, MinPolyClass]:
+    """``classify``'s walk: the first shape whose distance is at most tol,
+    or is the shape ``tag``, with that distance and its parameters (mu =
+    2g); quartic-distinct at |nu| / mu, else other.  X0 = 0 (g = 0) is at
+    distance 0 with zero parameters, and each formula then gives e^{ib} I
+    exactly; it is other unless a tag is asked for, as it selects no
+    formula.  Raises InputError past the range of ``_invariants``."""
+    _, z, g = _invariants(X)
+    if not g:
+        params = (None, 0.0, 0.0) if tag == "quadratic-II" else (0.0,)
+        return 0.0, MinPolyClass(tag, *params) if tag else MinPolyClass("other")
+    v = X.coeffs
+    d = 2.0 * math.hypot(*z.tolist()) / math.sqrt(g)
+    if d <= tol or tag == "quadratic-I":
+        return d, MinPolyClass("quadratic-I", c2=g)
     nu = _nu(v)
     beta = -3.0 * nu / (8.0 * g)
     br = beta.imag
-    yield (2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br),
-           MinPolyClass("quadratic-II", beta=beta, gamma=g))
+    d = 2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br)
+    if d <= tol or tag == "quadratic-II":
+        return d, MinPolyClass("quadratic-II", beta=beta, gamma=g)
     Dvz = _SQUARE_MAP.dot(v).reshape(15, 15).dot(z)
-    yield (2.0 * math.hypot(float(v @ z), *(g * v - Dvz).tolist()) / g,
-           MinPolyClass("cubic-I", c2=2.0 * g))
-    yield abs(nu) / (2.0 * g), MinPolyClass("quartic-distinct")
+    d = 2.0 * math.hypot(float(v @ z), *(g * v - Dvz).tolist()) / g
+    if d <= tol or tag == "cubic-I":
+        return d, MinPolyClass("cubic-I", c2=2.0 * g)
+    d = abs(nu) / (2.0 * g)
+    return d, MinPolyClass("quartic-distinct" if d <= tol or tag else "other")
 
 
 def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
     """The distance ``classify`` tests for the shape ``tag``, and the shape
-    with its parameters.  X0 = 0 (g = 0) satisfies every shape with zero
-    parameters, at distance 0, and each formula then gives e^{ib} I exactly;
-    ``classify`` still tags it other, as it selects no formula.  Past the
-    range of ``_invariants`` the distance is inf, which no gate passes."""
+    with its parameters: the walk, accepting no shape before ``tag``.  Past
+    the range of ``_invariants`` the distance is inf, which no gate passes."""
     try:
-        g, z = _invariants(X)
+        return _walk(X, -math.inf, tag)
     except InputError:
         return math.inf, MinPolyClass(tag)
-    if not g:
-        params = {"beta": 0.0, "gamma": 0.0} if tag == "quadratic-II" else {"c2": 0.0}
-        return 0.0, MinPolyClass(tag, **params)
-    return next((d, m) for d, m in _shapes(X.coeffs, g, z) if m.tag == tag)
 
 
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
@@ -175,11 +183,7 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     symmetric about 0), else other; neither selects a formula.  Raises
     InputError past the range of ``_invariants``.
     """
-    g, z = _invariants(X)
-    if g == 0.0:
-        return MinPolyClass(tag="other")
-    return next((m for d, m in _shapes(X.coeffs, g, z) if d <= tol),
-                MinPolyClass(tag="other"))
+    return _walk(X, tol)[1]
 
 
 def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
@@ -207,9 +211,10 @@ def is_normal_type(X: Su4Element) -> tuple[bool, np.ndarray]:
         [B, C] = 2 sum_ab K_ab M_{e_a (x) e_b},  K = [p]x Cmat - Cmat [q]x
 
     (``model.quadratic_forms``), and the verdict is the dispatch gate's
-    rule, 1/2 ||[B, C]||_F = 2 ||K||_F <= STRUCTURE_TOL.
+    rule, 1/2 ||[B, C]||_F = 2 ||K||_F <= STRUCTURE_TOL.  Raises InputError
+    past the range of ``_invariants``, as ``charpoly`` does.
     """
-    K = X.quadratic[0]
+    K = _invariants(X)[0]
     return (2.0 * math.sqrt(float(K @ K)) <= STRUCTURE_TOL,
             2.0 * (K @ _PURE_FLAT).reshape(4, 4))
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expm import ExpResult, SymTriDiag, _drop_gates, _exp_mapped, _param_map, _readout_map
+from .expm import ExpResult, SymTriDiag, _exp_mapped, _gate, _param_map, _readout_map
 from .model import Su4Element
 
 
@@ -131,7 +131,7 @@ def _demo_map(name: str) -> np.ndarray:
 def _bisym_split(M: np.ndarray) -> int:
     """The bisymmetric gate's split on M's range: the gate on the sum of
     |columns|, whose support holds every column's, keeps all of them."""
-    return _drop_gates(Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))["bisym"][1]
+    return _gate("bisym", Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))[1]
 
 
 _RABI_MAP, _JOSEPHSON_MAP, _JCOUPLING_MAP = map(_demo_map, DEMOS)

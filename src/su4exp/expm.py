@@ -29,9 +29,12 @@ X0^2 = -(v.v) I - i z.T with z read off the element's shared product
 
 All nine rows follow one rule: a row applies when a distance that bounds
 the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
-(or the tol of ``exp_auto``, the one tolerance a caller sets).  ``_gate``
-gives any one row's distance, a structured row's from v, a
-minimal-polynomial row's from its shape (``classify.shape``), and what its
+(or the tol of ``exp_auto``, the one tolerance a caller sets).  Dispatch
+tests the six structured rows in order as straight-line code
+(``_structured_row``): the tridiagonal residual, then one product on v^2
+for the next four rows, then the normal split's commutator only if those
+fail.  ``_gate`` reads any one row's distance off the same functions, a
+minimal-polynomial row's off its shape (``classify.shape``), and what its
 formula takes of the gate.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
@@ -45,7 +48,7 @@ minimal-polynomial row ``classify`` names, then a magic-basis conjugation
 whose image passes a structured gate (both conjugates' entries are one
 constant map of (v, b), ``model._magic_entries``), and finally the Taylor-series
 reference exponential; an input too large for e^X to have a determined
-digit raises InputError first.
+digit raises InputError first, there and in ``closed_form``.
 All results carry a method tag and a unitarity residual, and every U is e^X
 with the scalar phase included: each formula puts e^{ib} into its scalar
 coefficients, and no pass over U applies it.  A generator that a constant
@@ -66,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import classify, shape
+from .classify import _NORM_MAX, classify, shape
 from .errors import InputError, StructureError
 from .model import (
     _INPUT_MAP,
@@ -455,36 +458,32 @@ def _readout_map(method: str, M: np.ndarray, arg=None) -> np.ndarray:
 _TRIDIAG_READ = _readout_map("tridiag", _TRIDIAG_VB)
 
 
-# -- structure gates: stages of rows' squared distances over 4 from v, and
-# what the formula takes of the gate (the bisymmetric split, else None).
+# -- structure gates: rows' squared distances over 4 from v, in dispatch
+# order, and the bisymmetric split.
 
-def _tridiag_gate(X: Su4Element) -> dict:
+def _tridiag_gate(X: Su4Element) -> float:
     u = _TRIDIAG_RESID.dot(X.coeffs)
-    return {"tridiag": (u @ u, None)}
+    return u @ u
 
 
 # v^2's dropped slots of perskew, skewham, the nine bisymmetric splits and
-# imaginary symmetry, in that order.
+# imaginary symmetry: rows 1 to 4 of FAMILY_TABLE, in that order.
 _DROP = np.vstack([1.0 - np.diag(_PROJECTOR["perskew"]), 1.0 - np.diag(_PROJECTOR["skewham"]),
                    _SPLIT_OFF, 1.0 - np.diag(_PROJECTOR["imsym"])])
 
 
-def _drop_gates(X: Su4Element) -> dict:
+def _drop_gates(X: Su4Element) -> list:
+    """The four rows of _DROP, the bisymmetric one at its nearest split k
+    (ties to the first), then k."""
     v = X.coeffs
     s = (_DROP @ (v * v)).tolist()
     k = s.index(min(s[2:11]), 2)
-    return {"perskew": (s[0], None), "skewham": (s[1], None), "bisym": (s[k], k - 2),
-            "imsym": (s[11], None)}
+    return [s[0], s[1], s[k], s[11], k - 2]
 
 
-def _normal_gate(X: Su4Element) -> dict:
+def _normal_gate(X: Su4Element) -> float:
     K = X.quadratic[0]
-    return {"normal-split": (K @ K, None)}
-
-
-_STAGES = (_tridiag_gate, _drop_gates, _normal_gate)
-_STAGE = dict.fromkeys(("perskew", "skewham", "bisym", "imsym"), _drop_gates) | {
-    "tridiag": _tridiag_gate, "normal-split": _normal_gate}
+    return K @ K
 
 
 def _gate(method: str, X: Su4Element) -> tuple[float, object]:
@@ -498,13 +497,19 @@ def _gate(method: str, X: Su4Element) -> tuple[float, object]:
     Trotter bound 1/2 ||[B, C]||_F = 2||K||_F, K read off the shared
     product (``Su4Element.quadratic``) that ``classify`` reads too.
     A minimal-polynomial row's is its shape's (``classify.shape``), whose
-    ``MinPolyClass`` the formula takes.
+    ``MinPolyClass`` the formula takes.  All nine share the range of
+    ``classify``: past ||v|| = ``classify._NORM_MAX`` every distance is
+    inf, before any product.
     """
     fam = _ROWS[method]
     if not fam.gate:
         return shape(X, fam.label)
-    d2, arg = _STAGE[method](X)[method]
-    return 2.0 * math.sqrt(d2), arg
+    if not math.hypot(*X.coeffs.tolist()) < _NORM_MAX:
+        return math.inf, None
+    if method in ("tridiag", "normal-split"):
+        return 2.0 * math.sqrt((_tridiag_gate if method == "tridiag" else _normal_gate)(X)), None
+    *s, k = _drop_gates(X)
+    return 2.0 * math.sqrt(s[FAMILY_TABLE.index(fam) - 1]), (k if method == "bisym" else None)
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
@@ -516,11 +521,19 @@ def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | Non
     """The first structured row whose gate distance is at most tol, and its
     gate's split: the tridiagonal residual, then one product for the next
     four rows, and the normal split's commutator only if all of those fail."""
-    for stage in _STAGES:
-        for method, (d2, arg) in stage(X).items():
-            if 2.0 * math.sqrt(d2) <= tol:
-                return _ROWS[method], arg
-    return None, None
+    if 2.0 * math.sqrt(_tridiag_gate(X)) <= tol:
+        return _ROWS["tridiag"], None
+    perskew, skewham, bisym, imsym, k = _drop_gates(X)
+    if 2.0 * math.sqrt(perskew) <= tol:
+        return _ROWS["perskew"], None
+    if 2.0 * math.sqrt(skewham) <= tol:
+        return _ROWS["skewham"], None
+    if 2.0 * math.sqrt(bisym) <= tol:
+        return _ROWS["bisym"], k
+    if 2.0 * math.sqrt(imsym) <= tol:
+        return _ROWS["imsym"], None
+    d = 2.0 * math.sqrt(_normal_gate(X))
+    return (_ROWS["normal-split"] if d <= tol else None), None
 
 
 def _matrix(coef, T, *right) -> np.ndarray:
@@ -549,9 +562,11 @@ def closed_form(method: str, X: Su4Element) -> ExpResult:
     """e^X by the formula of the table row ``method``.
 
     This is the uniform family signature behind FAMILIES and the public
-    ``exp_*`` wrappers.  Raises StructureError with the row's
+    ``exp_*`` wrappers.  Raises InputError past the range rule of
+    ``exp_auto`` (``_check_norm``), then StructureError with the row's
     ``gate_distance`` as its residual unless it is at most STRUCTURE_TOL.
     """
+    _check_norm(X)
     d, arg = _gate(method, X)
     if not d <= STRUCTURE_TOL:
         raise StructureError(_ROWS[method].label, d)

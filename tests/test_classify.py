@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from su4exp.classify import (
+    MinPolyClass,
     charpoly,
     check_quadratic_II_conditions,
     classify,
@@ -206,6 +207,36 @@ def test_shared_products_give_the_invariants_and_distances_of_X0_products():
         ref, _ = _matrix_distances(X, STRUCTURE_TOL)
         for tag, d_ref in ref.items():
             assert abs(shape(X, tag)[0] - d_ref) <= 1e-14 * max(d_ref, n), (tag, d_ref)
+
+
+def _walk_inputs():
+    """Minimal-polynomial samples, each also with relative anti-Hermitian
+    noise from 1e-13 to 1e-9."""
+    rng = np.random.default_rng(62)
+    for method in ("quad-I", "quad-II", "cubic-I"):
+        for _ in range(6):
+            A = FAMILIES[method][0](rng).traceless
+            yield Su4Element(A)
+            for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+                H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                H = H + H.conj().T
+                yield Su4Element(A + 1j * H * (eps * np.linalg.norm(A) / np.linalg.norm(H)))
+
+
+def test_classify_takes_the_first_shape_within_tol():
+    # At tol = d and d(1 +- 1e-12) for each shape's distance d from shape(),
+    # classify returns the first shape within tol, with shape()'s
+    # parameters, or other when none is.
+    order = ("quadratic-I", "quadratic-II", "cubic-I", "quartic-distinct")
+    tags = set()
+    for X in _walk_inputs():
+        shapes = [shape(X, tag) for tag in order]
+        for d, _ in shapes:
+            for tol in (d, d * (1 + 1e-12), d * (1 - 1e-12)):
+                first = next((m for dm, m in shapes if dm <= tol), MinPolyClass("other"))
+                assert classify(X, tol) == first, (tol, first)
+                tags.add(first.tag)
+    assert tags == {*order, "other"}
 
 
 def test_classify_quadratic_I():

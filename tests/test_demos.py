@@ -208,7 +208,7 @@ def test_demo_map_lies_on_its_row(demo):
 
 def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     # The maps are built at import; a call is one product and the row's
-    # formula, with no Su4Element, no gate stage and no shared products.
+    # formula, with no Su4Element, no gate distance and no shared products.
     import su4exp.model as model
 
     calls = []
@@ -224,9 +224,8 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
                         classmethod(counted("_from_coeffs", Su4Element._from_coeffs.__func__)))
     monkeypatch.setattr(model, "quadratic_forms",
                         counted("quadratic_forms", model.quadratic_forms))
-    wrapped = {stage: counted(stage.__name__, stage) for stage in expm._STAGES}
-    monkeypatch.setattr(expm, "_STAGES", tuple(wrapped.values()))
-    monkeypatch.setattr(expm, "_STAGE", {m: wrapped[s] for m, s in expm._STAGE.items()})
+    for name in ("_tridiag_gate", "_drop_gates", "_normal_gate"):
+        monkeypatch.setattr(expm, name, counted(name, getattr(expm, name)))
     for p, _, propagate, *_ in DEMOS.values():
         assert propagate(p).U.shape == (4, 4)
     assert calls == []
@@ -234,6 +233,7 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     Su4Element(np.zeros((4, 4)))
     Su4Element._from_coeffs(np.zeros(15))
     expm.exp_auto(Su4Element._from_coeffs(np.zeros(15)))
-    gate_distance("normal-split", Su4Element._from_coeffs(np.ones(15)))
-    assert {"__init__", "_from_coeffs", "_tridiag_gate", "_normal_gate",
+    for method in ("bisym", "normal-split"):
+        gate_distance(method, Su4Element._from_coeffs(np.ones(15)))
+    assert {"__init__", "_from_coeffs", "_tridiag_gate", "_drop_gates", "_normal_gate",
             "quadratic_forms"} <= set(calls)

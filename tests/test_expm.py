@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su4exp.classify import charpoly, classify, shape
+from su4exp.classify import _NORM_MAX, charpoly, classify, is_normal_type, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _PROJECTOR,
@@ -1103,13 +1103,45 @@ def test_exp_auto_rejects_a_norm_past_the_oracle_range(name):
 
 
 def test_every_row_rejects_a_huge_norm():
-    # At ||X||_F = 1e160 the squared coefficients overflow, and a NaN or
-    # infinite gate distance fails every row.
+    # Past the range rule of exp_auto (eps 2||X||_F >= 1), every row raises
+    # InputError before its gate, with no overflow warning: a dense input
+    # at ||X||_F = 1e160, and each family's own sample at 1e17, which its
+    # gate would pass.
     rng = np.random.default_rng(93)
+    inputs = []
     for _ in range(5):
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        X = Su4Element(1e160 * (A - A.conj().T) / np.linalg.norm(A - A.conj().T))
-        with np.errstate(all="ignore"):
+        inputs.append(Su4Element(1e160 * (A - A.conj().T) / np.linalg.norm(A - A.conj().T)))
+    for sampler, _ in FAMILIES.values():
+        A = sampler(rng).entries
+        inputs.append(Su4Element(1e17 / np.linalg.norm(A) * A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in inputs:
             for fam in FAMILY_TABLE:
-                with pytest.raises(StructureError):
+                with pytest.raises(InputError, match="no determined digit"):
                     closed_form(fam.method, X)
+
+
+def test_every_gate_shares_the_range_of_classify():
+    # Past ||v|| = classify._NORM_MAX every gate distance is inf, before any
+    # product and so with no overflow warning, and every predicate is False;
+    # is_normal_type raises InputError, as charpoly does.  Just below the
+    # bound every distance is finite.
+    u = np.random.default_rng(94).normal(size=15)
+    u /= np.linalg.norm(u)
+    ones = np.full(15, 15 ** -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (np.full(15, 1e160), _NORM_MAX * ones, 1.001 * _NORM_MAX * u):
+            X = Su4Element._from_coeffs(v)
+            for fam in FAMILY_TABLE:
+                assert gate_distance(fam.method, X) == math.inf, fam.method
+            for predicate, _ in _GATED.values():
+                assert not predicate(X)
+            with pytest.raises(InputError, match="overflows"):
+                is_normal_type(X)
+        for v in (0.999 * _NORM_MAX * ones, 0.999 * _NORM_MAX * u):
+            X = Su4Element._from_coeffs(v)
+            for fam in FAMILY_TABLE:
+                assert math.isfinite(gate_distance(fam.method, X)), fam.method
