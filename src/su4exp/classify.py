@@ -34,12 +34,14 @@ On v, with beta = i beta_r, they are
 
 as X0^3 + 2g X0 = i(v.z) I + (g v - D(v, z)).T.  No 4x4 matrix is built.
 g and z are read off the shared product of the element
-(``Su4Element.quadratic``), which the normal-split gate of ``exp_auto`` has
-formed already.  ``classify`` tests the shapes in the order above, then
-quartic-distinct, in one straight-line walk (``_walk``): nu is formed only
-once quadratic-II is reached, D v only for cubic-I, and the one
-``MinPolyClass`` built is the shape returned.  ``shape`` is the same walk
-told to accept no shape before the one it asks for.
+(``Su4Element.quadratic``), which ``exp_auto``'s gates past the tridiagonal
+one have formed already, and the range check reads the element's ||v||
+(``Su4Element.norm``), which ``exp_auto``'s range rule has taken.
+``classify`` tests the shapes in the order above, then quartic-distinct, in
+one straight-line walk (``_walk``): nu is formed only once quadratic-II is
+reached, D v only for cubic-I, and the one ``MinPolyClass`` built is the
+shape returned.  ``shape`` is the same walk told to accept no shape before
+the one it asks for.
 
 Type II also has the paper's constructive test: a real bt with C^T p = bt q,
 C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
@@ -87,13 +89,13 @@ class MinPolyClass(NamedTuple):
     gamma: float | None = None
 
 
-def _invariants(X: Su4Element) -> tuple[np.ndarray, np.ndarray, float]:
-    """vec K, z = D(v, v) and g = v.v, the products the element shares with
-    the normal-split gate (``Su4Element.quadratic``).  Raises InputError,
-    before any product, when ||v|| reaches _NORM_MAX."""
-    n = math.hypot(*X.coeffs.tolist())
-    if not n < _NORM_MAX:
-        raise InputError(f"coefficient norm {n:.3e} is past {_NORM_MAX:.3e}: "
+def _invariants(X: Su4Element) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """vec K, z = D(v, v) and g = v.v, then the drop distances: the shared
+    product that the structured gates read too (``Su4Element.quadratic``).
+    Raises InputError, before any product, when ||v|| (``Su4Element.norm``)
+    reaches _NORM_MAX."""
+    if not X.norm < _NORM_MAX:
+        raise InputError(f"coefficient norm {X.norm:.3e} is past {_NORM_MAX:.3e}: "
                          "the characteristic polynomial overflows")
     return X.quadratic
 
@@ -109,7 +111,7 @@ def _nu(v: np.ndarray) -> complex:
 
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
-    _, z, g = _invariants(X)
+    _, z, g, _ = _invariants(X)
     return CharPolyCoeffs(mu=2.0 * g, nu=_nu(X.coeffs), pi=g * g - float(z @ z))
 
 
@@ -142,7 +144,7 @@ def _walk(X: Su4Element, tol: float, tag: str = "") -> tuple[float, MinPolyClass
     distance 0 with zero parameters, and each formula then gives e^{ib} I
     exactly; it is other unless a tag is asked for, as it selects no
     formula.  Raises InputError past the range of ``_invariants``."""
-    _, z, g = _invariants(X)
+    _, z, g, _ = _invariants(X)
     if not g:
         params = (None, 0.0, 0.0) if tag == "quadratic-II" else (0.0,)
         return 0.0, MinPolyClass(tag, *params) if tag else MinPolyClass("other")
@@ -174,6 +176,13 @@ def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
         return math.inf, MinPolyClass(tag)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise InputError unless 0 <= tol < inf: inf admits every formula,
+    and nan or a negative tol none."""
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     """Minimal-polynomial type of the traceless part of X.
 
@@ -181,8 +190,9 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
     docstring) is at most tol, so that its formula is within tol of e^X.
     Otherwise quartic-distinct when |nu| / mu <= tol (nu = 0: a spectrum
     symmetric about 0), else other; neither selects a formula.  Raises
-    InputError past the range of ``_invariants``.
+    InputError unless 0 <= tol < inf, and past the range of ``_invariants``.
     """
+    _check_tol(tol)
     return _walk(X, tol)[1]
 
 

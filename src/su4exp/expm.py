@@ -29,13 +29,15 @@ X0^2 = -(v.v) I - i z.T with z read off the element's shared product
 
 All nine rows follow one rule: a row applies when a distance that bounds
 the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
-(or the tol of ``exp_auto``, the one tolerance a caller sets).  Dispatch
-tests the six structured rows in order as straight-line code
-(``_structured_row``): the tridiagonal residual, then one product on v^2
-for the next four rows, then the normal split's commutator only if those
-fail.  ``_gate`` reads any one row's distance off the same functions, a
-minimal-polynomial row's off its shape (``classify.shape``), and what its
-formula takes of the gate.
+(or the tol of ``exp_auto``, the one tolerance a caller sets, which must
+be finite and >= 0).  Dispatch tests the six structured rows in order as
+straight-line code (``_structured_row``): the tridiagonal residual ||Rv||,
+then the element's one shared product (``Su4Element.quadratic``), which
+holds v^2 on the four drop rows' masks (``model._DROP``) and the normal
+split's commutator; a tridiagonal input forms no such product.  ``_gate``
+reads any one row's distance off the same functions, a minimal-polynomial
+row's off its shape (``classify.shape``), and what its formula takes of
+the gate.
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -69,9 +71,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import _NORM_MAX, classify, shape
+from .classify import _NORM_MAX, _check_tol, classify, shape
 from .errors import InputError, StructureError
 from .model import (
+    _DROP,
     _INPUT_MAP,
     _PAULI_SLOT,
     _PAULI_SLOTS,
@@ -284,34 +287,31 @@ def _normal_split(w: list[float], b: float, table) -> tuple:
     return (*_factors(w, b, table), *_interaction(w[6:], 0.0))
 
 
-def _split_tables() -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
-    """The nine bisymmetric splits as constants: slots, dropped slots, signs, rows.
+def _split_tables() -> tuple[np.ndarray, list[float], np.ndarray]:
+    """The nine bisymmetric splits as constants: slots, signs, rows.
 
     Split k = 3 i0 + j0 puts the 1x1 block of the interaction matrix at
     Cmat[i0, j0], and the 2x2 block at the other rows r1 < r2 and columns
-    c1 < c2.  Row k of the slot table holds the v slots of e = Cmat[i0, j0]
-    and of (a, b, c, d) = Cmat at [r1, c1], [r1, c2], [r2, c1], [r2, c2],
-    whose basis matrices are M_e, M11, M12, M21, M22.  The split drops the
-    other ten slots: p, q and the rest of row i0 and column j0.  M11 M22 is
-    sigma_k M_e with sigma_k = +-1, and the rows are the flattened I, M_e,
-    M11, M12, M21, M22.
+    c1 < c2; it keeps five slots of v, the zeros of its mask (row 2 + k of
+    ``model._DROP``).  Row k of the slot table holds them: e = Cmat[i0, j0],
+    then (a, b, c, d) = Cmat at [r1, c1], [r1, c2], [r2, c1], [r2, c2] in
+    slot order, whose basis matrices are M_e, M11, M12, M21, M22.  M11 M22
+    is sigma_k M_e with sigma_k = +-1, and the rows are the flattened I,
+    M_e, M11, M12, M21, M22.
     """
-    k = np.arange(9)
-    other = np.array([[1, 2], [0, 2], [0, 1]])  # row i: the indices other than i
-    block = 3 * other[:, None, :, None] + other[None, :, None, :]  # (i0, j0, r, c)
-    slots = 6 + np.concatenate((k[:, None], block.reshape(9, 4)), axis=1)
-    off = np.ones((9, 15))
-    off[k[:, None], slots] = 0.0
+    e = 6 + np.arange(9)
+    kept = np.nonzero(_DROP[2:11] == 0.0)[1].reshape(9, 5)
+    slots = np.column_stack((e, kept[kept != e[:, None]].reshape(9, 4)))
     M = _QT_FLAT[slots]
     P = M[:, 1].reshape(9, 4, 4) @ M[:, 4].reshape(9, 4, 4)
     sign = ((P.reshape(9, 16) * M[:, 0]).sum(axis=1) / 4.0).tolist()  # M_e: norm^2 4
     rows = np.zeros((9, 6, 16), dtype=complex)
     rows[:, 0, ::5] = 1.0  # the flattened identity
     rows[:, 1:] = M
-    return slots, off, sign, rows
+    return slots, sign, rows
 
 
-_SPLIT_SLOTS, _SPLIT_OFF, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
+_SPLIT_SLOTS, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
 def _bisym(s: list[float], b: float, k: int) -> tuple:
@@ -408,26 +408,24 @@ def _param_map(generator, n: int) -> np.ndarray:
 _TRIDIAG_VB = _param_map(lambda *e: SymTriDiag(*e).matrix(), 3)
 _TRIDIAG_MAP = _TRIDIAG_VB[:15]
 
-# Orthogonal projectors onto the linear families in v.  The columns of
-# _TRIDIAG_MAP are orthogonal with squared norm 1/2; the other families are
-# the slots of the row's groups, or of Cmat for imaginary symmetry.
+# The orthogonal projector onto the tridiagonal family in v: the columns of
+# _TRIDIAG_MAP are orthogonal with squared norm 1/2.  The other linear
+# families are the slots that their masks in model._DROP keep.
 _EYE15 = np.eye(15)
-_PROJECTOR = {"tridiag": 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T,
-              "imsym": np.diag(np.repeat([0.0, 1.0], [6, 9]))} | {
-    m: np.diag(_EYE15[sum(_SLOTS[m], [])].sum(axis=0)) for m in ("perskew", "skewham")}
-_TRIDIAG_RESID = _EYE15 - _PROJECTOR["tridiag"]
+_TRIDIAG_PROJ = 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T
+_TRIDIAG_RESID = _EYE15 - _TRIDIAG_PROJ
 
 
 def _group_table(method: str, slots: list[list[int]]) -> tuple:
     """A grouped row's (slices of w = G v, G, T) for ``_factors``: G v reads
-    the groups' slots of P v, P the projector of the row's gate, and T holds
-    the products B_1[a] B_2[b] of the groups' bases, rows of _BASES (I, then
-    the slots' basis matrices), one broadcast product."""
+    the groups' slots of v, or of P v for the tridiagonal projector P, and
+    T holds the products B_1[a] B_2[b] of the groups' bases, rows of _BASES
+    (I, then the slots' basis matrices), one broadcast product."""
     B = [_BASES[[0] + [s + 1 for s in group]].reshape(-1, 1, 4, 4) for group in slots]
     T = B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)
     ends = [0, *accumulate(map(len, slots))]
-    return ([slice(*e) for e in zip(ends, ends[1:])],
-            _PROJECTOR.get(method, _EYE15)[sum(slots, [])], T.reshape(-1, 16))
+    G = (_TRIDIAG_PROJ if method == "tridiag" else _EYE15)[sum(slots, [])]
+    return [slice(*e) for e in zip(ends, ends[1:])], G, T.reshape(-1, 16)
 
 
 # [I; basis]: the flattened identity, then the rows of _QT_STACK.
@@ -466,17 +464,11 @@ def _tridiag_gate(X: Su4Element) -> float:
     return u @ u
 
 
-# v^2's dropped slots of perskew, skewham, the nine bisymmetric splits and
-# imaginary symmetry: rows 1 to 4 of FAMILY_TABLE, in that order.
-_DROP = np.vstack([1.0 - np.diag(_PROJECTOR["perskew"]), 1.0 - np.diag(_PROJECTOR["skewham"]),
-                   _SPLIT_OFF, 1.0 - np.diag(_PROJECTOR["imsym"])])
-
-
 def _drop_gates(X: Su4Element) -> list:
-    """The four rows of _DROP, the bisymmetric one at its nearest split k
-    (ties to the first), then k."""
-    v = X.coeffs
-    s = (_DROP @ (v * v)).tolist()
+    """Rows 1 to 4 of FAMILY_TABLE, v^2 on their masks (``model._DROP``)
+    read off the element's shared product: the bisymmetric one at its
+    nearest split k (ties to the first), then k."""
+    s = X.quadratic[3].tolist()
     k = s.index(min(s[2:11]), 2)
     return [s[0], s[1], s[k], s[11], k - 2]
 
@@ -494,17 +486,17 @@ def _gate(method: str, X: Su4Element) -> tuple[float, object]:
     2||v - P v|| for its projector P: for a diagonal P, and for the
     bisymmetric split (the nearest of the nine, ties to the first), twice
     the root of a sum of v's squared slots.  The normal split's is the
-    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F, K read off the shared
-    product (``Su4Element.quadratic``) that ``classify`` reads too.
-    A minimal-polynomial row's is its shape's (``classify.shape``), whose
-    ``MinPolyClass`` the formula takes.  All nine share the range of
-    ``classify``: past ||v|| = ``classify._NORM_MAX`` every distance is
-    inf, before any product.
+    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F.  Both the drop sums and K
+    are read off the shared product (``Su4Element.quadratic``) that
+    ``classify`` reads too.  A minimal-polynomial row's is its shape's
+    (``classify.shape``), whose ``MinPolyClass`` the formula takes.  All
+    nine share the range of ``classify``: past ||v|| (``Su4Element.norm``)
+    = ``classify._NORM_MAX`` every distance is inf, before any product.
     """
     fam = _ROWS[method]
     if not fam.gate:
         return shape(X, fam.label)
-    if not math.hypot(*X.coeffs.tolist()) < _NORM_MAX:
+    if not X.norm < _NORM_MAX:
         return math.inf, None
     if method in ("tridiag", "normal-split"):
         return 2.0 * math.sqrt((_tridiag_gate if method == "tridiag" else _normal_gate)(X)), None
@@ -519,8 +511,10 @@ def gate_distance(method: str, X: Su4Element) -> float:
 
 def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
     """The first structured row whose gate distance is at most tol, and its
-    gate's split: the tridiagonal residual, then one product for the next
-    four rows, and the normal split's commutator only if all of those fail."""
+    gate's split: the tridiagonal residual ||Rv||, then the next four rows
+    and the normal split's commutator off the element's shared product.
+    ||Rv|| is not read off that product: as a quadratic form it cancels at
+    eps ||v||^2, far above tol^2 / 4 near the boundary."""
     if 2.0 * math.sqrt(_tridiag_gate(X)) <= tol:
         return _ROWS["tridiag"], None
     perskew, skewham, bisym, imsym, k = _drop_gates(X)
@@ -651,8 +645,8 @@ def exp_cubic_I(X: Su4Element) -> ExpResult:
 def _check_norm(X: Su4Element) -> None:
     """Raise InputError when eps 2||X||_F >= 1 (``oracle._check_range``),
     the range rule of ``exp_auto`` and of the ``classify`` verb:
-    2||X||_F = 4 sqrt(v.v + b^2), taken without overflow, bounds ||X||_1."""
-    _check_range(4.0 * math.hypot(*X.coeffs.tolist(), X.scalar))
+    2||X||_F = 4 hypot(||v||, b), with the element's ||v||, bounds ||X||_1."""
+    _check_range(4.0 * math.hypot(X.norm, X.scalar))
 
 
 def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
@@ -663,8 +657,9 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     a structured row, and finally the series reference exponential.  Every
     stage tests its distance at tol, and the formula it picks is within tol
     of e^X, so exp_auto never raises StructureError.  It raises InputError
-    before any stage (``_check_norm``).
+    before any stage (``_check_norm``), and unless 0 <= tol < inf.
     """
+    _check_tol(tol)
     _check_norm(X)
     fam, arg = _structured_row(X, tol)
     if fam is not None:

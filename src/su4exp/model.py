@@ -18,15 +18,18 @@ quintuple views of v, are built from v on first access; ``traceless`` is the
 one map from coefficients to matrices, and the views are data.  So is the
 shared product: the 120 products v_i v_j (i <= j), formed at most once per
 element (``Su4Element.quadratic``), from which one constant map reads the
-commutator coefficients K of the normal-split gate and the z = D(v, v) and
-v.v of ``classify``.
+commutator coefficients K of the normal-split gate, the z = D(v, v) and v.v
+of ``classify``, and the squared distances of the four drop gates (perskew,
+skew-Hamiltonian, bisymmetric, imaginary symmetric), v^2 on the masks of the
+slots each drops, defined once here (``_DROP``).  The views are cached by a
+lock-free descriptor (``_view``), and ||v||, the range of the gates and of
+``classify``, is one of them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -181,30 +184,51 @@ _SQUARE_MAP = _square_map()
 _PAIR_I, _PAIR_J = np.nonzero(np.tri(15, dtype=bool).T)
 
 
+def _drop_masks() -> np.ndarray:
+    """(12, 15) 0/1 masks of the slots of v that perskew, skewham, the nine
+    bisymmetric splits and imaginary symmetry drop: rows 1 to 4 of
+    ``expm.FAMILY_TABLE``, in that order.  Each family is the span of the
+    basis matrices T it keeps: perskew those with T^T R + R T = 0, R =
+    sigma_x (x) sigma_x, skew-Hamiltonian those with T^T J = J T, split k =
+    3 i0 + j0 the Cmat slots (a, b) with a = i0 exactly when b = j0 (its 1x1
+    block and the 2x2 block off row i0 and column j0), and imaginary
+    symmetry all of Cmat.  A distance over 2 is the root of v^2 on a mask."""
+    T = _QT_STACK.reshape(15, 4, 4)
+    Tt, R, J = T.transpose(0, 2, 1), np.fliplr(np.eye(4)), np.kron([[0, 1], [-1, 0]], np.eye(2))
+    a, b = np.divmod(np.arange(-6, 9), 3)  # Cmat's row and column of the slots past p, q
+    split = ((a[6:, None] == a) == (b[6:, None] == b)) & (a >= 0)
+    return 1.0 - np.vstack((~(Tt @ R + R @ T).any(axis=(1, 2)),
+                            ~(Tt @ J - J @ T).any(axis=(1, 2)), split, a >= 0))
+
+
+_DROP = _drop_masks()
+
+
 def _quadratic_map() -> np.ndarray:
-    """(25, 120) real Q taking the 120 products v_i v_j, i <= j, to (vec K,
-    z, g): the commutator coefficients K of the normal-split gate, and z =
-    D(v, v) (``_square_map``) and g = v.v of ``classify``.  Each is a form
-    F(v, v) = sum_ij F_ij v_i v_j, so the column of (i, j) is F_ij + F_ji,
-    and F_ii on the diagonal."""
-    F = np.zeros((25, 15, 15))
+    """(37, 120) real Q taking the 120 products v_i v_j, i <= j, to (vec K,
+    z, the 12 drop distances, g): the commutator coefficients K of the
+    normal-split gate, v^2 on each row of ``_DROP`` for the drop gates, and
+    z = D(v, v) (``_square_map``) and g = v.v of ``classify``.  Each is a
+    form F(v, v) = sum_ij F_ij v_i v_j, so the column of (i, j) is F_ij +
+    F_ji, and F_ii on the diagonal."""
+    F = np.zeros((37, 15, 15))
     F[:9, :6, 6:] = _K_FORM
     F[9:24] = _SQUARE_MAP.reshape(15, 15, 15)
-    F.reshape(25, 225)[24, ::16] = 1.0
+    F.reshape(37, 225)[24:, ::16] = np.vstack((_DROP, np.ones(15)))
     F += F.transpose(0, 2, 1)
-    F.reshape(25, 225)[:, ::16] *= 0.5
+    F.reshape(37, 225)[:, ::16] *= 0.5
     return F[:, _PAIR_I, _PAIR_J]
 
 
 _QUADRATIC_MAP = _quadratic_map()
 
 
-def quadratic_forms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """vec K, z = D(v, v) and g = v.v for v = (p, q, vec Cmat), read off the
-    products v_i v_j by one constant map (``_quadratic_map``): [B, C] = 2
-    sum_ab K_ab M_{e_a (x) e_b}, and X0^2 = -g I - i z.T."""
+def quadratic_forms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """vec K, z = D(v, v), g = v.v and v^2 on the rows of ``_DROP``, read off
+    the products v_i v_j by one constant map (``_quadratic_map``): [B, C] =
+    2 sum_ab K_ab M_{e_a (x) e_b}, and X0^2 = -g I - i z.T."""
     q = _QUADRATIC_MAP.dot(v[_PAIR_I] * v[_PAIR_J])
-    return q[:9], q[9:24], float(q[24])
+    return q[:9], q[9:24], float(q[36]), q[24:36]
 
 
 def _cofactors(w: list[float]) -> tuple[list[float], float]:
@@ -255,6 +279,20 @@ class CanonicalForm(NamedTuple):
     u2: np.ndarray
 
 
+class _view:
+    """``functools.cached_property`` without its lock, which it takes on
+    every first read before Python 3.12: a non-data descriptor whose first
+    read stores the value in the instance dict, where later reads find it
+    first.  Two threads racing on a first read compute the same pure value
+    twice, and both return the one stored."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 class Su4Element:
     """Anti-Hermitian 4x4 matrix, held as its coefficient vector.
 
@@ -265,13 +303,16 @@ class Su4Element:
     ||D|| exceeds ANTIHERM_TOL max(1, ||X||_F / 4); the other constructors
     take the coefficients.  Every matrix comes from v: ``traceless`` is
     X0 = v @ _QT_STACK and ``entries`` is X0 + i b I, the anti-Hermitian
-    projection of the input.  They, the ``pauli`` and ``quintuple`` views
-    and the shared products (``quadratic``) are cached properties, built on
-    first access.
+    projection of the input.  They, the ``pauli`` and ``quintuple`` views,
+    ``norm`` = ||v|| and the shared product (``quadratic``) are views
+    (``_view``), built on first access.
     """
 
     def __init__(self, entries: np.ndarray):
-        entries = np.ascontiguousarray(entries, dtype=complex)
+        try:
+            entries = np.ascontiguousarray(entries, dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"malformed matrix entries: {exc}") from exc
         if entries.shape != (4, 4):
             raise InputError("expected a 4x4 matrix")
         x = entries.reshape(16).view(float)
@@ -337,26 +378,33 @@ class Su4Element:
 
     # -- matrices and decompositions, built on first access ---------------
 
-    @cached_property
+    @_view
     def traceless(self) -> np.ndarray:
         return (self.coeffs @ _QT_VIEW).view(complex).reshape(4, 4)
 
-    @cached_property
+    @_view
     def entries(self) -> np.ndarray:
         return self.traceless + self.scalar * _IEYE4
 
-    @cached_property
-    def quadratic(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(vec K, z, v.v), the quadratic forms of v that the normal-split
-        gate and ``classify`` share (``quadratic_forms``)."""
+    @_view
+    def norm(self) -> float:
+        """||v||, taken without overflow: the range of every gate and of
+        ``classify``, and with b that of ``expm._check_norm``."""
+        return math.hypot(*self.coeffs.tolist())
+
+    @_view
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(vec K, z, v.v, the drop distances), the one shared product of v
+        that every structured gate past the tridiagonal one and ``classify``
+        read (``quadratic_forms``)."""
         return quadratic_forms(self.coeffs)
 
-    @cached_property
+    @_view
     def pauli(self) -> PauliCoeffs:
         c = _PAULI_SIGN * self.coeffs[_PAULI_SLOT]
         return PauliCoeffs(alpha=c[:3], beta=c[3:6], gamma=c[6:].reshape(3, 3))
 
-    @cached_property
+    @_view
     def quintuple(self) -> QuintupleDecomp:
         v = self.coeffs
         w = v.tolist()

@@ -198,7 +198,7 @@ def test_shared_products_give_the_invariants_and_distances_of_X0_products():
     for X in _shared_product_inputs():
         A = X.traceless
         n = float(np.linalg.norm(A))
-        _, z, g = X.quadratic
+        _, z, g, _ = X.quadratic
         A2 = A @ A
         g_ref = -np.trace(A2).real / 4.0
         z_ref = (_QT_STACK.conj() @ (1j * (A2 + g_ref * np.eye(4))).ravel()).real / 4.0

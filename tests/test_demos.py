@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su4exp import demos, expm
+from su4exp import demos, expm, model
 from su4exp.demos import (
     JosephsonParams,
     RabiParams,
@@ -203,7 +203,7 @@ def test_demo_map_lies_on_its_row(demo):
             assert gate_distance("tridiag", Su4Element._from_coeffs(col[:15], col[15])) == 0.0
         else:
             v = col[:15]
-            assert expm._SPLIT_OFF[k] @ (v * v) == 0.0
+            assert model._DROP[2 + k] @ (v * v) == 0.0
 
 
 def test_demos_build_no_element_and_run_no_gate(monkeypatch):

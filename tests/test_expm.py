@@ -13,8 +13,8 @@ import pytest
 from su4exp.classify import _NORM_MAX, charpoly, classify, is_normal_type, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
-    _PROJECTOR,
-    _SPLIT_OFF,
+    _SLOTS,
+    _TRIDIAG_PROJ,
     FAMILY_TABLE,
     STRUCTURE_TOL,
     SymTriDiag,
@@ -40,10 +40,15 @@ from su4exp.expm import (
     sinc,
 )
 from su4exp.families import FAMILIES
-from su4exp.model import _QT_STACK, MAGIC_BASIS, Su4Element, quadratic_forms
+from su4exp.model import _DROP, _QT_STACK, MAGIC_BASIS, Su4Element, quadratic_forms
 from su4exp.oracle import expm_reference
 
 from reference import cross_matrix, mat_pure_pure, pauli_kron
+
+# The drop gates' masks (model._DROP): the nine bisymmetric splits, and the
+# slots that the other three linear gates drop.
+_SPLIT_OFF = _DROP[2:11]
+_MASK = {"perskew": _DROP[0], "skewham": _DROP[1], "imsym": _DROP[11]}
 
 
 def _check(U, X, tol=1e-10):
@@ -295,12 +300,15 @@ def test_linear_gates_are_coordinate_subspaces(name):
         "skewham": (is_skew_hamiltonian, lambda A: A.T @ J4 - J4 @ A, 5),
         "imsym": (is_imaginary_symmetric, lambda A: A.real, 9),
     }[name]
-    off = np.flatnonzero(np.diag(_PROJECTOR[name]) == 0)
+    off = np.flatnonzero(_MASK[name])
     images = np.array([L((e @ _QT_STACK).reshape(4, 4)).ravel() for e in np.eye(15)])
     images = np.concatenate((images.real, images.imag), axis=1)
     on = np.setdiff1d(np.arange(15), off)
     assert np.abs(images[on]).max() == 0.0
     assert np.linalg.matrix_rank(images[off]) == len(off) == 15 - family_dim
+    # The factor groups of a grouped row cover the slots its gate keeps.
+    if name in _SLOTS:
+        assert sorted(sum(_SLOTS[name], [])) == list(on)
     # The gate is the Frobenius norm of the dropped part.
     rng = np.random.default_rng(78)
     v = rng.normal(size=15)
@@ -922,7 +930,8 @@ def _reference_distance(method, X):
     if method == "normal-split":
         d = X.quintuple
         return 2.0 * float(np.linalg.norm(cross_matrix(d.p) @ d.Cmat - d.Cmat @ cross_matrix(d.q)))
-    return 2.0 * float(np.linalg.norm(v - _PROJECTOR[method] @ v))
+    P = _TRIDIAG_PROJ if method == "tridiag" else np.diag(1.0 - _MASK[method])
+    return 2.0 * float(np.linalg.norm(v - P @ v))
 
 
 def test_gate_distances_match_their_definitions():
@@ -937,36 +946,57 @@ def test_gate_distances_match_their_definitions():
             assert abs(d - ref) <= 1e-14 * max(ref, scale), (method, d, ref)
 
 
-def test_a_gate_computes_only_its_own_row(monkeypatch):
-    # Only the normal-split gate forms the shared products
-    # (``model.quadratic_forms``), and dispatch stops at the first row that
-    # passes: a tridiagonal or drop-row input never forms them.  An element
-    # forms them at most once, and classify and the cubic formula read the
-    # normal-split gate's formation.
+def test_every_element_forms_the_shared_product_at_most_once(monkeypatch):
+    # A tridiagonal input never forms the shared product
+    # (``model.quadratic_forms``): its gate is the residual ||Rv||.  Every
+    # other row forms it exactly once per element, and the drop gates, the
+    # normal gate, classify, charpoly, is_normal_element and the cubic
+    # formula all read that one formation.
     import su4exp.model as model
 
     calls = []
     monkeypatch.setattr(model, "quadratic_forms",
                         lambda v: calls.append(1) or quadratic_forms(v))
+    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
     rng = np.random.default_rng(90)
     X = FAMILIES["bisym"][0](rng)
-    for fam in FAMILY_TABLE:
-        if fam.gate:
-            del calls[:]
-            gate_distance(fam.method, Su4Element._from_coeffs(X.coeffs, X.scalar))
-            assert len(calls) == (fam.method == "normal-split"), fam.method
-    del calls[:]
-    assert exp_bisymmetric_fast(X).method == "bisym"
-    for method in ("tridiag", "perskew", "skewham", "bisym", "imsym"):
-        assert exp_auto(FAMILIES[method][0](rng)).method == method
-    assert calls == []
-    for method in ("quad-I", "quad-II", "cubic-I"):
-        Y = FAMILIES[method][0](rng)
-        assert exp_auto(Y).method == method
-        assert len(calls) == 1, method
-        classify(Y), charpoly(Y), is_normal_element(Y), closed_form(method, Y)
-        assert len(calls) == 1, method
+    for method in methods:
         del calls[:]
+        gate_distance(method, Su4Element._from_coeffs(X.coeffs, X.scalar))
+        assert len(calls) == (method != "tridiag"), method
+    T = FAMILIES["tridiag"][0](rng)
+    del calls[:]
+    assert exp_auto(T).method == "tridiag" and is_tridiagonal_type(T)
+    assert closed_form("tridiag", T).method == "tridiag"
+    assert calls == []
+    for fam in FAMILY_TABLE[1:]:
+        Y = FAMILIES[fam.method][0](rng)
+        assert exp_auto(Y).method == fam.method
+        assert len(calls) == 1, fam.method
+        for method in methods:
+            gate_distance(method, Y)
+        classify(Y), charpoly(Y), is_normal_element(Y), closed_form(fam.method, Y)
+        assert len(calls) == 1, fam.method
+        del calls[:]
+    # Off every row: the input and its two magic conjugates, once each.
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert exp_auto(Su4Element(A - A.conj().T)).method == "oracle"
+    assert len(calls) == 3
+
+
+def test_exp_auto_and_classify_take_a_tol_in_0_inf():
+    # On the CI's seeded generic matrix, tol = inf would take the tridiagonal
+    # row, and nan or a negative tol the oracle: each raises InputError.
+    # tol = 0 is valid: only a distance of exactly 0 passes.
+    z = np.random.default_rng(1).normal(size=(4, 4, 2)) @ (1, 1j)
+    X = Su4Element(0.5 * (z - z.conj().T))
+    for tol in (math.inf, math.nan, -1.0, -math.inf):
+        with pytest.raises(InputError, match="tol must be finite and >= 0"):
+            exp_auto(X, tol)
+        with pytest.raises(InputError, match="tol must be finite and >= 0"):
+            classify(X, tol)
+    assert exp_auto(X, 0.0).method == "oracle" and classify(X, 0.0).tag == "other"
+    assert exp_auto(Su4Element(np.zeros((4, 4))), 0.0).method == "tridiag"
 
 
 @pytest.mark.parametrize("name", [fam.method for fam in FAMILY_TABLE if fam.gate])

@@ -420,7 +420,7 @@ def test_square_map_gives_the_square_and_its_product_with_X0():
         v = rng.normal(size=15)
         v *= norm / np.linalg.norm(v)
         X0 = Su4Element.from_quintuple(v[:3], v[3:6], *v[6:].reshape(3, 3).T).traceless
-        _, z, g = quadratic_forms(v)
+        _, z, g, _ = quadratic_forms(v)
         Dv = (_SQUARE_MAP @ v).reshape(15, 15)
         tol = 1e-13 * max(1.0, g * g)
         assert abs(g - v @ v) <= 1e-15 * (v @ v)
@@ -447,6 +447,129 @@ def test_decompositions_are_built_on_first_access():
     assert "pauli" not in vars(X) and "quintuple" not in vars(X)
     assert X.pauli is X.pauli and X.quintuple is X.quintuple
     assert np.array_equal(X.quintuple.Cmat.ravel(), X.coeffs[6:])
+
+
+# The views of an element, in an order where entries is read before the
+# traceless part it is built from.
+_VIEWS = ("quadratic", "norm", "entries", "traceless", "pauli", "quintuple")
+
+
+def _bits(x):
+    """A view's bytes, through its tuples and NamedTuples."""
+    return tuple(map(_bits, x)) if isinstance(x, tuple) else np.asarray(x).tobytes()
+
+
+def test_views_are_computed_once_per_element(monkeypatch):
+    # On the class a view is its descriptor.  On an element each runs its
+    # function on the first read only, entries' read of traceless included,
+    # and every later read returns the same object.
+    from su4exp.model import _view
+    calls = []
+    for name in _VIEWS:
+        view = Su4Element.__dict__[name]
+        assert isinstance(view, _view) and getattr(Su4Element, name) is view
+        monkeypatch.setattr(view, "func",
+                            lambda X, f=view.func, name=name: calls.append(name) or f(X))
+    rng = np.random.default_rng(53)
+    X = _random_element(rng)
+    for Y in (X, Su4Element._from_coeffs(X.coeffs, 0.4)):
+        del calls[:]
+        first = [getattr(Y, name) for name in _VIEWS]
+        for _ in range(3):
+            assert all(getattr(Y, name) is f for name, f in zip(_VIEWS, first))
+        assert sorted(calls) == sorted(_VIEWS)
+
+
+def test_views_raced_by_threads_return_one_object():
+    # Threads (more than the cores of a small host) race on the first reads
+    # of fresh elements, with a short switch interval: a race may compute a
+    # view twice, but every thread gets the one object the element keeps.
+    import sys
+    import threading
+    rng = np.random.default_rng(56)
+    elements = [Su4Element._from_coeffs(rng.normal(size=15)) for _ in range(300)]
+    seen = [[] for _ in range(4)]
+
+    def read(out):
+        for X in elements:
+            out.append([getattr(X, name) for name in _VIEWS])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, X in enumerate(elements):
+        for j, name in enumerate(_VIEWS):
+            assert all(out[k][j] is getattr(X, name) for out in seen), name
+
+
+def test_views_do_not_depend_on_the_constructor():
+    # An element from entries and one from the same (v, b) give bitwise
+    # identical views.
+    rng = np.random.default_rng(54)
+    for k in range(20):
+        X = _random_element(rng, scale=10.0 ** (k % 5 - 2))
+        X = Su4Element(X.entries + 0.3j * k * np.eye(4))
+        Y = Su4Element._from_coeffs(X.coeffs, X.scalar)
+        for name in _VIEWS:
+            assert _bits(getattr(X, name)) == _bits(getattr(Y, name)), name
+
+
+def test_drop_rows_of_the_shared_product_are_v_squared_on_the_masks():
+    # The drop distances that the shared product reads off v_i v_j equal
+    # _DROP @ v^2 to 1e-15 ||v||^2: on family samples, the same with
+    # anti-Hermitian noise at 1e-13 to 1e-9 relative, and each of them
+    # scaled to ||X||_F = 1e5.
+    from su4exp.families import FAMILIES
+    from su4exp.model import _DROP
+    rng = np.random.default_rng(55)
+    for sampler, _ in FAMILIES.values():
+        for _ in range(4):
+            A = sampler(rng).entries
+            inputs = [A]
+            for eps in (1e-13, 1e-11, 1e-9):
+                H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                H = H - H.conj().T
+                inputs.append(A + H * (eps * np.linalg.norm(A) / np.linalg.norm(H)))
+            for B in inputs:
+                for scale in (1.0, 1e5 / np.linalg.norm(B)):
+                    v = Su4Element(scale * B).coeffs
+                    ref = _DROP @ (v * v)
+                    assert np.abs(quadratic_forms(v)[3] - ref).max() <= 1e-15 * (v @ v)
+
+
+def test_entry_constructor_raises_input_error_on_malformed_entries():
+    # Non-numeric, ragged and unconvertible entries raise InputError rather
+    # than NumPy's ValueError or TypeError, and the other constructor errors
+    # keep their messages.
+    for bad in ([["a"] * 4] * 4, [[0.0] * 4] * 3 + [[0.0] * 3], [[{}] * 4] * 4,
+                [[10 ** 400] * 4] * 4):
+        with pytest.raises(InputError, match="^malformed matrix entries: "):
+            Su4Element(bad)
+    nan = np.zeros((4, 4))
+    nan[1, 2] = np.nan
+    cases = [
+        (lambda: Su4Element(np.zeros((3, 3))), "expected a 4x4 matrix"),
+        (lambda: Su4Element(nan), "matrix has non-finite entries"),
+        (lambda: Su4Element(np.eye(4)), "matrix is not anti-Hermitian (residual 2.000e+00)"),
+        (lambda: Su4Element._from_coeffs(np.ones(14)), "expected 15 coefficients"),
+        (lambda: Su4Element._from_coeffs(np.ones(15), np.inf), "non-finite coefficients"),
+        (lambda: Su4Element.from_pauli_coeffs(np.ones(3), np.ones(3), np.ones(8)),
+         "expected 15 coefficients"),
+        (lambda: Su4Element.from_quintuple(*[np.ones(3)] * 4, np.ones(2)),
+         "expected 15 coefficients"),
+    ]
+    for make, message in cases:
+        with pytest.raises(InputError) as err:
+            make()
+        assert str(err.value) == message
 
 
 def test_pauli_stack_is_the_kronecker_products():
