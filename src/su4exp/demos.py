@@ -7,10 +7,11 @@ at one split.  ``DEMOS`` holds each system once, for the library and the
 CLI: its parameters (ending in the time t), propagator and generator tX.
 A constant map, read off the generator at t = 1 at import, takes t times
 the other parameters to the coefficients (v, b) of ``Su4Element``.  Its
-row's read-out is composed with it at import too, so each call is one
-product, giving the few coordinates the formula reads and b, and the row's
-formula, which applies the scalar phase (``expm._exp_mapped``): no element
-is built and no gate runs.  These double as integration fixtures:
+row's read-out is composed with it at import too.  A call hands the other
+parameters and t to ``expm._exp_mapped``, which takes their products and
+one product of the map, giving the few coordinates the formula reads and
+b, then the row's formula, which applies the scalar phase: no element is
+built and no gate runs.  These double as integration fixtures:
 the tests compare each propagator against the series reference exponential.
 """
 
@@ -72,7 +73,7 @@ def rabi_matrix(p: RabiParams) -> np.ndarray:
 
 def rabi_propagator(p: RabiParams) -> ExpResult:
     """U(t) = e^{-i E0 t} exp(-i C t) via the tridiagonal two-factor form."""
-    return _exp_mapped("tridiag", _RABI_READ, [p.t * x for x in (p.g1, p.g2, p.g3, p.E0)])
+    return _exp_mapped("tridiag", _RABI_READ, p[:-1], p.t)
 
 
 def josephson_matrix(p: JosephsonParams) -> np.ndarray:
@@ -87,8 +88,7 @@ def josephson_matrix(p: JosephsonParams) -> np.ndarray:
 
 def josephson_propagator(p: JosephsonParams) -> ExpResult:
     """e^{-iHt}: scalar part -(E00+E10)t/2 plus a bisymmetric remainder."""
-    return _exp_mapped("bisym", _JOSEPHSON_READ,
-                       [p.t * x for x in (p.E00, p.E10, p.EJ1, p.EJ2)], _JOSEPHSON_SPLIT)
+    return _exp_mapped("bisym", _JOSEPHSON_READ, p[:-1], p.t, _JOSEPHSON_SPLIT)
 
 
 def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
@@ -105,8 +105,7 @@ def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
 def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
     """e^{tX} = e^{iat} e^{tX0}: in the interaction matrix, sz(x)sz is the
     1x1 block and sz(x)I, I(x)sz, sx(x)sx, sy(x)sy the 2x2 block."""
-    return _exp_mapped("bisym", _JCOUPLING_READ,
-                       [p.t * x for x in (p.a, p.b, p.c, p.d, p.e, p.f)], _JCOUPLING_SPLIT)
+    return _exp_mapped("bisym", _JCOUPLING_READ, p[:-1], p.t, _JCOUPLING_SPLIT)
 
 
 # name -> (parameter NamedTuple, propagator, generator tX of the parameters)

@@ -220,20 +220,24 @@ def _factors(w: list[float], b: float, table) -> tuple:
     ||w_g||, over the row's one or two groups g, as coefficients on T.
 
     w = G v, the row's read-out (``_readout``), holds the groups' slots of
-    what the row's gate keeps of v.  A factor is the vector [cos l_g,
-    sinc(l_g) w_g] on I and its group's basis matrices, the first one times
+    what the row's gate keeps of v.  A factor is the tuple (cos l_g,
+    sinc(l_g) w_g) on I and its group's basis matrices, the first one times
     e^{ib}, and row a of the complex T is the product of the basis matrices
     that term a of the outer product of those vectors names (``_group_table``).
+    sinc(l_g) takes the real branch of ``sinc`` inline and calls it only for
+    its series: l_g = hypot(w_g) >= 0, so -1e-4 < l_g < 1e-4 is l_g < 1e-4.
     """
     groups, _, T = table
     g = w[groups[0]]
     lam = math.hypot(*g)
     E = cmath.exp(1j * b)
-    f = [E * math.cos(lam), *map((E * sinc(lam)).__mul__, g)]
+    s = E * (math.sin(lam) / lam if lam >= 1e-4 else sinc(lam))
+    f = (E * math.cos(lam), *map(s.__mul__, g))
     if len(groups) == 2:
         g = w[groups[1]]
         lam = math.hypot(*g)
-        h = [math.cos(lam), *map(sinc(lam).__mul__, g)]
+        s = math.sin(lam) / lam if lam >= 1e-4 else sinc(lam)
+        h = (math.cos(lam), *map(s.__mul__, g))
         f = [a * c for a in f for c in h]
     return f, T
 
@@ -329,20 +333,21 @@ def _bisym(s: list[float], b: float, k: int) -> tuple:
 
     x_p = x11 + p x22, y_p = x12 - p x21, l_p = hypot(x_p, y_p).  Expanded,
     that is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 =
-    -M21, the split's rows up to sign.
+    -M21, the split's rows up to sign.  The two eigenspaces run side by side
+    as straight-line code, p = +1 then p = -1 in each line, and sinc(l_p)
+    takes the real branch of ``sinc`` inline, as in ``_factors``.
     """
     e, x11, x12, x21, x22 = s
     sigma = _SPLIT_SIGN[k]
-    terms = []
-    for p in (1.0, -1.0):
-        x, y = x11 + p * x22, x12 - p * x21
-        lam = math.hypot(x, y)
-        E = cmath.exp(1j * (b + p * sigma * e))
-        r = 0.5j * E * sinc(lam)
-        terms.append((0.5 * E * math.cos(lam), r * x, r * y))
-    (c_p, x_p, y_p), (c_m, x_m, y_m) = terms
-    coef = (c_p + c_m, sigma * (c_p - c_m), x_p + x_m, y_p + y_m, y_m - y_p, x_p - x_m)
-    return coef, _SPLIT_ROWS[k]
+    se = sigma * e
+    xp, yp, xm, ym = x11 + x22, x12 - x21, x11 - x22, x12 + x21
+    lp, lm = math.hypot(xp, yp), math.hypot(xm, ym)
+    Ep, Em = cmath.exp(1j * (b + se)), cmath.exp(1j * (b - se))
+    rp = 0.5j * Ep * (math.sin(lp) / lp if lp >= 1e-4 else sinc(lp))
+    rm = 0.5j * Em * (math.sin(lm) / lm if lm >= 1e-4 else sinc(lm))
+    cp, cm = 0.5 * Ep * math.cos(lp), 0.5 * Em * math.cos(lm)
+    xp, yp, xm, ym = rp * xp, rp * yp, rm * xm, rm * ym
+    return (cp + cm, sigma * (cp - cm), xp + xm, yp + ym, ym - yp, xp - xm), _SPLIT_ROWS[k]
 
 
 # -- the family table -------------------------------------------------------
@@ -536,8 +541,10 @@ def _matrix(coef, T, *right) -> np.ndarray:
     returns a second such pair, e^{iC}, whose matrix multiplies e^B's on the
     right: one 4x4 product costs less than the outer product of their
     coefficients on a table of products of their rows."""
-    # np.dot has less call overhead than @ on operands this small.
-    U = np.dot(coef, T).reshape(4, 4)
+    # ndarray.dot has less call overhead than @ on operands this small, and
+    # np.dot converts a formula's list or tuple of coefficients more slowly
+    # than np.asarray with the dtype given.
+    U = np.asarray(coef, complex).dot(T).reshape(4, 4)
     return U.dot(_matrix(*right)) if right else U
 
 
@@ -569,23 +576,31 @@ def closed_form(method: str, X: Su4Element) -> ExpResult:
 
 # -- public closed forms and the dispatcher --------------------------------
 
-def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
-    """e^X for the X with (v, b) = M @ x, by the formula of the row ``method``.
+def _exp_mapped(method: str, A: np.ndarray, x, t, arg=None) -> ExpResult:
+    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row ``method``.
 
     For generators that a constant (16, n) map M takes from parameters x
     onto one structured row: every column of M has gate distance 0 there,
     and arg is the gate's split on M's range (bisym) or None.  A =
-    ``_readout_map(method, M, arg)`` gives the formula's read-out and b in
-    one product, so no element is built and no gate runs.  Raises
-    InputError on a non-finite parameter, before any product, and past the
+    ``_readout_map(method, M, arg)`` gives the formula's read-out and b of
+    tX, M @ (t x), in one product on the n products t x, so no element is
+    built and no gate runs.  Raises InputError when a parameter or the time
+    is not a real number, or when the products t x have no finite norm,
+    both before that product (NumPy warns on inf times 0), and past the
     range rule of ``exp_auto`` (``_check_norm``): on every map here
     ||(R v, b)|| = ||(v, b)||.
     """
-    if not all(map(math.isfinite, x)):
+    try:
+        x = [t * y for y in x]
+        n = math.hypot(*x)
+    except TypeError as exc:
+        raise InputError(f"parameters must be real numbers: {exc}") from exc
+    if not math.isfinite(n):
         raise InputError("parameters must be finite")
-    *y, b = A.dot(x).tolist()
-    if _EPS * 4.0 * math.hypot(*y, b) >= 1.0:
+    y = A.dot(x).tolist()
+    if _EPS * 4.0 * math.hypot(*y) >= 1.0:
         raise InputError("parameters past 1/eps: e^X has no determined digit")
+    b = y.pop()
     return ExpResult(_matrix(*_ROWS[method].formula(y, b, _TABLES.get(method, arg))), method)
 
 
@@ -595,9 +610,9 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     Takes the three parameters rather than an element: (v, b) is the
     constant map _TRIDIAG_VB of them, read out by _TRIDIAG_READ
     (``_exp_mapped``), as for the demo propagators.  Raises InputError on a
-    non-finite parameter.
+    parameter that is not a finite real number.
     """
-    return _exp_mapped("tridiag", _TRIDIAG_READ, S)
+    return _exp_mapped("tridiag", _TRIDIAG_READ, S, 1.0)
 
 
 def exp_perskew(X: Su4Element) -> ExpResult:

@@ -293,6 +293,15 @@ class _view:
         return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
+def _floats(*xs) -> list[np.ndarray]:
+    """Each argument as a float array, for the coefficient constructors:
+    InputError where NumPy cannot convert one, as for malformed entries."""
+    try:
+        return [np.array(x, dtype=float) for x in xs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed coefficients: {exc}") from exc
+
+
 class Su4Element:
     """Anti-Hermitian 4x4 matrix, held as its coefficient vector.
 
@@ -344,20 +353,18 @@ class Su4Element:
     @classmethod
     def _from_coeffs(cls, v, scalar: float = 0.0) -> "Su4Element":
         """The element with coefficient vector v and scalar part scalar."""
-        v = np.array(v, dtype=float)
-        scalar = float(scalar)
+        v, scalar = _floats(v, scalar)
         if v.shape != (15,):
             raise InputError("expected 15 coefficients")
         if not (np.isfinite(v).all() and math.isfinite(scalar)):
             raise InputError("non-finite coefficients")
         X = cls.__new__(cls)
-        X._set(v, scalar)
+        X._set(v, float(scalar))
         return X
 
     @classmethod
     def from_pauli_coeffs(cls, alpha, beta, gamma, scalar: float = 0.0) -> "Su4Element":
-        c = np.concatenate([np.asarray(x, dtype=float).reshape(-1)
-                            for x in (alpha, beta, gamma)])
+        c = np.concatenate([x.reshape(-1) for x in _floats(alpha, beta, gamma)])
         if c.shape != (15,):
             raise InputError("expected 15 coefficients")
         v = np.empty(15)
@@ -366,15 +373,14 @@ class Su4Element:
 
     @classmethod
     def from_quintuple(cls, p, q, r, s, t, scalar: float = 0.0) -> "Su4Element":
-        p, q, r, s, t = (np.asarray(x, dtype=float) for x in (p, q, r, s, t))
+        p, q, r, s, t = _floats(p, q, r, s, t)
         if {x.shape for x in (p, q, r, s, t)} != {(3,)}:
             raise InputError("expected 15 coefficients")
         return cls._from_coeffs(np.concatenate((p, q, np.array((r, s, t)).T.reshape(9))), scalar)
 
     @classmethod
     def from_canonical(cls, a, b, c, scalar: float = 0.0) -> "Su4Element":
-        return cls.from_pauli_coeffs(a, b, np.diag(np.asarray(c, dtype=float)),
-                                     scalar=scalar)
+        return cls.from_pauli_coeffs(a, b, np.diag(*_floats(c)), scalar=scalar)
 
     # -- matrices and decompositions, built on first access ---------------
 

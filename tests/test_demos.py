@@ -149,16 +149,18 @@ def test_demos_scale_with_time(demo):
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "a", None, 1 + 2j])
 def test_demo_rejects_non_finite_parameters(demo, bad):
     # Every field, the time included, is checked before any product, so
-    # no RuntimeWarning precedes the InputError.
+    # no RuntimeWarning precedes the InputError; a str, None or complex
+    # field raises it too.  An int time times a str field is a str.
     p, _, propagate, _, _, _ = DEMOS[demo]
-    for field in p._fields:
+    cases = [p._replace(**{field: bad}) for field in p._fields]
+    for q in cases + [p._replace(**{p._fields[0]: bad, "t": 2})]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError):
-                propagate(p._replace(**{field: bad}))
+            with pytest.raises(InputError, match="^parameters must be "):
+                propagate(q)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -13,9 +13,13 @@ import pytest
 from su4exp.classify import _NORM_MAX, charpoly, classify, is_normal_type, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
+    _ROWS,
     _SLOTS,
+    _SPLIT_SLOTS,
+    _TABLES,
     _TRIDIAG_PROJ,
     FAMILY_TABLE,
+    _matrix,
     STRUCTURE_TOL,
     SymTriDiag,
     closed_form,
@@ -63,6 +67,59 @@ def test_sinc_series_matches_exact():
         exact = cmath.sin(c) / c
         assert abs(sinc(c) - exact) < 1e-15 * max(1.0, abs(exact))
     assert sinc(0.0) == 1.0
+
+
+# Group norms on either side of sinc's crossover at 1e-4, and on it: the
+# grouped rows and the bisymmetric formula take sinc's real branch inline.
+_CROSSOVER = (0.0, 1e-9, 9.99e-5, 1e-4, 1.0001e-4, 1.0)
+
+
+def _formula_unitary(method, w, b, arg=None):
+    return _matrix(*_ROWS[method].formula(w, b, _TABLES.get(method, arg)))
+
+
+@pytest.mark.parametrize("method", ["tridiag", "perskew", "skewham", "normal-split"])
+def test_grouped_rows_at_the_sinc_crossover(method):
+    # Each group's norm in turn at each crossover value, on one slot so the
+    # norm is exact, then spread over the group, with the other group at
+    # norm 0.7; normal-split's Cmat is 0, so its e^{iC} is I.  The formula
+    # reads w as coefficients on its groups' slots of v, so e^X is the
+    # exponential of ib I + w on those basis matrices.
+    rng = np.random.default_rng(26)
+    slots = _SLOTS[method]
+    for g, group in enumerate(slots):
+        n = len(group)
+        for lam in _CROSSOVER:
+            for part in (lam * np.eye(n)[0], np.full(n, lam / math.sqrt(n))):
+                w = []
+                for h, other in enumerate(slots):
+                    u = rng.normal(size=len(other))
+                    w += (part if h == g else 0.7 * u / np.linalg.norm(u)).tolist()
+                v = np.zeros(15)
+                v[sum(slots, [])] = w
+                X = (v @ _QT_STACK).reshape(4, 4) + 0.3j * np.eye(4)
+                w += [0.0] * 9 if method == "normal-split" else []
+                U = _formula_unitary(method, w, 0.3)
+                assert np.abs(U - expm_reference(X)).max() <= 1e-14, (g, lam, part)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_bisymmetric_splits_at_the_sinc_crossover(k):
+    # l_+ = hypot(x11 + x22, x12 - x21) and l_- = hypot(x11 - x22, x12 +
+    # x21) each in turn at each crossover value, exactly: x11 = +-x22 =
+    # lam / 2 puts lam on one and 0 on the other, and x12 = +-x21 = y / 2
+    # puts y = 0.7 on the other norm alone.
+    for sign in (1.0, -1.0):
+        for lam in _CROSSOVER:
+            s = [0.4, lam / 2, 0.35, sign * 0.35, sign * lam / 2]
+            x11, x12, x21, x22 = s[1:]
+            lp, lm = math.hypot(x11 + x22, x12 - x21), math.hypot(x11 - x22, x12 + x21)
+            assert (lp, lm) == ((lam, 0.7) if sign > 0 else (0.7, lam))
+            v = np.zeros(15)
+            v[_SPLIT_SLOTS[k]] = s
+            X = (v @ _QT_STACK).reshape(4, 4) - 0.2j * np.eye(4)
+            U = _formula_unitary("bisym", s, -0.2, k)
+            assert np.abs(U - expm_reference(X)).max() <= 1e-14, (sign, lam)
 
 
 def test_cosm1_series_matches_exact():
@@ -156,10 +213,14 @@ def test_tridiag_factors_commute():
             assert np.abs(sq - sq[0, 0] * np.eye(4)).max() < 1e-12
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, 1 + 2j])
 def test_tridiag_rejects_non_finite(bad):
-    with pytest.raises(InputError):
-        exp_tridiag(SymTriDiag(bad, 1.0, 2.0))
+    # A str, None or complex parameter is not a finite real number either.
+    for k in range(3):
+        S = [1.0, 2.0, 3.0]
+        S[k] = bad
+        with pytest.raises(InputError, match="^parameters must be "):
+            exp_tridiag(SymTriDiag(*S))
 
 
 def test_tridiag_time_scaling():

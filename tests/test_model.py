@@ -572,6 +572,23 @@ def test_entry_constructor_raises_input_error_on_malformed_entries():
         assert str(err.value) == message
 
 
+def test_coefficient_constructors_raise_input_error_on_malformed_input():
+    # Non-numeric, ragged and unconvertible coefficients raise InputError
+    # rather than NumPy's ValueError or TypeError, in every constructor that
+    # takes coefficients, the scalar part included.
+    z3, z33 = np.zeros(3), np.zeros((3, 3))
+    for make in (lambda: Su4Element.from_pauli_coeffs(["a"] * 3, z3, z33),
+                 lambda: Su4Element.from_pauli_coeffs(z3, z3, [[{}] * 3] * 3),
+                 lambda: Su4Element.from_pauli_coeffs(z3, z3, z33, scalar="b"),
+                 lambda: Su4Element.from_quintuple([1, [2, 3], 3], z3, z3, z3, z3),
+                 lambda: Su4Element.from_quintuple(z3, z3, z3, z3, [10 ** 400] * 3),
+                 lambda: Su4Element._from_coeffs(["x"] * 15),
+                 lambda: Su4Element._from_coeffs(np.zeros(15), 1 + 2j),
+                 lambda: Su4Element.from_canonical(z3, z3, ["q", 1, 2])):
+        with pytest.raises(InputError, match="^malformed coefficients: "):
+            make()
+
+
 def test_pauli_stack_is_the_kronecker_products():
     # X0 = sum_k v[slot_k] T_slot = i sum_k c_k sigma_s (x) sigma_t with
     # v[slot_k] = sign_k c_k, so sigma_s (x) sigma_t = -i sign_k T_slot; T is
