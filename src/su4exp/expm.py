@@ -1,15 +1,16 @@
 """Closed-form exponentials for structured 4x4 anti-Hermitian matrices.
 
-Every formula of the nine rows returns scalar coefficients and a constant
-table, in the coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``,
-and U = coef @ T is formed in one place (``_matrix``).  A group of
+Every formula of the nine rows returns coefficients and a table, in the
+coordinates v = (p, q, vec Cmat) of ``Su4Element.coeffs``, and U = coef @ T
+is formed in one place (``_matrix``); the tables are constants, but for
+e^{iC}'s, the eigenbasis of C (below).  A group of
 anticommuting Pauli terms of X0, declared as data in the family table, is
 read off v by its slots and gives the vector [cos l, sinc(l) w] of a
 rotation factor; the outer product of a row's vectors on the products of
 its groups' basis matrices, built at import, is e^X0 (``_factors``).
-e^{iC} takes the one spectral step, NumPy's ``eigh`` of Cmat^T Cmat for
-the right singular directions V, and is nineteen coefficients on I, i M(.)
-and -M(.) of the pure-pure basis, read off the one product Cmat V
+e^{iC} takes the one spectral step: C = Im X0, a constant map of the nine
+Cmat slots, is real symmetric, and NumPy's ``eigh`` of it, C = V diag(lam)
+V^T, gives e^{iC} as the pair V diag(e^{i lam}) on the table V^T
 (``_interaction``).  The normal split is e^B e^{iC}, one 4x4 product of
 the two rows' matrices.  The bisymmetric formula needs two 2x2
 rotations, as a constant involution P commutes with X0 on its split and
@@ -85,12 +86,13 @@ from .model import (
     MAGIC_BASIS,
     STRUCTURE_TOL,
     Su4Element,
-    _cofactors,
     _magic_entries,
 )
 from .oracle import _EPS, _check_range, expm_reference
 
-# A module-level name, so the benchmark's tracer can wrap expm.eigh3.
+# The symmetric eigensolver of e^{iC}, on the 4x4 real symmetric C = Im X0
+# (``_interaction``); a module-level name, so the benchmark's tracer can wrap
+# expm.eigh3.
 eigh3 = np.linalg.eigh
 
 
@@ -243,51 +245,25 @@ def _factors(w: list[float], b: float, table) -> tuple:
 
 
 def _interaction(w: list[float], b: float, table=None) -> tuple:
-    """e^{ib} e^{iC} as coefficients on ``_IC_TABLE``, [I; i M(.); -M(.)],
-    from the nine entries w of Cmat and W = Cmat V, V the right singular
-    directions of Cmat (``eigh3`` of Cmat^T Cmat).
+    """e^{ib} e^{iC} as the pair (V diag(e^{i(b + lam)}), V^T), whose product
+    ``_matrix`` forms, from the nine entries w of Cmat.
 
-    With W = [u_0 u_1 u_2], iC is the sum of the commuting terms
-    i M(u_k v_k^T), M(A) = sum_ab A_ab M_{e_a (x) e_b}, which square to
-    -sigma_k^2 I, and the product of their rotation factors expands to
-
-        (c_0 c_1 c_2 - i det(Cmat) n_0 n_1 n_2) I
-            + M(i W diag(alpha) V^T - Co(Cmat) V diag(beta) V^T),
-
-    c_k = cos sigma_k, n_k = sinc sigma_k, alpha_k = n_k c_i c_j, beta_k =
-    c_k n_i n_j ({i, j} the other two indices), Co the cofactor matrix; the
-    coefficients carry e^{ib}.  cos and sinc are entire in sigma^2, so the
-    algebra needs no special case: any orthonormal eigenbasis V serves,
-    repeated or zero singular values included.  Numerically, sigma, the
-    cofactor term and det Cmat are all read off W: sigma_k = ||W e_k||,
-    Co(Cmat) V = det V Co(W) and det Cmat = det V det W, as V is orthogonal.
-    These scale with the singular values they hold, where sigma^2, an
-    eigenvalue of Cmat^T Cmat, loses a singular value below sqrt(eps)
-    sigma_max, and Cmat's own cofactors cancel at eps ||Cmat||^2.
+    C = Im X0 = w @ _PURE_FLAT is real symmetric, and ``eigh3`` gives C =
+    V diag(lam) V^T with V orthogonal, so e^{iC} = V diag(e^{i lam}) V^T.
+    e^{i lam} is constant on each eigenspace, so any orthonormal eigenbasis
+    serves, repeated eigenvalues included, and the symmetric eigensolver is
+    backward stable: the error is O(eps ||C||), with no singular value of
+    Cmat read through its square and no cofactor of Cmat formed.
     """
-    C = np.array(w).reshape(3, 3)
-    V = eigh3(C.T @ C)[1]
-    x = (C @ V).ravel().tolist()  # W, row by row
-    co, det = _cofactors(x)
-    d = _cofactors(V.ravel().tolist())[1]  # det V = +-1
-    sigma = [math.hypot(x[k], x[k + 3], x[k + 6]) for k in range(3)]
-    (c0, c1, c2), (n0, n1, n2) = map(math.cos, sigma), map(sinc, sigma)
-    Q = np.array(x + co).reshape(2, 3, 3) * np.array(
-        [n0 * c1 * c2, n1 * c0 * c2, n2 * c0 * c1,
-         d * c0 * n1 * n2, d * c1 * n0 * n2, d * c2 * n0 * n1]).reshape(2, 1, 3)
-    return cmath.exp(1j * b) * np.concatenate(
-        ([complex(c0 * c1 * c2, -d * det * n0 * n1 * n2)], (Q @ V.T).ravel())), _IC_TABLE
-
-
-# _interaction's table: I, then i M(.) and -M(.) of its 3x3 matrices.
-_IC_TABLE = np.concatenate((np.eye(4).reshape(1, 16), 1j * _PURE_FLAT, -_PURE_FLAT))
+    lam, V = eigh3(np.asarray(w, float).dot(_PURE_FLAT).reshape(4, 4))
+    return V * np.exp(1j * (lam + b)), V.T
 
 
 def _normal_split(w: list[float], b: float, table) -> tuple:
     """e^{ib} e^X0 = e^{ib} e^B e^{iC} when B and C commute: e^B by
     ``_factors`` on the p and q groups, the first six entries of w, then
-    e^{iC} by ``_interaction`` on Cmat, the other nine, its right factor in
-    ``_matrix``."""
+    e^{iC} by ``_interaction`` on Cmat, the other nine, from the eigenbasis
+    of C, its right factor in ``_matrix``."""
     return (*_factors(w, b, table), *_interaction(w[6:], 0.0))
 
 
@@ -364,8 +340,10 @@ class Family(NamedTuple):
     predicate is the minimal-polynomial shape ``label``, and its formula
     takes the element, b and that shape's ``MinPolyClass``.  ``groups``
     holds the Pauli labels of each rotation factor read off v.  Every
-    formula returns scalar coefficients and a constant table whose product
-    is e^X (``_matrix``), with the scalar phase e^{ib} in its coefficients.
+    formula returns coefficients and a table whose product is e^X
+    (``_matrix``), with the scalar phase e^{ib} in its coefficients: scalar
+    coefficients on a constant table, but for e^{iC} (imsym, and the normal
+    split's right factor), whose table is V^T of the eigenbasis of C.
     """
 
     method: str
@@ -536,8 +514,8 @@ def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | Non
 
 
 def _matrix(coef, T, *right) -> np.ndarray:
-    """coef @ T as a 4x4 matrix, for a formula's coefficients on its constant
-    table: the one place where a row becomes U.  Only the normal split
+    """coef @ T as a 4x4 matrix, for a formula's coefficients on its table:
+    the one place where a row becomes U.  Only the normal split
     returns a second such pair, e^{iC}, whose matrix multiplies e^B's on the
     right: one 4x4 product costs less than the outer product of their
     coefficients on a table of products of their rows."""

@@ -322,8 +322,6 @@ def test_group_tables_hold_the_products_of_their_basis_matrices():
     import itertools
     from functools import reduce
 
-    from su4exp.expm import _IC_TABLE, _SLOTS, _TABLES
-    from su4exp.model import _PURE_FLAT
     for method, slots in _SLOTS.items():
         groups, G, T = _TABLES[method]
         assert [len(range(15)[g]) for g in groups] == [len(s) for s in slots]
@@ -333,9 +331,6 @@ def test_group_tables_hold_the_products_of_their_basis_matrices():
         assert T.shape == (len(products), 16)
         for row, P in zip(T, products):
             assert np.array_equal(row.reshape(4, 4), P), method
-    assert np.array_equal(_IC_TABLE[0], np.eye(4).ravel())
-    assert np.array_equal(_IC_TABLE[1:10], 1j * _PURE_FLAT)
-    assert np.array_equal(_IC_TABLE[10:], -_PURE_FLAT)
 
 
 def test_skewham_terms_anticommute():
@@ -401,8 +396,9 @@ def test_imsym_matches_oracle():
 
 
 def _check_imsym_factors(Cmat):
-    # The factors of e^{iC} from NumPy's eigh of Cmat^T Cmat commute, their
-    # product is the closed form's coefficient table, and both match the oracle.
+    # The paper's three factors of e^{iC}, one per right singular direction
+    # of Cmat (NumPy's eigh of Cmat^T Cmat), commute, and their product is
+    # the row's e^{iC} from the eigenbasis of C; both match the oracle.
     from su4exp.expm import _interaction, _matrix
     _, V = np.linalg.eigh(Cmat.T @ Cmat)
     Fs = []
@@ -447,11 +443,12 @@ def test_imsym_factors_commute_near_degenerate(gap):
 
 
 # Singular values that stress e^{iC}, by name; "1e-6" and "1e-9" are the
-# smallest relative to the largest.
+# smallest relative to the largest.  At "triple" Cmat is orthogonal and C
+# has a triple eigenvalue, so eigh's basis of that eigenspace is arbitrary.
 _SINGULAR_VALUES = {"rank 0": (0.0, 0.0, 0.0), "rank 1": (2.3, 0.0, 0.0),
                     "rank 2": (2.3, 0.7, 0.0), "repeated": (1.9, 1.9, 0.4),
                     "det < 0": (1.3, 0.4, 2.2), "1e-9": (2.3, 1.1, 1e-9),
-                    "1e-6": (2.3, 1.1, 2.3e-6)}
+                    "1e-6": (2.3, 1.1, 2.3e-6), "triple": (1.0, 1.0, 1.0)}
 
 
 def _interaction_matrix(s, rng):
@@ -462,11 +459,12 @@ def _interaction_matrix(s, rng):
 
 @pytest.mark.parametrize("name", _SINGULAR_VALUES)
 def test_interaction_matches_oracle_at_degenerate_singular_values(name):
-    # cos and sinc enter as functions of sigma^2, so the algebra needs no
-    # special case for rank-deficient, repeated or tiny singular values.
-    # Numerically, sigma and the cofactors are read off Cmat V: from
-    # Cmat^T Cmat and Cmat's own cofactors, a singular value below
-    # sqrt(eps) sigma_max is lost, which at ||X||_F = 1e4 costs more than 1e-9.
+    # Rank-deficient, repeated or tiny singular values of Cmat give zero,
+    # repeated or clustered eigenvalues of C.  e^{i lam} is constant on each
+    # eigenspace, so any orthonormal eigenbasis gives the same e^{iC}, and
+    # eigh of C is backward stable: no singular value is read through its
+    # square, which below sqrt(eps) sigma_max would cost more than 1e-9 at
+    # ||X||_F = 1e4.
     from su4exp.expm import _interaction, _matrix
     s = _SINGULAR_VALUES[name]
     Cmat = _interaction_matrix(s, np.random.default_rng(92))
@@ -491,13 +489,51 @@ def test_interaction_matches_oracle_at_degenerate_singular_values(name):
 
 def test_normal_split_with_a_nonzero_interaction_matrix():
     # The family sampler draws Cmat = c u w^T with p = a u, q = b w: both
-    # e^B and e^{iC} are exercised.
+    # e^B and e^{iC} are exercised, at the sampled norm and rescaled to
+    # ||X||_F = 1, 1e2 and 1e3, where the gate still admits every sample.
     from su4exp.families import sample_normal_split
     rng = np.random.default_rng(93)
     for _ in range(100):
         X = sample_normal_split(rng)
         assert np.abs(X.coeffs[6:]).max() > 0.0 and is_normal_element(X)
         assert np.abs(exp_normal_split(X).U - expm_reference(X.entries)).max() <= 1e-12
+        for norm, tol in ((1.0, 1e-12), (1e2, 1e-9), (1e3, 1e-9)):
+            Y = Su4Element(norm / np.linalg.norm(X.entries) * X.entries)
+            res = exp_auto(Y)
+            assert res.method == "normal-split", norm
+            assert np.abs(res.U - expm_reference(Y.entries)).max() <= tol, norm
+
+
+# The largest c = ||U - e^X||_F / (eps max(1, ||X||_F)) of the two e^{iC}
+# rows in their accuracy table (CHANGES.md, 100 inputs per singular-value
+# case and norm, 1 to 1e6): 10.4, at ||X||_F = 1.
+_C_MAX = 10.5
+
+
+@pytest.mark.parametrize("name", [*_SINGULAR_VALUES, "normal-split"])
+def test_interaction_rows_hold_the_accuracy_contract(name):
+    # ||U - e^X||_F <= max(1e-9, c eps ||X||_F) through exp_auto: imsym on
+    # each singular-value case from ||X||_F = 1 to 1e6, and normal-split
+    # with a nonzero Cmat from 1 to 1e3, where its gate admits every sample.
+    from su4exp.families import sample_normal_split
+    rng = np.random.default_rng(96)
+    split = name == "normal-split"
+    for norm in 10.0 ** np.arange(4 if split else 7):
+        for _ in range(10):
+            if split:
+                X = sample_normal_split(rng)
+            else:
+                C = _interaction_matrix(_SINGULAR_VALUES[name], rng)
+                if name == "det < 0" and np.linalg.det(C) > 0:
+                    C = -C
+                X = Su4Element.from_quintuple(np.zeros(3), np.zeros(3), *C.T,
+                                              scalar=rng.uniform(-2, 2))
+            X = Su4Element(norm / np.linalg.norm(X.entries) * X.entries)
+            # Cmat = 0 is a scalar, which the first row, tridiag, takes.
+            res = exp_auto(X) if name != "rank 0" else exp_imaginary_symmetric(X)
+            assert res.method == ("normal-split" if split else "imsym")
+            err = np.linalg.norm(res.U - expm_reference(X.entries))
+            assert err <= max(1e-9, _C_MAX * np.finfo(float).eps * norm), (norm, err)
 
 
 def test_interaction_at_large_norm():
