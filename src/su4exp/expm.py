@@ -57,9 +57,11 @@ with the scalar phase included: each formula puts e^{ib} into its scalar
 coefficients, and no pass over U applies it.  A generator that a constant
 map takes from its parameters onto one structured row needs neither element
 nor gate.  Composed at import with the row's read-out, the map gives the
-formula's coordinates and b in one product (``_readout_map``), and
-``_exp_mapped``, behind ``exp_tridiag`` and the demo propagators, is that
-product and the row's formula.
+formula's coordinates and b in one product (``_readout_map``).
+``_exp_mapped``, behind ``exp_tridiag``, is that product and the row's
+formula; the demo propagators take the same product once per Hamiltonian,
+for its eigenvalues and spectral projectors (``demos``).  Both check their
+parameters in ``_check_params`` and apply the range rule of ``exp_auto``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .model import (
     Su4Element,
     _magic_entries,
 )
-from .oracle import _EPS, _check_range, expm_reference
+from .oracle import _check_range, expm_reference
 
 # The symmetric eigensolver of e^{iC}, on the 4x4 real symmetric C = Im X0
 # (``_interaction``); a module-level name, so the benchmark's tracer can wrap
@@ -554,30 +556,34 @@ def closed_form(method: str, X: Su4Element) -> ExpResult:
 
 # -- public closed forms and the dispatcher --------------------------------
 
-def _exp_mapped(method: str, A: np.ndarray, x, t, arg=None) -> ExpResult:
-    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row ``method``.
+def _check_params(x, t: float = 1.0) -> float:
+    """|t|, after raising InputError unless t and every parameter in x are
+    real numbers and ||x|| and |t| ||x|| are finite, before any product of
+    them is formed (NumPy warns on inf times 0)."""
+    try:
+        n, s = math.hypot(*x), math.hypot(t)
+    except TypeError as exc:
+        raise InputError(f"parameters must be real numbers: {exc}") from exc
+    if not math.isfinite(n * s):
+        raise InputError("parameters must be finite")
+    return s
+
+
+def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
+    """e^X for the X with (v, b) = M @ x, by the formula of the row ``method``.
 
     For generators that a constant (16, n) map M takes from parameters x
     onto one structured row: every column of M has gate distance 0 there,
     and arg is the gate's split on M's range (bisym) or None.  A =
-    ``_readout_map(method, M, arg)`` gives the formula's read-out and b of
-    tX, M @ (t x), in one product on the n products t x, so no element is
-    built and no gate runs.  Raises InputError when a parameter or the time
-    is not a real number, or when the products t x have no finite norm,
-    both before that product (NumPy warns on inf times 0), and past the
-    range rule of ``exp_auto`` (``_check_norm``): on every map here
-    ||(R v, b)|| = ||(v, b)||.
+    ``_readout_map(method, M, arg)`` gives the formula's read-out and b in
+    one product, so no element is built and no gate runs.  Raises
+    InputError when a parameter is not a finite real number
+    (``_check_params``), and past the range rule of ``exp_auto``
+    (``_check_norm``): on every map here ||(R v, b)|| = ||(v, b)||.
     """
-    try:
-        x = [t * y for y in x]
-        n = math.hypot(*x)
-    except TypeError as exc:
-        raise InputError(f"parameters must be real numbers: {exc}") from exc
-    if not math.isfinite(n):
-        raise InputError("parameters must be finite")
+    _check_params(x)
     y = A.dot(x).tolist()
-    if _EPS * 4.0 * math.hypot(*y) >= 1.0:
-        raise InputError("parameters past 1/eps: e^X has no determined digit")
+    _check_range(4.0 * math.hypot(*y))
     b = y.pop()
     return ExpResult(_matrix(*_ROWS[method].formula(y, b, _TABLES.get(method, arg))), method)
 
@@ -587,10 +593,10 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
 
     Takes the three parameters rather than an element: (v, b) is the
     constant map _TRIDIAG_VB of them, read out by _TRIDIAG_READ
-    (``_exp_mapped``), as for the demo propagators.  Raises InputError on a
-    parameter that is not a finite real number.
+    (``_exp_mapped``).  Raises InputError on a parameter that is not a
+    finite real number.
     """
-    return _exp_mapped("tridiag", _TRIDIAG_READ, S, 1.0)
+    return _exp_mapped("tridiag", _TRIDIAG_READ, S)
 
 
 def exp_perskew(X: Su4Element) -> ExpResult:

@@ -239,3 +239,80 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
         gate_distance(method, Su4Element._from_coeffs(np.ones(15)))
     assert {"__init__", "_from_coeffs", "_tridiag_gate", "_drop_gates", "_normal_gate",
             "quadratic_forms"} <= set(calls)
+
+
+# Parameters other than t at which a rotation angle of the spectral step is
+# zero, so its axis is any unit vector, with the number of distinct
+# eigenvalues that leaves: rabi's first and second factor are l1 = 0 at
+# g2 = 0, g1 = g3 and l2 = 0 at g2 = 0, g1 = -g3; josephson's eigenspace
+# P = +1 has l = 0 at E00 = E10, EJ1 = EJ2 and P = -1 at E00 = E10, EJ1 =
+# -EJ2; jcoupling's at c = -b, f = e and at c = b, f = -e.
+ZERO_ANGLES = {
+    "rabi": [((0.0, 0.0, 0.0, 0.7), 1), ((1.0, 0.0, 1.0, 0.3), 2), ((1.0, 0.0, -1.0, -0.4), 2)],
+    "josephson": [((0.8, 0.8, 0.0, 0.0), 1), ((0.8, 0.8, 0.3, 0.3), 3),
+                  ((0.8, 0.8, 0.3, -0.3), 3)],
+    "jcoupling": [((0.3, 0.0, 0.0, 0.9, 0.0, 0.0), 2), ((0.3, 0.5, -0.5, 0.2, 0.7, 0.7), 3),
+                  ((0.3, 0.5, 0.5, 0.2, 0.7, -0.7), 3)],
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demos_at_zero_rotation_angles(demo):
+    # Where a rotation angle l is 0 both of its projectors take the same
+    # phase, whatever the axis: each case merges eigenvalues as stated, and
+    # U stays within max(1e-12, 5 eps ||tX||_F) of the series reference
+    # from t = 0 to 1e3.
+    p, generator, propagate, *_ = DEMOS[demo]
+    eps = np.finfo(float).eps
+    for x, distinct in ZERO_ANGLES[demo]:
+        assert len(set(demos._spectral(demo, x)[0])) == distinct, x
+        for t in (0.0, 1e-12, 1e-6, 1.0, 1e3):
+            q = type(p)(*x, t)
+            A = generator(q)
+            err = np.linalg.norm(propagate(q).U - expm_reference(A))
+            assert err <= max(1e-12, 5 * eps * np.linalg.norm(A)), (x, t)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_cache_hit_equals_a_fresh_build(demo):
+    # The spectral step is kept per Hamiltonian: a hit returns the same U
+    # as a build right after the cache is cleared, for another t too, and
+    # the kept projectors are read-only.
+    p, _, propagate, *_ = DEMOS[demo]
+    for t in (0.37, 4.2):
+        q = _replace_t(p, t)
+        propagate(q)
+        hit = propagate(q).U
+        demos._spectral.cache_clear()
+        assert np.array_equal(propagate(q).U, hit)
+    P = demos._spectral(demo, p[:-1])[1]
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
+
+
+def test_demo_cache_is_bounded():
+    demos._spectral.cache_clear()
+    for g in range(demos._CACHE_SIZE + 1):
+        rabi_propagator(RabiParams(1.0, 0.5, float(g)))
+    assert demos._spectral.cache_info().currsize == demos._CACHE_SIZE
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_rejects_a_list_valued_field(demo):
+    # A list does not hash, but it is rejected as a parameter before the
+    # cache is asked.
+    p, _, propagate, *_ = DEMOS[demo]
+    for field in p._fields:
+        with pytest.raises(InputError, match="^parameters must be real numbers"):
+            propagate(p._replace(**{field: [1.0, 2.0]}))
+
+
+def test_rabi_int_float_and_0d_array_parameters_agree():
+    # Equal parameters give equal U whatever their real type, each from its
+    # own build; a 0-d array does not hash but is a real number.
+    floats = (1.0, 2.0, 3.0, 0.0)
+    U = []
+    for x in ((1, 2, 3, 0), floats, tuple(map(np.array, floats))):
+        demos._spectral.cache_clear()
+        U.append(rabi_propagator(RabiParams(*x, 0.6)).U)
+    assert np.array_equal(U[0], U[1]) and np.array_equal(U[0], U[2])
