@@ -13,45 +13,47 @@ coordinates the row's formula reads, and b, of X = tX / t.
 Those do not depend on t, and neither does the spectral step behind the
 formula: each rotation factor is a sum of two spectral projectors, so
 e^{tX} = sum_k e^{i lam_k t} P_k with four eigenvalues lam_k and four
-projectors P_k on the row's own table (``_tridiag_step``, ``_bisym_step``;
-Frobenius covariants, Higham, Functions of Matrices, SIAM 2008, ch. 1).
-``_spectral`` builds them once per Hamiltonian, keyed on the demo and the
-parameters other than t, in one ``functools.lru_cache`` of
-``_CACHE_SIZE`` entries of about 1 KB each, read-only.  A call checks its
-parameters and the range rule of ``exp_auto`` every time, then costs four
-phases and one (4,) by (4, 16) product; the first call on a Hamiltonian
-also pays the build, scalar Python and one (4, k) by (k, 16) product, which
-costs about as much as four or five later calls.  No element is built and
-no gate runs.  These double as integration fixtures: the tests compare each
-propagator against the series reference exponential.
+projectors P_k (Frobenius covariants, Higham, Functions of Matrices, SIAM
+2008, ch. 1), which ``expm._spectral_mapped`` builds from the row's own
+tables.  A propagator checks its parameters and the range rule of
+``exp_auto`` on every call.  On a Hamiltonian's first call, keyed on the
+demo and the parameters other than t, it takes the row's formula at t x
+(``expm._exp_mapped``), as one product and scalar Python; on the second it
+builds lam_k and P_k, about 3 us more than a formula call, and keeps them
+read-only; from then on a call is four phases and one (4,) by (4, 16)
+product, about half a formula call.  One ``functools.lru_cache`` of
+``_CACHE_SIZE`` entries holds them, about 1.8 KB per built entry, so a
+Hamiltonian called once is never built, and a loop over more Hamiltonians
+than the cache holds costs a lookup per call over the formula.  No element
+is built and no gate runs.  These double as integration fixtures: the tests
+compare each propagator against the series reference exponential.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .expm import (
-    _SPLIT_ROWS,
-    _SPLIT_SIGN,
-    _TABLES,
     ExpResult,
     SymTriDiag,
     _check_params,
+    _exp_mapped,
     _gate,
     _matrix,
     _param_map,
     _readout_map,
+    _spectral_mapped,
 )
 from .model import Su4Element
 from .oracle import _check_range
 
-# Hamiltonians whose eigenvalues and projectors ``_spectral`` keeps.
-_CACHE_SIZE = 256
+# Hamiltonians ``_slot`` keeps: 3 serve propagator-grid, which interleaves
+# three; 64 built entries take about 115 KB.
+_CACHE_SIZE = 64
 
 
 class RabiParams(NamedTuple):
@@ -171,89 +173,43 @@ _JOSEPHSON_READ = _readout_map("bisym", _JOSEPHSON_MAP, _JOSEPHSON_SPLIT)
 _JCOUPLING_READ = _readout_map("bisym", _JCOUPLING_MAP, _JCOUPLING_SPLIT)
 
 
-# -- the spectral step --------------------------------------------------------
+# -- the cache of spectral steps --------------------------------------------
 
-def _axis(x: float, y: float) -> tuple[float, float, float]:
-    """l = hypot(x, y) and the unit axis (x, y) / l, or any unit axis at
-    l = 0, where both of its projectors take the same phase."""
-    l = math.hypot(x, y)
-    return (l, x / l, y / l) if l else (0.0, 1.0, 0.0)
-
-
-def _rotation(w: list[float]) -> tuple:
-    """l and the coefficients on (I, B1, B2) of the two spectral projectors
-    (I - i s n.B)/2, s = +1 then -1, of e^{t w.B} = cos(lt) I + sin(lt) n.B,
-    where (n.B)^2 = -I and n = w / l: the factor is sum_s e^{istl} of them."""
-    l, x, y = _axis(*w)
-    u, v = -0.5j * x, -0.5j * y
-    return l, ((0.5, u, v), (0.5, -u, -v))
-
-
-def _tridiag_step(y: list[float], b: float, k=None) -> tuple:
-    """Eigenvalues and projector coefficients of the tridiagonal row: each
-    rotation factor of ``expm._factors`` is a sum of two projectors
-    (``_rotation``), so e^{tX} has one term per sign pair (s1, s2), lam =
-    b + s1 l1 + s2 l2, whose coefficients on the row's 9-row table are the
-    outer product of the two factors' projectors."""
-    (g1, g2), _, T = _TABLES["tridiag"]
-    l1, F = _rotation(y[g1])
-    l2, H = _rotation(y[g2])
-    lam = [b + l1 + l2, b + l1 - l2, b - l1 + l2, b - l1 - l2]
-    return lam, [[a * c for a in f for c in h] for f in F for h in H], T
-
-
-def _bisym_step(y: list[float], b: float, k: int) -> tuple:
-    """Eigenvalues and projector coefficients of the bisymmetric row.
-
-    On the eigenspace P = p of the split's involution P = sigma M_e
-    (``expm._bisym``), the factor is e^{i t l_p N_p} with the involution
-    N_p = (x_p M11 + y_p M12) / l_p, so its projectors are (I + pP)/2
-    (I + s N_p)/2, lam = b + p sigma e + s l_p.  As P M11 = M22 and P M12 =
-    -M21, they are (1, p sigma, s nx, s ny, -p s ny, p s nx) / 4 on the
-    split's rows (I, M_e, M11, M12, M21, M22).
-    """
-    e, x11, x12, x21, x22 = y
-    sigma = _SPLIT_SIGN[k]
-    lam, C = [], []
-    for p, x, z in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)):
-        l, nx, ny = _axis(x, z)
-        c = b + p * sigma * e
-        for s in (1.0, -1.0):
-            u, w = 0.25 * s * nx, 0.25 * s * ny
-            lam.append(c + s * l)
-            C.append((0.25, 0.25 * p * sigma, u, w, -p * w, p * u))
-    return lam, C, _SPLIT_ROWS[k]
-
-
-# demo -> (read map, method tag, spectral step, bisymmetric split)
-_STEPS = {"rabi": (_RABI_READ, "tridiag", _tridiag_step, None),
-          "josephson": (_JOSEPHSON_READ, "bisym", _bisym_step, _JOSEPHSON_SPLIT),
-          "jcoupling": (_JCOUPLING_READ, "bisym", _bisym_step, _JCOUPLING_SPLIT)}
+# demo -> (read map, row, bisymmetric split)
+_ROW = {"rabi": (_RABI_READ, "tridiag", None),
+        "josephson": (_JOSEPHSON_READ, "bisym", _JOSEPHSON_SPLIT),
+        "jcoupling": (_JCOUPLING_READ, "bisym", _JCOUPLING_SPLIT)}
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _spectral(demo: str, x: tuple) -> tuple:
-    """(i lam, P, ||(v, b)||) of the demo's X at the parameters x other
-    than t: e^{tX} = sum_k e^{i lam_k t} P_k, with P a read-only (4, 16)."""
-    A, _, step, k = _STEPS[demo]
-    y = A.dot(x).tolist()
-    n = math.hypot(*y)
-    b = y.pop()
-    lam, C, T = step(y, b, k)
-    P = np.asarray(C, complex).dot(T)
-    P.flags.writeable = False
-    return tuple(1j * l for l in lam), P, n
+def _slot(demo: str, x: tuple) -> list:
+    """The entry of the demo's Hamiltonian at the parameters x other than t:
+    [] before its first call, [None] after it, then from its second call on
+    [(i lam, P, ||(v, b)||)] of ``expm._spectral_mapped``, or [False] where
+    that overflows and the row's formula serves every call (``_propagate``)."""
+    return []
 
 
 def _propagate(demo: str, p) -> ExpResult:
-    """e^{tX} from the demo's spectral step at p's parameters other than t:
-    they and t are checked before any product (``expm._check_params``),
-    and the range rule of ``exp_auto`` is applied to ||tX|| = |t| ||X||."""
+    """e^{tX} at p: the row's formula at t x on a Hamiltonian's first call
+    (``expm._exp_mapped``), its kept spectral step from the second on.
+
+    x and t are checked before any product or lookup (``expm._check_params``),
+    and the range rule of ``exp_auto`` is applied to ||tX|| = |t| ||X||.
+    """
     x, t = p[:-1], p[-1]
     s = _check_params(x, t)
+    A, method, arg = _ROW[demo]
     try:
-        ilam, P, n = _spectral(demo, x)
+        slot = _slot(demo, x)
     except TypeError:  # a real number that does not hash, such as a 0-d array
-        ilam, P, n = _spectral(demo, tuple(map(float, x)))
-    _check_range(4.0 * s * n)
-    return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), _STEPS[demo][1])
+        slot = _slot(demo, tuple(map(float, x)))
+    if not slot:
+        slot.append(None)
+    elif slot[0] is None:
+        slot[0] = _spectral_mapped(method, A, x, arg) or False
+    if slot[0]:
+        ilam, P, n = slot[0]
+        _check_range(4.0 * s * n)
+        return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), method)
+    return _exp_mapped(method, A, x, t, arg)

@@ -58,10 +58,14 @@ coefficients, and no pass over U applies it.  A generator that a constant
 map takes from its parameters onto one structured row needs neither element
 nor gate.  Composed at import with the row's read-out, the map gives the
 formula's coordinates and b in one product (``_readout_map``).
-``_exp_mapped``, behind ``exp_tridiag``, is that product and the row's
-formula; the demo propagators take the same product once per Hamiltonian,
-for its eigenvalues and spectral projectors (``demos``).  Both check their
-parameters in ``_check_params`` and apply the range rule of ``exp_auto``.
+``_exp_mapped``, behind ``exp_tridiag`` and a demo propagator's first
+call on a Hamiltonian, is that product at t x and the row's formula.
+``_spectral_mapped`` takes the same product at x, without t, and the row's
+spectral form (``_tridiag_spectral``, ``_bisym_spectral``): e^{tX} =
+sum_k e^{i lam_k t} P_k, four eigenvalues and four projectors that the
+demos keep for the Hamiltonian's later calls (``demos``).  The callers
+check the parameters in ``_check_params`` and apply the range rule of
+``exp_auto``.
 """
 
 from __future__ import annotations
@@ -246,6 +250,25 @@ def _factors(w: list[float], b: float, table) -> tuple:
     return f, T
 
 
+def _tridiag_spectral(w: list[float], b: float, table) -> tuple:
+    """``_factors``' e^{ib} e^{w_1.B_1} e^{w_2.B_2} (two groups of two
+    slots) as sum_k e^{i lam_k} P_k: lam_k, and r with P_k = (r @ G)[k].
+
+    With n_g = w_g / l_g, (n_g.B_g)^2 = -I, so a factor is sum_{s = +-1}
+    e^{isl_g} (I - is n_g.B_g)/2, any unit axis serving at l_g = 0; r is the
+    outer product of the factors' projectors at s_g = +1 on T, and G
+    (``_factor_projectors``) holds T with each projector's signs.
+    """
+    (g1, g2), G = table
+    x1, y1 = w[g1]
+    x2, y2 = w[g2]
+    l1, l2 = math.hypot(x1, y1), math.hypot(x2, y2)
+    u1, v1 = (-0.5j * x1 / l1, -0.5j * y1 / l1) if l1 else (-0.5j, 0.0)
+    u2, v2 = (-0.5j * x2 / l2, -0.5j * y2 / l2) if l2 else (-0.5j, 0.0)
+    return ([b + l1 + l2, b + l1 - l2, b - l1 + l2, b - l1 - l2],
+            [0.25, 0.5 * u2, 0.5 * v2, 0.5 * u1, u1 * u2, u1 * v2, 0.5 * v1, v1 * u2, v1 * v2], G)
+
+
 def _interaction(w: list[float], b: float, table=None) -> tuple:
     """e^{ib} e^{iC} as the pair (V diag(e^{i(b + lam)}), V^T), whose product
     ``_matrix`` forms, from the nine entries w of Cmat.
@@ -326,6 +349,43 @@ def _bisym(s: list[float], b: float, k: int) -> tuple:
     cp, cm = 0.5 * Ep * math.cos(lp), 0.5 * Em * math.cos(lm)
     xp, yp, xm, ym = rp * xp, rp * yp, rm * xm, rm * ym
     return (cp + cm, sigma * (cp - cm), xp + xm, yp + ym, ym - yp, xp - xm), _SPLIT_ROWS[k]
+
+
+def _bisym_spectral(s: list[float], b: float, k: int) -> tuple:
+    """``_bisym``'s e^{ib} e^{X0} as sum_k e^{i lam_k} P_k: lam_k, and r
+    with P_k = (r @ G)[k], G the split's ``_SPLIT_PROJECTORS``.
+
+    On P = p, X0's 2x2 block is i l_p N_p, N_p = (x_p M11 + y_p M12) / l_p
+    an involution, so P_k = (I + pP)/2 (I + q N_p)/2, lam = b + p sigma e +
+    q l_p, q = +-1; r holds the axes (x_p, y_p) / l_p, any at l_p = 0.
+    """
+    e, x11, x12, x21, x22 = s
+    c = _SPLIT_SIGN[k] * e
+    lam, r = [], [1.0]
+    for p, x, y in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)):
+        l = math.hypot(x, y)
+        lam += (b + p * c + l, b + p * c - l)
+        r += (x / l, y / l) if l else (1.0, 0.0)
+    return lam, r, _SPLIT_PROJECTORS[k]
+
+
+def _split_projectors() -> np.ndarray:
+    """(9, 5, 64): the four projectors of ``_bisym_spectral`` at split k,
+    (p, q) = (+, +), (+, -), (-, +), (-, -), as coefficients of r.  As P =
+    sigma M_e, P M11 = M22 and P M12 = -M21, each is (I + p sigma M_e + q nx
+    (M11 + p M22) + q ny (M12 - p M21))/4, (nx, ny) = r[1:3] or r[3:5]."""
+    I, Me, M11, M12, M21, M22 = _SPLIT_ROWS.transpose(1, 0, 2)
+    sigma = np.array(_SPLIT_SIGN)[:, None]
+    G = np.zeros((9, 5, 4, 16), dtype=complex)
+    for j, (p, q) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+        x = 1 if p > 0 else 3
+        G[:, 0, j] = I + p * sigma * Me
+        G[:, x, j] = q * (M11 + p * M22)
+        G[:, x + 1, j] = q * (M12 - p * M21)
+    return 0.25 * G.reshape(9, 5, 64)
+
+
+_SPLIT_PROJECTORS = _split_projectors()
 
 
 # -- the family table -------------------------------------------------------
@@ -416,6 +476,22 @@ def _group_table(method: str, slots: list[list[int]]) -> tuple:
 # [I; basis]: the flattened identity, then the rows of _QT_STACK.
 _BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK))
 _TABLES = {m: _group_table(m, slots) for m, slots in _SLOTS.items()}
+
+
+def _factor_projectors(groups: list[slice], T: np.ndarray) -> np.ndarray:
+    """(rows of T, 2^m 16) G of ``_tridiag_spectral`` for m groups: T with,
+    at columns 16 k to 16 k + 15, projector k = (s_1, .., s_m)'s sign s_g on
+    each basis term of group g, s_g = +1 then -1."""
+    S = np.ones((1, 1))
+    for g in groups:
+        e = np.ones((2, g.stop - g.start + 1))
+        e[1, 1:] = -1.0
+        S = (S[:, None, :, None] * e[None, :, None, :]).reshape(2 * len(S), -1)
+    return (S[:, :, None] * T).transpose(1, 0, 2).reshape(len(T), -1)
+
+
+# The tables of the rows' spectral forms (``_spectral_mapped``).
+_PROJECTORS = {"tridiag": (_TABLES["tridiag"][0], _factor_projectors(*_TABLES["tridiag"][::2]))}
 
 # What each structured row's formula reads of v, as R @ v: G of its table
 # for the grouped rows, Cmat for e^{iC} (after G for the normal split), and
@@ -558,34 +634,54 @@ def closed_form(method: str, X: Su4Element) -> ExpResult:
 
 def _check_params(x, t: float = 1.0) -> float:
     """|t|, after raising InputError unless t and every parameter in x are
-    real numbers and ||x|| and |t| ||x|| are finite, before any product of
-    them is formed (NumPy warns on inf times 0)."""
+    real numbers and the products t x have a finite norm, before any product
+    of them is formed (NumPy warns on inf times 0).  ||x|| |t| stands in for
+    ||t x|| unless it overflows."""
     try:
         n, s = math.hypot(*x), math.hypot(t)
     except TypeError as exc:
         raise InputError(f"parameters must be real numbers: {exc}") from exc
-    if not math.isfinite(n * s):
+    if not math.isfinite(n * s) and not math.isfinite(math.hypot(*[t * c for c in x])):
         raise InputError("parameters must be finite")
     return s
 
 
-def _exp_mapped(method: str, A: np.ndarray, x, arg=None) -> ExpResult:
-    """e^X for the X with (v, b) = M @ x, by the formula of the row ``method``.
+def _exp_mapped(method: str, A: np.ndarray, x, t: float = 1.0, arg=None) -> ExpResult:
+    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row ``method``.
 
     For generators that a constant (16, n) map M takes from parameters x
     onto one structured row: every column of M has gate distance 0 there,
     and arg is the gate's split on M's range (bisym) or None.  A =
-    ``_readout_map(method, M, arg)`` gives the formula's read-out and b in
-    one product, so no element is built and no gate runs.  Raises
-    InputError when a parameter is not a finite real number
-    (``_check_params``), and past the range rule of ``exp_auto``
+    ``_readout_map(method, M, arg)`` gives the formula's read-out and b of
+    tX, M @ (t x), in one product on the n products t x, so no element is
+    built and no gate runs.  The caller checks x and t (``_check_params``)
+    first; this raises InputError past the range rule of ``exp_auto``
     (``_check_norm``): on every map here ||(R v, b)|| = ||(v, b)||.
     """
-    _check_params(x)
-    y = A.dot(x).tolist()
+    y = A.dot([t * c for c in x]).tolist()
     _check_range(4.0 * math.hypot(*y))
     b = y.pop()
     return ExpResult(_matrix(*_ROWS[method].formula(y, b, _TABLES.get(method, arg))), method)
+
+
+# The rows whose formula has a spectral form (``_spectral_mapped``).
+_SPECTRAL = {"tridiag": _tridiag_spectral, "bisym": _bisym_spectral}
+
+
+def _spectral_mapped(method: str, A: np.ndarray, x, arg=None) -> tuple | None:
+    """(i lam, P, ||(v, b)||) of the X with (v, b) = M @ x, as for
+    ``_exp_mapped``: e^{tX} = sum_k e^{i lam_k t} P_k for every t, P a
+    read-only (4, 16).  None where 4 ||(v, b)||, a bound on each |lam_k|,
+    overflows."""
+    y = A.dot(x).tolist()
+    n = math.hypot(*y)
+    if not math.isfinite(4.0 * n):
+        return None
+    b = y.pop()
+    lam, r, G = _SPECTRAL[method](y, b, _PROJECTORS.get(method, arg))
+    P = np.asarray(r, complex).dot(G).reshape(4, 16)
+    P.flags.writeable = False
+    return tuple(1j * c for c in lam), P, n
 
 
 def exp_tridiag(S: SymTriDiag) -> ExpResult:
@@ -596,6 +692,7 @@ def exp_tridiag(S: SymTriDiag) -> ExpResult:
     (``_exp_mapped``).  Raises InputError on a parameter that is not a
     finite real number.
     """
+    _check_params(S)
     return _exp_mapped("tridiag", _TRIDIAG_READ, S)
 
 

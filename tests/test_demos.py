@@ -256,45 +256,84 @@ ZERO_ANGLES = {
 }
 
 
+def _both_paths(propagate, q):
+    """U of a Hamiltonian's first call, its row's formula at t x, and of its
+    second, the spectral step it then keeps, with the cache cleared first."""
+    demos._slot.cache_clear()
+    return propagate(q).U, propagate(q).U
+
+
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demos_at_zero_rotation_angles(demo):
     # Where a rotation angle l is 0 both of its projectors take the same
     # phase, whatever the axis: each case merges eigenvalues as stated, and
-    # U stays within max(1e-12, 5 eps ||tX||_F) of the series reference
-    # from t = 0 to 1e3.
+    # both paths stay within max(1e-12, 5 eps ||tX||_F) of the series
+    # reference from t = 0 to 1e3.
     p, generator, propagate, *_ = DEMOS[demo]
     eps = np.finfo(float).eps
     for x, distinct in ZERO_ANGLES[demo]:
-        assert len(set(demos._spectral(demo, x)[0])) == distinct, x
         for t in (0.0, 1e-12, 1e-6, 1.0, 1e3):
             q = type(p)(*x, t)
             A = generator(q)
-            err = np.linalg.norm(propagate(q).U - expm_reference(A))
-            assert err <= max(1e-12, 5 * eps * np.linalg.norm(A)), (x, t)
+            for U in _both_paths(propagate, q):
+                err = np.linalg.norm(U - expm_reference(A))
+                assert err <= max(1e-12, 5 * eps * np.linalg.norm(A)), (x, t)
+        assert len(set(demos._slot(demo, x)[0][0])) == distinct, x
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_cache_hit_equals_a_fresh_build(demo):
-    # The spectral step is kept per Hamiltonian: a hit returns the same U
-    # as a build right after the cache is cleared, for another t too, and
-    # the kept projectors are read-only.
+def test_demo_cache_hit_equals_a_fresh_build(demo, monkeypatch):
+    # A Hamiltonian's first call takes its row's formula and builds
+    # nothing; its second builds the spectral step, and a later hit returns
+    # the same U as that build, for another t too, within 1e-13 of the
+    # formula.  The kept projectors are read-only.
     p, _, propagate, *_ = DEMOS[demo]
+    builds = []
+    build = demos._spectral_mapped
+    monkeypatch.setattr(demos, "_spectral_mapped", lambda *a: builds.append(a) or build(*a))
     for t in (0.37, 4.2):
         q = _replace_t(p, t)
-        propagate(q)
+        builds.clear()
+        demos._slot.cache_clear()
+        first = propagate(q).U
+        assert builds == []
+        built = propagate(q).U
         hit = propagate(q).U
-        demos._spectral.cache_clear()
-        assert np.array_equal(propagate(q).U, hit)
-    P = demos._spectral(demo, p[:-1])[1]
+        assert len(builds) == 1
+        assert np.array_equal(built, hit)
+        assert np.abs(first - hit).max() <= 1e-13
+    P = demos._slot(demo, p[:-1])[0][1]
     with pytest.raises(ValueError):
         P[0, 0] = 1.0
 
 
 def test_demo_cache_is_bounded():
-    demos._spectral.cache_clear()
+    demos._slot.cache_clear()
     for g in range(demos._CACHE_SIZE + 1):
-        rabi_propagator(RabiParams(1.0, 0.5, float(g)))
-    assert demos._spectral.cache_info().currsize == demos._CACHE_SIZE
+        for _ in range(2):
+            rabi_propagator(RabiParams(1.0, 0.5, float(g)))
+    assert demos._slot.cache_info().currsize == demos._CACHE_SIZE
+
+
+def test_demo_past_the_spectral_range_keeps_the_formula():
+    # Finite parameters whose ||(v, b)|| overflows, or whose ||x|| does,
+    # where |t| is small enough that ||tX|| is finite: every call, the
+    # ones after the first included, returns the formula's U at t x,
+    # finite and within max(1e-12, 5 eps ||tX||_F) of the series reference,
+    # and I at t = 0.
+    eps = np.finfo(float).eps
+    for x in ((1e308, 0.0, 0.0, 1e308), (1.7e308,) * 4):
+        for t in (0.0, 1e-300):
+            q = RabiParams(*x, t)
+            A = -1j * t * (rabi_matrix(q) + q.E0 * np.eye(4))
+            demos._slot.cache_clear()
+            U = [rabi_propagator(q).U for _ in range(3)]
+            assert all(np.array_equal(V, U[0]) for V in U), (x, t)
+            assert np.linalg.norm(U[0] - expm_reference(A)) <= max(
+                1e-12, 5 * eps * np.linalg.norm(A)), (x, t)
+            if t == 0.0:
+                assert np.array_equal(U[0], np.eye(4))
+            assert demos._slot("rabi", x) == [False]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -308,11 +347,11 @@ def test_demo_rejects_a_list_valued_field(demo):
 
 
 def test_rabi_int_float_and_0d_array_parameters_agree():
-    # Equal parameters give equal U whatever their real type, each from its
-    # own build; a 0-d array does not hash but is a real number.
+    # Equal parameters give equal U whatever their real type, on the first
+    # call and on the spectral step built at the second; a 0-d array does
+    # not hash but is a real number.
     floats = (1.0, 2.0, 3.0, 0.0)
-    U = []
-    for x in ((1, 2, 3, 0), floats, tuple(map(np.array, floats))):
-        demos._spectral.cache_clear()
-        U.append(rabi_propagator(RabiParams(*x, 0.6)).U)
-    assert np.array_equal(U[0], U[1]) and np.array_equal(U[0], U[2])
+    U = [_both_paths(rabi_propagator, RabiParams(*x, 0.6))
+         for x in ((1, 2, 3, 0), floats, tuple(map(np.array, floats)))]
+    for first, built in U[1:]:
+        assert np.array_equal(first, U[0][0]) and np.array_equal(built, U[0][1])
