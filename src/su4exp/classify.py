@@ -178,9 +178,15 @@ def shape(X: Su4Element, tag: str) -> tuple[float, MinPolyClass]:
 
 def _check_tol(tol: float) -> None:
     """Raise InputError unless 0 <= tol < inf: inf admits every formula,
-    and nan or a negative tol none."""
-    if not 0.0 <= tol < math.inf:
-        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+    and nan or a negative tol none.  A tol that is not a real number, or an
+    array of several, raises it too, not the TypeError or ValueError of its
+    comparison."""
+    try:
+        if 0.0 <= tol < math.inf:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:

@@ -6,9 +6,10 @@ the other two, whose interaction matrix splits 2x2 + 1x1, are bisymmetric
 at one split.  ``DEMOS`` holds each system once, for the library and the
 CLI: its parameters (ending in the time t), propagator and generator tX.
 A constant map, read off the generator at t = 1 at import, takes the other
-parameters to the coefficients (v, b) of ``Su4Element``; its row's
-read-out is composed with it at import too, so one product gives the few
-coordinates the row's formula reads, and b, of X = tX / t.
+parameters to the coefficients (v, b) of ``Su4Element``, and
+``expm._linear_row`` finds its row and split and composes that row's
+read-out with it, so one product gives the few coordinates the row's
+formula reads, and b, of X = tX / t.
 
 Those do not depend on t, and neither does the spectral step behind the
 formula: each rotation factor is a sum of two spectral projectors, so
@@ -42,10 +43,9 @@ from .expm import (
     SymTriDiag,
     _check_params,
     _exp_mapped,
-    _gate,
+    _linear_row,
     _matrix,
     _param_map,
-    _readout_map,
     _spectral_mapped,
 )
 from .model import Su4Element
@@ -124,13 +124,8 @@ def josephson_propagator(p: JosephsonParams) -> ExpResult:
 
 def scalar_coupling_element(p: ScalarCouplingParams) -> Su4Element:
     """tX = it(a I + b sz(x)I + c I(x)sz + d sz(x)sz + e sx(x)sx + f sy(x)sy)."""
-    gamma = np.zeros((3, 3))
-    gamma[0, 0] = p.e * p.t
-    gamma[1, 1] = p.f * p.t
-    gamma[2, 2] = p.d * p.t
-    return Su4Element.from_pauli_coeffs(
-        alpha=[0.0, 0.0, p.c * p.t], beta=[0.0, 0.0, p.b * p.t],
-        gamma=gamma, scalar=p.a * p.t)
+    return Su4Element.from_canonical([0.0, 0.0, p.c * p.t], [0.0, 0.0, p.b * p.t],
+                                     [p.e * p.t, p.f * p.t, p.d * p.t], scalar=p.a * p.t)
 
 
 def scalar_coupling_propagator(p: ScalarCouplingParams) -> ExpResult:
@@ -150,36 +145,13 @@ DEMOS = {
 }
 
 
-# -- the constant maps ------------------------------------------------------
-
-def _demo_map(name: str) -> np.ndarray:
-    """(16, n) map of the demo's generator at t = 1 from its other n fields."""
-    params, _, generator = DEMOS[name]
-    return _param_map(lambda *e: generator(params(*e)), len(params._fields) - 1)
-
-
-def _bisym_split(M: np.ndarray) -> int:
-    """The bisymmetric gate's split on M's range: the gate on the sum of
-    |columns|, whose support holds every column's, keeps all of them."""
-    return _gate("bisym", Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))[1]
-
-
-_RABI_MAP, _JOSEPHSON_MAP, _JCOUPLING_MAP = map(_demo_map, DEMOS)
-_JOSEPHSON_SPLIT = _bisym_split(_JOSEPHSON_MAP)
-_JCOUPLING_SPLIT = _bisym_split(_JCOUPLING_MAP)
-# Each map composed with its row's read-out at its split: A @ x is (R v, b).
-_RABI_READ = _readout_map("tridiag", _RABI_MAP)
-_JOSEPHSON_READ = _readout_map("bisym", _JOSEPHSON_MAP, _JOSEPHSON_SPLIT)
-_JCOUPLING_READ = _readout_map("bisym", _JCOUPLING_MAP, _JCOUPLING_SPLIT)
+# demo -> (A, row, split) of ``expm._linear_row`` on its constant map, read
+# off the generator at t = 1 from the parameters other than t.
+_ROW = {name: _linear_row(_param_map(lambda *e: generator(params(*e)), len(params._fields) - 1))
+        for name, (params, _, generator) in DEMOS.items()}
 
 
 # -- the cache of spectral steps --------------------------------------------
-
-# demo -> (read map, row, bisymmetric split)
-_ROW = {"rabi": (_RABI_READ, "tridiag", None),
-        "josephson": (_JOSEPHSON_READ, "bisym", _JOSEPHSON_SPLIT),
-        "jcoupling": (_JCOUPLING_READ, "bisym", _JCOUPLING_SPLIT)}
-
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _slot(demo: str, x: tuple) -> list:
@@ -199,7 +171,7 @@ def _propagate(demo: str, p) -> ExpResult:
     """
     x, t = p[:-1], p[-1]
     s = _check_params(x, t)
-    A, method, arg = _ROW[demo]
+    row = _ROW[demo]
     try:
         slot = _slot(demo, x)
     except TypeError:  # a real number that does not hash, such as a 0-d array
@@ -207,9 +179,9 @@ def _propagate(demo: str, p) -> ExpResult:
     if not slot:
         slot.append(None)
     elif slot[0] is None:
-        slot[0] = _spectral_mapped(method, A, x, arg) or False
+        slot[0] = _spectral_mapped(row, x) or False
     if slot[0]:
         ilam, P, n = slot[0]
         _check_range(4.0 * s * n)
-        return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), method)
-    return _exp_mapped(method, A, x, t, arg)
+        return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), row[1])
+    return _exp_mapped(row, x, t)

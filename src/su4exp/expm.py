@@ -56,16 +56,18 @@ All results carry a method tag and a unitarity residual, and every U is e^X
 with the scalar phase included: each formula puts e^{ib} into its scalar
 coefficients, and no pass over U applies it.  A generator that a constant
 map takes from its parameters onto one structured row needs neither element
-nor gate.  Composed at import with the row's read-out, the map gives the
-formula's coordinates and b in one product (``_readout_map``).
-``_exp_mapped``, behind ``exp_tridiag`` and a demo propagator's first
-call on a Hamiltonian, is that product at t x and the row's formula.
-``_spectral_mapped`` takes the same product at x, without t, and the row's
-spectral form (``_tridiag_spectral``, ``_bisym_spectral``): e^{tX} =
-sum_k e^{i lam_k t} P_k, four eigenvalues and four projectors that the
-demos keep for the Hamiltonian's later calls (``demos``).  The callers
-check the parameters in ``_check_params`` and apply the range rule of
-``exp_auto``.
+nor gate.  ``_linear_row`` finds that row once, at import, for
+``exp_tridiag`` and each demo (``demos``): the tridiagonal one or a
+bisymmetric split, where every column of the map has distance exactly 0,
+and StructureError otherwise.  Composed with the row's read-out, the map
+gives the formula's coordinates and b in one product.  ``_exp_mapped``,
+behind ``exp_tridiag`` and a demo propagator's first call on a Hamiltonian,
+is that product at t x and the row's formula.  ``_spectral_mapped`` takes
+the same product at x, without t, and the row's spectral form
+(``_tridiag_spectral``, ``_bisym_spectral``): e^{tX} = sum_k e^{i lam_k t}
+P_k, four eigenvalues and four projectors that the demos keep for the
+Hamiltonian's later calls.  The callers check the parameters in
+``_check_params`` and apply the range rule of ``exp_auto``.
 """
 
 from __future__ import annotations
@@ -507,16 +509,6 @@ def _readout(method: str, arg=None) -> np.ndarray:
     return R if arg is None else R[arg]
 
 
-def _readout_map(method: str, M: np.ndarray, arg=None) -> np.ndarray:
-    """A = [R M[:15]; M[15]] for a (16, n) parameter map M: (R v, b) of the
-    X with (v, b) = M @ x is A @ x, for the row's read-out R at split arg."""
-    return np.vstack((_readout(method, arg) @ M[:15], M[15]))
-
-
-# (R v, b) of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_READ @ (alpha, beta, gamma).
-_TRIDIAG_READ = _readout_map("tridiag", _TRIDIAG_VB)
-
-
 # -- structure gates: rows' squared distances over 4 from v, in dispatch
 # order, and the bisymmetric split.
 
@@ -636,28 +628,49 @@ def _check_params(x, t: float = 1.0) -> float:
     """|t|, after raising InputError unless t and every parameter in x are
     real numbers and the products t x have a finite norm, before any product
     of them is formed (NumPy warns on inf times 0).  ||x|| |t| stands in for
-    ||t x|| unless it overflows."""
+    ||t x|| unless it overflows; an int past the float range overflows."""
     try:
         n, s = math.hypot(*x), math.hypot(t)
+        if math.isfinite(n * s) or math.isfinite(math.hypot(*[t * c for c in x])):
+            return s
     except TypeError as exc:
         raise InputError(f"parameters must be real numbers: {exc}") from exc
-    if not math.isfinite(n * s) and not math.isfinite(math.hypot(*[t * c for c in x])):
-        raise InputError("parameters must be finite")
-    return s
+    except OverflowError:  # an int past the float range
+        pass
+    raise InputError("parameters must be finite")
 
 
-def _exp_mapped(method: str, A: np.ndarray, x, t: float = 1.0, arg=None) -> ExpResult:
-    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row ``method``.
+def _linear_row(M: np.ndarray) -> tuple[np.ndarray, str, int | None]:
+    """(A, row, split) for a generator linear in its parameters x, whose
+    (v, b) is M @ x for the constant (16, n) map M.
 
-    For generators that a constant (16, n) map M takes from parameters x
-    onto one structured row: every column of M has gate distance 0 there,
-    and arg is the gate's split on M's range (bisym) or None.  A =
-    ``_readout_map(method, M, arg)`` gives the formula's read-out and b of
-    tX, M @ (t x), in one product on the n products t x, so no element is
-    built and no gate runs.  The caller checks x and t (``_check_params``)
-    first; this raises InputError past the range rule of ``exp_auto``
-    (``_check_norm``): on every map here ||(R v, b)|| = ||(v, b)||.
+    The row is the tridiagonal one when every column's residual is exactly
+    0, else the bisymmetric one at the split its gate finds on the sum of
+    |columns|, whose support holds every column's, when that distance is
+    exactly 0.  Both rows are linear spaces, so every M @ x stays on the row
+    and no gate runs per call.  A = [R M[:15]; M[15]] for the row's read-out
+    R at that split: A @ x is (R v, b).  Raises StructureError otherwise.
     """
+    k = None
+    if _TRIDIAG_RESID.dot(M[:15]).any():
+        d, k = _gate("bisym", Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))
+        if d != 0.0:
+            raise StructureError(_ROWS["bisym"].label, d)
+    method = "tridiag" if k is None else "bisym"
+    return np.vstack((_readout(method, k) @ M[:15], M[15])), method, k
+
+
+def _exp_mapped(row: tuple, x, t: float = 1.0) -> ExpResult:
+    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row that
+    ``_linear_row`` found for M, (A, method, split) = row.
+
+    A @ (t x) gives the formula's read-out and b of tX in one product on the
+    n products t x, so no element is built and no gate runs.  The caller
+    checks x and t (``_check_params``) first; this raises InputError past
+    the range rule of ``exp_auto`` (``_check_norm``): on both rows
+    ||(R v, b)|| = ||(v, b)||.
+    """
+    A, method, arg = row
     y = A.dot([t * c for c in x]).tolist()
     _check_range(4.0 * math.hypot(*y))
     b = y.pop()
@@ -668,11 +681,12 @@ def _exp_mapped(method: str, A: np.ndarray, x, t: float = 1.0, arg=None) -> ExpR
 _SPECTRAL = {"tridiag": _tridiag_spectral, "bisym": _bisym_spectral}
 
 
-def _spectral_mapped(method: str, A: np.ndarray, x, arg=None) -> tuple | None:
-    """(i lam, P, ||(v, b)||) of the X with (v, b) = M @ x, as for
-    ``_exp_mapped``: e^{tX} = sum_k e^{i lam_k t} P_k for every t, P a
-    read-only (4, 16).  None where 4 ||(v, b)||, a bound on each |lam_k|,
-    overflows."""
+def _spectral_mapped(row: tuple, x) -> tuple | None:
+    """(i lam, P, ||(v, b)||) of the X with (v, b) = M @ x, for M's row as
+    in ``_exp_mapped``: e^{tX} = sum_k e^{i lam_k t} P_k for every t, P a
+    read-only (4, 16), from A @ x and the row's spectral form.  None where
+    4 ||(v, b)||, a bound on each |lam_k|, overflows."""
+    A, method, arg = row
     y = A.dot(x).tolist()
     n = math.hypot(*y)
     if not math.isfinite(4.0 * n):
@@ -684,16 +698,20 @@ def _spectral_mapped(method: str, A: np.ndarray, x, arg=None) -> tuple | None:
     return tuple(1j * c for c in lam), P, n
 
 
+_TRIDIAG_ROW = _linear_row(_TRIDIAG_VB)
+
+
 def exp_tridiag(S: SymTriDiag) -> ExpResult:
     """e^S for i x (real symmetric tridiagonal, zero diagonal) parameters.
 
     Takes the three parameters rather than an element: (v, b) is the
-    constant map _TRIDIAG_VB of them, read out by _TRIDIAG_READ
-    (``_exp_mapped``).  Raises InputError on a parameter that is not a
-    finite real number.
+    constant map _TRIDIAG_VB of them, on the tridiagonal row
+    (``_linear_row``, ``_exp_mapped``).  Raises InputError on a parameter
+    that is not a finite real number, and past the range rule of
+    ``exp_auto``.
     """
     _check_params(S)
-    return _exp_mapped("tridiag", _TRIDIAG_READ, S)
+    return _exp_mapped(_TRIDIAG_ROW, S)
 
 
 def exp_perskew(X: Su4Element) -> ExpResult:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su4exp import demos, expm, model
+from su4exp import demos, expm, families, model
 from su4exp.demos import (
     JosephsonParams,
     RabiParams,
@@ -20,8 +20,8 @@ from su4exp.demos import (
     scalar_coupling_element,
     scalar_coupling_propagator,
 )
-from su4exp.errors import InputError
-from su4exp.expm import exp_auto, gate_distance
+from su4exp.errors import InputError, StructureError
+from su4exp.expm import SymTriDiag, exp_auto, exp_tridiag, gate_distance
 from su4exp.model import Su4Element
 from su4exp.oracle import expm_reference
 
@@ -96,19 +96,38 @@ def test_scalar_coupling_method_and_pure_offset():
 
 
 # Each demo: its parameters at a generic point, its generator -iHt, its
-# propagator, its row, and its constant map with the split the row takes.
+# propagator, its row, and the bisymmetric split the row takes.
 DEMOS = {
     "rabi": (RabiParams(0.7, -1.3, 0.4, E0=0.6),
              lambda p: -1j * p.t * (rabi_matrix(p) + p.E0 * np.eye(4)),
-             rabi_propagator, "tridiag", demos._RABI_MAP, None),
+             rabi_propagator, "tridiag", None),
     "josephson": (JosephsonParams(1.1, 0.3, 0.45, 0.2),
                   lambda p: -1j * p.t * josephson_matrix(p),
-                  josephson_propagator, "bisym", demos._JOSEPHSON_MAP, demos._JOSEPHSON_SPLIT),
+                  josephson_propagator, "bisym", 3),
     "jcoupling": (ScalarCouplingParams(0.4, -0.8, 0.3, 0.9, -0.5, 0.6),
                   lambda p: scalar_coupling_element(p).entries,
-                  scalar_coupling_propagator, "bisym", demos._JCOUPLING_MAP,
-                  demos._JCOUPLING_SPLIT),
+                  scalar_coupling_propagator, "bisym", 8),
 }
+
+# exp_tridiag's generic point, scaled by t in the tests that take it too.
+_S0 = (1.3, -0.4, 2.2)
+
+
+def _of_time(name):
+    """(generator, propagator) as functions of t: the demo's at its generic
+    point, or exp_tridiag's at _S0 scaled by t."""
+    if name == "tridiag":
+        def S(t):
+            return SymTriDiag(*(t * c for c in _S0))
+        return (lambda t: S(t).matrix()), (lambda t: exp_tridiag(S(t)))
+    p, generator, propagate, *_ = DEMOS[name]
+    return (lambda t: generator(_replace_t(p, t))), (lambda t: propagate(_replace_t(p, t)))
+
+
+def _map_of(demo):
+    """The demo's (16, n) map from its parameters other than t to (v, b)."""
+    params, _, generator = demos.DEMOS[demo]
+    return expm._param_map(lambda *e: generator(params(*e)), len(params._fields) - 1)
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -119,7 +138,7 @@ def test_demos_over_time(demo):
     # small-angle branch of sinc, and U(0) is I.  For t < 1e-6 the whole
     # generator is within the gate tolerance of 0, so exp_auto takes the
     # first row, another formula, and is not compared.
-    p, generator, propagate, method, _, _ = DEMOS[demo]
+    p, generator, propagate, method, _ = DEMOS[demo]
     for t in [0.0, 1e-12, 1e-6, *np.linspace(0.0, 10.0, 101)[1:]]:
         q = _replace_t(p, float(t))
         res = propagate(q)
@@ -132,29 +151,32 @@ def test_demos_over_time(demo):
     assert np.abs(propagate(_replace_t(p, 0.0)).U - np.eye(4)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("demo", DEMOS)
+@pytest.mark.parametrize("demo", [*DEMOS, "tridiag"])
 def test_demos_scale_with_time(demo):
     # Large-norm accuracy: at t ||X||_F from 1 to 1e6 the closed form and
     # the series reference each err by at most c eps ||tX||_F, with c = 2.5
     # measured against 40-digit mpmath at ||X||_F = 1e6, so they differ by
-    # at most twice that, or 1e-9 where that is smaller.
-    p, generator, propagate, *_ = DEMOS[demo]
+    # at most twice that, or 1e-9 where that is smaller.  exp_tridiag, the
+    # fourth generator on a constant map, is held to the same bound.
+    generator, propagate = _of_time(demo)
     eps = np.finfo(float).eps
-    unit = np.linalg.norm(generator(_replace_t(p, 1.0)))
+    unit = np.linalg.norm(generator(1.0))
     for scale in np.logspace(0.0, 6.0, 25):
-        q = _replace_t(p, float(scale / unit))
-        A = generator(q)
-        err = np.linalg.norm(propagate(q).U - expm_reference(A))
+        t = float(scale / unit)
+        A = generator(t)
+        err = np.linalg.norm(propagate(t).U - expm_reference(A))
         assert err <= max(1e-9, 2 * 2.5 * eps * np.linalg.norm(A)), scale
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "a", None, 1 + 2j])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "a", None, 1 + 2j,
+                                 10**400])
 def test_demo_rejects_non_finite_parameters(demo, bad):
     # Every field, the time included, is checked before any product, so
     # no RuntimeWarning precedes the InputError; a str, None or complex
-    # field raises it too.  An int time times a str field is a str.
-    p, _, propagate, _, _, _ = DEMOS[demo]
+    # field raises it too, and so does an int past the float range.  An
+    # int time times a str field is a str.
+    p, _, propagate, *_ = DEMOS[demo]
     cases = [p._replace(**{field: bad}) for field in p._fields]
     for q in cases + [p._replace(**{p._fields[0]: bad, "t": 2})]:
         with warnings.catch_warnings():
@@ -163,24 +185,24 @@ def test_demo_rejects_non_finite_parameters(demo, bad):
                 propagate(q)
 
 
-@pytest.mark.parametrize("demo", DEMOS)
+@pytest.mark.parametrize("demo", [*DEMOS, "tridiag"])
 def test_demo_applies_the_range_rule_of_exp_auto(demo):
     # Past eps 2||tX||_F >= 1 no digit of e^{tX} is determined: the
-    # propagator raises InputError exactly where exp_auto does on the same
-    # generator, here at 2% either side of that time and at t = 1e17.
-    p, generator, propagate, *_ = DEMOS[demo]
-    t_max = 1.0 / (np.finfo(float).eps * 2.0 * np.linalg.norm(generator(_replace_t(p, 1.0))))
+    # propagator, or exp_tridiag, raises InputError exactly where exp_auto
+    # does on the same generator, here at 2% either side of that time and
+    # at t = 1e17.
+    generator, propagate = _of_time(demo)
+    t_max = 1.0 / (np.finfo(float).eps * 2.0 * np.linalg.norm(generator(1.0)))
     for t in (0.98 * t_max, 1.02 * t_max, 1e17):
-        q = _replace_t(p, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if t < t_max:
-                assert propagate(q).method == exp_auto(Su4Element(generator(q))).method
+                assert propagate(t).method == exp_auto(Su4Element(generator(t))).method
                 continue
             with pytest.raises(InputError, match="past 1/eps"):
-                propagate(q)
+                propagate(t)
             with pytest.raises(InputError, match="past 1/eps"):
-                exp_auto(Su4Element(generator(q)))
+                exp_auto(Su4Element(generator(t)))
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -197,15 +219,30 @@ def test_demo_table_holds_each_demo_once(demo):
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_map_lies_on_its_row(demo):
-    # Every column of the map has gate distance exactly 0: the tridiagonal
-    # residual for rabi, the distance at the split found at import otherwise.
-    *_, M, k = DEMOS[demo]
-    for col in M.T:
+    # The demo's triple of expm._linear_row names its row and split, and
+    # every column of its map has gate distance exactly 0 there: the
+    # tridiagonal residual for rabi, the distance at the split otherwise.
+    *_, method, k = DEMOS[demo]
+    _, row, split = demos._ROW[demo]
+    assert (row, split) == (method, k)
+    for col in _map_of(demo).T:
         if k is None:
             assert gate_distance("tridiag", Su4Element._from_coeffs(col[:15], col[15])) == 0.0
         else:
             v = col[:15]
             assert model._DROP[2 + k] @ (v * v) == 0.0
+
+
+def test_a_map_off_every_linear_row_raises():
+    # Perskew samples lie off both rows; the josephson and jcoupling maps
+    # side by side lie on two different splits, so on neither.
+    rng = np.random.default_rng(28)
+    perskew = np.column_stack([np.append(families.sample_perskew(rng).coeffs, 0.0)
+                               for _ in range(3)])
+    both = np.hstack((_map_of("josephson"), _map_of("jcoupling")))
+    for M in (perskew, both):
+        with pytest.raises(StructureError):
+            expm._linear_row(M)
 
 
 def test_demos_build_no_element_and_run_no_gate(monkeypatch):

@@ -213,9 +213,10 @@ def test_tridiag_factors_commute():
             assert np.abs(sq - sq[0, 0] * np.eye(4)).max() < 1e-12
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, 1 + 2j])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None, 1 + 2j, 10**400])
 def test_tridiag_rejects_non_finite(bad):
-    # A str, None or complex parameter is not a finite real number either.
+    # A str, None or complex parameter is not a finite real number either,
+    # nor an int past the float range.
     for k in range(3):
         S = [1.0, 2.0, 3.0]
         S[k] = bad
@@ -1083,11 +1084,12 @@ def test_every_element_forms_the_shared_product_at_most_once(monkeypatch):
 
 def test_exp_auto_and_classify_take_a_tol_in_0_inf():
     # On the CI's seeded generic matrix, tol = inf would take the tridiagonal
-    # row, and nan or a negative tol the oracle: each raises InputError.
+    # row, and nan or a negative tol the oracle: each raises InputError, and
+    # so does a tol that is not a real number, or an array of two.
     # tol = 0 is valid: only a distance of exactly 0 passes.
     z = np.random.default_rng(1).normal(size=(4, 4, 2)) @ (1, 1j)
     X = Su4Element(0.5 * (z - z.conj().T))
-    for tol in (math.inf, math.nan, -1.0, -math.inf):
+    for tol in (math.inf, math.nan, -1.0, -math.inf, "a", None, 1j, np.array([1e-10, 1e-10])):
         with pytest.raises(InputError, match="tol must be finite and >= 0"):
             exp_auto(X, tol)
         with pytest.raises(InputError, match="tol must be finite and >= 0"):
