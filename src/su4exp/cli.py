@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import demos
+from .classify import _check_tol
 from .classify import charpoly as _charpoly
 from .classify import classify as _classify
 from .errors import InputError, StructureError
@@ -41,11 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def tolerance(text: str) -> float:
-    """A finite --tolerance >= 0: inf would admit every closed form, and
-    nan or a negative value none."""
+    """A --tolerance that passes the rule of ``exp_auto``'s tol
+    (``classify._check_tol``), whose InputError is a usage error here."""
     x = float(text)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    try:
+        _check_tol(x)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return x
 
 

@@ -31,14 +31,15 @@ X0^2 = -(v.v) I - i z.T with z read off the element's shared product
 All nine rows follow one rule: a row applies when a distance that bounds
 the error ||U - e^X||_F of its formula is at most ``model.STRUCTURE_TOL``
 (or the tol of ``exp_auto``, the one tolerance a caller sets, which must
-be finite and >= 0).  Dispatch tests the six structured rows in order as
-straight-line code (``_structured_row``): the tridiagonal residual ||Rv||,
-then the element's one shared product (``Su4Element.quadratic``), which
-holds v^2 on the four drop rows' masks (``model._DROP``) and the normal
-split's commutator; a tridiagonal input forms no such product.  ``_gate``
-reads any one row's distance off the same functions, a minimal-polynomial
-row's off its shape (``classify.shape``), and what its formula takes of
-the gate.
+be finite and >= 0).  The six structured distances are read, ordered and
+compared in one straight-line walk (``_structured_row``): the tridiagonal
+residual ||Rv||, then the element's one shared product
+(``Su4Element.quadratic``), which holds v^2 on the four drop rows' masks
+(``model._DROP``) and the normal split's commutator; a tridiagonal input
+forms no such product.  Dispatch takes the first row of that walk within
+tol.  ``_gate`` reads one row's distance, and what its formula takes of
+the gate, as a walk stopped at that row: a structured row's this one, a
+minimal-polynomial row's ``classify``'s (``classify.shape``).
 
 Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
 factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
@@ -509,39 +510,51 @@ def _readout(method: str, arg=None) -> np.ndarray:
     return R if arg is None else R[arg]
 
 
-# -- structure gates: rows' squared distances over 4 from v, in dispatch
-# order, and the bisymmetric split.
+# -- structure gates: the six structured rows' distances, in dispatch order,
+# and the bisymmetric split.
 
-def _tridiag_gate(X: Su4Element) -> float:
+def _structured_row(X: Su4Element, tol: float,
+                    stop: str = "") -> tuple[Family | None, int | None, float]:
+    """The first structured row whose gate distance is at most tol, or the
+    row ``stop``, with its gate's split and its distance: the one place
+    where the six distances are read, ordered and compared.
+
+    The basis matrices of v are orthogonal with squared norm 4, so
+    ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
+    2||v - P v|| for its projector P.  The tridiagonal one, ||Rv|| with R =
+    I - P, comes first, and is not read off a quadratic form, which cancels
+    at eps ||v||^2, far above tol^2 / 4 near the boundary; a tridiagonal
+    input forms no product of v.  The next four are the diagonal P of the
+    drop masks (``model._DROP``), twice the root of v^2 on each mask, the
+    bisymmetric one at its nearest split (ties to the first), found when the
+    walk reaches it.  The normal split's is the Trotter bound 1/2
+    ||[B, C]||_F = 2||K||_F.  The drop sums and K are read off the shared
+    product (``Su4Element.quadratic``) that ``classify`` reads too.  No row
+    when none is within tol and ``stop`` is empty.
+    """
     u = _TRIDIAG_RESID.dot(X.coeffs)
-    return u @ u
-
-
-def _drop_gates(X: Su4Element) -> list:
-    """Rows 1 to 4 of FAMILY_TABLE, v^2 on their masks (``model._DROP``)
-    read off the element's shared product: the bisymmetric one at its
-    nearest split k (ties to the first), then k."""
-    s = X.quadratic[3].tolist()
+    if (d := 2.0 * math.sqrt(u @ u)) <= tol or stop == "tridiag":
+        return _ROWS["tridiag"], None, d
+    K, _, _, s = X.quadratic
+    s = s.tolist()
+    if (d := 2.0 * math.sqrt(s[0])) <= tol or stop == "perskew":
+        return _ROWS["perskew"], None, d
+    if (d := 2.0 * math.sqrt(s[1])) <= tol or stop == "skewham":
+        return _ROWS["skewham"], None, d
     k = s.index(min(s[2:11]), 2)
-    return [s[0], s[1], s[k], s[11], k - 2]
-
-
-def _normal_gate(X: Su4Element) -> float:
-    K = X.quadratic[0]
-    return K @ K
+    if (d := 2.0 * math.sqrt(s[k])) <= tol or stop == "bisym":
+        return _ROWS["bisym"], k - 2, d
+    if (d := 2.0 * math.sqrt(s[11])) <= tol or stop == "imsym":
+        return _ROWS["imsym"], None, d
+    d = 2.0 * math.sqrt(K @ K)
+    return (_ROWS["normal-split"] if d <= tol or stop == "normal-split" else None), None, d
 
 
 def _gate(method: str, X: Su4Element) -> tuple[float, object]:
     """The row's gate distance, and what its formula takes of the gate.
 
-    The basis matrices of v are orthogonal with squared norm 4, so
-    ||X0||_F = 2||v||.  A linear family's distance is ||X0 - X0_on||_F =
-    2||v - P v|| for its projector P: for a diagonal P, and for the
-    bisymmetric split (the nearest of the nine, ties to the first), twice
-    the root of a sum of v's squared slots.  The normal split's is the
-    Trotter bound 1/2 ||[B, C]||_F = 2||K||_F.  Both the drop sums and K
-    are read off the shared product (``Su4Element.quadratic``) that
-    ``classify`` reads too.  A minimal-polynomial row's is its shape's
+    A structured row's is the dispatch walk (``_structured_row``) stopped
+    at that row, with its split; a minimal-polynomial row's is its shape's
     (``classify.shape``), whose ``MinPolyClass`` the formula takes.  All
     nine share the range of ``classify``: past ||v|| (``Su4Element.norm``)
     = ``classify._NORM_MAX`` every distance is inf, before any product.
@@ -551,36 +564,13 @@ def _gate(method: str, X: Su4Element) -> tuple[float, object]:
         return shape(X, fam.label)
     if not X.norm < _NORM_MAX:
         return math.inf, None
-    if method in ("tridiag", "normal-split"):
-        return 2.0 * math.sqrt((_tridiag_gate if method == "tridiag" else _normal_gate)(X)), None
-    *s, k = _drop_gates(X)
-    return 2.0 * math.sqrt(s[FAMILY_TABLE.index(fam) - 1]), (k if method == "bisym" else None)
+    _, k, d = _structured_row(X, -math.inf, method)
+    return d, k
 
 
 def gate_distance(method: str, X: Su4Element) -> float:
     """The gate distance of the row ``method`` (``_gate``)."""
     return _gate(method, X)[0]
-
-
-def _structured_row(X: Su4Element, tol: float) -> tuple[Family | None, int | None]:
-    """The first structured row whose gate distance is at most tol, and its
-    gate's split: the tridiagonal residual ||Rv||, then the next four rows
-    and the normal split's commutator off the element's shared product.
-    ||Rv|| is not read off that product: as a quadratic form it cancels at
-    eps ||v||^2, far above tol^2 / 4 near the boundary."""
-    if 2.0 * math.sqrt(_tridiag_gate(X)) <= tol:
-        return _ROWS["tridiag"], None
-    perskew, skewham, bisym, imsym, k = _drop_gates(X)
-    if 2.0 * math.sqrt(perskew) <= tol:
-        return _ROWS["perskew"], None
-    if 2.0 * math.sqrt(skewham) <= tol:
-        return _ROWS["skewham"], None
-    if 2.0 * math.sqrt(bisym) <= tol:
-        return _ROWS["bisym"], k
-    if 2.0 * math.sqrt(imsym) <= tol:
-        return _ROWS["imsym"], None
-    d = 2.0 * math.sqrt(_normal_gate(X))
-    return (_ROWS["normal-split"] if d <= tol else None), None
 
 
 def _matrix(coef, T, *right) -> np.ndarray:
@@ -775,7 +765,7 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     """
     _check_tol(tol)
     _check_norm(X)
-    fam, arg = _structured_row(X, tol)
+    fam, arg, _ = _structured_row(X, tol)
     if fam is not None:
         return ExpResult(_unitary(fam, X, arg), fam.method)
     cls = classify(X, tol)
@@ -785,7 +775,7 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     for entries, W, Wh in zip(_magic_entries(X), (MAGIC_BASIS, MAGIC_ADJOINT),
                               (MAGIC_ADJOINT, MAGIC_BASIS)):
         Y = Su4Element(entries)
-        fam, arg = _structured_row(Y, tol)
+        fam, arg, _ = _structured_row(Y, tol)
         if fam is not None:
             return ExpResult(Wh @ _unitary(fam, Y, arg) @ W, "magic")
     return ExpResult(expm_reference(X.entries), "oracle")

@@ -11,6 +11,7 @@ tuple's), so convert it with ``as_quaternion`` or ``as_vector`` first.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -36,14 +37,17 @@ class Quaternion(NamedTuple):
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
+        """The Hamilton product by a Quaternion, or scaling by a real number
+        (a Python or NumPy scalar); anything else is NotImplemented."""
         if isinstance(other, Quaternion):
             return qmul(self, other)
-        return Quaternion(self.w * other, self.x * other,
-                          self.y * other, self.z * other)
+        if isinstance(other, numbers.Real):
+            return Quaternion(self.w * other, self.x * other,
+                              self.y * other, self.z * other)
+        return NotImplemented
 
-    def __rmul__(self, scalar: float) -> "Quaternion":
-        return Quaternion(self.w * scalar, self.x * scalar,
-                          self.y * scalar, self.z * scalar)
+    # Only a non-Quaternion reaches __rmul__, and a real scalar commutes.
+    __rmul__ = __mul__
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -59,7 +63,7 @@ class Quaternion(NamedTuple):
 class PureQuaternion(NamedTuple):
     """Purely imaginary quaternion, identified with a vector in R^3.
 
-    Satisfies p * p = -|p|^2 * 1 for every pure p.
+    Satisfies q * q = -|p|^2 * ONE for q = p.as_quaternion(), every pure p.
     """
 
     x: float

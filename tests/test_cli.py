@@ -186,6 +186,7 @@ def test_tolerance_must_be_finite_and_nonnegative(verb, zz_file, capsys):
         assert main([verb, zz_file, "--tolerance", bad]) == 1, bad
         out = capsys.readouterr()
         assert out.out == "" and "--tolerance" in out.err
+        assert "must be finite and >= 0" in out.err
     assert main([verb, zz_file, "--tolerance", "0"]) == 0
 
 

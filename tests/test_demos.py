@@ -263,8 +263,8 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
                         classmethod(counted("_from_coeffs", Su4Element._from_coeffs.__func__)))
     monkeypatch.setattr(model, "quadratic_forms",
                         counted("quadratic_forms", model.quadratic_forms))
-    for name in ("_tridiag_gate", "_drop_gates", "_normal_gate"):
-        monkeypatch.setattr(expm, name, counted(name, getattr(expm, name)))
+    monkeypatch.setattr(expm, "_structured_row",
+                        counted("_structured_row", expm._structured_row))
     for p, _, propagate, *_ in DEMOS.values():
         assert propagate(p).U.shape == (4, 4)
     assert calls == []
@@ -274,8 +274,7 @@ def test_demos_build_no_element_and_run_no_gate(monkeypatch):
     expm.exp_auto(Su4Element._from_coeffs(np.zeros(15)))
     for method in ("bisym", "normal-split"):
         gate_distance(method, Su4Element._from_coeffs(np.ones(15)))
-    assert {"__init__", "_from_coeffs", "_tridiag_gate", "_drop_gates", "_normal_gate",
-            "quadratic_forms"} <= set(calls)
+    assert {"__init__", "_from_coeffs", "_structured_row", "quadratic_forms"} <= set(calls)
 
 
 # Parameters other than t at which a rotation angle of the spectral step is

@@ -537,6 +537,34 @@ def test_interaction_rows_hold_the_accuracy_contract(name):
             assert err <= max(1e-9, _C_MAX * np.finfo(float).eps * norm), (norm, err)
 
 
+# Each other row's largest c = ||U - e^X||_F / (eps max(1, ||X||_F)) against
+# a 40-digit mpmath e^X (CHANGES.md table, 100 family samples per row and
+# norm, 1 to 1e6), and the largest k with ||X||_F = 10^k at which exp_auto
+# kept every sample on its row.
+_ROW_C = {"tridiag": (1.46, 6), "perskew": (1.44, 6), "skewham": (1.34, 6),
+          "bisym": (1.74, 6), "quad-I": (2.44, 5), "quad-II": (2.08, 5),
+          "cubic-I": (1.75, 4)}
+# expm_reference's own largest c against the same mpmath e^X, in that sweep.
+_C_REF = 3.2
+
+
+@pytest.mark.parametrize("name", _ROW_C)
+def test_family_rows_hold_the_accuracy_contract(name):
+    # Each family sample rescaled to ||X||_F = 1, 10, .. 10^k: exp_auto keeps
+    # its row, within max(1e-9, C eps ||X||_F) of expm_reference, with C the
+    # row's c plus the reference's.
+    c, k = _ROW_C[name]
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        X = FAMILIES[name][0](rng)
+        for norm in 10.0 ** np.arange(k + 1):
+            Y = Su4Element(norm / np.linalg.norm(X.entries) * X.entries)
+            res = exp_auto(Y)
+            assert res.method == name, norm
+            err = np.linalg.norm(res.U - expm_reference(Y.entries))
+            assert err <= max(1e-9, (c + _C_REF) * np.finfo(float).eps * norm), (norm, err)
+
+
 def test_interaction_at_large_norm():
     rng = np.random.default_rng(94)
     for _ in range(20):
@@ -1110,7 +1138,7 @@ def test_predicate_is_its_gate_distance_against_tol(name):
 def test_structured_row_takes_the_first_row_within_tol():
     # At tol = d and d(1 +- 1e-12) for each row's distance d, dispatch takes
     # the first row whose gate_distance is at most tol, with the nearest
-    # bisymmetric split.
+    # bisymmetric split, and returns that row's gate_distance.
     from su4exp.expm import _structured_row
     methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
     for X in _gate_samples():
@@ -1118,10 +1146,12 @@ def test_structured_row_takes_the_first_row_within_tol():
         split = int((_SPLIT_OFF @ (X.coeffs * X.coeffs)).argmin())
         for d in dists:
             for tol in (d, d * (1 + 1e-12), d * (1 - 1e-12)):
-                fam, arg = _structured_row(X, tol)
+                fam, arg, dist = _structured_row(X, tol)
                 first = next((m for m, dm in zip(methods, dists) if dm <= tol), None)
                 assert (fam and fam.method) == first
                 assert arg == (split if first == "bisym" else None)
+                if fam is not None:
+                    assert dist == gate_distance(fam.method, X)
 
 
 @pytest.mark.parametrize("name", _GATED)

@@ -1,6 +1,7 @@
 """Hamilton algebra sanity checks."""
 
 import numpy as np
+import pytest
 
 from su4exp.quaternion import (
     I,
@@ -56,7 +57,7 @@ def test_pure_square_is_negative_norm():
     rng = np.random.default_rng(3)
     for _ in range(50):
         p = PureQuaternion(*rng.normal(size=3))
-        sq = qmul(p.as_quaternion(), p.as_quaternion())
+        sq = p.as_quaternion() * p.as_quaternion()
         assert abs(sq.w + p.norm() ** 2) < 1e-12
         assert abs(sq.x) + abs(sq.y) + abs(sq.z) < 1e-12
 
@@ -78,3 +79,17 @@ def test_left_mult_matrix_agrees_with_qmul():
     x = Quaternion(*rng.normal(size=4))
     # x -> p x 1bar is left multiplication by p.
     assert np.allclose(mat_of_product_tensor(p, ONE) @ x.as_array(), qmul(p, x).as_array())
+
+
+def test_multiplication_takes_a_quaternion_or_a_real_number():
+    # A PureQuaternion, or any other non-real, is not a factor: it raises
+    # rather than repeating it into the int fields as tuples or strings.
+    q = Quaternion(1, -2, 0, 3)
+    for other in (PureQuaternion(1, 2, 3), "a"):
+        with pytest.raises(TypeError):
+            q * other
+    with pytest.raises(TypeError):
+        PureQuaternion(1.0, 2.0, 3.0) * PureQuaternion(1.0, 2.0, 3.0)
+    for s in (2, 2.5, np.float64(-1.5)):
+        assert type(q * s) is Quaternion and q * s == tuple(s * q.as_array())
+    assert 2 * q == q * 2 and 2.5 * q == q * 2.5
