@@ -43,16 +43,14 @@ from .oracle import expm_reference
 from .quaternion import PureQuaternion, Quaternion
 
 __all__ = [
-    "CanonicalForm", "CharPolyCoeffs", "ExpResult", "InputError",
-    "MinPolyClass", "PauliCoeffs", "PureQuaternion",
-    "Quaternion", "QuintupleDecomp", "StructureError", "Su4Element",
-    "Su4Error", "SymTriDiag", "canonicalize", "charpoly",
-    "check_quadratic_II_conditions", "classify",
-    "construct_quadratic_II_example", "exp_auto",
-    "exp_bisymmetric_fast", "exp_cubic_I", "exp_imaginary_symmetric",
+    "CanonicalForm", "CharPolyCoeffs", "ExpResult", "InputError", "MinPolyClass",
+    "PauliCoeffs", "PureQuaternion", "Quaternion", "QuintupleDecomp", "StructureError",
+    "Su4Element", "Su4Error", "SymTriDiag", "canonicalize", "charpoly",
+    "check_quadratic_II_conditions", "classify", "construct_quadratic_II_example",
+    "exp_auto", "exp_bisymmetric_fast", "exp_cubic_I", "exp_imaginary_symmetric",
     "exp_normal_split", "exp_perskew", "exp_quadratic_I", "exp_quadratic_II",
-    "exp_skewham", "exp_tridiag", "expm_reference", "local_vs_interaction_commute",
-    "magic_conjugate",
+    "exp_skewham", "exp_tridiag", "expm_reference", "is_normal_type",
+    "local_vs_interaction_commute", "magic_conjugate",
 ]
 
 __version__ = "0.1.0"

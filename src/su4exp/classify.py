@@ -62,6 +62,7 @@ from .model import (
     STRUCTURE_TOL,
     Su4Element,
     _cofactors,
+    _floats,
 )
 
 # ||v|| below which 4 g^2 = mu^2 is finite: then so are pi, ||z||^2 <= 3 g^2
@@ -122,8 +123,10 @@ def check_quadratic_II_conditions(X: Su4Element) -> float | None:
     p q^T - Co(C)) and rhs = (q, p, C), and the candidate is their
     least-squares solution, with p, q and C = Cmat read off v.  Returns None
     when X0 = 0, or when the candidate misses a condition by more than 1e-9
-    times the squared scale of p, q, C.
+    times the squared scale of p, q, C.  Raises InputError past the range
+    of ``_invariants``, as ``charpoly`` does: lhs @ rhs is cubic in v.
     """
+    _invariants(X)
     v = X.coeffs
     p, q, C = v[:3], v[3:6], v[6:].reshape(3, 3)
     co = np.array(_cofactors(v[6:].tolist())[0]).reshape(3, 3)
@@ -206,12 +209,13 @@ def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
     """Generator with quadratic type II minimal polynomial, built from p != 0.
 
     Uses bt = sqrt(1 + p.p), C = sqrtm(I + p p^T) diag(1, 1, -1) (so that
-    det C = -bt and C C^T = I + p p^T) and q = C^{-1}(bt p).
+    det C = -bt and C C^T = I + p p^T) and q = C^{-1}(bt p).  Raises
+    InputError when p = 0.
     """
     pv = np.asarray(p, dtype=float)
     n = float(pv @ pv)
     if n == 0.0:
-        raise ValueError("p must be nonzero")
+        raise InputError("p must be nonzero")
     bt = math.sqrt(1.0 + n)
     S = np.eye(3) + ((bt - 1.0) / n) * np.outer(pv, pv)
     C = S @ np.diag([1.0, 1.0, -1.0])
@@ -245,7 +249,7 @@ def local_vs_interaction_commute(a, b, c) -> bool:
     c3/c2 = b1/a1, c3/c1 = b2/a2, c2/c1 = b3/a3, to 1e-10 max(1, max |coeff|^2).
     Raises InputError unless a, b and c each hold 3 finite values.
     """
-    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    a, b, c = _floats(a, b, c)
     if not all(x.shape == (3,) and np.isfinite(x).all() for x in (a, b, c)):
         raise InputError("a, b and c must each hold 3 finite values")
     tol = 1e-10 * max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)

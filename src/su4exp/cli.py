@@ -117,7 +117,7 @@ def cmd_classify(args) -> int:
     _check_norm(X)  # exp_auto's range rule, before any line is printed
     tol = args.tolerance
     for fam in FAMILY_TABLE:
-        if fam.gate:
+        if fam.read is not None:
             print(f"{fam.label}: {'yes' if gate_distance(fam.method, X) <= tol else 'no'}")
     cp = _charpoly(X)
     print(f"charpoly: mu={cp.mu:.12g} nu={cp.nu.imag:.12g}i pi={cp.pi:.12g}")

@@ -183,5 +183,5 @@ def _propagate(demo: str, p) -> ExpResult:
     if slot[0]:
         ilam, P, n = slot[0]
         _check_range(4.0 * s * n)
-        return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), row[1])
+        return ExpResult(_matrix([cmath.exp(a * t) for a in ilam], P), row[1].method)
     return _exp_mapped(row, x, t)

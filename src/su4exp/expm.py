@@ -16,7 +16,7 @@ the two rows' matrices.  The bisymmetric formula needs two 2x2
 rotations, as a constant involution P commutes with X0 on its split and
 each eigenspace of P holds two anticommuting involutions (``_bisym``).
 Each of these formulas takes only the coordinates it reads of v, its row's
-read-out R v (``_readout``), and the scalar part b.  The other three are
+read-out R v (``Family.read``), and the scalar part b.  The other three are
 low-degree minimal-polynomial evaluations, coefficients on I, X and X^2:
 
     quadratic type I    e^X = cos(c) I + sinc(c) X            (X^2 = -c^2 I)
@@ -41,12 +41,18 @@ tol.  ``_gate`` reads one row's distance, and what its formula takes of
 the gate, as a walk stopped at that row: a structured row's this one, a
 minimal-polynomial row's ``classify``'s (``classify.shape``).
 
-Each family is one row of ``FAMILY_TABLE``: its method tag, its gate, its
-factor groups and its formula.  ``exp_auto``, the public ``exp_*`` wrappers,
-``FAMILIES`` and the CLI are all read off that table.  Each of the eight
-wrappers on an element is ``closed_form`` of its row, which reads every
-parameter a formula takes, a minimal-polynomial shape's included, from the
-element; ``exp_tridiag``, on parameters, is the one exception.
+Each family is one row of ``FAMILY_TABLE``, the one owner of its data: its
+method tag, its formula, its read-out R (one per bisymmetric split), its
+formula's constant table, its factor groups, and for tridiag and bisym its
+spectral form and that form's table.  A minimal-polynomial row has no
+read-out: its formula takes the element.  Every formula is called one way
+(``_evaluate``): on the read-out R v or the element, b, the row's table,
+and what its gate found, the split or the shape.  ``exp_auto``, the public
+``exp_*`` wrappers, ``FAMILIES`` and the CLI are all read off that table.
+Each of the eight wrappers on an element is ``closed_form`` of its row,
+which reads every parameter a formula takes, a minimal-polynomial shape's
+included, from the element; ``exp_tridiag``, on parameters, is the one
+exception.
 ``exp_auto`` takes the first structured row whose gate passes, then the
 minimal-polynomial row ``classify`` names, then a magic-basis conjugation
 whose image passes a structured gate (both conjugates' entries are one
@@ -60,15 +66,17 @@ map takes from its parameters onto one structured row needs neither element
 nor gate.  ``_linear_row`` finds that row once, at import, for
 ``exp_tridiag`` and each demo (``demos``): the tridiagonal one or a
 bisymmetric split, where every column of the map has distance exactly 0,
-and StructureError otherwise.  Composed with the row's read-out, the map
-gives the formula's coordinates and b in one product.  ``_exp_mapped``,
-behind ``exp_tridiag`` and a demo propagator's first call on a Hamiltonian,
-is that product at t x and the row's formula.  ``_spectral_mapped`` takes
-the same product at x, without t, and the row's spectral form
-(``_tridiag_spectral``, ``_bisym_spectral``): e^{tX} = sum_k e^{i lam_k t}
-P_k, four eigenvalues and four projectors that the demos keep for the
-Hamiltonian's later calls.  The callers check the parameters in
-``_check_params`` and apply the range rule of ``exp_auto``.
+and StructureError otherwise; it returns the map composed with the row's
+read-out, the ``Family`` row and the split.  That composed map gives the
+formula's coordinates and b in one product.  ``_exp_mapped``, behind
+``exp_tridiag`` and a demo propagator's first call on a Hamiltonian, is
+that product at t x and the row's formula.  ``_spectral_mapped`` takes the
+same product at x, without t, and the row's spectral form, called as its
+formula is on the row's projectors (``_tridiag_spectral``,
+``_bisym_spectral``): e^{tX} = sum_k e^{i lam_k t} P_k, four eigenvalues
+and four projectors that the demos keep for the Hamiltonian's later
+calls.  The callers check the parameters in ``_check_params`` and apply
+the range rule of ``exp_auto``.
 """
 
 from __future__ import annotations
@@ -223,22 +231,22 @@ def _cubic(v: np.ndarray, b: float, c2: complex, z: np.ndarray) -> tuple:
     return np.concatenate(([E - k * (c2 / 2.0)], c1 * v - 1j * k * z)), _BASES
 
 
-# -- family formulas: e^X from the row's read-out of v, the scalar part b, and
-# the row's table or the gate's split.
+# -- family formulas: e^X from the row's read-out of v, the scalar part b, the
+# row's table and what the gate found (the bisymmetric split).
 
-def _factors(w: list[float], b: float, table) -> tuple:
+def _factors(w: list[float], b: float, table, _=None) -> tuple:
     """e^{ib} prod_g (cos l_g I + sinc(l_g) w_g @ _QT_STACK[slots_g]), l_g =
     ||w_g||, over the row's one or two groups g, as coefficients on T.
 
-    w = G v, the row's read-out (``_readout``), holds the groups' slots of
+    w = G v, the row's read-out (``Family.read``), holds the groups' slots of
     what the row's gate keeps of v.  A factor is the tuple (cos l_g,
     sinc(l_g) w_g) on I and its group's basis matrices, the first one times
     e^{ib}, and row a of the complex T is the product of the basis matrices
-    that term a of the outer product of those vectors names (``_group_table``).
+    that term a of the outer product of those vectors names (``_grouped``).
     sinc(l_g) takes the real branch of ``sinc`` inline and calls it only for
     its series: l_g = hypot(w_g) >= 0, so -1e-4 < l_g < 1e-4 is l_g < 1e-4.
     """
-    groups, _, T = table
+    groups, T = table
     g = w[groups[0]]
     lam = math.hypot(*g)
     E = cmath.exp(1j * b)
@@ -253,7 +261,7 @@ def _factors(w: list[float], b: float, table) -> tuple:
     return f, T
 
 
-def _tridiag_spectral(w: list[float], b: float, table) -> tuple:
+def _tridiag_spectral(w: list[float], b: float, table, _=None) -> tuple:
     """``_factors``' e^{ib} e^{w_1.B_1} e^{w_2.B_2} (two groups of two
     slots) as sum_k e^{i lam_k} P_k: lam_k, and r with P_k = (r @ G)[k].
 
@@ -272,7 +280,7 @@ def _tridiag_spectral(w: list[float], b: float, table) -> tuple:
             [0.25, 0.5 * u2, 0.5 * v2, 0.5 * u1, u1 * u2, u1 * v2, 0.5 * v1, v1 * u2, v1 * v2], G)
 
 
-def _interaction(w: list[float], b: float, table=None) -> tuple:
+def _interaction(w: list[float], b: float, table=None, _=None) -> tuple:
     """e^{ib} e^{iC} as the pair (V diag(e^{i(b + lam)}), V^T), whose product
     ``_matrix`` forms, from the nine entries w of Cmat.
 
@@ -287,7 +295,7 @@ def _interaction(w: list[float], b: float, table=None) -> tuple:
     return V * np.exp(1j * (lam + b)), V.T
 
 
-def _normal_split(w: list[float], b: float, table) -> tuple:
+def _normal_split(w: list[float], b: float, table, _=None) -> tuple:
     """e^{ib} e^X0 = e^{ib} e^B e^{iC} when B and C commute: e^B by
     ``_factors`` on the p and q groups, the first six entries of w, then
     e^{iC} by ``_interaction`` on Cmat, the other nine, from the eigenbasis
@@ -322,8 +330,9 @@ def _split_tables() -> tuple[np.ndarray, list[float], np.ndarray]:
 _SPLIT_SLOTS, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
 
 
-def _bisym(s: list[float], b: float, k: int) -> tuple:
-    """Bisymmetric exponential from two 2x2 rotations (``_split_tables``).
+def _bisym(s: list[float], b: float, table, k: int) -> tuple:
+    """Bisymmetric exponential from two 2x2 rotations, on the row's table,
+    (sigma, rows) of each split (``_split_tables``).
 
     On the gate's split k, the nearest of the nine (ties to the first), X0 is
     i(e M_e + x11 M11 + x12 M12 + x21 M21 + x22 M22), and s = (e, x11, x12,
@@ -342,7 +351,7 @@ def _bisym(s: list[float], b: float, k: int) -> tuple:
     takes the real branch of ``sinc`` inline, as in ``_factors``.
     """
     e, x11, x12, x21, x22 = s
-    sigma = _SPLIT_SIGN[k]
+    sigma, rows = table[k]
     se = sigma * e
     xp, yp, xm, ym = x11 + x22, x12 - x21, x11 - x22, x12 + x21
     lp, lm = math.hypot(xp, yp), math.hypot(xm, ym)
@@ -351,25 +360,27 @@ def _bisym(s: list[float], b: float, k: int) -> tuple:
     rm = 0.5j * Em * (math.sin(lm) / lm if lm >= 1e-4 else sinc(lm))
     cp, cm = 0.5 * Ep * math.cos(lp), 0.5 * Em * math.cos(lm)
     xp, yp, xm, ym = rp * xp, rp * yp, rm * xm, rm * ym
-    return (cp + cm, sigma * (cp - cm), xp + xm, yp + ym, ym - yp, xp - xm), _SPLIT_ROWS[k]
+    return (cp + cm, sigma * (cp - cm), xp + xm, yp + ym, ym - yp, xp - xm), rows
 
 
-def _bisym_spectral(s: list[float], b: float, k: int) -> tuple:
+def _bisym_spectral(s: list[float], b: float, table, k: int) -> tuple:
     """``_bisym``'s e^{ib} e^{X0} as sum_k e^{i lam_k} P_k: lam_k, and r
-    with P_k = (r @ G)[k], G the split's ``_SPLIT_PROJECTORS``.
+    with P_k = (r @ G)[k], from the row's projectors, (sigma, G) of each
+    split, G its ``_SPLIT_PROJECTORS``.
 
     On P = p, X0's 2x2 block is i l_p N_p, N_p = (x_p M11 + y_p M12) / l_p
     an involution, so P_k = (I + pP)/2 (I + q N_p)/2, lam = b + p sigma e +
     q l_p, q = +-1; r holds the axes (x_p, y_p) / l_p, any at l_p = 0.
     """
     e, x11, x12, x21, x22 = s
-    c = _SPLIT_SIGN[k] * e
+    sigma, G = table[k]
+    c = sigma * e
     lam, r = [], [1.0]
     for p, x, y in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)):
         l = math.hypot(x, y)
         lam += (b + p * c + l, b + p * c - l)
         r += (x / l, y / l) if l else (1.0, 0.0)
-    return lam, r, _SPLIT_PROJECTORS[k]
+    return lam, r, G
 
 
 def _split_projectors() -> np.ndarray:
@@ -393,56 +404,6 @@ _SPLIT_PROJECTORS = _split_projectors()
 
 # -- the family table -------------------------------------------------------
 
-class Family(NamedTuple):
-    """One row of ``FAMILY_TABLE``.
-
-    ``method`` is the ExpResult tag and the FAMILIES key.  Every row
-    applies when its ``gate_distance`` is at most the gate tolerance.  A
-    structured row's public predicate is named ``gate`` and its ``label``
-    shows in ``su4exp classify``; its formula takes the row's read-out R v
-    (``_readout``) as floats, the scalar part b, and its row's table
-    (``_TABLES``) or the bisymmetric split its gate found.  A row without a
-    predicate is the minimal-polynomial shape ``label``, and its formula
-    takes the element, b and that shape's ``MinPolyClass``.  ``groups``
-    holds the Pauli labels of each rotation factor read off v.  Every
-    formula returns coefficients and a table whose product is e^X
-    (``_matrix``), with the scalar phase e^{ib} in its coefficients: scalar
-    coefficients on a constant table, but for e^{iC} (imsym, and the normal
-    split's right factor), whose table is V^T of the eigenbasis of C.
-    """
-
-    method: str
-    label: str
-    formula: Callable[..., tuple]
-    gate: str | None = None
-    groups: tuple[str, ...] = ()
-
-
-FAMILY_TABLE = (
-    Family("tridiag", "symmetric-tridiagonal", _factors, "is_tridiagonal_type",
-           groups=("xx zx", "yy 0x")),
-    Family("perskew", "perskewsymmetric", _factors, "is_perskew",
-           groups=("z0 xz yz", "0z zx zy")),
-    Family("skewham", "skew-Hamiltonian", _factors, "is_skew_hamiltonian",
-           groups=("yy 0z 0x zy xy",)),
-    Family("bisym", "bisymmetric-type", _bisym, "is_bisymmetric"),
-    Family("imsym", "imaginary-symmetric", _interaction, "is_imaginary_symmetric"),
-    # e^B: the p slots, then the q slots of v.
-    Family("normal-split", "normal-type", _normal_split, "is_normal_element",
-           groups=("0y yx yz", "y0 xy zy")),
-    Family("quad-I", "quadratic-I", lambda X, b, m: _quadratic(X.coeffs, b, 0.0, m.c2)),
-    Family("quad-II", "quadratic-II",
-           lambda X, b, m: _quadratic(X.coeffs, b, m.beta, m.gamma)),
-    Family("cubic-I", "cubic-I", lambda X, b, m: _cubic(X.coeffs, b, m.c2, X.quadratic[1])),
-)
-_ROWS = {fam.method: fam for fam in FAMILY_TABLE}
-_BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if not fam.gate}
-# The v slots of each group's Pauli labels ("xz", "0y", ...): v at a group's
-# slots is X0's own expansion over its terms, so no signs are needed.
-_SLOTS = {fam.method: [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()]
-                       for g in fam.groups] for fam in FAMILY_TABLE if fam.groups}
-
-
 def _param_map(generator, n: int) -> np.ndarray:
     """(16, n) real M with (v, b) of generator(*x) equal to M @ x, for a
     generator linear in its n parameters: column j is (v, b) of the unit
@@ -454,31 +415,16 @@ def _param_map(generator, n: int) -> np.ndarray:
 
 # (v, b) of SymTriDiag(alpha, beta, gamma).matrix() is _TRIDIAG_VB @ (alpha, beta, gamma).
 _TRIDIAG_VB = _param_map(lambda *e: SymTriDiag(*e).matrix(), 3)
-_TRIDIAG_MAP = _TRIDIAG_VB[:15]
 
 # The orthogonal projector onto the tridiagonal family in v: the columns of
-# _TRIDIAG_MAP are orthogonal with squared norm 1/2.  The other linear
+# _TRIDIAG_VB[:15] are orthogonal with squared norm 1/2.  The other linear
 # families are the slots that their masks in model._DROP keep.
 _EYE15 = np.eye(15)
-_TRIDIAG_PROJ = 2.0 * _TRIDIAG_MAP @ _TRIDIAG_MAP.T
+_TRIDIAG_PROJ = 2.0 * _TRIDIAG_VB[:15] @ _TRIDIAG_VB[:15].T
 _TRIDIAG_RESID = _EYE15 - _TRIDIAG_PROJ
-
-
-def _group_table(method: str, slots: list[list[int]]) -> tuple:
-    """A grouped row's (slices of w = G v, G, T) for ``_factors``: G v reads
-    the groups' slots of v, or of P v for the tridiagonal projector P, and
-    T holds the products B_1[a] B_2[b] of the groups' bases, rows of _BASES
-    (I, then the slots' basis matrices), one broadcast product."""
-    B = [_BASES[[0] + [s + 1 for s in group]].reshape(-1, 1, 4, 4) for group in slots]
-    T = B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)
-    ends = [0, *accumulate(map(len, slots))]
-    G = (_TRIDIAG_PROJ if method == "tridiag" else _EYE15)[sum(slots, [])]
-    return [slice(*e) for e in zip(ends, ends[1:])], G, T.reshape(-1, 16)
-
 
 # [I; basis]: the flattened identity, then the rows of _QT_STACK.
 _BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK))
-_TABLES = {m: _group_table(m, slots) for m, slots in _SLOTS.items()}
 
 
 def _factor_projectors(groups: list[slice], T: np.ndarray) -> np.ndarray:
@@ -493,21 +439,78 @@ def _factor_projectors(groups: list[slice], T: np.ndarray) -> np.ndarray:
     return (S[:, :, None] * T).transpose(1, 0, 2).reshape(len(T), -1)
 
 
-# The tables of the rows' spectral forms (``_spectral_mapped``).
-_PROJECTORS = {"tridiag": (_TABLES["tridiag"][0], _factor_projectors(*_TABLES["tridiag"][::2]))}
+class Family(NamedTuple):
+    """One row of ``FAMILY_TABLE``, the one owner of what its formula reads.
 
-# What each structured row's formula reads of v, as R @ v: G of its table
-# for the grouped rows, Cmat for e^{iC} (after G for the normal split), and
-# the five kept slots of each of the nine bisymmetric splits.
-_READOUT = {m: G for m, (_, G, _) in _TABLES.items()} | {
-    "imsym": _EYE15[6:], "normal-split": np.vstack((_TABLES["normal-split"][1], _EYE15[6:])),
-    "bisym": _EYE15[_SPLIT_SLOTS]}
+    ``method`` is the ExpResult tag and the FAMILIES key.  Every row
+    applies when its ``gate_distance`` is at most the gate tolerance.  A
+    structured row has a read-out ``read``, R with R v the coordinates its
+    formula takes as floats (one R per split for bisym), and its ``label``
+    shows in ``su4exp classify``.  A row without one is the
+    minimal-polynomial shape ``label``, and its formula takes the element.
+    Every formula is called one way (``_evaluate``): on the read-out or the
+    element, the scalar part b, the row's constant ``table``, and what its
+    gate found, the bisymmetric split or the shape's ``MinPolyClass``.
+    ``groups`` holds the Pauli labels of each rotation factor read off v.
+    A row with a spectral form (``_spectral_mapped``) holds it in
+    ``spectral``, called the same way on its ``projectors``.  Every formula
+    returns coefficients and a table whose product is e^X (``_matrix``),
+    with the scalar phase e^{ib} in its coefficients: scalar coefficients
+    on a constant table, but for e^{iC} (imsym, and the normal split's
+    right factor), whose table is V^T of the eigenbasis of C.
+    """
+
+    method: str
+    label: str
+    formula: Callable[..., tuple]
+    read: np.ndarray | None = None
+    table: object = None
+    groups: tuple[str, ...] = ()
+    spectral: Callable[..., tuple] | None = None
+    projectors: object = None
 
 
-def _readout(method: str, arg=None) -> np.ndarray:
-    """The structured row's read-out R, at the bisymmetric split arg."""
-    R = _READOUT[method]
-    return R if arg is None else R[arg]
+def _grouped(method: str, label: str, formula: Callable[..., tuple], groups: tuple[str, ...],
+             P: np.ndarray = _EYE15, after: np.ndarray = _EYE15[:0], spectral=None) -> Family:
+    """The row ``Family(method, label, formula, ...)`` of a grouped family,
+    made from its groups' Pauli labels ("xz", "0y", ...).
+
+    Its read-out is [G; after], G v the groups' slots of P v (of v but for
+    the tridiagonal projector P): v at a group's slots is X0's own expansion
+    over its terms, so no signs are needed.  Its table is (slices of w = G
+    v, T), T the products B_1[a] B_2[b] of the groups' bases, rows of
+    _BASES (I, then the slots' basis matrices), one broadcast product; with
+    a spectral form, its projectors are the slices and
+    ``_factor_projectors`` of T.
+    """
+    slots = [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()] for g in groups]
+    B = [_BASES[[0] + [s + 1 for s in group]].reshape(-1, 1, 4, 4) for group in slots]
+    T = (B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)).reshape(-1, 16)
+    g = [slice(e - len(s), e) for s, e in zip(slots, accumulate(map(len, slots)))]
+    return Family(method, label, formula, np.vstack((P[sum(slots, [])], after)), (g, T),
+                  groups, spectral, spectral and (g, _factor_projectors(g, T)))
+
+
+FAMILY_TABLE = (
+    _grouped("tridiag", "symmetric-tridiagonal", _factors, ("xx zx", "yy 0x"),
+             _TRIDIAG_PROJ, spectral=_tridiag_spectral),
+    _grouped("perskew", "perskewsymmetric", _factors, ("z0 xz yz", "0z zx zy")),
+    _grouped("skewham", "skew-Hamiltonian", _factors, ("yy 0z 0x zy xy",)),
+    # The five kept slots of each of the nine bisymmetric splits.
+    Family("bisym", "bisymmetric-type", _bisym, _EYE15[_SPLIT_SLOTS],
+           [*zip(_SPLIT_SIGN, _SPLIT_ROWS)], spectral=_bisym_spectral,
+           projectors=[*zip(_SPLIT_SIGN, _SPLIT_PROJECTORS)]),
+    Family("imsym", "imaginary-symmetric", _interaction, _EYE15[6:]),
+    # e^B: the p slots, then the q slots of v; then Cmat for e^{iC}.
+    _grouped("normal-split", "normal-type", _normal_split, ("0y yx yz", "y0 xy zy"),
+             after=_EYE15[6:]),
+    Family("quad-I", "quadratic-I", lambda X, b, _, m: _quadratic(X.coeffs, b, 0.0, m.c2)),
+    Family("quad-II", "quadratic-II",
+           lambda X, b, _, m: _quadratic(X.coeffs, b, m.beta, m.gamma)),
+    Family("cubic-I", "cubic-I", lambda X, b, _, m: _cubic(X.coeffs, b, m.c2, X.quadratic[1])),
+)
+_ROWS = {fam.method: fam for fam in FAMILY_TABLE}
+_BY_TAG = {fam.label: fam for fam in FAMILY_TABLE if fam.read is None}
 
 
 # -- structure gates: the six structured rows' distances, in dispatch order,
@@ -560,7 +563,7 @@ def _gate(method: str, X: Su4Element) -> tuple[float, object]:
     = ``classify._NORM_MAX`` every distance is inf, before any product.
     """
     fam = _ROWS[method]
-    if not fam.gate:
+    if fam.read is None:
         return shape(X, fam.label)
     if not X.norm < _NORM_MAX:
         return math.inf, None
@@ -586,15 +589,20 @@ def _matrix(coef, T, *right) -> np.ndarray:
     return U.dot(_matrix(*right)) if right else U
 
 
-def _unitary(fam: Family, X: Su4Element, arg=None) -> np.ndarray:
-    """e^X by the row's formula, which applies the scalar phase (``_matrix``).
+def _evaluate(fam: Family, w, b: float, found=None) -> np.ndarray:
+    """e^X by the row's formula, which applies the scalar phase (``_matrix``):
+    the one call of a formula, on w, the row's read-out R v as floats or the
+    element on a minimal-polynomial row, b, the row's table, and what its
+    gate found, the bisymmetric split or the shape's ``MinPolyClass``."""
+    return _matrix(*fam.formula(w, b, fam.table, found))
 
-    A structured formula takes the row's read-out of v, b and its row's
-    table, or the split its gate found (arg); a minimal-polynomial one the
-    element, b and its shape (arg).
-    """
-    w = _readout(fam.method, arg).dot(X.coeffs).tolist() if fam.gate else X
-    return _matrix(*fam.formula(w, X.scalar, _TABLES.get(fam.method, arg)))
+
+def _unitary(fam: Family, X: Su4Element, found=None) -> np.ndarray:
+    """e^X by the row's formula (``_evaluate``) on the element, with what the
+    row's gate found: the read-out at the split found on the bisymmetric row."""
+    R = fam.read
+    w = X if R is None else (R if found is None else R[found]).dot(X.coeffs).tolist()
+    return _evaluate(fam, w, X.scalar, found)
 
 
 def closed_form(method: str, X: Su4Element) -> ExpResult:
@@ -630,7 +638,7 @@ def _check_params(x, t: float = 1.0) -> float:
     raise InputError("parameters must be finite")
 
 
-def _linear_row(M: np.ndarray) -> tuple[np.ndarray, str, int | None]:
+def _linear_row(M: np.ndarray) -> tuple[np.ndarray, Family, int | None]:
     """(A, row, split) for a generator linear in its parameters x, whose
     (v, b) is M @ x for the constant (16, n) map M.
 
@@ -641,18 +649,18 @@ def _linear_row(M: np.ndarray) -> tuple[np.ndarray, str, int | None]:
     and no gate runs per call.  A = [R M[:15]; M[15]] for the row's read-out
     R at that split: A @ x is (R v, b).  Raises StructureError otherwise.
     """
-    k = None
+    fam, k = _ROWS["tridiag"], None
     if _TRIDIAG_RESID.dot(M[:15]).any():
-        d, k = _gate("bisym", Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))
+        fam = _ROWS["bisym"]
+        d, k = _gate(fam.method, Su4Element._from_coeffs(np.abs(M[:15]).sum(axis=1)))
         if d != 0.0:
-            raise StructureError(_ROWS["bisym"].label, d)
-    method = "tridiag" if k is None else "bisym"
-    return np.vstack((_readout(method, k) @ M[:15], M[15])), method, k
+            raise StructureError(fam.label, d)
+    return np.vstack(((fam.read if k is None else fam.read[k]) @ M[:15], M[15])), fam, k
 
 
 def _exp_mapped(row: tuple, x, t: float = 1.0) -> ExpResult:
-    """e^{tX} for the X with (v, b) = M @ x, by the formula of the row that
-    ``_linear_row`` found for M, (A, method, split) = row.
+    """e^{tX} for the X with (v, b) = M @ x, by the formula of the ``Family``
+    row that ``_linear_row`` found for M, (A, fam, split) = row.
 
     A @ (t x) gives the formula's read-out and b of tX in one product on the
     n products t x, so no element is built and no gate runs.  The caller
@@ -660,29 +668,26 @@ def _exp_mapped(row: tuple, x, t: float = 1.0) -> ExpResult:
     the range rule of ``exp_auto`` (``_check_norm``): on both rows
     ||(R v, b)|| = ||(v, b)||.
     """
-    A, method, arg = row
+    A, fam, found = row
     y = A.dot([t * c for c in x]).tolist()
     _check_range(4.0 * math.hypot(*y))
     b = y.pop()
-    return ExpResult(_matrix(*_ROWS[method].formula(y, b, _TABLES.get(method, arg))), method)
-
-
-# The rows whose formula has a spectral form (``_spectral_mapped``).
-_SPECTRAL = {"tridiag": _tridiag_spectral, "bisym": _bisym_spectral}
+    return ExpResult(_evaluate(fam, y, b, found), fam.method)
 
 
 def _spectral_mapped(row: tuple, x) -> tuple | None:
     """(i lam, P, ||(v, b)||) of the X with (v, b) = M @ x, for M's row as
     in ``_exp_mapped``: e^{tX} = sum_k e^{i lam_k t} P_k for every t, P a
-    read-only (4, 16), from A @ x and the row's spectral form.  None where
-    4 ||(v, b)||, a bound on each |lam_k|, overflows."""
-    A, method, arg = row
+    read-only (4, 16), from A @ x and the row's spectral form, called as
+    its formula is, on the row's projectors.  None where 4 ||(v, b)||, a
+    bound on each |lam_k|, overflows."""
+    A, fam, found = row
     y = A.dot(x).tolist()
     n = math.hypot(*y)
     if not math.isfinite(4.0 * n):
         return None
     b = y.pop()
-    lam, r, G = _SPECTRAL[method](y, b, _PROJECTORS.get(method, arg))
+    lam, r, G = fam.spectral(y, b, fam.projectors, found)
     P = np.asarray(r, complex).dot(G).reshape(4, 16)
     P.flags.writeable = False
     return tuple(1j * c for c in lam), P, n
@@ -762,6 +767,16 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     stage tests its distance at tol, and the formula it picks is within tol
     of e^X, so exp_auto never raises StructureError.  It raises InputError
     before any stage (``_check_norm``), and unless 0 <= tol < inf.
+
+    A closed form meets ||U - e^X||_F <= d + c eps ||X||_F, d the accepting
+    gate's distance (at most tol) and c a small constant of the row's
+    rounding.  Measured on ``families`` samples rescaled to ||X||_F = 1, 10,
+    .., up to the norm where every sample still kept its row: c <= 10.4 at
+    ||X||_F = 1 and <= 5.6 from 10 to 1e6 for imsym and normal-split; <= 1.74
+    for the four linear rows (tridiag, perskew, skewham, bisym) up to 1e6;
+    quad-I <= 2.44 and quad-II <= 2.08 up to 1e5; cubic-I <= 1.75 up to 1e4;
+    the demo propagators <= 3.77 up to ||tX||_F = 1e6.  The reference
+    exponential's own c is at most 3.2.
     """
     _check_tol(tol)
     _check_norm(X)

@@ -36,13 +36,15 @@ def expm_reference(A: np.ndarray) -> np.ndarray:
     b = norm1(A) / 2^s <= 1.  The series of B = A / 2^s stops after the
     first term k whose a-priori bound b^k / k! on norm1(B^k / k!) is below
     1e-14, which happens by k = 17; then B's exponential is squared s times.
-    Raises InputError when eps norm1(A) >= 1 (``_check_range``).
+    Raises InputError on entries that are not finite numbers of a square
+    matrix, and when eps norm1(A) >= 1 (``_check_range``).
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite entries in input")
+    try:
+        A = np.asarray(A, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed matrix entries: {exc}") from exc
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
+        raise InputError("expected a square matrix of finite entries")
 
     n = A.shape[0]
     norm1 = float(np.abs(A).sum(axis=0).max())

@@ -25,6 +25,10 @@ class Quaternion(NamedTuple):
     y: float
     z: float
 
+    # NumPy defers to __rmul__, so np.float64(2) * q is a Quaternion, not
+    # the tuple multiplied as a sequence.
+    __array_ufunc__ = None
+
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)

@@ -325,6 +325,26 @@ def test_quadratic_II_identity_interaction_no_vectors():
     assert classify(X).tag == "quadratic-II"
 
 
+def test_quadratic_II_conditions_share_the_range_of_charpoly():
+    # lhs @ rhs is cubic in v: just below _NORM_MAX the scaled exact member
+    # still gives s bt, and past it the check raises InputError before any
+    # product, where it once overflowed to None.
+    from su4exp.classify import _NORM_MAX
+    from su4exp.quaternion import PureQuaternion
+    X = construct_quadratic_II_example(PureQuaternion(0.3, -0.5, 0.8))
+    bt = check_quadratic_II_conditions(X)
+    s = 0.99 * _NORM_MAX / X.norm
+    got = check_quadratic_II_conditions(Su4Element._from_coeffs(s * X.coeffs))
+    assert got is not None and abs(got - s * bt) <= 1e-12 * abs(s * bt)
+    with pytest.raises(InputError, match="past"):
+        check_quadratic_II_conditions(Su4Element._from_coeffs(1e110 * X.coeffs))
+
+
+def test_construct_quadratic_II_example_rejects_zero():
+    with pytest.raises(InputError, match="nonzero"):
+        construct_quadratic_II_example(np.zeros(3))
+
+
 @pytest.mark.parametrize("p", [(1.0, 0, 0), (0, 0, 3.0), (1.0, 1.0, 1.0)])
 def test_construct_quadratic_II_example(p):
     X = construct_quadratic_II_example(np.asarray(p))
@@ -399,6 +419,12 @@ def test_local_vs_interaction_fixtures():
 def test_local_vs_interaction_rejects_malformed_coefficients(a, b, c):
     with pytest.raises(InputError, match="3 finite values"):
         local_vs_interaction_commute(a, b, c)
+
+
+def test_local_vs_interaction_rejects_entries_that_are_not_numbers():
+    # NumPy's conversion error becomes the coefficient constructors' InputError.
+    with pytest.raises(InputError, match="malformed coefficients"):
+        local_vs_interaction_commute([1, 2, 3], [1, 2, 3], [1, 2, "a"])
 
 
 def test_local_vs_interaction_matches_commutator():

@@ -224,7 +224,7 @@ def test_demo_map_lies_on_its_row(demo):
     # tridiagonal residual for rabi, the distance at the split otherwise.
     *_, method, k = DEMOS[demo]
     _, row, split = demos._ROW[demo]
-    assert (row, split) == (method, k)
+    assert (row.method, split) == (method, k) and row is expm._ROWS[method]
     for col in _map_of(demo).T:
         if k is None:
             assert gate_distance("tridiag", Su4Element._from_coeffs(col[:15], col[15])) == 0.0

@@ -14,12 +14,10 @@ from su4exp.classify import _NORM_MAX, charpoly, classify, is_normal_type, shape
 from su4exp.errors import InputError, StructureError
 from su4exp.expm import (
     _ROWS,
-    _SLOTS,
     _SPLIT_SLOTS,
-    _TABLES,
     _TRIDIAG_PROJ,
     FAMILY_TABLE,
-    _matrix,
+    _evaluate,
     STRUCTURE_TOL,
     SymTriDiag,
     closed_form,
@@ -44,7 +42,15 @@ from su4exp.expm import (
     sinc,
 )
 from su4exp.families import FAMILIES
-from su4exp.model import _DROP, _QT_STACK, MAGIC_BASIS, Su4Element, quadratic_forms
+from su4exp.model import (
+    _DROP,
+    _PAULI_SLOT,
+    _PAULI_SLOTS,
+    _QT_STACK,
+    MAGIC_BASIS,
+    Su4Element,
+    quadratic_forms,
+)
 from su4exp.oracle import expm_reference
 
 from reference import cross_matrix, mat_pure_pure, pauli_kron
@@ -74,8 +80,10 @@ def test_sinc_series_matches_exact():
 _CROSSOVER = (0.0, 1e-9, 9.99e-5, 1e-4, 1.0001e-4, 1.0)
 
 
-def _formula_unitary(method, w, b, arg=None):
-    return _matrix(*_ROWS[method].formula(w, b, _TABLES.get(method, arg)))
+def _slots(fam):
+    # The v slots of each of the row's groups, read off its Pauli labels.
+    return [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()]
+            for g in fam.groups]
 
 
 @pytest.mark.parametrize("method", ["tridiag", "perskew", "skewham", "normal-split"])
@@ -86,7 +94,7 @@ def test_grouped_rows_at_the_sinc_crossover(method):
     # reads w as coefficients on its groups' slots of v, so e^X is the
     # exponential of ib I + w on those basis matrices.
     rng = np.random.default_rng(26)
-    slots = _SLOTS[method]
+    slots = _slots(_ROWS[method])
     for g, group in enumerate(slots):
         n = len(group)
         for lam in _CROSSOVER:
@@ -99,7 +107,7 @@ def test_grouped_rows_at_the_sinc_crossover(method):
                 v[sum(slots, [])] = w
                 X = (v @ _QT_STACK).reshape(4, 4) + 0.3j * np.eye(4)
                 w += [0.0] * 9 if method == "normal-split" else []
-                U = _formula_unitary(method, w, 0.3)
+                U = _evaluate(_ROWS[method], w, 0.3)
                 assert np.abs(U - expm_reference(X)).max() <= 1e-14, (g, lam, part)
 
 
@@ -118,7 +126,7 @@ def test_bisymmetric_splits_at_the_sinc_crossover(k):
             v = np.zeros(15)
             v[_SPLIT_SLOTS[k]] = s
             X = (v @ _QT_STACK).reshape(4, 4) - 0.2j * np.eye(4)
-            U = _formula_unitary("bisym", s, -0.2, k)
+            U = _evaluate(_ROWS["bisym"], s, -0.2, k)
             assert np.abs(U - expm_reference(X)).max() <= 1e-14, (sign, lam)
 
 
@@ -319,14 +327,21 @@ def test_perskew_triples_anticommute_and_commute():
 def test_group_tables_hold_the_products_of_their_basis_matrices():
     # Row a of a grouped row's table names I or one basis matrix of each
     # group, in group order, as term a of the outer product of the groups'
-    # coefficient vectors does; its row is their product.
+    # coefficient vectors does; its row is their product.  The row's
+    # read-out reads its groups' slots (of the projection, for tridiag),
+    # then Cmat for the normal split's e^{iC}.
     import itertools
     from functools import reduce
 
-    for method, slots in _SLOTS.items():
-        groups, G, T = _TABLES[method]
+    for fam in (fam for fam in FAMILY_TABLE if fam.groups):
+        method, slots = fam.method, _slots(fam)
+        groups, T = fam.table
         assert [len(range(15)[g]) for g in groups] == [len(s) for s in slots]
-        assert G.shape == (sum(map(len, slots)), 15)
+        n = sum(map(len, slots))
+        P = _TRIDIAG_PROJ if method == "tridiag" else np.eye(15)
+        assert np.array_equal(fam.read[:n], P[sum(slots, [])])
+        assert np.array_equal(fam.read[n:], np.eye(15)[6:] if method == "normal-split"
+                              else np.zeros((0, 15)))
         bases = [[np.eye(4)] + [_QT_STACK[s].reshape(4, 4) for s in group] for group in slots]
         products = [reduce(np.matmul, names) for names in itertools.product(*bases)]
         assert T.shape == (len(products), 16)
@@ -364,8 +379,8 @@ def test_linear_gates_are_coordinate_subspaces(name):
     assert np.abs(images[on]).max() == 0.0
     assert np.linalg.matrix_rank(images[off]) == len(off) == 15 - family_dim
     # The factor groups of a grouped row cover the slots its gate keeps.
-    if name in _SLOTS:
-        assert sorted(sum(_SLOTS[name], [])) == list(on)
+    if _ROWS[name].groups:
+        assert sorted(sum(_slots(_ROWS[name]), [])) == list(on)
     # The gate is the Frobenius norm of the dropped part.
     rng = np.random.default_rng(78)
     v = rng.normal(size=15)
@@ -673,15 +688,14 @@ def test_bisym_agrees_with_the_normal_split():
     # The normal-split route (3x3 spectral factorization, and e^B = I for
     # p = q = 0) on the same bisymmetric inputs; _bisym takes the five slots
     # of the split the gate finds, each formula its read-out and b.
-    from su4exp.expm import _TABLES, _bisym, _matrix, _normal_split, _readout
+    bisym, normal = _ROWS["bisym"], _ROWS["normal-split"]
     rng = np.random.default_rng(86)
     for k in range(9):
         for _ in range(20):
             v = _split_element(k, *rng.uniform(-4, 4, 5)).coeffs
             b = rng.uniform(-3, 3)
-            U = _matrix(*_bisym((_readout("bisym", k) @ v).tolist(), b, k))
-            V = _matrix(*_normal_split((_readout("normal-split") @ v).tolist(), b,
-                                       _TABLES["normal-split"]))
+            U = _evaluate(bisym, (bisym.read[k] @ v).tolist(), b, k)
+            V = _evaluate(normal, (normal.read @ v).tolist(), b)
             assert np.linalg.norm(U - V) <= 1e-13 * np.linalg.norm(V)
 
 
@@ -824,7 +838,7 @@ def test_exp_auto_near_family_boundaries(eps):
             assert err <= 1e-9, (name, res.method, err)
 
 
-_MIN_POLY_ROWS = {fam.label: fam.method for fam in FAMILY_TABLE if not fam.gate}
+_MIN_POLY_ROWS = {fam.label: fam.method for fam in FAMILY_TABLE if fam.read is None}
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6])
@@ -1063,7 +1077,7 @@ def _reference_distance(method, X):
 def test_gate_distances_match_their_definitions():
     # Relative to the distance, or to ||X0||_F = 2||v|| for an exact member,
     # whose distance is rounding.
-    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
+    methods = [fam.method for fam in FAMILY_TABLE if fam.read is not None]
     for X in _gate_samples():
         scale = 2.0 * float(np.linalg.norm(X.coeffs))
         for method in methods:
@@ -1083,7 +1097,7 @@ def test_every_element_forms_the_shared_product_at_most_once(monkeypatch):
     calls = []
     monkeypatch.setattr(model, "quadratic_forms",
                         lambda v: calls.append(1) or quadratic_forms(v))
-    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
+    methods = [fam.method for fam in FAMILY_TABLE if fam.read is not None]
     rng = np.random.default_rng(90)
     X = FAMILIES["bisym"][0](rng)
     for method in methods:
@@ -1126,7 +1140,7 @@ def test_exp_auto_and_classify_take_a_tol_in_0_inf():
     assert exp_auto(Su4Element(np.zeros((4, 4))), 0.0).method == "tridiag"
 
 
-@pytest.mark.parametrize("name", [fam.method for fam in FAMILY_TABLE if fam.gate])
+@pytest.mark.parametrize("name", [fam.method for fam in FAMILY_TABLE if fam.read is not None])
 def test_predicate_is_its_gate_distance_against_tol(name):
     # The predicates compare with STRUCTURE_TOL; dispatch at other
     # tolerances is test_structured_row_takes_the_first_row_within_tol.
@@ -1140,7 +1154,7 @@ def test_structured_row_takes_the_first_row_within_tol():
     # the first row whose gate_distance is at most tol, with the nearest
     # bisymmetric split, and returns that row's gate_distance.
     from su4exp.expm import _structured_row
-    methods = [fam.method for fam in FAMILY_TABLE if fam.gate]
+    methods = [fam.method for fam in FAMILY_TABLE if fam.read is not None]
     for X in _gate_samples():
         dists = [gate_distance(m, X) for m in methods]
         split = int((_SPLIT_OFF @ (X.coeffs * X.coeffs)).argmin())

@@ -115,10 +115,14 @@ def test_norm_at_and_just_above_a_power_of_two(k):
 
 
 def test_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         expm_reference(np.full((4, 4), np.nan))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         expm_reference(np.zeros((3, 4)))
+    with pytest.raises(InputError, match="malformed matrix entries"):
+        expm_reference([[1, "a"], [0, 1]])
+    with pytest.raises(InputError, match="malformed matrix entries"):
+        expm_reference([[10 ** 400]])
     with pytest.raises(ValueError):
         eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

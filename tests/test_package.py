@@ -98,3 +98,11 @@ def _unread_methods() -> list[str]:
 
 def test_every_method_has_a_reader():
     assert _unread_methods() == []
+
+
+def test_all_lists_every_name_the_package_imports():
+    # ``from su4exp import *`` gives exactly the names __init__.py imports.
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    assert sorted(imported) == sorted(su4exp.__all__)

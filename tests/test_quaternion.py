@@ -93,3 +93,12 @@ def test_multiplication_takes_a_quaternion_or_a_real_number():
     for s in (2, 2.5, np.float64(-1.5)):
         assert type(q * s) is Quaternion and q * s == tuple(s * q.as_array())
     assert 2 * q == q * 2 and 2.5 * q == q * 2.5
+
+
+def test_numpy_scalars_scale_from_either_side():
+    # A NumPy scalar on the left defers to Quaternion.__rmul__ rather than
+    # multiplying the tuple as a sequence into an ndarray.
+    q = Quaternion(1, 2, 3, 4)
+    for s in (2, 2.0, np.float64(2), np.int64(2)):
+        for r in (s * q, q * s):
+            assert type(r) is Quaternion and r == (2, 4, 6, 8), (type(s), r)
