@@ -208,19 +208,18 @@ def classify(X: Su4Element, tol: float = STRUCTURE_TOL) -> MinPolyClass:
 def construct_quadratic_II_example(p: PureQuaternion) -> Su4Element:
     """Generator with quadratic type II minimal polynomial, built from p != 0.
 
-    Uses bt = sqrt(1 + p.p), C = sqrtm(I + p p^T) diag(1, 1, -1) (so that
-    det C = -bt and C C^T = I + p p^T) and q = C^{-1}(bt p).  Raises
-    InputError when p = 0.
+    Uses bt = sqrt(1 + p.p), C = S diag(1, 1, -1) with S = sqrtm(I + p p^T)
+    = I + p p^T / (1 + bt) (so that det C = -bt and C C^T = I + p p^T) and
+    q = C^{-1}(bt p) = D p, D = diag(1, 1, -1), as S p = bt p: no solve, and
+    no product of two entries of p.  Raises InputError unless p holds 3
+    finite values with 0 < ||p|| < inf.
     """
-    pv = np.asarray(p, dtype=float)
-    n = float(pv @ pv)
-    if n == 0.0:
-        raise InputError("p must be nonzero")
-    bt = math.sqrt(1.0 + n)
-    S = np.eye(3) + ((bt - 1.0) / n) * np.outer(pv, pv)
-    C = S @ np.diag([1.0, 1.0, -1.0])
-    q = np.linalg.solve(C, bt * pv)
-    return Su4Element.from_quintuple(pv, q, C[:, 0], C[:, 1], C[:, 2])
+    pv, = _floats(p)
+    if pv.shape != (3,) or not 0.0 < math.hypot(*pv) < math.inf:  # NaN fails too
+        raise InputError("p must be 3 finite values, nonzero, with a finite norm")
+    D = np.array([1.0, 1.0, -1.0])
+    C = (np.eye(3) + np.outer(pv, pv / (1.0 + math.hypot(1.0, *pv)))) * D
+    return Su4Element.from_quintuple(pv, D * pv, *C.T)
 
 
 def is_normal_type(X: Su4Element) -> tuple[bool, np.ndarray]:
@@ -252,10 +251,13 @@ def local_vs_interaction_commute(a, b, c) -> bool:
     a, b, c = _floats(a, b, c)
     if not all(x.shape == (3,) and np.isfinite(x).all() for x in (a, b, c)):
         raise InputError("a, b and c must each hold 3 finite values")
-    tol = 1e-10 * max(1.0, float(np.abs(np.concatenate([a, b, c])).max()) ** 2)
+    # Both sides are of degree 2, so over s = max(1, max |coeff|) the
+    # tolerance reads 1e-10, and no product overflows.
+    m = np.array((a, b, c))
+    a, b, c = m / max(1.0, float(np.abs(m).max()))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        if abs(a[i] * c[j] - b[i] * c[k]) > tol:
+        if abs(a[i] * c[j] - b[i] * c[k]) > 1e-10:
             return False
-        if abs(a[i] * c[k] - b[i] * c[j]) > tol:
+        if abs(a[i] * c[k] - b[i] * c[j]) > 1e-10:
             return False
     return True

@@ -20,9 +20,9 @@ tables.  A propagator checks its parameters and the range rule of
 ``exp_auto`` on every call.  On a Hamiltonian's first call, keyed on the
 demo and the parameters other than t, it takes the row's formula at t x
 (``expm._exp_mapped``), as one product and scalar Python; on the second it
-builds lam_k and P_k, about 3 us more than a formula call, and keeps them
-read-only; from then on a call is four phases and one (4,) by (4, 16)
-product, about half a formula call.  One ``functools.lru_cache`` of
+builds lam_k and P_k, which costs about one and a half formula calls, and
+keeps them read-only; from then on a call is four phases and one (4,) by
+(4, 16) product, about half a formula call.  One ``functools.lru_cache`` of
 ``_CACHE_SIZE`` entries holds them, about 1.8 KB per built entry, so a
 Hamiltonian called once is never built, and a loop over more Hamiltonians
 than the cache holds costs a lookup per call over the formula.  No element

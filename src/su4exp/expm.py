@@ -12,9 +12,11 @@ e^{iC} takes the one spectral step: C = Im X0, a constant map of the nine
 Cmat slots, is real symmetric, and NumPy's ``eigh`` of it, C = V diag(lam)
 V^T, gives e^{iC} as the pair V diag(e^{i lam}) on the table V^T
 (``_interaction``).  The normal split is e^B e^{iC}, one 4x4 product of
-the two rows' matrices.  The bisymmetric formula needs two 2x2
-rotations, as a constant involution P commutes with X0 on its split and
-each eigenspace of P holds two anticommuting involutions (``_bisym``).
+the two rows' matrices.  The bisymmetric formula is two 2x2 rotations,
+one on each eigenspace of a constant involution P that commutes with X0 on
+its split: each eigenspace holds two anticommuting involutions, and the
+table holds each one's block, its projector E_p = (I + pP)/2 and E_p times
+the two (``_bisym``).
 Each of these formulas takes only the coordinates it reads of v, its row's
 read-out R v (``Family.read``), and the scalar part b.  The other three are
 low-degree minimal-polynomial evaluations, coefficients on I, X and X^2:
@@ -43,9 +45,10 @@ minimal-polynomial row's ``classify``'s (``classify.shape``).
 
 Each family is one row of ``FAMILY_TABLE``, the one owner of its data: its
 method tag, its formula, its read-out R (one per bisymmetric split), its
-formula's constant table, its factor groups, and for tridiag and bisym its
-spectral form and that form's table.  A minimal-polynomial row has no
-read-out: its formula takes the element.  Every formula is called one way
+formula's constant table, its factor groups, and for the four linear rows
+(tridiag, perskew, skewham, bisym) its spectral form and that form's
+table.  A minimal-polynomial row has no read-out: its formula takes the
+element.  Every formula is called one way
 (``_evaluate``): on the read-out R v or the element, b, the row's table,
 and what its gate found, the split or the shape.  ``exp_auto``, the public
 ``exp_*`` wrappers, ``FAMILIES`` and the CLI are all read off that table.
@@ -72,11 +75,15 @@ formula's coordinates and b in one product.  ``_exp_mapped``, behind
 ``exp_tridiag`` and a demo propagator's first call on a Hamiltonian, is
 that product at t x and the row's formula.  ``_spectral_mapped`` takes the
 same product at x, without t, and the row's spectral form, called as its
-formula is on the row's projectors (``_tridiag_spectral``,
-``_bisym_spectral``): e^{tX} = sum_k e^{i lam_k t} P_k, four eigenvalues
-and four projectors that the demos keep for the Hamiltonian's later
-calls.  The callers check the parameters in ``_check_params`` and apply
-the range rule of ``exp_auto``.
+formula is on the row's projectors: e^{tX} = sum_k e^{i lam_k t} P_k, four
+eigenvalues and four projectors on both rows, that the demos keep for the
+Hamiltonian's later calls.  A rotation factor is the sum of its two
+spectral projectors, so one spectral form (``_grouped_spectral``) serves
+every grouped row whose read-out is only its groups, as the outer product
+of its factors' projectors, and bisym calls it once per eigenspace
+(``_bisym_spectral``); one builder (``_factor_projectors``) makes every
+projector table.  The callers check the parameters in ``_check_params``
+and apply the range rule of ``exp_auto``.
 """
 
 from __future__ import annotations
@@ -261,23 +268,25 @@ def _factors(w: list[float], b: float, table, _=None) -> tuple:
     return f, T
 
 
-def _tridiag_spectral(w: list[float], b: float, table, _=None) -> tuple:
-    """``_factors``' e^{ib} e^{w_1.B_1} e^{w_2.B_2} (two groups of two
-    slots) as sum_k e^{i lam_k} P_k: lam_k, and r with P_k = (r @ G)[k].
+def _grouped_spectral(w: list[float], b: float, table, _=None) -> tuple:
+    """``_factors``' e^{ib} prod_g e^{w_g.B_g}, over any number of groups,
+    as sum_k e^{i lam_k} P_k: lam_k, and r with P_k = (r @ G)[k], for the
+    row's projectors (groups, G), G of ``_factor_projectors``.
 
     With n_g = w_g / l_g, (n_g.B_g)^2 = -I, so a factor is sum_{s = +-1}
-    e^{isl_g} (I - is n_g.B_g)/2, any unit axis serving at l_g = 0; r is the
-    outer product of the factors' projectors at s_g = +1 on T, and G
-    (``_factor_projectors``) holds T with each projector's signs.
+    e^{isl_g} (I - is n_g.B_g)/2, any unit axis serving at l_g = 0: lam_k
+    sums b and each group's s_g l_g, and r is the outer product of the
+    factors' projectors at s_g = +1, (1/2, -i n_g/2), on the rows of G.
     """
-    (g1, g2), G = table
-    x1, y1 = w[g1]
-    x2, y2 = w[g2]
-    l1, l2 = math.hypot(x1, y1), math.hypot(x2, y2)
-    u1, v1 = (-0.5j * x1 / l1, -0.5j * y1 / l1) if l1 else (-0.5j, 0.0)
-    u2, v2 = (-0.5j * x2 / l2, -0.5j * y2 / l2) if l2 else (-0.5j, 0.0)
-    return ([b + l1 + l2, b + l1 - l2, b - l1 + l2, b - l1 - l2],
-            [0.25, 0.5 * u2, 0.5 * v2, 0.5 * u1, u1 * u2, u1 * v2, 0.5 * v1, v1 * u2, v1 * v2], G)
+    groups, G = table
+    lam, r = [b], [1.0]
+    for g in groups:
+        x = w[g]
+        l = math.hypot(*x)
+        f = [0.5, *[-0.5j * c / l for c in x]] if l else [0.5, -0.5j, *[0.0] * (len(x) - 1)]
+        lam = [a + s for a in lam for s in (l, -l)]
+        r = [a * c for a in r for c in f]
+    return lam, r, G
 
 
 def _interaction(w: list[float], b: float, table=None, _=None) -> tuple:
@@ -304,102 +313,80 @@ def _normal_split(w: list[float], b: float, table, _=None) -> tuple:
 
 
 def _split_tables() -> tuple[np.ndarray, list[float], np.ndarray]:
-    """The nine bisymmetric splits as constants: slots, signs, rows.
+    """The nine bisymmetric splits as constants: slots, signs, block tables.
 
     Split k = 3 i0 + j0 puts the 1x1 block of the interaction matrix at
     Cmat[i0, j0], and the 2x2 block at the other rows r1 < r2 and columns
     c1 < c2; it keeps five slots of v, the zeros of its mask (row 2 + k of
     ``model._DROP``).  Row k of the slot table holds them: e = Cmat[i0, j0],
     then (a, b, c, d) = Cmat at [r1, c1], [r1, c2], [r2, c1], [r2, c2] in
-    slot order, whose basis matrices are M_e, M11, M12, M21, M22.  M11 M22
-    is sigma_k M_e with sigma_k = +-1, and the rows are the flattened I,
-    M_e, M11, M12, M21, M22.
+    slot order, whose basis matrices are M_e, M11, M12, M21, M22.  P = M11
+    M22 is sigma_k M_e with sigma_k = +-1, an involution, and E_p = (I +
+    pP)/2 projects onto its eigenspace P = p.  Table k holds each
+    eigenspace's block E_p, i E_p M11, i E_p M12, flattened, p = +1 then -1.
     """
     e = 6 + np.arange(9)
     kept = np.nonzero(_DROP[2:11] == 0.0)[1].reshape(9, 5)
     slots = np.column_stack((e, kept[kept != e[:, None]].reshape(9, 4)))
-    M = _QT_FLAT[slots]
-    P = M[:, 1].reshape(9, 4, 4) @ M[:, 4].reshape(9, 4, 4)
-    sign = ((P.reshape(9, 16) * M[:, 0]).sum(axis=1) / 4.0).tolist()  # M_e: norm^2 4
-    rows = np.zeros((9, 6, 16), dtype=complex)
-    rows[:, 0, ::5] = 1.0  # the flattened identity
-    rows[:, 1:] = M
-    return slots, sign, rows
+    M = _QT_FLAT[slots].reshape(9, 5, 4, 4)
+    P = M[:, 1] @ M[:, 4]
+    sign = ((P * M[:, 0]).sum(axis=(1, 2)) / 4.0).tolist()  # M_e: norm^2 4
+    E = 0.5 * (np.eye(4) + np.multiply.outer([1.0, -1.0], P))  # E_p, p = +1 then -1
+    blocks = np.stack((E, 1j * E @ M[:, 1], 1j * E @ M[:, 2]), axis=2)
+    return slots, sign, blocks.transpose(1, 0, 2, 3, 4).reshape(9, 6, 16)
 
 
-_SPLIT_SLOTS, _SPLIT_SIGN, _SPLIT_ROWS = _split_tables()
+_SPLIT_SLOTS, _SPLIT_SIGN, _SPLIT_BLOCKS = _split_tables()
 
 
 def _bisym(s: list[float], b: float, table, k: int) -> tuple:
-    """Bisymmetric exponential from two 2x2 rotations, on the row's table,
-    (sigma, rows) of each split (``_split_tables``).
+    """Bisymmetric exponential from two 2x2 rotations, one on each
+    eigenspace of an involution P, on the row's table, (sigma, T) of each
+    split (``_split_tables``).
 
     On the gate's split k, the nearest of the nine (ties to the first), X0 is
     i(e M_e + x11 M11 + x12 M12 + x21 M21 + x22 M22), and s = (e, x11, x12,
     x21, x22) are the five slots the gate keeps.  P = M11 M22 = sigma M_e
     squares to I and commutes with every term, and M22 = M11 P, M21 =
-    -M12 P.  So on the eigenspace P = +-1 the 2x2 block is x M11 + y M12,
-    two anticommuting involutions, and
+    -M12 P.  So on the eigenspace P = p, projected on by E_p = (I + pP)/2,
+    the 2x2 block is x_p M11 + y_p M12, two anticommuting involutions, and
 
-        e^{ib} e^{X0} = sum_{p = +-1} (I + pP)/2 e^{i(b + p sigma e)}
-                        [cos l_p I + i sinc(l_p) (x_p M11 + y_p M12)],
+        e^{ib} e^{X0} = sum_{p = +-1} e^{i(b + p sigma e)} [cos l_p E_p
+                        + sinc(l_p) (x_p i E_p M11 + y_p i E_p M12)],
 
-    x_p = x11 + p x22, y_p = x12 - p x21, l_p = hypot(x_p, y_p).  Expanded,
-    that is six coefficients on I, P, M11, P M11 = M22, M12 and P M12 =
-    -M21, the split's rows up to sign.  The two eigenspaces run side by side
-    as straight-line code, p = +1 then p = -1 in each line, and sinc(l_p)
-    takes the real branch of ``sinc`` inline, as in ``_factors``.
+    x_p = x11 + p x22, y_p = x12 - p x21, l_p = hypot(x_p, y_p).  Each pass
+    of the loop is one eigenspace: a phase times one rotation (cos l_p,
+    sinc(l_p) (x_p, y_p)) on block p of T, and sinc(l_p) takes the real
+    branch of ``sinc`` inline, as in ``_factors``.
     """
     e, x11, x12, x21, x22 = s
-    sigma, rows = table[k]
-    se = sigma * e
-    xp, yp, xm, ym = x11 + x22, x12 - x21, x11 - x22, x12 + x21
-    lp, lm = math.hypot(xp, yp), math.hypot(xm, ym)
-    Ep, Em = cmath.exp(1j * (b + se)), cmath.exp(1j * (b - se))
-    rp = 0.5j * Ep * (math.sin(lp) / lp if lp >= 1e-4 else sinc(lp))
-    rm = 0.5j * Em * (math.sin(lm) / lm if lm >= 1e-4 else sinc(lm))
-    cp, cm = 0.5 * Ep * math.cos(lp), 0.5 * Em * math.cos(lm)
-    xp, yp, xm, ym = rp * xp, rp * yp, rm * xm, rm * ym
-    return (cp + cm, sigma * (cp - cm), xp + xm, yp + ym, ym - yp, xp - xm), rows
+    sigma, T = table[k]
+    c = sigma * e
+    f = []
+    for p, x, y in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)):
+        l = math.hypot(x, y)
+        E = cmath.exp(1j * (b + p * c))
+        r = E * (math.sin(l) / l if l >= 1e-4 else sinc(l))
+        f += (E * math.cos(l), r * x, r * y)
+    return f, T
+
+
+# The one group of an eigenspace block of ``_bisym``: (x_p, y_p).
+_PAIR = [slice(0, 2)]
 
 
 def _bisym_spectral(s: list[float], b: float, table, k: int) -> tuple:
-    """``_bisym``'s e^{ib} e^{X0} as sum_k e^{i lam_k} P_k: lam_k, and r
-    with P_k = (r @ G)[k], from the row's projectors, (sigma, G) of each
-    split, G its ``_SPLIT_PROJECTORS``.
-
-    On P = p, X0's 2x2 block is i l_p N_p, N_p = (x_p M11 + y_p M12) / l_p
-    an involution, so P_k = (I + pP)/2 (I + q N_p)/2, lam = b + p sigma e +
-    q l_p, q = +-1; r holds the axes (x_p, y_p) / l_p, any at l_p = 0.
-    """
+    """``_bisym``'s e^{ib} e^{X0} as sum_k e^{i lam_k} P_k, one eigenspace P
+    = p at a time: its rotation's ``_grouped_spectral``, one group (x_p,
+    y_p) at the phase b + p sigma e, whose two projectors lie on block p.
+    The row's projectors at split k are (sigma, G), G the block-diagonal
+    pair of the two blocks' ``_factor_projectors``."""
     e, x11, x12, x21, x22 = s
     sigma, G = table[k]
     c = sigma * e
-    lam, r = [], [1.0]
-    for p, x, y in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)):
-        l = math.hypot(x, y)
-        lam += (b + p * c + l, b + p * c - l)
-        r += (x / l, y / l) if l else (1.0, 0.0)
-    return lam, r, G
-
-
-def _split_projectors() -> np.ndarray:
-    """(9, 5, 64): the four projectors of ``_bisym_spectral`` at split k,
-    (p, q) = (+, +), (+, -), (-, +), (-, -), as coefficients of r.  As P =
-    sigma M_e, P M11 = M22 and P M12 = -M21, each is (I + p sigma M_e + q nx
-    (M11 + p M22) + q ny (M12 - p M21))/4, (nx, ny) = r[1:3] or r[3:5]."""
-    I, Me, M11, M12, M21, M22 = _SPLIT_ROWS.transpose(1, 0, 2)
-    sigma = np.array(_SPLIT_SIGN)[:, None]
-    G = np.zeros((9, 5, 4, 16), dtype=complex)
-    for j, (p, q) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        x = 1 if p > 0 else 3
-        G[:, 0, j] = I + p * sigma * Me
-        G[:, x, j] = q * (M11 + p * M22)
-        G[:, x + 1, j] = q * (M12 - p * M21)
-    return 0.25 * G.reshape(9, 5, 64)
-
-
-_SPLIT_PROJECTORS = _split_projectors()
+    (lp, rp, _), (lm, rm, _) = (_grouped_spectral([x, y], b + p * c, (_PAIR, G)) for p, x, y
+                                in ((1.0, x11 + x22, x12 - x21), (-1.0, x11 - x22, x12 + x21)))
+    return lp + lm, rp + rm, G
 
 
 # -- the family table -------------------------------------------------------
@@ -428,9 +415,11 @@ _BASES = np.concatenate((np.eye(4).reshape(1, 16), _QT_STACK))
 
 
 def _factor_projectors(groups: list[slice], T: np.ndarray) -> np.ndarray:
-    """(rows of T, 2^m 16) G of ``_tridiag_spectral`` for m groups: T with,
+    """(rows of T, 2^m 16) G of ``_grouped_spectral`` for m groups: T with,
     at columns 16 k to 16 k + 15, projector k = (s_1, .., s_m)'s sign s_g on
-    each basis term of group g, s_g = +1 then -1."""
+    each basis term of group g, s_g = +1 then -1.  The one builder of a
+    projector table: bisym's is the block-diagonal pair of its two
+    eigenspace blocks', one group each."""
     S = np.ones((1, 1))
     for g in groups:
         e = np.ones((2, g.stop - g.start + 1))
@@ -453,7 +442,10 @@ class Family(NamedTuple):
     gate found, the bisymmetric split or the shape's ``MinPolyClass``.
     ``groups`` holds the Pauli labels of each rotation factor read off v.
     A row with a spectral form (``_spectral_mapped``) holds it in
-    ``spectral``, called the same way on its ``projectors``.  Every formula
+    ``spectral``, called the same way on its ``projectors``: the grouped
+    rows whose read-out is only their groups (tridiag, perskew, skewham)
+    hold ``_grouped_spectral``, and bisym ``_bisym_spectral``, which calls
+    it once per eigenspace block.  Every formula
     returns coefficients and a table whose product is e^X (``_matrix``),
     with the scalar phase e^{ib} in its coefficients: scalar coefficients
     on a constant table, but for e^{iC} (imsym, and the normal split's
@@ -471,7 +463,7 @@ class Family(NamedTuple):
 
 
 def _grouped(method: str, label: str, formula: Callable[..., tuple], groups: tuple[str, ...],
-             P: np.ndarray = _EYE15, after: np.ndarray = _EYE15[:0], spectral=None) -> Family:
+             P: np.ndarray = _EYE15, after: np.ndarray = _EYE15[:0]) -> Family:
     """The row ``Family(method, label, formula, ...)`` of a grouped family,
     made from its groups' Pauli labels ("xz", "0y", ...).
 
@@ -479,27 +471,32 @@ def _grouped(method: str, label: str, formula: Callable[..., tuple], groups: tup
     the tridiagonal projector P): v at a group's slots is X0's own expansion
     over its terms, so no signs are needed.  Its table is (slices of w = G
     v, T), T the products B_1[a] B_2[b] of the groups' bases, rows of
-    _BASES (I, then the slots' basis matrices), one broadcast product; with
-    a spectral form, its projectors are the slices and
-    ``_factor_projectors`` of T.
+    _BASES (I, then the slots' basis matrices), one broadcast product.  A
+    read-out of only its groups (no ``after``) gives the row the generic
+    spectral form ``_grouped_spectral``, whose projectors are the slices
+    and ``_factor_projectors`` of T; the normal split's also carries Cmat
+    for e^{iC}, and has none.
     """
     slots = [[_PAULI_SLOT[_PAULI_SLOTS.index(tuple(st))] for st in g.split()] for g in groups]
     B = [_BASES[[0] + [s + 1 for s in group]].reshape(-1, 1, 4, 4) for group in slots]
     T = (B[0] if len(B) == 1 else B[0] @ B[1].reshape(1, -1, 4, 4)).reshape(-1, 16)
     g = [slice(e - len(s), e) for s, e in zip(slots, accumulate(map(len, slots)))]
+    spectral = () if len(after) else (_grouped_spectral, (g, _factor_projectors(g, T)))
     return Family(method, label, formula, np.vstack((P[sum(slots, [])], after)), (g, T),
-                  groups, spectral, spectral and (g, _factor_projectors(g, T)))
+                  groups, *spectral)
 
 
 FAMILY_TABLE = (
-    _grouped("tridiag", "symmetric-tridiagonal", _factors, ("xx zx", "yy 0x"),
-             _TRIDIAG_PROJ, spectral=_tridiag_spectral),
+    _grouped("tridiag", "symmetric-tridiagonal", _factors, ("xx zx", "yy 0x"), _TRIDIAG_PROJ),
     _grouped("perskew", "perskewsymmetric", _factors, ("z0 xz yz", "0z zx zy")),
     _grouped("skewham", "skew-Hamiltonian", _factors, ("yy 0z 0x zy xy",)),
-    # The five kept slots of each of the nine bisymmetric splits.
+    # The five kept slots of each of the nine bisymmetric splits; its
+    # projectors, the block-diagonal pair of each split's two blocks'.
     Family("bisym", "bisymmetric-type", _bisym, _EYE15[_SPLIT_SLOTS],
-           [*zip(_SPLIT_SIGN, _SPLIT_ROWS)], spectral=_bisym_spectral,
-           projectors=[*zip(_SPLIT_SIGN, _SPLIT_PROJECTORS)]),
+           [*zip(_SPLIT_SIGN, _SPLIT_BLOCKS)], spectral=_bisym_spectral,
+           projectors=[(s, np.block([[_factor_projectors(_PAIR, T[:3]), np.zeros((3, 32))],
+                                     [np.zeros((3, 32)), _factor_projectors(_PAIR, T[3:])]]))
+                       for s, T in zip(_SPLIT_SIGN, _SPLIT_BLOCKS)]),
     Family("imsym", "imaginary-symmetric", _interaction, _EYE15[6:]),
     # e^B: the p slots, then the q slots of v; then Cmat for e^{iC}.
     _grouped("normal-split", "normal-type", _normal_split, ("0y yx yz", "y0 xy zy"),
@@ -678,9 +675,9 @@ def _exp_mapped(row: tuple, x, t: float = 1.0) -> ExpResult:
 def _spectral_mapped(row: tuple, x) -> tuple | None:
     """(i lam, P, ||(v, b)||) of the X with (v, b) = M @ x, for M's row as
     in ``_exp_mapped``: e^{tX} = sum_k e^{i lam_k t} P_k for every t, P a
-    read-only (4, 16), from A @ x and the row's spectral form, called as
-    its formula is, on the row's projectors.  None where 4 ||(v, b)||, a
-    bound on each |lam_k|, overflows."""
+    read-only (number of projectors, 16), from A @ x and the row's spectral
+    form, called as its formula is, on the row's projectors.  None where
+    4 ||(v, b)||, a bound on each |lam_k|, overflows."""
     A, fam, found = row
     y = A.dot(x).tolist()
     n = math.hypot(*y)
@@ -688,7 +685,7 @@ def _spectral_mapped(row: tuple, x) -> tuple | None:
         return None
     b = y.pop()
     lam, r, G = fam.spectral(y, b, fam.projectors, found)
-    P = np.asarray(r, complex).dot(G).reshape(4, 16)
+    P = np.asarray(r, complex).dot(G).reshape(-1, 16)
     P.flags.writeable = False
     return tuple(1j * c for c in lam), P, n
 

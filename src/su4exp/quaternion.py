@@ -57,7 +57,8 @@ class Quaternion(NamedTuple):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        """|q|, taken without overflow or underflow."""
+        return math.hypot(*self)
 
     def as_array(self) -> np.ndarray:
         """R^4 coordinates in the basis (1, i, j, k)."""
@@ -81,7 +82,8 @@ class PureQuaternion(NamedTuple):
         return np.array([self.x, self.y, self.z])
 
     def norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
+        """|p|, taken without overflow or underflow."""
+        return math.hypot(*self)
 
     def __neg__(self) -> "PureQuaternion":
         return PureQuaternion(-self.x, -self.y, -self.z)

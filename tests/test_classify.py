@@ -345,6 +345,42 @@ def test_construct_quadratic_II_example_rejects_zero():
         construct_quadratic_II_example(np.zeros(3))
 
 
+@pytest.mark.parametrize("p", [[1, 2], [1, 2, 3, 4], ("a", 1, 2), (1.0, math.nan, 0.0),
+                               (1.1e308, 1.1e308, 1.1e308)])
+def test_construct_quadratic_II_example_rejects_malformed_p(p):
+    # Anything but 3 finite values with a finite norm: the last one's
+    # entries are finite, but ||p|| overflows.
+    with pytest.raises(InputError):
+        construct_quadratic_II_example(p)
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1.0, 1e76, 1e100, 1e200, 1.7e308])
+def test_construct_quadratic_II_example_takes_no_solve(norm):
+    # q = D p exactly, D = diag(1, 1, -1), and C C^T = I + p p^T (checked
+    # over s^2, s = max(1, ||p||)), with no warning, from ||p|| = 1e-8 to
+    # just below the float range: a solve of C q = bt p once raised
+    # LinAlgError at 1e76.
+    p = norm * np.array([0.6, -0.8, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = construct_quadratic_II_example(p)
+    v = X.coeffs
+    assert np.array_equal(v[:3], p) and np.array_equal(v[3:6], p * [1.0, 1.0, -1.0])
+    s = max(1.0, norm)
+    C, u = v[6:].reshape(3, 3) / s, p / s
+    assert np.abs(C @ C.T - (np.eye(3) / s / s + np.outer(u, u))).max() <= 1e-15
+
+
+def test_construct_quadratic_II_example_meets_its_conditions():
+    # The members check_quadratic_II_conditions reads bt = sqrt(1 + p.p) off.
+    rng = np.random.default_rng(58)
+    for norm in (1e-3, 0.1, 1.0, 3.0, 10.0):
+        p = rng.normal(size=3)
+        p *= norm / np.linalg.norm(p)
+        bt = check_quadratic_II_conditions(construct_quadratic_II_example(p))
+        assert bt is not None and abs(bt - math.sqrt(1.0 + norm ** 2)) <= 1e-12 * bt
+
+
 @pytest.mark.parametrize("p", [(1.0, 0, 0), (0, 0, 3.0), (1.0, 1.0, 1.0)])
 def test_construct_quadratic_II_example(p):
     X = construct_quadratic_II_example(np.asarray(p))
@@ -407,6 +443,15 @@ def test_local_vs_interaction_fixtures():
     # The ratio conditions alone are not sufficient in naive form: this set
     # satisfies c2/c1 = b3/a3 vacuously but fails the cross-multiplied pair.
     assert not local_vs_interaction_commute([1, 0, 0], [2, 0, 0], [0, 1, 2])
+
+
+@pytest.mark.parametrize("s", [1e160, 1e300])
+def test_local_vs_interaction_at_large_coefficients(s):
+    # The rule is taken over max(1, max |coeff|): past 1.34e154 its square,
+    # and the products a_i c_j, once overflowed.
+    ones = [s, s, s]
+    assert local_vs_interaction_commute(ones, ones, ones)
+    assert not local_vs_interaction_commute([s, 0, 0], [s, 0, 0], [s, s, 0])
 
 
 @pytest.mark.parametrize("a, b, c", [

@@ -629,9 +629,10 @@ def _split_element(k, e, a, b, c, d, scalar=0.0):
 
 
 def test_split_tables_match_their_definition():
-    # The slot table against a per-split loop, and the identities the
-    # two-rotation formula rests on.
-    from su4exp.expm import _SPLIT_ROWS, _SPLIT_SIGN, _SPLIT_SLOTS
+    # The slot table against a per-split loop, the identities the
+    # two-rotation formula rests on, and each split's block table: E_+ +
+    # E_- = I, E_p^2 = E_p, and the rows E_p, i E_p M11, i E_p M12.
+    from su4exp.expm import _SPLIT_SIGN
     from su4exp.model import _QT_FLAT
     eye = np.eye(4)
     for k in range(9):
@@ -646,8 +647,60 @@ def test_split_tables_match_their_definition():
         assert np.array_equal(P, _SPLIT_SIGN[k] * Me) and np.array_equal(P @ P, eye)
         assert np.array_equal(M22, M11 @ P) and np.array_equal(M21, -M12 @ P)
         assert np.array_equal(M11 @ M12, -M12 @ M11)
-        rows = np.stack((eye, Me, M11, M12, M21, M22)).reshape(6, 16)
-        assert np.array_equal(_SPLIT_ROWS[k], rows)
+        sigma, T = _ROWS["bisym"].table[k]
+        assert sigma == _SPLIT_SIGN[k]
+        E = [(eye + p * P) / 2 for p in (1.0, -1.0)]
+        assert np.array_equal(E[0] + E[1], eye)
+        assert all(np.array_equal(Ep @ Ep, Ep) for Ep in E)
+        rows = np.stack([R for Ep in E for R in (Ep, 1j * Ep @ M11, 1j * Ep @ M12)])
+        assert np.array_equal(T, rows.reshape(6, 16))
+
+
+def _spectral_cases(method, k, rng):
+    """Read-outs w of the row's spectral form at split k (bisym) or None:
+    random ones, and each group's, or each eigenspace's, angle l at 0."""
+    if method == "bisym":
+        e, a, c = rng.normal(size=3)
+        # l_+ = 0 at x22 = -x11, x21 = x12; l_- = 0 at x22 = x11, x21 = -x12.
+        return [rng.normal(size=5), [e, a, c, c, -a], [e, a, c, -c, a], [e, 0.0, 0.0, 0.0, 0.0]]
+    slots = _slots(_ROWS[method])
+    n = len(sum(slots, []))
+    return [rng.normal(size=n), np.zeros(n)] + [
+        np.concatenate([np.zeros(len(h)) if h is g else rng.normal(size=len(h)) for h in slots])
+        for g in slots]
+
+
+@pytest.mark.parametrize("method, k", [("tridiag", None), ("perskew", None), ("skewham", None)]
+                         + [("bisym", k) for k in range(9)])
+def test_spectral_forms_are_frobenius_covariants(method, k):
+    # Every row with a spectral form: sum_k e^{i lam_k t} P_k is e^{tX}
+    # within max(1e-12, 5 eps ||tX||_F) of the series reference up to
+    # ||tX||_F = 1e6, at random read-outs and with each group's or each
+    # eigenspace's angle at 0, and the P_k are orthogonal projectors that
+    # sum to I.  The spectral form reads w as coefficients on its groups'
+    # slots of v (on the split's five kept slots for bisym).
+    fam = _ROWS[method]
+    slots = _SPLIT_SLOTS[k] if k is not None else sum(_slots(fam), [])
+    rng = np.random.default_rng(31 + (k or 0))
+    eps, eye = np.finfo(float).eps, np.eye(4)
+    for w in _spectral_cases(method, k, rng):
+        b = rng.normal()
+        lam, r, G = fam.spectral(list(w), b, fam.projectors, k)
+        P = (np.asarray(r, complex) @ G).reshape(-1, 4, 4)
+        assert len(lam) == len(P) == 2 ** (len(fam.groups) or 2)  # bisym: 2 per eigenspace
+        assert np.abs(P.sum(axis=0) - eye).max() <= 1e-14
+        for i, Pi in enumerate(P):
+            assert np.abs(Pi.conj().T - Pi).max() <= 1e-14
+            for j, Pj in enumerate(P):
+                assert np.abs(Pi @ Pj - (i == j) * Pi).max() <= 1e-14, (i, j)
+        v = np.zeros(15)
+        v[slots] = w
+        X = Su4Element._from_coeffs(v, b).entries
+        n = np.linalg.norm(X)
+        for t in (0.0, 1e-9, 1.0, 1e3 / n, 1e6 / n):
+            U = np.einsum("k,kij->ij", np.exp(1j * t * np.array(lam)), P)
+            err = np.linalg.norm(U - expm_reference(t * X))
+            assert err <= max(1e-12, 5 * eps * t * n), (list(w), t, err)
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -119,6 +119,8 @@ def test_rejects_bad_input():
         expm_reference(np.full((4, 4), np.nan))
     with pytest.raises(InputError):
         expm_reference(np.zeros((3, 4)))
+    with pytest.raises(InputError):
+        expm_reference(np.zeros((0, 0)))
     with pytest.raises(InputError, match="malformed matrix entries"):
         expm_reference([[1, "a"], [0, 1]])
     with pytest.raises(InputError, match="malformed matrix entries"):

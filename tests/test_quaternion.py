@@ -102,3 +102,11 @@ def test_numpy_scalars_scale_from_either_side():
     for s in (2, 2.0, np.float64(2), np.int64(2)):
         for r in (s * q, q * s):
             assert type(r) is Quaternion and r == (2, 4, 6, 8), (type(s), r)
+
+
+def test_norm_neither_overflows_nor_underflows():
+    # |q| is taken by hypot: squares of 1e200 overflow and of 1e-200
+    # underflow to 0.
+    for cls, zeros in ((Quaternion, (0.0, 0.0)), (PureQuaternion, (0.0,))):
+        assert cls(1e200, 1e200, *zeros).norm() == pytest.approx(2 ** 0.5 * 1e200, rel=1e-15)
+        assert cls(1e-200, 0.0, *zeros).norm() == 1e-200
