@@ -7,8 +7,9 @@ with T_k the basis matrix of slot k of v, X0 = v.T and g = v.v,
     X0^2 = -g I - i z.T,   X0 (z.T) = -(v.z) I - i D(v, z).T,   z = D(v, v),
 
 and the T_k are orthogonal to I and to each other, with squared Frobenius
-norm 4.  det(xI - X0) = x^4 + mu x^2 + nu x + pi has mu = 2g, nu = 8i (det
-Cmat - p^T Cmat q) and pi = g^2 - z.z.  Three minimal-polynomial shapes
+norm 4.  det(xI - X0) = x^4 + mu x^2 + nu x + pi has mu = 2g, pi = g^2 - z.z
+and nu = -tr(X0^3) / 3 = -(4i/3) v.z, by Newton's identity for a traceless
+quartic and the two products above.  Three minimal-polynomial shapes
 have simple exponentials, with the parameters of an exact member (spectra
 i{c, c, -c, -c}, i{a, a, a, -3a}, i{0, 0, c, -c}):
 
@@ -26,7 +27,7 @@ distances bound ||U - e^X||_F, and are compared with the gate tolerance
     quadratic   ||X0^2 + 2 beta X0 + gamma I||_F / omega,  omega^2 = gamma + |beta|^2
     cubic       2 ||X0^3 + c^2 X0||_F / c^2
 
-On v, with beta = i beta_r, they are
+On v, with beta = i beta_r, beta_r = v.z / (2g), they are
 
     quadratic type I    2 ||z|| / sqrt(g)
     quadratic type II   2 ||z - 2 beta_r v|| / sqrt(g + beta_r^2)
@@ -38,13 +39,15 @@ g and z are read off the shared product of the element
 one have formed already, and the range check reads the element's ||v||
 (``Su4Element.norm``), which ``exp_auto``'s range rule has taken.
 ``classify`` tests the shapes in the order above, then quartic-distinct, in
-one straight-line walk (``_walk``): nu is formed only once quadratic-II is
-reached, D v only for cubic-I, and the one ``MinPolyClass`` built is the
+one straight-line walk (``_walk``): v.z is formed only once quadratic-II
+is reached, D v only for cubic-I, and the one ``MinPolyClass`` built is the
 shape returned.  ``shape`` is the same walk told to accept no shape before
 the one it asks for.
 
 Type II also has the paper's constructive test: a real bt with C^T p = bt q,
 C q = bt p and p q^T - Co(C) = bt C, Co(C) the cofactor matrix of C = [r|s|t].
+Those left sides are z's blocks, z = 2 (C q, C^T p, p q^T - Co(C)) against v =
+(p, q, C), so the three conditions are z = 2 bt v, and bt = Im beta.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .model import (
     _SQUARE_MAP,
     STRUCTURE_TOL,
     Su4Element,
-    _cofactors,
     _floats,
 )
 
@@ -101,43 +103,31 @@ def _invariants(X: Su4Element) -> tuple[np.ndarray, np.ndarray, float, np.ndarra
     return X.quadratic
 
 
-def _nu(v: np.ndarray) -> complex:
-    """nu = 8i (det Cmat - p^T Cmat q), both expanded over v (det Cmat by
-    ``model._cofactors``)."""
-    p1, p2, p3, q1, q2, q3, c11, c12, c13, c21, c22, c23, c31, c32, c33 = w = v.tolist()
-    pcq = (p1 * (c11 * q1 + c12 * q2 + c13 * q3) + p2 * (c21 * q1 + c22 * q2 + c23 * q3)
-           + p3 * (c31 * q1 + c32 * q2 + c33 * q3))
-    return 8j * (_cofactors(w[6:])[1] - pcq)
-
-
 def charpoly(X: Su4Element) -> CharPolyCoeffs:
     """Coefficients (mu, nu, pi) of det(xI - X0) for the traceless part X0."""
     _, z, g, _ = _invariants(X)
-    return CharPolyCoeffs(mu=2.0 * g, nu=_nu(X.coeffs), pi=g * g - float(z @ z))
+    nu = complex(0.0, -4.0 / 3.0 * float(X.coeffs @ z))
+    return CharPolyCoeffs(mu=2.0 * g, nu=nu, pi=g * g - float(z @ z))
 
 
 def check_quadratic_II_conditions(X: Su4Element) -> float | None:
     """Real bt satisfying the three quadratic-type-II conditions, if any.
 
-    The conditions are linear in bt, lhs = bt rhs with lhs = (C^T p, C q,
-    p q^T - Co(C)) and rhs = (q, p, C), and the candidate is their
-    least-squares solution, with p, q and C = Cmat read off v.  Returns None
-    when X0 = 0, or when the candidate misses a condition by more than 1e-9
-    times the squared scale of p, q, C.  Raises InputError past the range
-    of ``_invariants``, as ``charpoly`` does: lhs @ rhs is cubic in v.
+    The conditions are z = 2 bt v (module docstring), with z = D(v, v) read
+    off the shared product, and the candidate is their least-squares
+    solution bt = v.z / (2 g), quadratic-II's Im beta.  Returns None when
+    X0 = 0 (g = 0), or when max |z - 2 bt v| exceeds 2e-9 times the squared
+    scale of p, q, C: 1e-9 on the paper's form, lhs - bt rhs, which is that
+    difference over 2, permuted.  Raises InputError past the range of
+    ``_invariants``, as ``charpoly`` does.
     """
-    _invariants(X)
-    v = X.coeffs
-    p, q, C = v[:3], v[3:6], v[6:].reshape(3, 3)
-    co = np.array(_cofactors(v[6:].tolist())[0]).reshape(3, 3)
-    lhs = np.concatenate((C.T @ p, C @ q, (np.outer(p, q) - co).ravel()))
-    rhs = np.concatenate((q, p, C.ravel()))
-    denom = float(rhs @ rhs)
-    if denom == 0.0:
+    _, z, g, _ = _invariants(X)
+    if not g:
         return None
-    bt = float(lhs @ rhs) / denom
-    scale2 = max(float(p @ p), float(q @ q), float((C * C).sum()), 1.0)
-    return bt if np.abs(lhs - bt * rhs).max() <= 1e-9 * scale2 else None
+    v = X.coeffs
+    bt = float(v @ z) / (2.0 * g)
+    scale2 = max(float(v[:3] @ v[:3]), float(v[3:6] @ v[3:6]), float(v[6:] @ v[6:]), 1.0)
+    return bt if np.abs(z - 2.0 * bt * v).max() <= 2e-9 * scale2 else None
 
 
 def _walk(X: Su4Element, tol: float, tag: str = "") -> tuple[float, MinPolyClass]:
@@ -155,17 +145,16 @@ def _walk(X: Su4Element, tol: float, tag: str = "") -> tuple[float, MinPolyClass
     d = 2.0 * math.hypot(*z.tolist()) / math.sqrt(g)
     if d <= tol or tag == "quadratic-I":
         return d, MinPolyClass("quadratic-I", c2=g)
-    nu = _nu(v)
-    beta = -3.0 * nu / (8.0 * g)
-    br = beta.imag
+    vz = float(v @ z)
+    br = vz / (2.0 * g)  # beta = -3 nu / (4 mu) = i br
     d = 2.0 * math.hypot(*(z - 2.0 * br * v).tolist()) / math.sqrt(g + br * br)
     if d <= tol or tag == "quadratic-II":
-        return d, MinPolyClass("quadratic-II", beta=beta, gamma=g)
+        return d, MinPolyClass("quadratic-II", beta=complex(0.0, br), gamma=g)
     Dvz = _SQUARE_MAP.dot(v).reshape(15, 15).dot(z)
-    d = 2.0 * math.hypot(float(v @ z), *(g * v - Dvz).tolist()) / g
+    d = 2.0 * math.hypot(vz, *(g * v - Dvz).tolist()) / g
     if d <= tol or tag == "cubic-I":
         return d, MinPolyClass("cubic-I", c2=2.0 * g)
-    d = abs(nu) / (2.0 * g)
+    d = 2.0 * abs(vz) / (3.0 * g)  # |nu| / mu
     return d, MinPolyClass("quartic-distinct" if d <= tol or tag else "other")
 
 

@@ -9,6 +9,7 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -22,7 +23,7 @@ from .classify import classify as _classify
 from .errors import InputError, StructureError
 from .expm import FAMILY_TABLE, STRUCTURE_TOL, ExpResult, _check_norm, exp_auto, gate_distance
 from .families import FAMILIES, time_family
-from .matio import load_matrix, save_matrix
+from .matio import _open_for_write, load_matrix, save_matrix
 from .model import Su4Element
 from .oracle import expm_reference
 
@@ -159,9 +160,8 @@ def cmd_charpoly(args) -> int:
     return EXIT_OK
 
 
-def _parse_kv(tokens, allowed, lists=()) -> dict:
-    """key=value tokens as floats; a key in ``lists`` takes comma-separated
-    values, as a list."""
+def _parse_kv(tokens, allowed) -> dict:
+    """key=value tokens as finite floats, each key at most once."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -170,29 +170,27 @@ def _parse_kv(tokens, allowed, lists=()) -> dict:
         if key not in allowed:
             raise InputError(f"unknown parameter '{key}' "
                              f"(allowed: {', '.join(allowed)})")
+        if key in out:
+            raise InputError(f"parameter '{key}' is given twice")
         try:
-            vals = [float(v) for v in val.split(",")]
+            out[key] = float(val)
         except ValueError as exc:
             raise InputError(f"bad value for '{key}': {exc}") from exc
-        if not all(map(math.isfinite, vals)):
+        if not math.isfinite(out[key]):
             raise InputError(f"non-finite value for '{key}'")
-        if key not in lists and len(vals) > 1:
-            raise InputError(f"'{key}' takes one value, got {len(vals)}")
-        out[key] = vals if key in lists else vals[0]
     return out
 
 
 def cmd_demo(args) -> int:
     params, propagate, generator = demos.DEMOS[args.name]
-    lists = ("g",) if args.name == "rabi" else ()
-    kv = _parse_kv(args.params, params._fields + lists, lists)
-    g = kv.pop("g", None)
-    if g is not None:
-        if len(g) != 3:
+    tokens = []
+    for tok in args.params:
+        # rabi's g=g1,g2,g3 stands for its three keys, each given at most once.
+        g = tok[2:].split(",") if args.name == "rabi" and tok.startswith("g=") else None
+        if g is not None and len(g) != 3:
             raise InputError("g expects three comma-separated values")
-        for key, x in zip(("g1", "g2", "g3"), g):
-            kv.setdefault(key, x)
-    p = params(**kv)
+        tokens += [tok] if g is None else [f"g{k}={x}" for k, x in enumerate(g, 1)]
+    p = params(**_parse_kv(tokens, params._fields))
     res = propagate(p)
     dev = float(np.abs(res.U - expm_reference(generator(p))).max())
     print(f"method: {res.method}")
@@ -204,31 +202,30 @@ def cmd_demo(args) -> int:
 def cmd_bench(args) -> int:
     names = [n.strip() for n in args.families.split(",") if n.strip()]
     unknown = [n for n in names if n not in FAMILIES]
-    if unknown:
-        print(f"error: unknown families: {', '.join(unknown)}", file=sys.stderr)
+    if unknown or not names:
+        print(f"error: --families takes known names, got {args.families!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for name in names:
-        t = time_family(name, rng, args.trials)
-        rows.append({
-            "family": name,
-            "trials": args.trials,
-            "t_closed_ns": int(t.closed_ns),
-            "t_oracle_ns": int(t.oracle_ns),
-            "t_eigh_ns": int(t.eigh_ns),
-            "speedup": t.oracle_ns / max(t.closed_ns, 1),
-            "speedup_eigh": t.eigh_ns / max(t.closed_ns, 1),
-            "max_err": t.max_err,
-        })
-    fields = ["family", "trials", "t_closed_ns", "t_oracle_ns", "t_eigh_ns", "speedup",
-              "speedup_eigh", "max_err"]
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
+    # The CSV is opened before the timing runs, so a bad path fails first.
+    with _open_for_write(args.csv) if args.csv else contextlib.nullcontext() as fh:
+        rng = np.random.default_rng(args.seed)
+        rows = []
+        for name in names:
+            t = time_family(name, rng, args.trials)
+            rows.append({
+                "family": name,
+                "trials": args.trials,
+                "t_closed_ns": int(t.closed_ns),
+                "t_oracle_ns": int(t.oracle_ns),
+                "t_eigh_ns": int(t.eigh_ns),
+                "speedup": t.oracle_ns / max(t.closed_ns, 1),
+                "speedup_eigh": t.eigh_ns / max(t.closed_ns, 1),
+                "max_err": t.max_err,
+            })
+        if fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
             w.writeheader()
             w.writerows(rows)
     for r in rows:

@@ -771,7 +771,8 @@ def exp_auto(X: Su4Element, tol: float = STRUCTURE_TOL) -> ExpResult:
     .., up to the norm where every sample still kept its row: c <= 10.4 at
     ||X||_F = 1 and <= 5.6 from 10 to 1e6 for imsym and normal-split; <= 1.74
     for the four linear rows (tridiag, perskew, skewham, bisym) up to 1e6;
-    quad-I <= 2.44 and quad-II <= 2.08 up to 1e5; cubic-I <= 1.75 up to 1e4;
+    quad-I <= 2.44 and quad-II <= 2.30 up to 1e5 (2.24 on the same samples
+    with nu a cofactor expansion, not -(4i/3) v.z); cubic-I <= 1.75 up to 1e4;
     the demo propagators <= 3.77 up to ||tX||_F = 1e6.  The reference
     exponential's own c is at most 3.2.
     """

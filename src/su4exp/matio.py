@@ -30,9 +30,10 @@ def obj_to_matrix(obj: dict) -> np.ndarray:
         A = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
     except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed matrix entries: {exc}") from exc
-    # bool is an int in Python, but a JSON true or false is not a number.
-    if any(isinstance(x, bool) for row in rows for e in row for x in (e[0], e[1])):
-        raise InputError("malformed matrix entries: a boolean is not a number")
+    # complex() reads only an entry's first two components, and bool is an
+    # int in Python, but a JSON true or false is not a number.
+    if any(len(e) != 2 or bool in map(type, e) for row in rows for e in row):
+        raise InputError("malformed matrix entries: each must be a [re, im] pair of numbers")
     if A.shape != (4, 4):
         raise InputError(f"expected a 4x4 matrix, got shape {A.shape}")
     scalar = obj.get("scalar", 0.0)
@@ -57,5 +58,15 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return obj_to_matrix(obj)
 
 
+def _open_for_write(path: str | Path):
+    """path opened for writing text; InputError where it cannot be, as
+    ``load_matrix`` raises for a read."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def save_matrix(A: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_obj(A), indent=2) + "\n")
+    with _open_for_write(path) as fh:
+        fh.write(json.dumps(matrix_to_obj(A), indent=2) + "\n")

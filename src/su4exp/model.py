@@ -147,18 +147,18 @@ def _pauli_permutation() -> tuple[np.ndarray, np.ndarray]:
 _PAULI_SLOT, _PAULI_SIGN = _pauli_permutation()
 _IEYE4 = 1j * np.eye(4)
 
-# K = [p]x Cmat - Cmat [q]x is bilinear in (p, q) and Cmat: with eps the
-# Levi-Civita symbol, the coefficient of p_d Cmat_ce in K_ab is eps_adc
-# delta_be, and that of q_d Cmat_ce is -delta_ac eps_edb.  _K_FORM holds them
-# with axes (vec K, slot d of (p, q), vec Cmat); before the reshape they are
-# (a, b, d, c, e).
-_EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
-                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
-_I3 = np.eye(3)
-_K_FORM = np.concatenate(
-    (_EPS[:, None, :, :, None] * _I3[None, :, None, None, :],
-     -_I3[:, None, None, :, None] * _EPS.T[None, :, :, None, :]), axis=2).reshape(9, 6, 9)
+def _k_form() -> np.ndarray:
+    """(9, 6, 9) real form of K = [p]x Cmat - Cmat [q]x, axes (vec K, slot d
+    of (p, q), vec Cmat), read off the basis as ``_square_map`` reads D.
+    With M_k row k of _QT_FLAT as a 4x4 matrix, B = sum_d v_d M_d and C =
+    sum_ce Cmat_ce M_ce, and [B, C] = 2 sum_ab K_ab M_ab: as the M_k are
+    orthogonal with squared Frobenius norm 4,
+
+        K_form[ab, d, ce] = tr(M_ab^T [M_d, M_ce]) / 8.
+    """
+    M = _QT_FLAT.reshape(15, 4, 4)
+    comm = M[:6, None] @ M[6:] - M[6:] @ M[:6, None]
+    return np.tensordot(_PURE_FLAT, comm.reshape(6, 9, 16), axes=(1, 2)) / 8.0
 
 
 def _square_map() -> np.ndarray:
@@ -212,7 +212,7 @@ def _quadratic_map() -> np.ndarray:
     form F(v, v) = sum_ij F_ij v_i v_j, so the column of (i, j) is F_ij +
     F_ji, and F_ii on the diagonal."""
     F = np.zeros((37, 15, 15))
-    F[:9, :6, 6:] = _K_FORM
+    F[:9, :6, 6:] = _k_form()
     F[9:24] = _SQUARE_MAP.reshape(15, 15, 15)
     F.reshape(37, 225)[24:, ::16] = np.vstack((_DROP, np.ones(15)))
     F += F.transpose(0, 2, 1)
@@ -229,15 +229,6 @@ def quadratic_forms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.nd
     2 sum_ab K_ab M_{e_a (x) e_b}, and X0^2 = -g I - i z.T."""
     q = _QUADRATIC_MAP.dot(v[_PAIR_I] * v[_PAIR_J])
     return q[:9], q[9:24], float(q[36]), q[24:36]
-
-
-def _cofactors(w: list[float]) -> tuple[list[float], float]:
-    """Co(C)_ij = (-1)^(i+j) minor(i, j) and det C, both over C's row-major entries w."""
-    a, b, c, d, e, f, g, h, i = w
-    co = [e * i - f * h, f * g - d * i, d * h - e * g,
-          h * c - i * b, i * a - g * c, g * b - h * a,
-          b * f - c * e, c * d - a * f, a * e - b * d]
-    return co, a * co[0] + b * co[1] + c * co[2]
 
 
 class QuintupleDecomp(NamedTuple):

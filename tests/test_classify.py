@@ -19,7 +19,7 @@ from su4exp.classify import (
 from su4exp.errors import InputError
 from su4exp.expm import is_normal_element
 from su4exp.families import FAMILIES
-from su4exp.model import _QT_STACK, STRUCTURE_TOL, Su4Element, _cofactors
+from su4exp.model import _QT_STACK, STRUCTURE_TOL, Su4Element, _k_form
 
 from reference import (
     charpoly_canonical,
@@ -90,15 +90,40 @@ def test_charpoly_canonical_cross_check():
         assert abs(cp.nu - nu) < 1e-10
 
 
-def test_cofactor_matrix():
+def _levi_civita_k_form():
+    """K = [p]x Cmat - Cmat [q]x as a (9, 6, 9) form, axes (vec K, slot d of
+    (p, q), vec Cmat): with eps the Levi-Civita symbol, the coefficient of
+    p_d Cmat_ce in K_ab is eps_adc delta_be, and that of q_d Cmat_ce is
+    -delta_ac eps_edb."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    I3 = np.eye(3)
+    F = np.zeros((3, 3, 6, 3, 3))
+    F[:, :, :3] = np.einsum("adc,be->abdce", eps, I3)
+    F[:, :, 3:] = -np.einsum("ac,edb->abdce", I3, eps)
+    return F.reshape(9, 6, 9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_invariants_are_read_off_the_shared_product(scale):
+    # The identities classify rests on, against references of their own:
+    # z = 2 (C q, C^T p, p q^T - Co(C)), Co(C) = det(C) C^-T, so the paper's
+    # type-II conditions are z = 2 bt v; nu = -(4i/3) v.z against the
+    # characteristic polynomial of X0; and K's form, read off the basis,
+    # is the Levi-Civita one exactly.
     rng = np.random.default_rng(53)
     for _ in range(50):
-        C = rng.normal(size=(3, 3))
-        co, det = _cofactors(C.ravel().tolist())
-        Co = np.array(co).reshape(3, 3)
-        # adj(C) = Co^T, so C Co^T = det(C) I
-        assert np.abs(C @ Co.T - np.linalg.det(C) * np.eye(3)).max() < 1e-10
-        assert abs(det - np.linalg.det(C)) < 1e-10
+        X = _random_element(rng, scale)
+        v = X.coeffs
+        p, q, C = v[:3], v[3:6], v[6:].reshape(3, 3)
+        co = np.linalg.det(C) * np.linalg.inv(C).T
+        _, z, g, _ = X.quadratic
+        ref = 2.0 * np.concatenate((C @ q, C.T @ p, (np.outer(p, q) - co).ravel()))
+        assert np.abs(z - ref).max() <= 1e-14 * g
+        nu = np.poly(X.traceless)[3]
+        assert abs(charpoly(X).nu - nu) <= 1e-13 * g ** 1.5
+    assert np.array_equal(_k_form(), _levi_civita_k_form())
 
 
 @pytest.mark.parametrize("scale", [1e80, 1e160])

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from su4exp.cli import main
-from su4exp.matio import load_matrix, save_matrix
+from su4exp.errors import InputError
+from su4exp.matio import load_matrix, obj_to_matrix, save_matrix
 from su4exp.oracle import expm_reference
 
 from reference import pauli_kron
@@ -63,11 +64,36 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
                 {"matrix": zeros, "scalar": huge},
                 # JSON booleans are not numbers, though Python's bool is an int.
                 {"matrix": [[[True, False]] + zeros[0][1:]] + zeros[1:]},
-                {"matrix": zeros, "scalar": True}):
+                {"matrix": zeros, "scalar": True},
+                # An entry is an [re, im] pair: neither drops nor reads a third value.
+                {"matrix": [[[0.0, 0.0, 7.0]] + zeros[0][1:]] + zeros[1:]},
+                {"matrix": [[[1, 2, 3]] + zeros[0][1:]] + zeros[1:]}):
         bad.write_text(json.dumps(obj))
         for verb in ("classify", "expm"):
             assert main([verb, str(bad)]) == 2, (verb, obj)
             assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("entry", [[0.0, 0.0, 7.0], [1, 2, 3], [1]])
+def test_entry_that_is_not_a_pair_raises(entry):
+    zeros = [[[0, 0]] * 4 for _ in range(4)]
+    zeros[2][1] = entry
+    with pytest.raises(InputError, match="malformed matrix entries"):
+        obj_to_matrix({"matrix": zeros})
+
+
+def test_unwritable_output_is_parse_error(tridiag_file, tmp_path, monkeypatch, capsys):
+    # A write that fails exits 2 with its message on stderr and nothing on
+    # stdout, as a read that fails does; bench opens its CSV before timing.
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["expm", tridiag_file, "--out", str(missing / "u.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot write" in err
+    monkeypatch.setattr("su4exp.cli.time_family", lambda *a: pytest.fail("timed first"))
+    assert main(["bench", "--families", "tridiag", "--trials", "1",
+                 "--csv", str(missing / "b.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot write" in err
 
 
 def test_non_antihermitian_is_parse_error(tmp_path, capsys):
@@ -276,6 +302,17 @@ def test_demo_bad_params(capsys):
     assert main(["demo", "nope"]) == 1
 
 
+@pytest.mark.parametrize("params, key", [
+    (["g1=1", "g1=2"], "g1"), (["g=1,2,3", "g1=5"], "g1"), (["g3=5", "g=1,2,3"], "g3"),
+    (["t=1", "t=2"], "t")])
+def test_demo_repeated_parameter_is_parse_error(params, key, capsys):
+    # A key given twice, by itself or through rabi's g, is an error that
+    # names it, not a silent choice of one value.
+    assert main(["demo", "rabi", *params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"'{key}'" in err
+
+
 @pytest.mark.parametrize("demo, param", [
     ("rabi", "g1=1,2"), ("rabi", "g=1"), ("josephson", "EJ1=1,2"), ("jcoupling", "t=1,2")])
 def test_demo_list_value_is_parse_error(demo, param, capsys):
@@ -306,6 +343,7 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_usage_errors(capsys):
     assert main(["bench", "--families", "nosuchfamily"]) == 1
+    assert main(["bench", "--families", ","]) == 1
     assert main(["bench", "--trials", "0"]) == 1
 
 
